@@ -8,10 +8,9 @@ from .errors import (BkLabError, ConvergenceError, DegenerateRowError,
                      EigenstructureShiftError, GradeError, InconclusiveError,
                      LayoutError, PlacementError, PreconditionError,
                      ShapeError)
-from .matpoly import (ConvolutionMatrix, MatrixPolynomial, Pencil, as_pencil,
-                      build_L, build_Lambda, constant, convolution,
-                      determinant, evaluate, frobenius_norm, identity,
-                      kron_constant, multiply, pair_norm, reversal,
+from .matpoly import (MatrixPolynomial, Pencil, as_pencil, build_L,
+                      build_Lambda, constant, convolution, determinant,
+                      identity, kron_constant, multiply, pair_norm,
                       verify_norm_inequalities, zeros)
 from .minimal_bases import (DualBasisCertificate, RowDegreeProfile,
                             are_dual_minimal_bases, build_V, build_V_inverse,
@@ -22,8 +21,7 @@ from .minimal_bases import (DualBasisCertificate, RowDegreeProfile,
 from .block_kronecker import (AntiTriangularForm, BlockKroneckerPencil,
                               PlacementSpec, anti_triangularize,
                               from_polynomial, lift_right_null_vector,
-                              make_pencil, recover_polynomial,
-                              validate_placement)
+                              recover_polynomial, validate_placement)
 from .eigenstructure import (Eigenstructure, chordal_distance, det_roots,
                              generalized_eigenvalues, match_eigenvalues,
                              right_minimal_indices_by_convolution,

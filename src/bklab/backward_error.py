@@ -199,6 +199,8 @@ def solve_step1(L: BlockKroneckerPencil, dL: Pencil, force: bool = False,
     ``dLtilde_21 = C (M + dL_11) + dL_21``, the solvability gauge and the
     convergence trace.  For one-sided pencils (``eps == 0`` or ``eta == 0``)
     there is no zero block and the step passes the perturbation through.
+    Raises :class:`ConvergenceError` when the iteration diverges or hits
+    ``max_iter``; ``force`` only lifts the solvability precondition.
     """
     from .spectral_constants import sigma_min_T_closed
 
@@ -259,6 +261,11 @@ def solve_step1(L: BlockKroneckerPencil, dL: Pencil, force: bool = False,
             diff = pair_norm(C_next - C, D_next - D)
             C, D = C_next, D_next
             iterate_norms.append(pair_norm(C, D))
+            if not np.isfinite(iterate_norms[-1]):
+                # inf <= inf would otherwise pass the stopping rule below
+                raise ConvergenceError(
+                    f"fixed point diverged: non-finite iterate at iteration "
+                    f"{iterations}")
             kappa = gauge.kappa1 * (1.0 + kappa) ** 2
             if diff <= 100.0 * eps_u * (1.0 + pair_norm(C, D)):
                 converged = True
@@ -313,7 +320,7 @@ def solve_step2(dLt21: Pencil, eps: int, n: int, force: bool = False):
     base = build_L(eps, n)
     K = Pencil.from_parts(base.M0 + dLt21.coeff(0), base.M1 + dLt21.coeff(1))
     lam = build_Lambda(eps, n)
-    C_eps = convolution(K, eps).matrix
+    C_eps = convolution(K, eps)
     rhs = stack_coefficients(multiply(dLt21, lam))
     X = -pseudoinverse(C_eps, context="step2:pinv(C_eps)") @ rhs
     dR = unstack_coefficients(X, eps, (eps + 1) * n)
@@ -402,8 +409,11 @@ class BackwardErrorReport:
     shift_consistent: bool | None = None
     forced: bool = False
 
-    def to_json(self) -> dict:
-        out = {
+    def record(self) -> dict:
+        """The trial's scalar fields as one flat mapping: the body of
+        :meth:`to_json` and of a batch row."""
+        step1 = self.step1
+        return {
             "epsilon": self.eps,
             "eta": self.eta,
             "m": self.m,
@@ -416,6 +426,9 @@ class BackwardErrorReport:
             "norm_dL": self.norm_dL,
             "radius": self.radius,
             "admissible": self.admissible,
+            "forced": self.forced,
+            "step1_residual": step1.residual if step1 is not None else None,
+            "step1_iterations": step1.iterations if step1 is not None else None,
             "dR_eps_norm": self.dR_eps_norm,
             "dR_eta_norm": self.dR_eta_norm,
             "step2_residual_eps": self.step2_residual_eps,
@@ -429,8 +442,10 @@ class BackwardErrorReport:
             "eigen_max_distance": self.eigen_max_distance,
             "eigen_consistent": self.eigen_consistent,
             "shift_consistent": self.shift_consistent,
-            "forced": self.forced,
         }
+
+    def to_json(self) -> dict:
+        out = self.record()
         if self.step1 is not None:
             out["step1"] = {
                 "iterations": self.step1.iterations,
@@ -446,23 +461,6 @@ class BackwardErrorReport:
         if self.dP is not None:
             out["dP"] = self.dP.to_json()
         return out
-
-    CSV_FIELDS = ("epsilon", "eta", "m", "n", "grade", "degenerate", "norm_P",
-                  "norm_M", "norm_L", "norm_dL", "ratio", "bound",
-                  "bound_label", "bound_informal", "bound_holds",
-                  "step1_residual", "step2_residual_eps", "step2_residual_eta",
-                  "eigen_max_distance", "eigen_consistent", "shift_consistent")
-
-    def csv_row(self) -> list:
-        return [self.eps, self.eta, self.m, self.n, self.grade,
-                self.degenerate, self.norm_P, self.norm_M, self.norm_L,
-                self.norm_dL, self.ratio, self.bound, self.bound_label,
-                self.bound_informal, self.bound_holds,
-                self.step1.residual if self.step1 else "",
-                self.step2_residual_eps, self.step2_residual_eta,
-                self.eigen_max_distance if self.eigen_max_distance is not None else "",
-                self.eigen_consistent if self.eigen_consistent is not None else "",
-                self.shift_consistent if self.shift_consistent is not None else ""]
 
 
 def run_pipeline(L: BlockKroneckerPencil, dL: Pencil, force: bool = False,
@@ -488,7 +486,7 @@ def run_pipeline(L: BlockKroneckerPencil, dL: Pencil, force: bool = False,
     norm_dL = dL.frobenius_norm()
     degenerate = L.eps == 0 or L.eta == 0
     radius = pipeline_radius(L)
-    admissible = norm_dL < radius
+    admissible = bool(norm_dL < radius)
     if not admissible and not force:
         label = ("||dL|| < 1/(2 d^{3/2})" if degenerate
                  else "||dL|| < (sqrt(2)-1)^2 / (d^{5/2} (1 + ||M||))")

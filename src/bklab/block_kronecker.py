@@ -130,10 +130,6 @@ class BlockKroneckerPencil:
                 f"m={self.m}, n={self.n})")
 
 
-def make_pencil(M0, M1, eps: int, eta: int, m: int, n: int) -> BlockKroneckerPencil:
-    return BlockKroneckerPencil(M0, M1, eps, eta, m, n)
-
-
 def from_polynomial(P: MatrixPolynomial, eps: int, eta: int,
                     placement="hook", tol: float = 1e-12) -> BlockKroneckerPencil:
     """Block Kronecker pencil whose antidiagonal coefficient sums reproduce

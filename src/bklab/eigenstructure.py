@@ -27,7 +27,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import EigenstructureShiftError, InconclusiveError, ShapeError
-from .matpoly import MatrixPolynomial, Pencil, as_pencil, convolution
+from .matpoly import MatrixPolynomial, as_pencil, convolution
 from .tolerances import (RankDecision, numerical_rank, svd_with_rank,
                          working_eps)
 
@@ -112,15 +112,34 @@ def match_eigenvalues(first, second) -> float:
     return float(cost[rows, cols].max())
 
 
-def _is_regular(pencil: Pencil, rng_seed: int = 12345) -> bool:
-    if pencil.rows != pencil.cols:
-        return False
-    rng = np.random.default_rng(rng_seed)
-    for _ in range(2):
+def _normal_rank(Q: MatrixPolynomial, tol=None, samples: int = 3) -> int:
+    """Largest numerical rank of ``Q`` over ``samples`` seeded random points;
+    stops early once the rank reaches ``min(rows, cols)``."""
+    rng = np.random.default_rng(2718281828)
+    best = 0
+    for _ in range(samples):
         lam = complex(rng.standard_normal(), rng.standard_normal())
-        if numerical_rank(pencil.eval(lam)) == pencil.rows:
-            return True
-    return False
+        best = max(best, numerical_rank(Q.eval(lam), tol=tol))
+        if best == min(Q.rows, Q.cols):
+            break
+    return best
+
+
+def _qz(A, B, eps):
+    """QZ eigenvalues of ``A + lambda*B`` in homogeneous form, split by the
+    rule ``|beta| <= 10 eps hypot(|alpha|, |beta|)`` for an infinite one.
+
+    Returns the finite eigenvalues in QZ order and, for each infinite one,
+    the pair ``(|beta|, threshold)``.
+    """
+    # det(A + lam*B) = 0  <=>  lam is an eigenvalue of (A, -B) in the
+    # scipy convention det(a - mu*b) = 0.
+    w = scipy.linalg.eig(A, -B, right=False, homogeneous_eigvals=True)
+    alpha, beta = np.asarray(w[0]), np.asarray(w[1])
+    threshold = 10.0 * eps * np.hypot(np.abs(alpha), np.abs(beta))
+    infinite = np.abs(beta) <= threshold
+    finite = [complex(a / b) for a, b in zip(alpha[~infinite], beta[~infinite])]
+    return finite, list(zip(np.abs(beta[infinite]), threshold[infinite]))
 
 
 def generalized_eigenvalues(pencil, tol=None):
@@ -133,24 +152,13 @@ def generalized_eigenvalues(pencil, tol=None):
     pencil = as_pencil(pencil)
     if pencil.rows != pencil.cols:
         raise ShapeError("generalized eigenvalues need a square pencil")
-    if not _is_regular(pencil):
+    if _normal_rank(pencil) < pencil.rows:
         raise ShapeError("singular pencil: use staircase_eigenstructure")
     if pencil.rows == 0:
         return [], 0
-    # det(M0 + lam*M1) = 0  <=>  lam is an eigenvalue of (M0, -M1) in the
-    # scipy convention det(a - mu*b) = 0.
-    w = scipy.linalg.eig(pencil.M0, -pencil.M1, right=False,
-                         homogeneous_eigvals=True)
-    alpha, beta = np.asarray(w[0]), np.asarray(w[1])
-    eps = working_eps() if tol is None else tol
-    finite = []
-    infinite = 0
-    for a, b in zip(alpha, beta):
-        if abs(b) <= 10.0 * eps * np.hypot(abs(a), abs(b)):
-            infinite += 1
-        else:
-            finite.append(complex(a / b))
-    return finite, infinite
+    finite, infinite = _qz(pencil.M0, pencil.M1,
+                           working_eps() if tol is None else tol)
+    return finite, len(infinite)
 
 
 def _staircase_pass(A, B, threshold, log, label):
@@ -229,22 +237,17 @@ def staircase_eigenstructure(pencil, tol=None) -> Eigenstructure:
             f"staircase core is not square ({A2h.shape}); inconsistent rank "
             "decisions, try an explicit tolerance")
     if A2h.shape[0] > 0:
-        w = scipy.linalg.eig(A2h, -B2h, right=False, homogeneous_eigvals=True)
-        alpha, beta = np.asarray(w[0]), np.asarray(w[1])
-        eps = working_eps()
-        for a, b in zip(alpha, beta):
-            if abs(b) <= 10.0 * eps * np.hypot(abs(a), abs(b)):
-                # The staircase certified the core's leading coefficient as
-                # full rank, so this is a borderline artifact; keep it as a
-                # degree-1 divisor at infinity and leave a log entry.
-                log.append(RankDecision("core:qz-beta", (1, 1),
-                                        np.array([abs(b)]), 0,
-                                        10.0 * eps * np.hypot(abs(a), abs(b))))
-                infinite.append(1)
-            else:
-                # The core pass ran on the conjugate transpose, which
-                # conjugates the spectrum.
-                finite.append(complex(a / b).conjugate())
+        core_finite, negligible = _qz(A2h, B2h, working_eps())
+        # The core pass ran on the conjugate transpose, which conjugates the
+        # spectrum.
+        finite = [lam.conjugate() for lam in core_finite]
+        for beta, threshold in negligible:
+            # The staircase certified the core's leading coefficient as full
+            # rank, so this is a borderline artifact; keep it as a degree-1
+            # divisor at infinity and leave a log entry.
+            log.append(RankDecision("core:qz-beta", (1, 1), np.array([beta]),
+                                    0, float(threshold)))
+            infinite.append(1)
     return Eigenstructure(
         finite=finite,
         infinite=sorted(infinite),
@@ -272,7 +275,7 @@ def right_minimal_indices_by_convolution(Q: MatrixPolynomial, j_max=None,
     prev_nullity = 0
     prev_leq = 0
     for j in range(j_max + 1):
-        C = convolution(Q, j).matrix
+        C = convolution(Q, j)
         rank = numerical_rank(C, tol=tol, context=f"convolution:j={j}")
         nullity = C.shape[1] - rank
         leq = nullity - prev_nullity
@@ -283,15 +286,6 @@ def right_minimal_indices_by_convolution(Q: MatrixPolynomial, j_max=None,
     raise InconclusiveError(
         f"scan cap j_max={j_max} reached with {len(indices)} of {total} "
         "right minimal indices found")
-
-
-def _normal_rank(Q: MatrixPolynomial, tol=None, samples: int = 3) -> int:
-    rng = np.random.default_rng(2718281828)
-    best = 0
-    for _ in range(samples):
-        lam = complex(rng.standard_normal(), rng.standard_normal())
-        best = max(best, numerical_rank(Q.eval(lam), tol=tol))
-    return best
 
 
 def shift_recovery(structure: Eigenstructure, eps: int, eta: int) -> Eigenstructure:

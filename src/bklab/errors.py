@@ -34,7 +34,8 @@ class PreconditionError(BkLabError):
 
 
 class ConvergenceError(BkLabError):
-    """The fixed-point iteration hit its cap without meeting the stopping rule."""
+    """The fixed-point iteration hit its cap without meeting the stopping rule,
+    or reached a non-finite iterate."""
 
 
 class InconclusiveError(BkLabError):

@@ -11,9 +11,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .backward_error import run_pipeline
+from .backward_error import pipeline_radius, run_pipeline
 from .block_kronecker import from_polynomial
-from .errors import GradeError, PreconditionError, ShapeError
+from .errors import BkLabError, GradeError, ShapeError
 from .matpoly import MatrixPolynomial, Pencil
 
 
@@ -96,8 +96,6 @@ class ExperimentConfig:
     eta: int | None = None
     magnitude: float = 1e-8
     placement: str = "hook"
-    tol: float | None = None
-    fmt: str = "json"
     force: bool = False
     check_eigen: bool = True
 
@@ -115,8 +113,7 @@ class ExperimentConfig:
             "m": list(self.m), "n": list(self.n), "d": list(self.d),
             "epsilon": self.epsilon, "eta": self.eta,
             "magnitude": self.magnitude, "placement": self.placement,
-            "tol": self.tol, "format": self.fmt, "force": self.force,
-            "check_eigen": self.check_eigen,
+            "force": self.force, "check_eigen": self.check_eigen,
         }
 
 
@@ -140,65 +137,62 @@ def generate_trial(config: ExperimentConfig, index: int):
     return L, dL, rng
 
 
+STATUSES = ("passed", "failed", "unguaranteed", "error", "skipped")
+
+
+def _judge(report) -> tuple[str, str | None]:
+    """Status and reason of a trial whose pipeline run completed."""
+    if not report.admissible:
+        return "unguaranteed", "forced outside the guaranteed radius"
+    gauge = report.step1.gauge if report.step1 is not None else None
+    if gauge is not None and not gauge.solvable:
+        return "failed", f"step 1 gauge violates {gauge.violated_condition()}"
+    if not report.bound_holds:
+        return "failed", f"ratio {report.ratio:.3e} > bound {report.bound:.3e}"
+    return "passed", None
+
+
 def run_backward_error_batch(config: ExperimentConfig) -> dict:
     """Run the batch and return per-trial rows plus a summary.
 
-    Trials whose perturbation violates the guaranteed radius are marked
-    skipped, not failed.
+    A trial inside the guaranteed radius is ``passed`` or ``failed``; it
+    fails on ``ratio > bound``, an unsolvable Step 1 gauge or any package
+    error.  Outside the radius it is ``skipped`` unless ``config.force`` is
+    set, and then ``unguaranteed`` when it completes and ``error`` when it
+    raises.  A row is ``trial``, ``status`` and ``reason`` followed by the
+    report's :meth:`~bklab.backward_error.BackwardErrorReport.record` and
+    the bound ``margin`` and ``ratio_over_bound``; a trial without a report
+    carries only its sizes.
     """
     rows = []
-    passed = skipped = failed = 0
+    counts = dict.fromkeys(STATUSES, 0)
     worst_quotient = 0.0
     for index in range(config.trials):
         L, dL, _ = generate_trial(config, index)
-        row = {"trial": index, "epsilon": L.eps, "eta": L.eta,
-               "m": L.m, "n": L.n, "grade": L.grade}
         try:
             report = run_pipeline(L, dL, force=config.force,
                                   check_eigen=config.check_eigen)
-        except PreconditionError as exc:
-            skipped += 1
-            row.update({"status": "skipped", "reason": str(exc)})
-            rows.append(row)
-            continue
-        quotient = report.ratio / report.bound if report.bound > 0 else 0.0
-        worst_quotient = max(worst_quotient, quotient)
-        ok = report.bound_holds and (report.step1 is None
-                                     or report.step1.gauge is None
-                                     or report.step1.gauge.solvable)
-        if ok:
-            passed += 1
+        except BkLabError as exc:
+            if dL.frobenius_norm() < pipeline_radius(L):
+                status = "failed"
+            else:
+                status = "error" if config.force else "skipped"
+            row = {"trial": index, "status": status, "reason": str(exc),
+                   "epsilon": L.eps, "eta": L.eta, "m": L.m, "n": L.n,
+                   "grade": L.grade}
         else:
-            failed += 1
-        row.update({
-            "status": "passed" if ok else "failed",
-            "ratio": report.ratio,
-            "bound": report.bound,
-            "bound_label": report.bound_label,
-            "bound_informal": report.bound_informal,
-            "margin": report.bound - report.ratio,
-            "ratio_over_bound": quotient,
-            "norm_M": report.norm_M,
-            "norm_L": report.norm_L,
-            "norm_dL": report.norm_dL,
-            "step1_residual": report.step1.residual if report.step1 else None,
-            "step1_iterations": report.step1.iterations if report.step1 else None,
-            "step2_residual_eps": report.step2_residual_eps,
-            "step2_residual_eta": report.step2_residual_eta,
-            "eigen_checked": report.eigen_checked,
-            "eigen_max_distance": report.eigen_max_distance,
-            "eigen_consistent": report.eigen_consistent,
-            "shift_consistent": report.shift_consistent,
-        })
+            status, reason = _judge(report)
+            quotient = report.ratio / report.bound if report.bound > 0 else 0.0
+            worst_quotient = max(worst_quotient, quotient)
+            row = {"trial": index, "status": status, "reason": reason,
+                   **report.record(),
+                   "margin": report.bound - report.ratio,
+                   "ratio_over_bound": quotient}
+        counts[status] += 1
         rows.append(row)
     return {
         "config": config.to_json(),
         "trials": rows,
-        "summary": {
-            "trials": config.trials,
-            "passed": passed,
-            "skipped": skipped,
-            "failed": failed,
-            "max_ratio_over_bound": worst_quotient,
-        },
+        "summary": {"trials": config.trials, **counts,
+                    "max_ratio_over_bound": worst_quotient},
     }

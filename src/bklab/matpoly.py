@@ -12,8 +12,6 @@ grade, only on the nonzero coefficients.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import GradeError, ShapeError
@@ -280,18 +278,6 @@ def build_Lambda(k: int, blocks: int = 1) -> MatrixPolynomial:
 
 # -- operations -------------------------------------------------------------
 
-def evaluate(P: MatrixPolynomial, lam0: complex) -> np.ndarray:
-    return P.eval(lam0)
-
-
-def reversal(P: MatrixPolynomial, d: int | None = None) -> MatrixPolynomial:
-    return P.reversal(d)
-
-
-def frobenius_norm(P: MatrixPolynomial) -> float:
-    return P.frobenius_norm()
-
-
 def pair_norm(C, D) -> float:
     """``sqrt(||C||_F^2 + ||D||_F^2)`` for matrices of possibly different sizes."""
     return float(np.hypot(np.linalg.norm(C), np.linalg.norm(D)))
@@ -308,14 +294,6 @@ def multiply(P: MatrixPolynomial, Q: MatrixPolynomial) -> MatrixPolynomial:
         for j in range(Q.grade + 1):
             out[i + j] += Pi @ Q.coeff(j)
     return MatrixPolynomial(out, grade=d)
-
-
-def hstack(polys) -> MatrixPolynomial:
-    polys = list(polys)
-    d = max(p.grade for p in polys)
-    return MatrixPolynomial(
-        [np.hstack([p.coeff(k) for p in polys]) for k in range(d + 1)], grade=d
-    )
 
 
 def vstack(polys) -> MatrixPolynomial:
@@ -343,29 +321,15 @@ def kron_constant(P: MatrixPolynomial, A) -> MatrixPolynomial:
     return MatrixPolynomial([np.kron(c, A) for c in P.coeff_stack], grade=P.grade)
 
 
-@dataclass
-class ConvolutionMatrix:
-    """Block-Toeplitz stacking of a grade-``q`` polynomial's coefficients.
-
-    Block ``(r, c)`` equals ``Q_{q-(r-c)}`` when ``0 <= r-c <= q`` and the
-    zero block otherwise; there are ``j+1`` block columns and ``q+j+1`` block
-    rows of block size ``m x n``.
-    """
-
-    source_grade: int
-    block_columns: int
-    block_rows: int
-    block_shape: tuple[int, int]
-    matrix: np.ndarray
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.matrix.shape
-
-
-def convolution(Q: MatrixPolynomial, j: int) -> ConvolutionMatrix:
+def convolution(Q: MatrixPolynomial, j: int) -> np.ndarray:
     """``C_j(Q)``: the constant matrix representing multiplication of ``Q``
-    by a grade-``j`` polynomial, read off the declared grade of ``Q``."""
+    by a grade-``j`` polynomial, read off the declared grade of ``Q``.
+
+    It is the block-Toeplitz stacking of the grade-``q`` coefficients: block
+    ``(r, c)`` equals ``Q_{q-(r-c)}`` when ``0 <= r-c <= q`` and the zero
+    block otherwise; there are ``j+1`` block columns and ``q+j+1`` block rows
+    of block size ``m x n``.
+    """
     if j < 0:
         raise GradeError("j must be nonnegative")
     q = Q.grade
@@ -374,12 +338,12 @@ def convolution(Q: MatrixPolynomial, j: int) -> ConvolutionMatrix:
     for c in range(j + 1):
         for r in range(c, c + q + 1):
             C[r * m:(r + 1) * m, c * n:(c + 1) * n] = Q.coeff(q - (r - c))
-    return ConvolutionMatrix(q, j + 1, q + j + 1, (m, n), C)
+    return C
 
 
 def stack_coefficients(Q: MatrixPolynomial) -> np.ndarray:
     """``C_0(Q)``: coefficients stacked top-down from the highest power."""
-    return convolution(Q, 0).matrix
+    return convolution(Q, 0)
 
 
 def unstack_coefficients(X, grade: int, rows: int) -> MatrixPolynomial:

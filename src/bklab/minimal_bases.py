@@ -190,10 +190,10 @@ def pencil_is_kronecker_minimal(pencil: Pencil, tol=None) -> bool:
     if n <= 0 or rows % n != 0:
         raise ShapeError(f"shape {pencil.shape} is not eps*n x (eps+1)*n")
     eps = rows // n
-    C_low = convolution(pencil, eps - 1).matrix
+    C_low = convolution(pencil, eps - 1)
     if numerical_rank(C_low, tol=tol) < C_low.shape[0]:
         return False
-    C_up = convolution(pencil, eps).matrix
+    C_up = convolution(pencil, eps)
     return numerical_rank(C_up, tol=tol) == C_up.shape[0]
 
 
@@ -209,8 +209,8 @@ def poly_is_kronecker_dual_minimal(Q: MatrixPolynomial, tol=None) -> bool:
     if eps != Q.grade:
         raise ShapeError(
             f"declared grade {Q.grade} does not match the shape factor {eps}")
-    C0 = convolution(Q, 0).matrix
+    C0 = convolution(Q, 0)
     if numerical_rank(C0, tol=tol) < C0.shape[0]:
         return False
-    C1 = convolution(Q, 1).matrix
+    C1 = convolution(Q, 1)
     return numerical_rank(C1, tol=tol) == C1.shape[0]

@@ -174,19 +174,19 @@ def sigma_min_convolution_L(eps: int, n: int = 1, tol: float = 1e-10) -> Convolu
         raise ShapeError("eps must be at least 1")
     closed = 2.0 * np.sin(np.pi / (4 * eps + 2))
     L = build_L(eps, n)
-    s_low = np.linalg.svd(convolution(L, eps - 1).matrix, compute_uv=False)
-    s_up = np.linalg.svd(convolution(L, eps).matrix, compute_uv=False)
+    s_low = np.linalg.svd(convolution(L, eps - 1), compute_uv=False)
+    s_up = np.linalg.svd(convolution(L, eps), compute_uv=False)
     lam = build_Lambda(eps, n).transpose()
-    s0 = np.linalg.svd(convolution(lam, 0).matrix, compute_uv=False)
-    s1 = np.linalg.svd(convolution(lam, 1).matrix, compute_uv=False)
+    s0 = np.linalg.svd(convolution(lam, 0), compute_uv=False)
+    s1 = np.linalg.svd(convolution(lam, 1), compute_uv=False)
 
     L1 = build_L(eps, 1)
     ms_low = []
     for k in range(1, eps + 1):
         ms_low.extend(list(M_singular_values(k)) * 2)
     ms_up = sorted(ms_low + list(G_singular_values(eps)))
-    num_low = np.sort(np.linalg.svd(convolution(L1, eps - 1).matrix, compute_uv=False))
-    num_up = np.sort(np.linalg.svd(convolution(L1, eps).matrix, compute_uv=False))
+    num_low = np.sort(np.linalg.svd(convolution(L1, eps - 1), compute_uv=False))
+    num_up = np.sort(np.linalg.svd(convolution(L1, eps), compute_uv=False))
     multiset_ok = bool(
         np.max(np.abs(num_low - np.sort(ms_low))) <= 1e-12
         and np.max(np.abs(num_up - np.array(ms_up))) <= 1e-12

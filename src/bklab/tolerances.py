@@ -1,10 +1,11 @@
 """Working precision and the repo-wide numerical rank policy.
 
-Every rank decision in the package goes through :func:`numerical_rank`, which
-counts singular values above ``max(rows, cols) * eps * sigma_max`` unless the
-caller supplies an explicit tolerance.  The unit roundoff ``eps`` can be
-overridden through the ``BKLAB_EPS`` environment variable, which is read on
-every call so tests can monkeypatch it.
+Every rank decision in the package, pseudoinverse truncations included, goes
+through one policy: count the singular values above
+``max(rows, cols) * eps * sigma_max`` unless the caller supplies an explicit
+tolerance.  The unit roundoff ``eps`` can be overridden through the
+``BKLAB_EPS`` environment variable, which is read on every call so tests can
+monkeypatch it.
 """
 
 from __future__ import annotations
@@ -66,6 +67,23 @@ class RankDecision:
         }
 
 
+def _decide_rank(s, shape, tol, scale, context, log) -> int:
+    """The rank policy: count the singular values ``s`` above ``tol``, or
+    else above :func:`rank_tolerance` at ``scale`` (default ``s[0]``), and
+    append the decision to ``log`` when one is given."""
+    if tol is not None:
+        used_tol = float(tol)
+    elif s.size == 0:
+        used_tol = 0.0
+    else:
+        ref = float(s[0]) if scale is None else float(scale)
+        used_tol = rank_tolerance(shape, ref)
+    rank = int(np.sum(s > used_tol))
+    if log is not None:
+        log.append(RankDecision(context, shape, np.array(s, copy=True), rank, used_tol))
+    return rank
+
+
 def svd_with_rank(M, tol=None, scale=None, context="", log=None):
     """Full SVD of ``M`` plus a rank decision under the repo policy.
 
@@ -80,19 +98,10 @@ def svd_with_rank(M, tol=None, scale=None, context="", log=None):
         s = np.zeros(0)
         U = np.eye(m, dtype=complex)
         V = np.eye(n, dtype=complex)
-        rank = 0
-        used_tol = 0.0 if tol is None else float(tol)
     else:
         U, s, Vh = np.linalg.svd(M, full_matrices=True)
         V = Vh.conj().T
-        if tol is None:
-            ref = float(s[0]) if scale is None else float(scale)
-            used_tol = rank_tolerance((m, n), ref)
-        else:
-            used_tol = float(tol)
-        rank = int(np.sum(s > used_tol))
-    if log is not None:
-        log.append(RankDecision(context, (m, n), np.array(s, copy=True), rank, used_tol))
+    rank = _decide_rank(s, (m, n), tol, scale, context, log)
     return rank, s, U, V
 
 
@@ -102,19 +111,13 @@ def numerical_rank(M, tol=None, scale=None, context="", log=None) -> int:
 
 
 def pseudoinverse(M, tol=None, scale=None, context="", log=None):
-    """SVD pseudoinverse truncated by the rank policy."""
+    """Thin-SVD pseudoinverse truncated by the same rank policy as
+    :func:`svd_with_rank`."""
     M = np.asarray(M, dtype=complex)
     if M.size == 0:
         return np.zeros((M.shape[1], M.shape[0]), dtype=complex)
     U, s, Vh = np.linalg.svd(M, full_matrices=False)
-    if tol is None:
-        ref = float(s[0]) if scale is None else float(scale)
-        used_tol = rank_tolerance(M.shape, ref)
-    else:
-        used_tol = float(tol)
-    rank = int(np.sum(s > used_tol))
-    if log is not None:
-        log.append(RankDecision(context, M.shape, np.array(s, copy=True), rank, used_tol))
+    rank = _decide_rank(s, M.shape, tol, scale, context, log)
     inv = np.zeros_like(s)
     inv[:rank] = 1.0 / s[:rank]
     return (Vh.conj().T * inv) @ U.conj().T

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from bklab import (MatrixPolynomial, Pencil, PreconditionError, ShapeError,
+from bklab import (ConvergenceError, MatrixPolynomial, Pencil,
+                   PreconditionError, ShapeError,
                    assemble_step3, bound_degenerate, bound_nondegenerate,
                    build_L, build_Lambda, build_T, from_polynomial,
                    multiply, pipeline_radius,
@@ -9,7 +10,8 @@ from bklab import (MatrixPolynomial, Pencil, PreconditionError, ShapeError,
                    solve_step1, solve_step2, step1_radius, step2_radius,
                    zeros)
 from bklab.backward_error import SQRT2M1, PerturbationBlocks
-from bklab.experiments import (complex_gaussian, random_pencil_perturbation,
+from bklab.experiments import (ExperimentConfig, complex_gaussian,
+                               generate_trial, random_pencil_perturbation,
                                random_polynomial, trial_rng)
 
 
@@ -332,6 +334,17 @@ def test_pipeline_refuses_outside_radius():
     assert report.forced
 
 
+def test_forced_step1_divergence_raises():
+    # Far outside the radius the iterates overflow; the stopping rule must
+    # not read inf <= inf as convergence.
+    config = ExperimentConfig(seed=0, m=(3, 3), n=(3, 3), d=(5, 5),
+                              magnitude=10.0, force=True)
+    L, dL, _ = generate_trial(config, 0)
+    with np.errstate(all="ignore"), pytest.raises(ConvergenceError,
+                                                  match="non-finite"):
+        solve_step1(L, dL, force=True)
+
+
 def test_degenerate_path_equals_manual_steps():
     # for eta = 0 the pipeline must coincide exactly with running step 2 on
     # the raw (2,1) block and assembling with an empty eta side
@@ -354,7 +367,10 @@ def test_report_serialization():
     report = run_pipeline(bk, dL)
     blob = report.to_json()
     assert blob["bound_holds"] and blob["step1"]["gauge"]["solvable"]
-    assert len(report.csv_row()) == len(report.CSV_FIELDS)
+    record = report.record()
+    assert set(blob) == set(record) | {"step1", "dP"}
+    assert {key: blob[key] for key in record} == record
+    assert record["step1_residual"] == blob["step1"]["residual"]
 
 
 def test_pipeline_perturbed_pencil_is_linearization_of_perturbed_poly():

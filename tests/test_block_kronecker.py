@@ -6,8 +6,7 @@ from bklab import (BlockKroneckerPencil, GradeError, LayoutError,
                    MatrixPolynomial, PlacementError, PlacementSpec,
                    ShapeError, anti_triangularize, build_L, build_Lambda,
                    constant, from_polynomial, lift_right_null_vector,
-                   make_pencil, multiply, recover_polynomial,
-                   validate_placement)
+                   multiply, recover_polynomial, validate_placement)
 from bklab.experiments import complex_gaussian, random_polynomial, trial_rng
 
 
@@ -34,7 +33,7 @@ def _example_grade5(rng):
     M0_c = blockmat([[Z, A, P[2]], [Z, Z, P[1]], [Z, Z, P[0]]])
     M1_c = blockmat([[P[5], Z, Z], [P[4], -A, B], [P[3], -B, Z]])
 
-    pencils = [make_pencil(M0, M1, 2, 2, m, n)
+    pencils = [BlockKroneckerPencil(M0, M1, 2, 2, m, n)
                for M0, M1 in ((M0_a, M1_a), (M0_b, M1_b), (M0_c, M1_c))]
     return poly, pencils
 
@@ -44,7 +43,7 @@ def _example_grade5(rng):
 def test_make_pencil_trivial_is_the_polynomial_itself():
     rng = np.random.default_rng(41)
     M0, M1 = complex_gaussian((2, 2), rng), complex_gaussian((2, 2), rng)
-    bk = make_pencil(M0, M1, 0, 0, 2, 2)
+    bk = BlockKroneckerPencil(M0, M1, 0, 0, 2, 2)
     pen = bk.assemble()
     assert pen.shape == (2, 2)
     assert_allclose(pen.M0, M0)
@@ -56,7 +55,7 @@ def test_make_pencil_assembles_blockwise():
     # eps=1, eta=0, m=n=1, M = [lambda*a + b, c]: rows (eta+1)m + eps*n = 2,
     # cols (eps+1)n + eta*m = 2, giving [lambda*a + b, c; -1, lambda]
     a, b, c = 2.0, 3.0, 5.0
-    bk = make_pencil([[b, c]], [[a, 0.0]], 1, 0, 1, 1)
+    bk = BlockKroneckerPencil([[b, c]], [[a, 0.0]], 1, 0, 1, 1)
     pen = bk.assemble()
     assert pen.shape == (2, 2)
     assert_allclose(pen.M0, [[b, c], [-1.0, 0.0]])
@@ -65,7 +64,7 @@ def test_make_pencil_assembles_blockwise():
 
 def test_make_pencil_rejects_bad_shapes():
     with pytest.raises(ShapeError):
-        make_pencil(np.eye(2), np.eye(2), 1, 0, 1, 1)
+        BlockKroneckerPencil(np.eye(2), np.eye(2), 1, 0, 1, 1)
 
 
 def test_reference_pencils_reproduce_their_polynomial():
@@ -160,7 +159,7 @@ def test_validate_placement_localizes_corruption():
     E = complex_gaussian((2, 2), rng)
     M0 = np.array(bk.M0)
     M0[:2, :2] += E
-    corrupted = make_pencil(M0, bk.M1, 2, 2, 2, 2)
+    corrupted = BlockKroneckerPencil(M0, bk.M1, 2, 2, 2, 2)
     res = validate_placement(corrupted, P)
     # block (1,1) of M0 contributes to coefficient d-1
     assert res[4] == pytest.approx(np.linalg.norm(E))
@@ -242,7 +241,7 @@ def test_anti_triangularize_detects_broken_pencil():
     rng = trial_rng(52, 3)
     P = random_polynomial(1, 1, 3, rng)
     bk = from_polynomial(P, 1, 1, "hook")
-    # bypass make_pencil validation and damage an antidiagonal block
+    # bypass constructor validation and damage an antidiagonal block
     broken = BlockKroneckerPencil.__new__(BlockKroneckerPencil)
     broken.M0, broken.M1 = bk.M0, bk.M1
     broken.eps, broken.eta, broken.m, broken.n = bk.eps, bk.eta, bk.m, bk.n

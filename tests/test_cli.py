@@ -162,6 +162,50 @@ def test_backward_error_skips_outside_radius(tmp_path):
     assert blob["summary"]["failed"] == 0
 
 
+def _forced_batch(tmp_path, mag):
+    out = tmp_path / "r.json"
+    code = main(["backward-error", "--force", "--mag", mag, "--d", "5",
+                 "--m", "3", "--n", "3", "--trials", "5", "--out", str(out)])
+    return code, json.loads(out.read_text())
+
+
+def test_backward_error_forced_outside_radius_is_unguaranteed(tmp_path):
+    with np.errstate(all="ignore"):
+        code, blob = _forced_batch(tmp_path, "1")
+    assert code == 0
+    summary = blob["summary"]
+    assert summary["unguaranteed"] == 5 and summary["failed"] == 0
+    assert summary["max_ratio_over_bound"] < 1e-3
+    for row in blob["trials"]:
+        assert row["status"] == "unguaranteed"
+        assert row["forced"] and not row["admissible"]
+        assert np.isfinite(row["ratio"]) and np.isfinite(row["step1_residual"])
+
+
+def test_backward_error_forced_divergence_is_an_error(tmp_path):
+    with np.errstate(all="ignore"):
+        code, blob = _forced_batch(tmp_path, "10")
+    assert code == 0
+    assert blob["summary"]["error"] == 5 and blob["summary"]["failed"] == 0
+    for row in blob["trials"]:
+        assert row["status"] == "error" and "diverged" in row["reason"]
+        assert "ratio" not in row
+
+
+def test_backward_error_admissible_error_fails_and_exits_3(tmp_path, monkeypatch):
+    from bklab import ConvergenceError, experiments
+
+    def stall(*args, **kwargs):
+        raise ConvergenceError("stalled")
+
+    monkeypatch.setattr(experiments, "run_pipeline", stall)
+    out = tmp_path / "r.json"
+    assert main(["backward-error", "--trials", "2", "--out", str(out)]) == 3
+    blob = json.loads(out.read_text())
+    assert blob["summary"]["failed"] == 2
+    assert [row["reason"] for row in blob["trials"]] == ["stalled", "stalled"]
+
+
 def test_constants_ok(tmp_path):
     out = tmp_path / "c.json"
     assert main(["constants", "--max-epsilon", "2", "--max-eta", "2",

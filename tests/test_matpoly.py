@@ -185,14 +185,14 @@ def test_convolution_c0_is_coefficient_stack():
     Q = random_poly(2, 3, 2, rng)
     C0 = convolution(Q, 0)
     assert C0.shape == (6, 3)
-    assert_allclose(C0.matrix[:2], Q.coeff(2))
-    assert_allclose(C0.matrix[2:4], Q.coeff(1))
-    assert_allclose(C0.matrix[4:], Q.coeff(0))
+    assert_allclose(C0[:2], Q.coeff(2))
+    assert_allclose(C0[2:4], Q.coeff(1))
+    assert_allclose(C0[4:], Q.coeff(0))
 
 
 def test_convolution_of_L_has_bidiagonal_blocks():
     eps, n = 3, 2
-    C = convolution(build_L(eps, n), eps - 1).matrix
+    C = convolution(build_L(eps, n), eps - 1)
     br, bc = eps * n, (eps + 1) * n  # block row/column sizes
     E = np.kron(np.hstack([np.eye(eps), np.zeros((eps, 1))]), np.eye(n))
     F = np.kron(np.hstack([np.zeros((eps, 1)), np.eye(eps)]), np.eye(n))
@@ -205,8 +205,8 @@ def test_convolution_fundamental_property():
     rng = np.random.default_rng(18)
     Q = random_poly(2, 3, 2, rng)
     Z = random_poly(3, 2, 3, rng)
-    lhs = convolution(multiply(Q, Z), 0).matrix
-    rhs = convolution(Q, 3).matrix @ convolution(Z, 0).matrix
+    lhs = convolution(multiply(Q, Z), 0)
+    rhs = convolution(Q, 3) @ convolution(Z, 0)
     assert np.linalg.norm(lhs - rhs) <= 1e-13 * np.linalg.norm(lhs)
 
 
@@ -214,7 +214,7 @@ def test_convolution_norm_identity():
     rng = np.random.default_rng(19)
     Q = random_poly(3, 2, 4, rng)
     for j in range(5):
-        got = np.linalg.norm(convolution(Q, j).matrix)
+        got = np.linalg.norm(convolution(Q, j))
         want = np.sqrt(j + 1.0) * Q.frobenius_norm()
         assert got == pytest.approx(want, rel=1e-13)
 
