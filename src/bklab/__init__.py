@@ -44,5 +44,5 @@ from .experiments import (ExperimentConfig, complex_gaussian,
                           random_pencil_perturbation, random_polynomial,
                           random_singular_polynomial,
                           run_backward_error_batch, trial_rng)
-from .tolerances import (RankDecision, numerical_rank, pseudoinverse,
-                         rank_tolerance, working_eps)
+from .tolerances import (EPS, RankDecision, numerical_rank, pseudoinverse,
+                         rank_tolerance)

@@ -9,8 +9,10 @@ Given a block Kronecker pencil ``L`` of a polynomial ``P`` and a perturbation
    ``[I 0; C I] (L + dL) [I D; 0 I]`` has an exactly zero (2,2) block again.
    Existence and the bound ``||(C,D)|| <= 2 theta / delta`` hold whenever
    ``delta = sigma_min(T) - ||dT||_2 > 0`` and ``theta*omega/delta^2 < 1/4``;
-   the solution is reached by a fixed-point iteration whose first iterate is
-   the minimum-norm solution of the linearized system.
+   ``||dT||_2`` enters through a certified upper bound.  The solution is the
+   limit of ``x <- T^+ (b + q(x) - dT x)`` from ``x = 0``, with ``T^+``
+   applied blockwise through the scalar ``T(eps, eta, 1, 1)``; no operator
+   whose size grows with ``m n`` is formed.
 2. **Repair the dual bases.**  The perturbed antidiagonal blocks are still
    minimal bases below an explicit radius; their perturbed duals
    ``Lambda + dR`` are recovered through one minimum-norm convolution solve
@@ -35,9 +37,10 @@ from .errors import ConvergenceError, PreconditionError, ShapeError
 from .matpoly import (MatrixPolynomial, Pencil, build_L, build_Lambda,
                       convolution, multiply, pair_norm, stack_coefficients,
                       unstack_coefficients)
-from .tolerances import pseudoinverse, working_eps
+from .tolerances import EPS, pseudoinverse
 
 SQRT2M1 = np.sqrt(2.0) - 1.0
+STEP1_MAX_ITER = 200
 
 
 # -- the linear operator ----------------------------------------------------
@@ -110,15 +113,11 @@ class PerturbationBlocks:
     def block_21(self) -> Pencil:
         return Pencil.from_parts(self.A21, self.B21)
 
-    def delta_T(self) -> np.ndarray:
-        """Perturbation of the Sylvester operator induced by the off-diagonal
-        blocks (the (2,2) block only enters the right-hand side)."""
-        I_en = np.eye(self.eps * self.n)
-        I_hm = np.eye(self.eta * self.m)
-        return np.vstack([
-            np.hstack([np.kron(-self.A12.T, I_en), np.kron(I_hm, -self.A21)]),
-            np.hstack([np.kron(self.B12.T, I_en), np.kron(I_hm, self.B21)]),
-        ])
+    def delta_T_bound(self) -> float:
+        """Upper bound on ``||dT||_2``, the norm of the map
+        ``(C, D) -> (-C A12 - A21 D, C B12 + B21 D)``: by Cauchy-Schwarz it
+        is at most the Frobenius norm of the two off-diagonal blocks."""
+        return pair_norm(self.block_12().coeff_stack, self.block_21().coeff_stack)
 
 
 @dataclass
@@ -126,8 +125,7 @@ class SylvesterGauge:
     """The scalars governing Step-1 solvability."""
 
     sigma_min_T: float
-    delta_T_norm: float       # exact spectral norm of the assembled dT
-    delta_T_bound: float      # the a-priori bound 2 ||dL||_F
+    delta_T_bound: float      # certified upper bound on ||dT||_2
     delta: float
     theta: float
     omega: float
@@ -138,11 +136,11 @@ class SylvesterGauge:
 
     @property
     def solvable(self) -> bool:
-        return self.delta > 0 and self.kappa1 < 0.25
+        return bool(self.delta > 0 and self.kappa1 < 0.25)
 
     def violated_condition(self):
         if self.delta <= 0:
-            return "delta = sigma_min(T) - ||dT||_2 > 0"
+            return "delta = sigma_min(T) - delta_T_bound > 0"
         if self.kappa1 >= 0.25:
             return "theta * omega / delta^2 < 1/4"
         return None
@@ -150,12 +148,11 @@ class SylvesterGauge:
     def to_json(self) -> dict:
         return {
             "sigma_min_T": self.sigma_min_T,
-            "delta_T_norm": self.delta_T_norm,
             "delta_T_bound": self.delta_T_bound,
             "delta": self.delta,
             "theta": self.theta,
             "omega": self.omega,
-            "kappa1": float(self.kappa1),
+            "kappa1": float(self.kappa1) if np.isfinite(self.kappa1) else None,
             "solvable": self.solvable,
         }
 
@@ -177,21 +174,38 @@ class Step1Result:
         return pair_norm(self.C, self.D)
 
 
-def _vec(M: np.ndarray) -> np.ndarray:
-    return M.flatten(order="F")
-
-
-def _unvec(x: np.ndarray, shape) -> np.ndarray:
-    return x.reshape(shape, order="F")
-
-
 def step1_radius(d: int, one_one_norm: float) -> float:
     """Perturbation radius under which Step 1 is guaranteed to succeed."""
     return (SQRT2M1 / d) ** 2 / (1.0 + one_one_norm)
 
 
-def solve_step1(L: BlockKroneckerPencil, dL: Pencil, force: bool = False,
-                max_iter: int = 200) -> Step1Result:
+def _T_pinv(eps: int, eta: int, m: int, n: int):
+    """``(R0, R1) -> (C, D)``: ``pinv(build_T(eps, eta, m, n))`` applied to
+    ``[vec R0; vec R1]``.  Up to a perfect shuffle ``T`` is
+    ``T(eps, eta, 1, 1) (x) I_mn``: entry ``(a, b)`` of every ``n x m`` block
+    of ``(C, D)`` meets only entry ``(a, b)`` of the blocks of ``(R0, R1)``,
+    through the scalar operator, whose one pseudoinverse serves them all."""
+    Tp = pseudoinverse(build_T(eps, eta, 1, 1), context="step1:pinv(T)")
+    split = eps * (eta + 1)
+
+    def grid(R, rows, cols):
+        # one row per n x m block, blocks in column-major order
+        return (R.reshape(rows, n, cols, m).transpose(2, 0, 1, 3)
+                .reshape(rows * cols, n * m))
+
+    def ungrid(X, rows, cols):
+        return (X.reshape(cols, rows, n, m).transpose(1, 2, 0, 3)
+                .reshape(rows * n, cols * m))
+
+    def apply(R0, R1):
+        X = Tp @ np.vstack([grid(R0, eps, eta), grid(R1, eps, eta)])
+        return ungrid(X[:split], eps, eta + 1), ungrid(X[split:], eps + 1, eta)
+
+    return apply
+
+
+def solve_step1(L: BlockKroneckerPencil, dL: Pencil,
+                force: bool = False) -> Step1Result:
     """Solve the quadratic Sylvester-like system restoring the zero block.
 
     Returns the constants ``(C, D)``, the updated off-diagonal perturbations
@@ -199,65 +213,60 @@ def solve_step1(L: BlockKroneckerPencil, dL: Pencil, force: bool = False,
     ``dLtilde_21 = C (M + dL_11) + dL_21``, the solvability gauge and the
     convergence trace.  For one-sided pencils (``eps == 0`` or ``eta == 0``)
     there is no zero block and the step passes the perturbation through.
-    Raises :class:`ConvergenceError` when the iteration diverges or hits
-    ``max_iter``; ``force`` only lifts the solvability precondition.
+
+    The iteration ``x <- T^+ (b + q(x) - dT x)`` starts at ``x = 0``.  As
+    ``T`` has full row rank, its fixed points solve ``(T + dT) x = b + q(x)``.
+    Each step obeys ``||x'|| <= (theta + omega ||x||^2 + ||dT|| ||x||) /
+    sigma_min(T)``, so the ball of radius ``r``, the smaller root of
+    ``omega r^2 - delta r + theta``, is invariant: ``||(C, D)|| <= r <=
+    2 theta / delta``, and the map contracts there when
+    ``4 theta omega < delta^2``.  Raises :class:`ConvergenceError` when the
+    iteration diverges or hits ``STEP1_MAX_ITER``; ``force`` only lifts the
+    solvability precondition.
     """
     from .spectral_constants import sigma_min_T_closed
 
     blocks = PerturbationBlocks.from_pencil(dL, L)
     eps, eta, m, n = L.eps, L.eta, L.m, L.n
+    C = np.zeros((eps * n, (eta + 1) * m), dtype=complex)
+    D = np.zeros(((eps + 1) * n, eta * m), dtype=complex)
 
     if eps == 0 or eta == 0:
-        C = np.zeros((eps * n, (eta + 1) * m), dtype=complex)
-        D = np.zeros(((eps + 1) * n, eta * m), dtype=complex)
-        dLt12 = blocks.block_12()
-        dLt21 = blocks.block_21()
-        return Step1Result(C, D, None, 0, [], [], 0.0, dLt12, dLt21)
+        return Step1Result(C, D, None, 0, [], [], 0.0,
+                           blocks.block_12(), blocks.block_21())
 
-    T = build_T(eps, eta, m, n)
-    dT = blocks.delta_T()
     sigma = sigma_min_T_closed(eps, eta)
-    dT_norm = float(np.linalg.norm(dT, 2)) if dT.size else 0.0
+    dT_bound = blocks.delta_T_bound()
+    M0_pert = L.M0 + blocks.A11
+    M1_pert = L.M1 + blocks.B11
     gauge = SylvesterGauge(
         sigma_min_T=sigma,
-        delta_T_norm=dT_norm,
-        delta_T_bound=2.0 * dL.frobenius_norm(),
-        delta=sigma - dT_norm,
+        delta_T_bound=dT_bound,
+        delta=sigma - dT_bound,
         theta=pair_norm(blocks.A22, blocks.B22),
-        omega=pair_norm(L.M0 + blocks.A11, L.M1 + blocks.B11),
+        omega=pair_norm(M0_pert, M1_pert),
     )
     if not gauge.solvable and not force:
         raise PreconditionError(
             f"step 1 refused: violated {gauge.violated_condition()}",
             inequality=gauge.violated_condition() or "")
 
-    Tp = pseudoinverse(T + dT, context="step1:pinv(T+dT)")
-    b = np.concatenate([_vec(blocks.A22), -_vec(blocks.B22)])
-    x0 = Tp @ b
-    shape_C = (eps * n, (eta + 1) * m)
-    shape_D = ((eps + 1) * n, eta * m)
-    split = shape_C[0] * shape_C[1]
-    C = _unvec(x0[:split], shape_C)
-    D = _unvec(x0[split:], shape_D)
-    M0_pert = L.M0 + blocks.A11
-    M1_pert = L.M1 + blocks.B11
-
-    eps_u = working_eps()
-    iterate_norms = [pair_norm(C, D)]
+    solve = _T_pinv(eps, eta, m, n)
+    iterate_norms: list[float] = []
     kappa_seq: list[float] = []
     kappa = gauge.kappa1
     iterations = 0
     if gauge.theta > 0:
-        converged = False
-        for iterations in range(1, max_iter + 1):
-            kappa_seq.append(kappa)
-            rhs = np.concatenate([
-                _vec(C @ M0_pert @ D),
-                -_vec(C @ M1_pert @ D),
-            ])
-            x_next = x0 + Tp @ rhs
-            C_next = _unvec(x_next[:split], shape_C)
-            D_next = _unvec(x_next[split:], shape_D)
+        for iterations in range(1, STEP1_MAX_ITER + 1):
+            if gauge.solvable:
+                # the majorant kappa_{k+1} = kappa_1 (1 + kappa_k)^2
+                kappa_seq.append(kappa)
+                kappa = gauge.kappa1 * (1.0 + kappa) ** 2
+            # b + q(x) - dT x with b = (A22, -B22), q = (C M0' D, -C M1' D)
+            # and dT x = (-C A12 - A21 D, C B12 + B21 D)
+            C_next, D_next = solve(
+                blocks.A22 + C @ (M0_pert @ D + blocks.A12) + blocks.A21 @ D,
+                -blocks.B22 - C @ (M1_pert @ D + blocks.B12) - blocks.B21 @ D)
             diff = pair_norm(C_next - C, D_next - D)
             C, D = C_next, D_next
             iterate_norms.append(pair_norm(C, D))
@@ -266,14 +275,12 @@ def solve_step1(L: BlockKroneckerPencil, dL: Pencil, force: bool = False,
                 raise ConvergenceError(
                     f"fixed point diverged: non-finite iterate at iteration "
                     f"{iterations}")
-            kappa = gauge.kappa1 * (1.0 + kappa) ** 2
-            if diff <= 100.0 * eps_u * (1.0 + pair_norm(C, D)):
-                converged = True
+            if diff <= 100.0 * EPS * (1.0 + iterate_norms[-1]):
                 break
-        if not converged:
+        else:
             raise ConvergenceError(
-                f"fixed point did not meet the stopping rule in {max_iter} "
-                "iterations")
+                f"fixed point did not meet the stopping rule in "
+                f"{STEP1_MAX_ITER} iterations")
 
     dLt12 = Pencil.from_parts(M0_pert @ D + blocks.A12, M1_pert @ D + blocks.B12)
     dLt21 = Pencil.from_parts(C @ M0_pert + blocks.A21, C @ M1_pert + blocks.B21)

@@ -28,8 +28,7 @@ import scipy.linalg
 
 from .errors import EigenstructureShiftError, InconclusiveError, ShapeError
 from .matpoly import MatrixPolynomial, as_pencil, convolution
-from .tolerances import (RankDecision, numerical_rank, svd_with_rank,
-                         working_eps)
+from .tolerances import EPS, RankDecision, numerical_rank, svd_with_rank
 
 
 @dataclass
@@ -125,9 +124,9 @@ def _normal_rank(Q: MatrixPolynomial, tol=None, samples: int = 3) -> int:
     return best
 
 
-def _qz(A, B, eps):
+def _qz(A, B):
     """QZ eigenvalues of ``A + lambda*B`` in homogeneous form, split by the
-    rule ``|beta| <= 10 eps hypot(|alpha|, |beta|)`` for an infinite one.
+    rule ``|beta| <= 10 EPS hypot(|alpha|, |beta|)`` for an infinite one.
 
     Returns the finite eigenvalues in QZ order and, for each infinite one,
     the pair ``(|beta|, threshold)``.
@@ -136,13 +135,13 @@ def _qz(A, B, eps):
     # scipy convention det(a - mu*b) = 0.
     w = scipy.linalg.eig(A, -B, right=False, homogeneous_eigvals=True)
     alpha, beta = np.asarray(w[0]), np.asarray(w[1])
-    threshold = 10.0 * eps * np.hypot(np.abs(alpha), np.abs(beta))
+    threshold = 10.0 * EPS * np.hypot(np.abs(alpha), np.abs(beta))
     infinite = np.abs(beta) <= threshold
     finite = [complex(a / b) for a, b in zip(alpha[~infinite], beta[~infinite])]
     return finite, list(zip(np.abs(beta[infinite]), threshold[infinite]))
 
 
-def generalized_eigenvalues(pencil, tol=None):
+def generalized_eigenvalues(pencil):
     """Finite eigenvalue list and infinite eigenvalue count of a regular pencil.
 
     Implemented through the QZ factorization in homogeneous form; an
@@ -156,8 +155,7 @@ def generalized_eigenvalues(pencil, tol=None):
         raise ShapeError("singular pencil: use staircase_eigenstructure")
     if pencil.rows == 0:
         return [], 0
-    finite, infinite = _qz(pencil.M0, pencil.M1,
-                           working_eps() if tol is None else tol)
+    finite, infinite = _qz(pencil.M0, pencil.M1)
     return finite, len(infinite)
 
 
@@ -217,7 +215,7 @@ def staircase_eigenstructure(pencil, tol=None) -> Eigenstructure:
         # max(dim)^3 * eps * scale: the cubic factor absorbs the error the
         # successive deflation stages accumulate and amplify.
         dim = max(A.shape[0], A.shape[1], 1)
-        threshold = dim ** 3 * working_eps() * scale if scale > 0.0 else 0.0
+        threshold = dim ** 3 * EPS * scale if scale > 0.0 else 0.0
     else:
         threshold = float(tol)
 
@@ -237,7 +235,7 @@ def staircase_eigenstructure(pencil, tol=None) -> Eigenstructure:
             f"staircase core is not square ({A2h.shape}); inconsistent rank "
             "decisions, try an explicit tolerance")
     if A2h.shape[0] > 0:
-        core_finite, negligible = _qz(A2h, B2h, working_eps())
+        core_finite, negligible = _qz(A2h, B2h)
         # The core pass ran on the conjugate transpose, which conjugates the
         # spectrum.
         finite = [lam.conjugate() for lam in core_finite]

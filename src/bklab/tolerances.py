@@ -3,35 +3,22 @@
 Every rank decision in the package, pseudoinverse truncations included, goes
 through one policy: count the singular values above
 ``max(rows, cols) * eps * sigma_max`` unless the caller supplies an explicit
-tolerance.  The unit roundoff ``eps`` can be overridden through the
-``BKLAB_EPS`` environment variable, which is read on every call so tests can
-monkeypatch it.
+tolerance; ``eps`` is the double-precision unit roundoff :data:`EPS`.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
-ENV_EPS = "BKLAB_EPS"
+EPS = float(np.finfo(float).eps)
 
 
-def working_eps() -> float:
-    """Unit roundoff used in tolerance formulas (``BKLAB_EPS`` overrides)."""
-    raw = os.environ.get(ENV_EPS)
-    if raw is None:
-        return float(np.finfo(float).eps)
-    return float(raw)
-
-
-def rank_tolerance(shape, sigma_max, eps=None) -> float:
-    """Default threshold: ``max(shape) * eps * sigma_max``."""
-    if eps is None:
-        eps = working_eps()
+def rank_tolerance(shape, sigma_max) -> float:
+    """Default threshold: ``max(shape) * EPS * sigma_max``."""
     dim = max(int(shape[0]), int(shape[1]), 1)
-    return dim * eps * float(sigma_max)
+    return dim * EPS * float(sigma_max)
 
 
 @dataclass
@@ -67,30 +54,28 @@ class RankDecision:
         }
 
 
-def _decide_rank(s, shape, tol, scale, context, log) -> int:
+def _decide_rank(s, shape, tol, context, log) -> int:
     """The rank policy: count the singular values ``s`` above ``tol``, or
-    else above :func:`rank_tolerance` at ``scale`` (default ``s[0]``), and
-    append the decision to ``log`` when one is given."""
+    else above :func:`rank_tolerance` at ``s[0]``, and append the decision to
+    ``log`` when one is given."""
     if tol is not None:
         used_tol = float(tol)
     elif s.size == 0:
         used_tol = 0.0
     else:
-        ref = float(s[0]) if scale is None else float(scale)
-        used_tol = rank_tolerance(shape, ref)
+        used_tol = rank_tolerance(shape, s[0])
     rank = int(np.sum(s > used_tol))
     if log is not None:
         log.append(RankDecision(context, shape, np.array(s, copy=True), rank, used_tol))
     return rank
 
 
-def svd_with_rank(M, tol=None, scale=None, context="", log=None):
+def svd_with_rank(M, tol=None, context="", log=None):
     """Full SVD of ``M`` plus a rank decision under the repo policy.
 
     Returns ``(rank, s, U, V)`` with ``U`` (m x m) and ``V`` (n x n) unitary.
-    ``scale`` replaces ``sigma_max(M)`` as the reference scale in the default
-    tolerance; an explicit ``tol`` wins over both.  The decision is appended
-    to ``log`` when one is given.
+    An explicit ``tol`` replaces the default tolerance.  The decision is
+    appended to ``log`` when one is given.
     """
     M = np.asarray(M)
     m, n = M.shape
@@ -101,23 +86,23 @@ def svd_with_rank(M, tol=None, scale=None, context="", log=None):
     else:
         U, s, Vh = np.linalg.svd(M, full_matrices=True)
         V = Vh.conj().T
-    rank = _decide_rank(s, (m, n), tol, scale, context, log)
+    rank = _decide_rank(s, (m, n), tol, context, log)
     return rank, s, U, V
 
 
-def numerical_rank(M, tol=None, scale=None, context="", log=None) -> int:
-    rank, _, _, _ = svd_with_rank(M, tol=tol, scale=scale, context=context, log=log)
+def numerical_rank(M, tol=None, context="", log=None) -> int:
+    rank, _, _, _ = svd_with_rank(M, tol=tol, context=context, log=log)
     return rank
 
 
-def pseudoinverse(M, tol=None, scale=None, context="", log=None):
+def pseudoinverse(M, tol=None, context="", log=None):
     """Thin-SVD pseudoinverse truncated by the same rank policy as
     :func:`svd_with_rank`."""
     M = np.asarray(M, dtype=complex)
     if M.size == 0:
         return np.zeros((M.shape[1], M.shape[0]), dtype=complex)
     U, s, Vh = np.linalg.svd(M, full_matrices=False)
-    rank = _decide_rank(s, M.shape, tol, scale, context, log)
+    rank = _decide_rank(s, M.shape, tol, context, log)
     inv = np.zeros_like(s)
     inv[:rank] = 1.0 / s[:rank]
     return (Vh.conj().T * inv) @ U.conj().T

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -5,11 +7,11 @@ from bklab import (ConvergenceError, MatrixPolynomial, Pencil,
                    PreconditionError, ShapeError,
                    assemble_step3, bound_degenerate, bound_nondegenerate,
                    build_L, build_Lambda, build_T, from_polynomial,
-                   multiply, pipeline_radius,
+                   multiply, pipeline_radius, pseudoinverse,
                    recover_polynomial, run_pipeline, sigma_min_T_closed,
                    solve_step1, solve_step2, step1_radius, step2_radius,
                    zeros)
-from bklab.backward_error import SQRT2M1, PerturbationBlocks
+from bklab.backward_error import SQRT2M1, PerturbationBlocks, _T_pinv
 from bklab.experiments import (ExperimentConfig, complex_gaussian,
                                generate_trial, random_pencil_perturbation,
                                random_polynomial, trial_rng)
@@ -55,13 +57,58 @@ def test_build_T_rejects_degenerate():
         build_T(0, 1, 1, 1)
 
 
+def _dense_delta_T(blocks):
+    """Oracle: the perturbation of ``build_T``'s operator induced by the
+    off-diagonal blocks, acting on ``[vec(C); vec(D)]`` (column-major)."""
+    I_en = np.eye(blocks.eps * blocks.n)
+    I_hm = np.eye(blocks.eta * blocks.m)
+    return np.vstack([
+        np.hstack([np.kron(-blocks.A12.T, I_en), np.kron(I_hm, -blocks.A21)]),
+        np.hstack([np.kron(blocks.B12.T, I_en), np.kron(I_hm, blocks.B21)]),
+    ])
+
+
+def _vec(M):
+    return M.flatten(order="F")
+
+
 def test_delta_T_zero_for_zero_perturbation():
     rng = trial_rng(70, 0)
     bk = _random_block_kronecker(rng, 1, 1, 1, 1)
     zero = random_pencil_perturbation(bk.shape, 0.0, rng)
     blocks = PerturbationBlocks.from_pencil(zero, bk)
-    assert np.all(blocks.delta_T() == 0)
+    assert np.all(_dense_delta_T(blocks) == 0)
+    assert blocks.delta_T_bound() == 0.0
     assert blocks.reassemble().frobenius_norm() == 0.0
+
+
+@pytest.mark.parametrize("eps,eta,m,n", [(1, 1, 1, 1), (2, 3, 2, 1),
+                                         (3, 1, 1, 3), (3, 3, 4, 4)])
+def test_block_T_pinv_matches_dense(eps, eta, m, n):
+    rng = trial_rng(76, eps * 1000 + eta * 100 + m * 10 + n)
+    R0 = complex_gaussian((eps * n, eta * m), rng)
+    R1 = complex_gaussian((eps * n, eta * m), rng)
+    C, D = _T_pinv(eps, eta, m, n)(R0, R1)
+    assert C.shape == (eps * n, (eta + 1) * m)
+    assert D.shape == ((eps + 1) * n, eta * m)
+    want = pseudoinverse(build_T(eps, eta, m, n)) @ np.concatenate(
+        [_vec(R0), _vec(R1)])
+    assert np.max(np.abs(np.concatenate([_vec(C), _vec(D)]) - want)) <= 1e-12
+
+
+def test_delta_T_bound_is_certified():
+    for trial in range(60):
+        rng = trial_rng(77, trial)
+        eps, eta = int(rng.integers(1, 4)), int(rng.integers(1, 4))
+        m, n = int(rng.integers(1, 3)), int(rng.integers(1, 3))
+        bk = _random_block_kronecker(rng, eps, eta, m, n)
+        magnitude = (1e-8, 1e-3, 0.1, 1.0, 10.0)[trial % 5]
+        dL = random_pencil_perturbation(bk.shape, magnitude, rng)
+        blocks = PerturbationBlocks.from_pencil(dL, bk)
+        exact = np.linalg.norm(_dense_delta_T(blocks), 2)
+        bound = blocks.delta_T_bound()
+        assert exact <= bound * (1 + 1e-12)
+        assert bound <= dL.frobenius_norm() * (1 + 1e-12)
 
 
 def test_blocks_reassemble_exactly():
@@ -131,6 +178,21 @@ def test_step1_kappa_sequence_monotone_and_bounded():
     for a, b in zip(seq, seq[1:]):
         assert a < b
     assert all(k <= fixed_point + 1e-15 for k in seq)
+
+
+def test_step1_contract_at_scale():
+    # m = n = 20, d = 9: the dense T would be 12800 x 16000
+    rng = trial_rng(78, 0)
+    bk = _random_block_kronecker(rng, 4, 4, 20, 20)
+    d = bk.grade
+    dL = random_pencil_perturbation(
+        bk.shape, 0.5 * step1_radius(d, bk.one_one_norm()), rng)
+    result = solve_step1(bk, dL)
+    gauge = result.gauge
+    assert gauge.solvable
+    assert result.residual <= 1e-12 * (1.0 + bk.frobenius_norm())
+    assert result.cd_norm <= 2.0 * gauge.theta / gauge.delta + 1e-15
+    assert result.cd_norm <= d * dL.frobenius_norm() / SQRT2M1 + 1e-15
 
 
 def test_step1_refuses_outside_radius():
@@ -371,6 +433,23 @@ def test_report_serialization():
     assert set(blob) == set(record) | {"step1", "dP"}
     assert {key: blob[key] for key in record} == record
     assert record["step1_residual"] == blob["step1"]["residual"]
+
+
+def test_reports_are_strict_json():
+    rng = trial_rng(91, 0)
+    bk = from_polynomial(random_polynomial(2, 2, 3, rng), 1, 1, "hook")
+    dL = random_pencil_perturbation(bk.shape, 1e-8, rng)
+    admissible = run_pipeline(bk, dL).to_json()
+    json.dumps(admissible, allow_nan=False)
+    assert admissible["step1"]["gauge"]["solvable"] is True
+    # forced far outside the radius: the gauge is unsolvable
+    config = ExperimentConfig(seed=0, m=(3, 3), n=(3, 3), d=(5, 5),
+                              magnitude=1.0, force=True)
+    L, dL, _ = generate_trial(config, 0)
+    forced = run_pipeline(L, dL, force=True).to_json()
+    json.dumps(forced, allow_nan=False)
+    assert forced["step1"]["gauge"]["solvable"] is False
+    assert forced["step1"]["kappa_sequence"] == []
 
 
 def test_pipeline_perturbed_pencil_is_linearization_of_perturbed_poly():

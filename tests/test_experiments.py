@@ -7,7 +7,6 @@ from bklab.experiments import (ExperimentConfig, generate_trial,
                                random_singular_polynomial,
                                run_backward_error_batch, split_for_placement,
                                trial_rng)
-from bklab.tolerances import ENV_EPS, rank_tolerance, working_eps
 
 
 def test_trial_rng_is_order_independent():
@@ -78,10 +77,3 @@ def test_grade_one_pipeline_maps_perturbation_through():
     assert (report.dP - dL).frobenius_norm() <= 1e-15 * bk.frobenius_norm()
     assert report.bound_label == "degenerate" and report.bound_holds
 
-
-def test_working_eps_env_override(monkeypatch):
-    monkeypatch.setenv(ENV_EPS, "1e-8")
-    assert working_eps() == 1e-8
-    assert rank_tolerance((4, 2), 1.0) == pytest.approx(4e-8)
-    monkeypatch.delenv(ENV_EPS)
-    assert working_eps() == np.finfo(float).eps

@@ -7,8 +7,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 from bklab.experiments import complex_gaussian, trial_rng
-from bklab.tolerances import (numerical_rank, pseudoinverse, rank_tolerance,
-                              svd_with_rank, working_eps)
+from bklab.tolerances import (EPS, numerical_rank, pseudoinverse,
+                              rank_tolerance, svd_with_rank)
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -33,7 +33,7 @@ def test_known_rank_uses_the_default_tolerance():
     assert decision.shape == (6, 5)
     assert decision.rank == 3
     assert decision.tolerance == rank_tolerance((6, 5), decision.singular_values[0])
-    assert decision.tolerance == pytest.approx(6 * working_eps() * s[0], rel=1e-13)
+    assert decision.tolerance == pytest.approx(6 * EPS * s[0], rel=1e-13)
     assert_allclose(decision.singular_values, s, rtol=1e-12)
 
 
@@ -50,17 +50,9 @@ def test_svd_with_rank_returns_unitary_factors():
 def test_explicit_tolerance_wins():
     M = np.diag([1.0, 1e-3, 1e-6])
     log = []
-    assert numerical_rank(M, tol=1e-4, scale=1e20, log=log) == 2
+    assert numerical_rank(M, tol=1e-4, log=log) == 2
     assert _only(log).tolerance == 1e-4
     assert numerical_rank(M, tol=0.0) == 3
-
-
-def test_scale_replaces_sigma_max():
-    M = np.diag([1.0, 1e-3])
-    log = []
-    assert numerical_rank(M, scale=1e14, log=log) == 1
-    assert _only(log).tolerance == rank_tolerance((2, 2), 1e14)
-    assert numerical_rank(M, scale=1.0) == 2
 
 
 @pytest.mark.parametrize("shape", [(0, 3), (4, 0), (0, 0)])
@@ -85,7 +77,7 @@ def test_pseudoinverse_is_moore_penrose_on_the_numerical_rank():
     assert_allclose(X, np.linalg.pinv(M, rcond=1e-10), atol=1e-10)
 
 
-@pytest.mark.parametrize("kwargs", [{}, {"tol": 1e-3}, {"scale": 1e12}])
+@pytest.mark.parametrize("kwargs", [{}, {"tol": 1e-3}])
 def test_pseudoinverse_and_svd_with_rank_decide_alike(kwargs):
     M = _rank_three(3) + 1e-6 * complex_gaussian((6, 5), trial_rng(3, 1))
     by_svd, by_pinv = [], []
