@@ -15,8 +15,10 @@ Given a block Kronecker pencil ``L`` of a polynomial ``P`` and a perturbation
    whose size grows with ``m n`` is formed.
 2. **Repair the dual bases.**  The perturbed antidiagonal blocks are still
    minimal bases below an explicit radius; their perturbed duals
-   ``Lambda + dR`` are recovered through one minimum-norm convolution solve
-   per side, with ``||dR|| <= sqrt(2)(eps+1) ||dLtilde_21||``.
+   ``Lambda + dR`` are the limit of ``dR <- -S^+ C_0(dLtilde_21 (Lambda +
+   dR))`` from ``dR = 0``, one per side, where ``C_eps(L_eps (x) I_n) = S (x)
+   I_n`` on coefficient stacks and ``S = C_eps(L_eps)`` is scalar; then
+   ``||dR|| <= sqrt(2)(eps+1) ||dLtilde_21||``.
 3. **Assemble the polynomial perturbation.**
    ``P + dP = (Lambda_eta + dR_eta)^T (M + dL_11) (Lambda_eps + dR_eps)``.
 
@@ -33,14 +35,37 @@ from dataclasses import dataclass
 import numpy as np
 
 from .block_kronecker import BlockKroneckerPencil, from_polynomial, recover_polynomial
-from .errors import ConvergenceError, PreconditionError, ShapeError
+from .errors import (ConvergenceError, EigenstructureShiftError,
+                     PreconditionError, ShapeError)
 from .matpoly import (MatrixPolynomial, Pencil, build_L, build_Lambda,
-                      convolution, multiply, pair_norm, stack_coefficients,
-                      unstack_coefficients)
+                      multiply, pair_norm)
 from .tolerances import EPS, pseudoinverse
 
 SQRT2M1 = np.sqrt(2.0) - 1.0
-STEP1_MAX_ITER = 200
+MAX_ITER = 200
+
+
+def _fixed_point(update, x, step: str):
+    """Iterate ``x <- update(x)`` on a sequence of arrays until a step moves
+    it by at most ``100 EPS (1 + ||x||)``; return the limit, the iteration
+    count and the iterate norms.  Raises :class:`ConvergenceError`, naming
+    ``step``, on a non-finite iterate or after ``MAX_ITER`` iterations."""
+    norms: list[float] = []
+    for iterations in range(1, MAX_ITER + 1):
+        x_next = update(x)
+        diff = pair_norm(*(a - b for a, b in zip(x_next, x)))
+        x = x_next
+        norms.append(pair_norm(*x))
+        if not np.isfinite(norms[-1]):
+            # inf <= inf would otherwise pass the stopping rule below
+            raise ConvergenceError(
+                f"{step}: fixed point diverged: non-finite iterate at "
+                f"iteration {iterations}")
+        if diff <= 100.0 * EPS * (1.0 + norms[-1]):
+            return x, iterations, norms
+    raise ConvergenceError(
+        f"{step}: fixed point did not meet the stopping rule in "
+        f"{MAX_ITER} iterations")
 
 
 # -- the linear operator ----------------------------------------------------
@@ -69,21 +94,12 @@ def build_T(eps: int, eta: int, m: int, n: int) -> np.ndarray:
 
 @dataclass
 class PerturbationBlocks:
-    """The perturbation pencil split along the natural partition, each block
-    further split into its constant (``A``) and lambda (``B``) parts."""
+    """The perturbation pencil split along the natural partition."""
 
-    eps: int
-    eta: int
-    m: int
-    n: int
-    A11: np.ndarray
-    A12: np.ndarray
-    A21: np.ndarray
-    A22: np.ndarray
-    B11: np.ndarray
-    B12: np.ndarray
-    B21: np.ndarray
-    B22: np.ndarray
+    d11: Pencil
+    d12: Pencil
+    d21: Pencil
+    d22: Pencil
 
     @classmethod
     def from_pencil(cls, dL: Pencil, ref: BlockKroneckerPencil) -> "PerturbationBlocks":
@@ -92,32 +108,20 @@ class PerturbationBlocks:
                 f"perturbation shape {dL.shape} does not match pencil {ref.shape}")
         r1 = (ref.eta + 1) * ref.m
         c1 = (ref.eps + 1) * ref.n
-        A, B = dL.coeff(0), dL.coeff(1)
-        return cls(
-            ref.eps, ref.eta, ref.m, ref.n,
-            A[:r1, :c1], A[:r1, c1:], A[r1:, :c1], A[r1:, c1:],
-            B[:r1, :c1], B[:r1, c1:], B[r1:, :c1], B[r1:, c1:],
-        )
+        S = dL.coeff_stack
+        return cls(Pencil(S[:, :r1, :c1]), Pencil(S[:, :r1, c1:]),
+                   Pencil(S[:, r1:, :c1]), Pencil(S[:, r1:, c1:]))
 
     def reassemble(self) -> Pencil:
-        A = np.block([[self.A11, self.A12], [self.A21, self.A22]])
-        B = np.block([[self.B11, self.B12], [self.B21, self.B22]])
-        return Pencil.from_parts(A, B)
-
-    def block_11(self) -> Pencil:
-        return Pencil.from_parts(self.A11, self.B11)
-
-    def block_12(self) -> Pencil:
-        return Pencil.from_parts(self.A12, self.B12)
-
-    def block_21(self) -> Pencil:
-        return Pencil.from_parts(self.A21, self.B21)
+        return Pencil(np.block([[self.d11.coeff_stack, self.d12.coeff_stack],
+                                [self.d21.coeff_stack, self.d22.coeff_stack]]))
 
     def delta_T_bound(self) -> float:
         """Upper bound on ``||dT||_2``, the norm of the map
-        ``(C, D) -> (-C A12 - A21 D, C B12 + B21 D)``: by Cauchy-Schwarz it
-        is at most the Frobenius norm of the two off-diagonal blocks."""
-        return pair_norm(self.block_12().coeff_stack, self.block_21().coeff_stack)
+        ``(C, D) -> (-C A12 - A21 D, C B12 + B21 D)`` with ``d12 = A12 +
+        lambda B12`` and ``d21 = A21 + lambda B21``: by Cauchy-Schwarz it is
+        at most the Frobenius norm of the two off-diagonal blocks."""
+        return pair_norm(self.d12.coeff_stack, self.d21.coeff_stack)
 
 
 @dataclass
@@ -180,25 +184,23 @@ def step1_radius(d: int, one_one_norm: float) -> float:
 
 
 def _T_pinv(eps: int, eta: int, m: int, n: int):
-    """``(R0, R1) -> (C, D)``: ``pinv(build_T(eps, eta, m, n))`` applied to
-    ``[vec R0; vec R1]``.  Up to a perfect shuffle ``T`` is
-    ``T(eps, eta, 1, 1) (x) I_mn``: entry ``(a, b)`` of every ``n x m`` block
-    of ``(C, D)`` meets only entry ``(a, b)`` of the blocks of ``(R0, R1)``,
-    through the scalar operator, whose one pseudoinverse serves them all."""
+    """``R -> (C, D)``: ``pinv(build_T(eps, eta, m, n))`` applied to
+    ``[vec R[0]; vec R[1]]`` for a ``(2, eps n, eta m)`` stack ``R``.  Up to
+    a perfect shuffle ``T`` is ``T(eps, eta, 1, 1) (x) I_mn``: entry
+    ``(a, b)`` of every ``n x m`` block of ``(C, D)`` meets only entry
+    ``(a, b)`` of the blocks of ``R``, through the scalar operator, whose one
+    pseudoinverse serves them all."""
     Tp = pseudoinverse(build_T(eps, eta, 1, 1), context="step1:pinv(T)")
     split = eps * (eta + 1)
-
-    def grid(R, rows, cols):
-        # one row per n x m block, blocks in column-major order
-        return (R.reshape(rows, n, cols, m).transpose(2, 0, 1, 3)
-                .reshape(rows * cols, n * m))
 
     def ungrid(X, rows, cols):
         return (X.reshape(cols, rows, n, m).transpose(1, 2, 0, 3)
                 .reshape(rows * n, cols * m))
 
-    def apply(R0, R1):
-        X = Tp @ np.vstack([grid(R0, eps, eta), grid(R1, eps, eta)])
+    def apply(R):
+        # one row per n x m block, blocks of each half in column-major order
+        X = Tp @ (R.reshape(2, eps, n, eta, m).transpose(0, 3, 1, 2, 4)
+                  .reshape(2 * eps * eta, n * m))
         return ungrid(X[:split], eps, eta + 1), ungrid(X[split:], eps + 1, eta)
 
     return apply
@@ -221,7 +223,7 @@ def solve_step1(L: BlockKroneckerPencil, dL: Pencil,
     ``omega r^2 - delta r + theta``, is invariant: ``||(C, D)|| <= r <=
     2 theta / delta``, and the map contracts there when
     ``4 theta omega < delta^2``.  Raises :class:`ConvergenceError` when the
-    iteration diverges or hits ``STEP1_MAX_ITER``; ``force`` only lifts the
+    iteration diverges or hits ``MAX_ITER``; ``force`` only lifts the
     solvability precondition.
     """
     from .spectral_constants import sigma_min_T_closed
@@ -232,19 +234,20 @@ def solve_step1(L: BlockKroneckerPencil, dL: Pencil,
     D = np.zeros(((eps + 1) * n, eta * m), dtype=complex)
 
     if eps == 0 or eta == 0:
-        return Step1Result(C, D, None, 0, [], [], 0.0,
-                           blocks.block_12(), blocks.block_21())
+        return Step1Result(C, D, None, 0, [], [], 0.0, blocks.d12, blocks.d21)
 
     sigma = sigma_min_T_closed(eps, eta)
     dT_bound = blocks.delta_T_bound()
-    M0_pert = L.M0 + blocks.A11
-    M1_pert = L.M1 + blocks.B11
+    # coefficient stacks (2, rows, cols) of M + dL_11 and of dL_12, dL_21, dL_22
+    M = L.one_one_block().coeff_stack + blocks.d11.coeff_stack
+    d12, d21, d22 = (blocks.d12.coeff_stack, blocks.d21.coeff_stack,
+                     blocks.d22.coeff_stack)
     gauge = SylvesterGauge(
         sigma_min_T=sigma,
         delta_T_bound=dT_bound,
         delta=sigma - dT_bound,
-        theta=pair_norm(blocks.A22, blocks.B22),
-        omega=pair_norm(M0_pert, M1_pert),
+        theta=blocks.d22.frobenius_norm(),
+        omega=float(np.linalg.norm(M)),
     )
     if not gauge.solvable and not force:
         raise PreconditionError(
@@ -252,46 +255,32 @@ def solve_step1(L: BlockKroneckerPencil, dL: Pencil,
             inequality=gauge.violated_condition() or "")
 
     solve = _T_pinv(eps, eta, m, n)
-    iterate_norms: list[float] = []
-    kappa_seq: list[float] = []
-    kappa = gauge.kappa1
-    iterations = 0
-    if gauge.theta > 0:
-        for iterations in range(1, STEP1_MAX_ITER + 1):
-            if gauge.solvable:
-                # the majorant kappa_{k+1} = kappa_1 (1 + kappa_k)^2
-                kappa_seq.append(kappa)
-                kappa = gauge.kappa1 * (1.0 + kappa) ** 2
-            # b + q(x) - dT x with b = (A22, -B22), q = (C M0' D, -C M1' D)
-            # and dT x = (-C A12 - A21 D, C B12 + B21 D)
-            C_next, D_next = solve(
-                blocks.A22 + C @ (M0_pert @ D + blocks.A12) + blocks.A21 @ D,
-                -blocks.B22 - C @ (M1_pert @ D + blocks.B12) - blocks.B21 @ D)
-            diff = pair_norm(C_next - C, D_next - D)
-            C, D = C_next, D_next
-            iterate_norms.append(pair_norm(C, D))
-            if not np.isfinite(iterate_norms[-1]):
-                # inf <= inf would otherwise pass the stopping rule below
-                raise ConvergenceError(
-                    f"fixed point diverged: non-finite iterate at iteration "
-                    f"{iterations}")
-            if diff <= 100.0 * EPS * (1.0 + iterate_norms[-1]):
-                break
-        else:
-            raise ConvergenceError(
-                f"fixed point did not meet the stopping rule in "
-                f"{STEP1_MAX_ITER} iterations")
+    sign = np.array([1.0, -1.0])[:, None, None]
 
-    dLt12 = Pencil.from_parts(M0_pert @ D + blocks.A12, M1_pert @ D + blocks.B12)
-    dLt21 = Pencil.from_parts(C @ M0_pert + blocks.A21, C @ M1_pert + blocks.B21)
+    def update(x):
+        C, D = x
+        # b + q(x) - dT x with b = (A22, -B22), q = (C M0' D, -C M1' D) and
+        # dT x = (-C A12 - A21 D, C B12 + B21 D), one stack entry per power
+        return solve(sign * (d22 + C @ (M @ D + d12) + d21 @ D))
+
+    iterations, iterate_norms = 0, []
+    if gauge.theta > 0:
+        (C, D), iterations, iterate_norms = _fixed_point(update, (C, D), "step 1")
+    kappa_seq: list[float] = []
+    if gauge.solvable:
+        # the majorant kappa_{k+1} = kappa_1 (1 + kappa_k)^2, one per iteration
+        kappa = gauge.kappa1
+        for _ in range(iterations):
+            kappa_seq.append(kappa)
+            kappa = gauge.kappa1 * (1.0 + kappa) ** 2
+
+    dLt12 = Pencil(M @ D + d12)
+    dLt21 = Pencil(C @ M + d21)
 
     # the transformed (2,2) block [C I](L+dL)[D;I] must vanish
-    full = L.assemble()
     CI = np.hstack([C, np.eye(eps * n)])
     DI = np.vstack([D, np.eye(eta * m)])
-    res0 = CI @ (full.M0 + dL.coeff(0)) @ DI
-    res1 = CI @ (full.M1 + dL.coeff(1)) @ DI
-    residual = pair_norm(res0, res1)
+    residual = float(np.linalg.norm(CI @ (L.assemble() + dL).coeff_stack @ DI))
     return Step1Result(C, D, gauge, iterations, iterate_norms, kappa_seq,
                        residual, dLt12, dLt21)
 
@@ -300,21 +289,43 @@ def step2_radius(eps: int) -> float:
     return 1.0 / (2.0 * (eps + 1) ** 1.5)
 
 
+def _S_pinv(eps: int, n: int):
+    """``Y -> X``: ``pinv(C_eps(L_eps (x) I_n))`` applied to the ascending
+    coefficient stacks ``Y`` (``eps+2`` of ``eps n x n``) and ``X`` (``eps+1``
+    of ``(eps+1) n x n``).  Reshaped plainly to ``n^2`` columns the operator
+    is ``S (x) I_{n^2}`` with ``S = C_eps(L_eps)`` scalar, whose one
+    pseudoinverse serves every entry of the ``n x n`` blocks."""
+    L = build_L(eps)
+    S = (np.kron(np.eye(eps + 2, eps + 1), L.M0)
+         + np.kron(np.eye(eps + 2, eps + 1, -1), L.M1))
+    Sp = pseudoinverse(S, context="step2:pinv(C_eps)")
+
+    def apply(Y):
+        return (Sp @ Y.reshape((eps + 2) * eps, n * n)).reshape(
+            eps + 1, (eps + 1) * n, n)
+
+    return apply
+
+
 def solve_step2(dLt21: Pencil, eps: int, n: int, force: bool = False):
-    """Minimum-norm dual-basis correction for a perturbed ``L_eps (x) I_n``.
+    """Dual-basis correction for a perturbed ``L_eps (x) I_n``.
 
     Solves ``C_eps(L + dLt21) C_0(dR) = -C_0(dLt21 (Lambda_eps (x) I_n))``
     and returns ``(dR, duality_residual)`` where ``dR`` has grade ``eps`` and
     size ``(eps+1)n x n``, and the residual is the largest coefficient norm
     of ``(L + dLt21)(Lambda + dR)``, which vanishes in exact arithmetic.
 
+    The iteration ``dR <- -S^+ C_0(dLt21 (Lambda + dR))`` from ``dR = 0``
+    (see :func:`_S_pinv`) has fixed points that solve the system, as ``S``
+    has full row rank.  Inside :func:`step2_radius` it contracts by
+    ``||C_eps(dLt21)||_2 / sigma_min(S) < 1/3`` and ``||dR|| <= sqrt(2)
+    (eps+1) ||dLt21||``.  ``dR`` lies in the row space of ``S (x) I``, so it
+    is not the minimum-norm solution.  Raises :class:`ConvergenceError` when
+    the iteration diverges or hits ``MAX_ITER``; ``force`` only lifts the
+    radius precondition.
+
     The eta side reuses this routine on the transposed (1,2) block.
     """
-    if eps == 0:
-        if dLt21.rows != 0:
-            raise ShapeError("eps = 0 requires an empty (2,1) block")
-        zero = MatrixPolynomial([np.zeros((n, n), dtype=complex)], grade=0)
-        return zero, 0.0
     if dLt21.shape != (eps * n, (eps + 1) * n):
         raise ShapeError(
             f"expected shape {(eps * n, (eps + 1) * n)}, got {dLt21.shape}")
@@ -324,16 +335,16 @@ def solve_step2(dLt21: Pencil, eps: int, n: int, force: bool = False):
             f"step 2 refused: ||dLtilde_21|| = {norm:.3e} is not below "
             f"1 / (2 (eps+1)^(3/2)) = {step2_radius(eps):.3e}",
             inequality="||dLtilde_21|| < 1/(2 (eps+1)^{3/2})")
-    base = build_L(eps, n)
-    K = Pencil.from_parts(base.M0 + dLt21.coeff(0), base.M1 + dLt21.coeff(1))
+    solve = _S_pinv(eps, n)
     lam = build_Lambda(eps, n)
-    C_eps = convolution(K, eps)
-    rhs = stack_coefficients(multiply(dLt21, lam))
-    X = -pseudoinverse(C_eps, context="step2:pinv(C_eps)") @ rhs
-    dR = unstack_coefficients(X, eps, (eps + 1) * n)
-    product = multiply(K, lam + dR)
-    residual = float(max(np.linalg.norm(product.coeff(k))
-                         for k in range(product.grade + 1)))
+
+    def update(dR):
+        return -solve(multiply(dLt21, lam + MatrixPolynomial(dR)).coeff_stack)
+
+    dR, _, _ = _fixed_point(update, np.zeros_like(lam.coeff_stack), "step 2")
+    dR = MatrixPolynomial(dR, grade=eps)
+    product = multiply(build_L(eps, n) + dLt21, lam + dR)
+    residual = float(np.linalg.norm(product.coeff_stack, axis=(1, 2)).max())
     return dR, residual
 
 
@@ -506,7 +517,7 @@ def run_pipeline(L: BlockKroneckerPencil, dL: Pencil, force: bool = False,
     dR_eta, res_eta = solve_step2(
         step1.dLt12.transpose(), L.eta, L.m, force=force)
     blocks = PerturbationBlocks.from_pencil(dL, L)
-    dP = assemble_step3(L, blocks.block_11(), dR_eps, dR_eta, force=force)
+    dP = assemble_step3(L, blocks.d11, dR_eps, dR_eta, force=force)
     ratio = dP.frobenius_norm() / norm_P
 
     if degenerate:
@@ -547,6 +558,6 @@ def run_pipeline(L: BlockKroneckerPencil, dL: Pencil, force: bool = False,
             report.shift_consistent = bool(
                 rec_pert.right == rec_fresh.right
                 and rec_pert.left == rec_fresh.left)
-        except Exception:
+        except EigenstructureShiftError:
             report.shift_consistent = False
     return report

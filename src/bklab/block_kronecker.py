@@ -131,9 +131,9 @@ class BlockKroneckerPencil:
 
 
 def from_polynomial(P: MatrixPolynomial, eps: int, eta: int,
-                    placement="hook", tol: float = 1e-12) -> BlockKroneckerPencil:
+                    placement="hook") -> BlockKroneckerPencil:
     """Block Kronecker pencil whose antidiagonal coefficient sums reproduce
-    the coefficients of ``P``."""
+    the coefficients of ``P`` to ``1e-12 max(1, ||P||)``."""
     if isinstance(placement, str):
         placement = PlacementSpec(placement)
     d = P.grade
@@ -171,7 +171,7 @@ def from_polynomial(P: MatrixPolynomial, eps: int, eta: int,
             raise ShapeError(f"custom blocks must have shape {shape}")
     pencil = BlockKroneckerPencil(M0, M1, eps, eta, m, n)
     residuals = validate_placement(pencil, P)
-    if np.max(residuals) > tol * max(1.0, P.frobenius_norm()):
+    if np.max(residuals) > 1e-12 * max(1.0, P.frobenius_norm()):
         raise PlacementError(
             f"antidiagonal sums do not reproduce the polynomial "
             f"(max residual {np.max(residuals):.3e})")
@@ -219,13 +219,14 @@ class AntiTriangularForm:
     right_factor: MatrixPolynomial
 
 
-def anti_triangularize(L: BlockKroneckerPencil, tol: float = 1e-12) -> AntiTriangularForm:
+def anti_triangularize(L: BlockKroneckerPencil) -> AntiTriangularForm:
     """Unimodular reduction to the block anti-triangular form.
 
     Multiplies the assembled pencil by the explicit inverse completions of
     the L blocks and asserts the resulting layout: identity corner blocks,
     zero blocks below the anti-diagonal, and the represented polynomial in
-    the middle.  A failed assertion means a construction bug, not bad input.
+    the middle, each to ``1e-12`` times the form's norm (at least 1).  A
+    failed assertion means a construction bug, not bad input.
     """
     from .matpoly import direct_sum, identity
 
@@ -259,7 +260,7 @@ def anti_triangularize(L: BlockKroneckerPencil, tol: float = 1e-12) -> AntiTrian
                                     ).frobenius_norm(),
     }
     for name, value in checks.items():
-        if value > tol * scale:
+        if value > 1e-12 * scale:
             raise LayoutError(f"anti-triangular layout check failed: {name} "
                               f"residual {value:.3e}")
     return AntiTriangularForm(form=form, Z=blk(0, 0), X=blk(0, 1), Y=blk(1, 0),
@@ -275,8 +276,8 @@ def _poly_minus_identity(P: MatrixPolynomial) -> float:
     return float(np.linalg.norm(delta))
 
 
-def lift_right_null_vector(L: BlockKroneckerPencil, h: MatrixPolynomial,
-                           tol: float = 1e-10) -> MatrixPolynomial:
+def lift_right_null_vector(L: BlockKroneckerPencil,
+                           h: MatrixPolynomial) -> MatrixPolynomial:
     """Lift a right null vector of the represented polynomial to one of the
     pencil.
 
@@ -284,14 +285,14 @@ def lift_right_null_vector(L: BlockKroneckerPencil, h: MatrixPolynomial,
     ``z = [(Lambda_eps (x) I_n) h ; -N2hat M (Lambda_eps (x) I_n) h]`` where
     ``N2hat`` is read off the leading block columns of the inverse completion
     on the eta side.  The degree shifts by exactly ``eps``:
-    ``deg z = eps + deg h``.
+    ``deg z = eps + deg h``.  Needs ``||Q h|| <= 1e-10 max(1, ||Q|| ||h||)``.
     """
     if h.cols != 1 or h.rows != L.n:
         raise ShapeError(f"h must be {L.n} x 1, got {h.shape}")
     Q = recover_polynomial(L)
     residual = multiply(Q, h).frobenius_norm()
     scale = max(1.0, Q.frobenius_norm() * h.frobenius_norm())
-    if residual > tol * scale:
+    if residual > 1e-10 * scale:
         raise ShapeError(
             f"h is not in the right null space (residual {residual:.3e})")
     top = multiply(build_Lambda(L.eps, L.n), h)

@@ -45,8 +45,8 @@ class Eigenstructure:
     def index_sum(self) -> int:
         return len(self.finite) + sum(self.infinite) + sum(self.right) + sum(self.left)
 
-    def has_borderline_decision(self, window: float = 32.0) -> bool:
-        return any(d.is_borderline(window) for d in self.rank_log)
+    def has_borderline_decision(self) -> bool:
+        return any(d.is_borderline() for d in self.rank_log)
 
     def to_json(self) -> dict:
         grouped: list[list[float]] = []
@@ -78,17 +78,17 @@ class Eigenstructure:
         )
 
 
-def chordal_distance(a: complex, b: complex) -> float:
-    """Distance on the Riemann sphere; ``inf`` inputs are supported."""
-    a_inf = np.isinf(a)
-    b_inf = np.isinf(b)
-    if a_inf and b_inf:
-        return 0.0
-    if a_inf:
-        return 1.0 / np.sqrt(1.0 + abs(b) ** 2)
-    if b_inf:
-        return 1.0 / np.sqrt(1.0 + abs(a) ** 2)
-    return abs(a - b) / np.sqrt((1.0 + abs(a) ** 2) * (1.0 + abs(b) ** 2))
+def chordal_distance(a, b):
+    """Distance on the Riemann sphere, elementwise over broadcast arrays.
+
+    In the homogeneous coordinates ``(z, 1) / ||(z, 1)||``, and ``(1, 0)``
+    for ``inf``, it is ``|a1 b2 - a2 b1|``: ``|a - b| a2 b2`` when finite."""
+    a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
+    a_inf, b_inf = np.isinf(a), np.isinf(b)
+    a, b = np.where(a_inf, 0.0, a), np.where(b_inf, 0.0, b)
+    a2, b2 = 1.0 / np.hypot(np.abs(a), 1.0), 1.0 / np.hypot(np.abs(b), 1.0)
+    return np.select([a_inf & b_inf, a_inf, b_inf], [0.0, b2, a2],
+                     np.abs(a - b) * a2 * b2)[()]
 
 
 def match_eigenvalues(first, second) -> float:
@@ -98,25 +98,25 @@ def match_eigenvalues(first, second) -> float:
     """
     from scipy.optimize import linear_sum_assignment
 
-    first = list(first)
-    second = list(second)
+    first = np.asarray(list(first), dtype=complex)
+    second = np.asarray(list(second), dtype=complex)
     if len(first) != len(second):
         raise ShapeError(
             f"cannot match multisets of sizes {len(first)} and {len(second)}"
         )
-    if not first:
+    if not first.size:
         return 0.0
-    cost = np.array([[chordal_distance(a, b) for b in second] for a in first])
+    cost = chordal_distance(first[:, None], second[None, :])
     rows, cols = linear_sum_assignment(cost)
     return float(cost[rows, cols].max())
 
 
-def _normal_rank(Q: MatrixPolynomial, tol=None, samples: int = 3) -> int:
-    """Largest numerical rank of ``Q`` over ``samples`` seeded random points;
+def _normal_rank(Q: MatrixPolynomial, tol=None) -> int:
+    """Largest numerical rank of ``Q`` over three seeded random points;
     stops early once the rank reaches ``min(rows, cols)``."""
     rng = np.random.default_rng(2718281828)
     best = 0
-    for _ in range(samples):
+    for _ in range(3):
         lam = complex(rng.standard_normal(), rng.standard_normal())
         best = max(best, numerical_rank(Q.eval(lam), tol=tol))
         if best == min(Q.rows, Q.cols):
@@ -307,12 +307,12 @@ def shift_recovery(structure: Eigenstructure, eps: int, eta: int) -> Eigenstruct
     )
 
 
-def det_roots(P: MatrixPolynomial, trim_tol: float = 1e-10) -> np.ndarray:
+def det_roots(P: MatrixPolynomial) -> np.ndarray:
     """Finite roots of ``det P(lambda)`` via exact coefficient expansion.
 
     The reference oracle for regular-polynomial eigenvalues at tiny sizes.
-    Trailing coefficients below ``trim_tol`` times the largest one are
-    dropped (they encode eigenvalues at infinity).
+    Trailing coefficients below ``1e-10`` times the largest one are dropped
+    (they encode eigenvalues at infinity).
     """
     from .matpoly import determinant
 
@@ -320,7 +320,7 @@ def det_roots(P: MatrixPolynomial, trim_tol: float = 1e-10) -> np.ndarray:
     scale = np.max(np.abs(coeffs))
     if scale == 0:
         raise ShapeError("det is identically zero: the polynomial is singular")
-    trimmed = np.trim_zeros(np.where(np.abs(coeffs) > trim_tol * scale, coeffs, 0.0), "b")
+    trimmed = np.trim_zeros(np.where(np.abs(coeffs) > 1e-10 * scale, coeffs, 0.0), "b")
     if len(trimmed) <= 1:
         return np.zeros(0, dtype=complex)
     return np.roots(trimmed[::-1])

@@ -91,9 +91,6 @@ class MatrixPolynomial:
                 return k
         return None
 
-    def is_zero(self, tol: float = 0.0) -> bool:
-        return self.degree(tol) is None
-
     def with_grade(self, d: int) -> "MatrixPolynomial":
         """Same polynomial re-declared at grade ``d`` (pads with zeros)."""
         deg = self.degree()
@@ -278,9 +275,9 @@ def build_Lambda(k: int, blocks: int = 1) -> MatrixPolynomial:
 
 # -- operations -------------------------------------------------------------
 
-def pair_norm(C, D) -> float:
-    """``sqrt(||C||_F^2 + ||D||_F^2)`` for matrices of possibly different sizes."""
-    return float(np.hypot(np.linalg.norm(C), np.linalg.norm(D)))
+def pair_norm(*arrays) -> float:
+    """Frobenius norm of arrays of possibly different sizes taken together."""
+    return float(np.hypot.reduce([np.linalg.norm(a) for a in arrays]))
 
 
 def multiply(P: MatrixPolynomial, Q: MatrixPolynomial) -> MatrixPolynomial:
@@ -341,20 +338,6 @@ def convolution(Q: MatrixPolynomial, j: int) -> np.ndarray:
     return C
 
 
-def stack_coefficients(Q: MatrixPolynomial) -> np.ndarray:
-    """``C_0(Q)``: coefficients stacked top-down from the highest power."""
-    return convolution(Q, 0)
-
-
-def unstack_coefficients(X, grade: int, rows: int) -> MatrixPolynomial:
-    """Inverse of :func:`stack_coefficients` for a known grade and row count."""
-    X = np.asarray(X, dtype=complex)
-    if X.shape[0] != (grade + 1) * rows:
-        raise ShapeError("stacked height does not match grade and row count")
-    coeffs = [X[(grade - k) * rows:(grade - k + 1) * rows, :] for k in range(grade + 1)]
-    return MatrixPolynomial(coeffs, grade=grade)
-
-
 def _as_lambda_kron(Q: MatrixPolynomial):
     """Return ``(k, p)`` when ``Q == Lambda_k (x) I_p`` exactly, else ``None``."""
     p = Q.cols
@@ -368,15 +351,14 @@ def _as_lambda_kron(Q: MatrixPolynomial):
     return None
 
 
-def verify_norm_inequalities(P: MatrixPolynomial, Q: MatrixPolynomial,
-                             slack: float = 1e-12):
+def verify_norm_inequalities(P: MatrixPolynomial, Q: MatrixPolynomial):
     """Check the five product-norm bounds on the pair ``(P, Q)``.
 
     Flags (a)-(c) compare ``||P Q||_F`` against the spectral-column and
     Frobenius mixed bounds with the ``sqrt(grade+1)`` factors.  Flag (d)
     applies only when ``Q`` is exactly a ``Lambda_k (x) I_p`` column and flag
     (e) only when ``P`` is such a row; both are vacuously true otherwise.
-    ``slack`` absorbs roundoff in the computed norms.
+    A ``1e-12`` relative and absolute slack absorbs roundoff in the norms.
     """
     if P.cols != Q.rows:
         raise ShapeError(f"product undefined for {P.shape} and {Q.shape}")
@@ -389,7 +371,7 @@ def verify_norm_inequalities(P: MatrixPolynomial, Q: MatrixPolynomial,
     spec_Q = np.sqrt(sum(np.linalg.norm(c, 2) ** 2 for c in Q.coeff_stack))
 
     def ok(rhs):
-        return bool(lhs <= rhs * (1.0 + slack) + slack)
+        return bool(lhs <= rhs * (1.0 + 1e-12) + 1e-12)
 
     a = ok(sd * spec_P * nQ)
     b = ok(st * nP * spec_Q)

@@ -32,14 +32,14 @@ class RowDegreeProfile:
         return self.degrees[0] if len(set(self.degrees)) == 1 else None
 
 
-def row_degree_profile(Q: MatrixPolynomial, tol: float = 0.0) -> RowDegreeProfile:
+def row_degree_profile(Q: MatrixPolynomial) -> RowDegreeProfile:
     """Per-row degrees and the highest-row-degree coefficient matrix."""
     degrees = []
     rows = []
     for i in range(Q.rows):
         deg = None
         for k in range(Q.grade, -1, -1):
-            if np.linalg.norm(Q.coeff(k)[i, :]) > tol:
+            if np.linalg.norm(Q.coeff(k)[i, :]) > 0:
                 deg = k
                 break
         if deg is None:
@@ -105,10 +105,10 @@ class DualBasisCertificate:
         }
 
 
-def are_dual_minimal_bases(L: MatrixPolynomial, N: MatrixPolynomial,
-                           tol: float = 1e-10) -> DualBasisCertificate:
+def are_dual_minimal_bases(L: MatrixPolynomial,
+                           N: MatrixPolynomial) -> DualBasisCertificate:
     """Certificate for ``(L, N)`` being dual minimal bases: complementary row
-    counts, vanishing product ``L N^T`` and minimality of both factors."""
+    counts, ``||L N^T|| <= 1e-10 max(1, ||L|| ||N||)``, minimal factors."""
     if L.cols != N.cols:
         raise ShapeError(
             f"dual bases must share the column count, got {L.cols} and {N.cols}")
@@ -121,12 +121,11 @@ def are_dual_minimal_bases(L: MatrixPolynomial, N: MatrixPolynomial,
         product_residual=float(residual),
         first_minimal=is_minimal_basis(L),
         second_minimal=is_minimal_basis(N),
-        tolerance=tol * scale,
+        tolerance=1e-10 * scale,
     )
 
 
-def check_reversal_duality(K: MatrixPolynomial, N: MatrixPolynomial,
-                           tol: float = 1e-10) -> bool:
+def check_reversal_duality(K: MatrixPolynomial, N: MatrixPolynomial) -> bool:
     """Dual minimal bases with constant row degrees stay dual after reversal
     at those degrees; returns the re-verification of the reversed pair."""
     if K.rows == 0 or N.rows == 0:
@@ -136,13 +135,13 @@ def check_reversal_duality(K: MatrixPolynomial, N: MatrixPolynomial,
     if prof_K.constant_degree is None or prof_N.constant_degree is None:
         raise PreconditionError("reversal duality needs constant row degrees",
                                 inequality="constant row degrees")
-    cert = are_dual_minimal_bases(K, N, tol)
+    cert = are_dual_minimal_bases(K, N)
     if not cert.accepted:
         raise PreconditionError("the input pair is not an accepted dual pair",
                                 inequality="dual minimal bases certificate")
     K_rev = K.with_grade(prof_K.constant_degree).reversal()
     N_rev = N.with_grade(prof_N.constant_degree).reversal()
-    return are_dual_minimal_bases(K_rev, N_rev, tol).accepted
+    return are_dual_minimal_bases(K_rev, N_rev).accepted
 
 
 def build_V(k: int) -> MatrixPolynomial:

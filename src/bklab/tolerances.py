@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 EPS = float(np.finfo(float).eps)
+BORDERLINE_WINDOW = 32.0
 
 
 def rank_tolerance(shape, sigma_max) -> float:
@@ -26,7 +27,7 @@ class RankDecision:
     """Record of one numerical rank decision.
 
     ``is_borderline`` flags decisions where some singular value sits within a
-    multiplicative ``window`` of the threshold, i.e. where a slightly
+    factor :data:`BORDERLINE_WINDOW` of the threshold, i.e. where a slightly
     different tolerance would have changed the outcome.
     """
 
@@ -36,11 +37,12 @@ class RankDecision:
     rank: int
     tolerance: float
 
-    def is_borderline(self, window: float = 32.0) -> bool:
+    def is_borderline(self) -> bool:
         s = np.asarray(self.singular_values, dtype=float)
         if s.size == 0 or self.tolerance == 0.0:
             return False
-        lo, hi = self.tolerance / window, self.tolerance * window
+        lo = self.tolerance / BORDERLINE_WINDOW
+        hi = self.tolerance * BORDERLINE_WINDOW
         return bool(np.any((s >= lo) & (s <= hi)))
 
     def to_json(self) -> dict:

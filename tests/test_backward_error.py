@@ -6,12 +6,13 @@ import pytest
 from bklab import (ConvergenceError, MatrixPolynomial, Pencil,
                    PreconditionError, ShapeError,
                    assemble_step3, bound_degenerate, bound_nondegenerate,
-                   build_L, build_Lambda, build_T, from_polynomial,
-                   multiply, pipeline_radius, pseudoinverse,
+                   build_L, build_Lambda, build_T, convolution,
+                   from_polynomial, multiply, pipeline_radius, pseudoinverse,
                    recover_polynomial, run_pipeline, sigma_min_T_closed,
                    solve_step1, solve_step2, step1_radius, step2_radius,
                    zeros)
-from bklab.backward_error import SQRT2M1, PerturbationBlocks, _T_pinv
+from bklab.backward_error import (SQRT2M1, PerturbationBlocks, _S_pinv,
+                                  _T_pinv)
 from bklab.experiments import (ExperimentConfig, complex_gaussian,
                                generate_trial, random_pencil_perturbation,
                                random_polynomial, trial_rng)
@@ -60,11 +61,11 @@ def test_build_T_rejects_degenerate():
 def _dense_delta_T(blocks):
     """Oracle: the perturbation of ``build_T``'s operator induced by the
     off-diagonal blocks, acting on ``[vec(C); vec(D)]`` (column-major)."""
-    I_en = np.eye(blocks.eps * blocks.n)
-    I_hm = np.eye(blocks.eta * blocks.m)
+    I_en = np.eye(blocks.d21.rows)
+    I_hm = np.eye(blocks.d12.cols)
     return np.vstack([
-        np.hstack([np.kron(-blocks.A12.T, I_en), np.kron(I_hm, -blocks.A21)]),
-        np.hstack([np.kron(blocks.B12.T, I_en), np.kron(I_hm, blocks.B21)]),
+        np.hstack([np.kron(-blocks.d12.M0.T, I_en), np.kron(I_hm, -blocks.d21.M0)]),
+        np.hstack([np.kron(blocks.d12.M1.T, I_en), np.kron(I_hm, blocks.d21.M1)]),
     ])
 
 
@@ -88,7 +89,7 @@ def test_block_T_pinv_matches_dense(eps, eta, m, n):
     rng = trial_rng(76, eps * 1000 + eta * 100 + m * 10 + n)
     R0 = complex_gaussian((eps * n, eta * m), rng)
     R1 = complex_gaussian((eps * n, eta * m), rng)
-    C, D = _T_pinv(eps, eta, m, n)(R0, R1)
+    C, D = _T_pinv(eps, eta, m, n)(np.stack([R0, R1]))
     assert C.shape == (eps * n, (eta + 1) * m)
     assert D.shape == ((eps + 1) * n, eta * m)
     want = pseudoinverse(build_T(eps, eta, m, n)) @ np.concatenate(
@@ -157,11 +158,11 @@ def test_step1_transformed_blocks_definition():
     bk, dL = _admissible_step1_trial(rng, 0.5)
     result = solve_step1(bk, dL)
     blocks = PerturbationBlocks.from_pencil(dL, bk)
-    M_pert = Pencil.from_parts(bk.M0 + blocks.A11, bk.M1 + blocks.B11)
-    want12 = Pencil.from_parts(M_pert.M0 @ result.D + blocks.A12,
-                               M_pert.M1 @ result.D + blocks.B12)
-    want21 = Pencil.from_parts(result.C @ M_pert.M0 + blocks.A21,
-                               result.C @ M_pert.M1 + blocks.B21)
+    M_pert = Pencil.from_parts(bk.M0 + blocks.d11.M0, bk.M1 + blocks.d11.M1)
+    want12 = Pencil.from_parts(M_pert.M0 @ result.D + blocks.d12.M0,
+                               M_pert.M1 @ result.D + blocks.d12.M1)
+    want21 = Pencil.from_parts(result.C @ M_pert.M0 + blocks.d21.M0,
+                               result.C @ M_pert.M1 + blocks.d21.M1)
     assert np.all(result.dLt12.coeff_stack == want12.coeff_stack)
     assert np.all(result.dLt21.coeff_stack == want21.coeff_stack)
 
@@ -214,7 +215,7 @@ def test_step1_degenerate_pass_through():
     assert result.gauge is None and result.iterations == 0
     assert result.C.shape == (4, 2) and result.C.size == 8
     assert result.D.shape == (6, 0)
-    assert np.all(result.dLt21.coeff_stack == blocks.block_21().coeff_stack)
+    assert np.all(result.dLt21.coeff_stack == blocks.d21.coeff_stack)
 
 
 # ------------------------------------------------------------------- step 2
@@ -264,6 +265,41 @@ def test_step2_eta_side_through_transposition():
     assert dR_eta.shape == ((bk.eta + 1) * bk.m, bk.m)
     assert dR_eta.grade == bk.eta
     assert residual <= 1e-12 * (1.0 + result.dLt12.frobenius_norm())
+
+
+@pytest.mark.parametrize("eps,n", [(1, 1), (2, 3), (4, 2), (6, 8)])
+def test_scalar_S_pinv_matches_dense(eps, n):
+    rng = trial_rng(92, eps * 10 + n)
+    Y = complex_gaussian((eps + 2, eps * n, n), rng)
+    X = _S_pinv(eps, n)(Y)
+    assert X.shape == (eps + 1, (eps + 1) * n, n)
+    dense = pseudoinverse(convolution(build_L(eps, n), eps))
+    want = dense @ convolution(MatrixPolynomial(Y), 0)
+    got = convolution(MatrixPolynomial(X), 0)
+    assert np.max(np.abs(got - want)) <= 1e-12
+
+
+def test_step2_contract_at_scale():
+    # eps = 8, n = 20: the dense C_eps(L + dLt21) would be 1600 x 1620
+    rng = trial_rng(93, 0)
+    eps, n = 8, 20
+    dLt21 = random_pencil_perturbation((eps * n, (eps + 1) * n),
+                                       0.9 * step2_radius(eps), rng)
+    dR, residual = solve_step2(dLt21, eps, n)
+    assert residual <= 1e-11
+    assert dR.frobenius_norm() <= \
+        np.sqrt(2.0) * (eps + 1) * dLt21.frobenius_norm() * (1 + 1e-13)
+
+
+def test_forced_step2_divergence_raises():
+    # ||C_eps(dLt21)|| far above sigma_min(S): the iteration cannot settle,
+    # and a forced run must raise rather than return a non-finite dR
+    for trial in range(5):
+        rng = trial_rng(94, trial)
+        eps, n = 2, 2
+        dLt21 = random_pencil_perturbation((eps * n, (eps + 1) * n), 100.0, rng)
+        with np.errstate(all="ignore"), pytest.raises(ConvergenceError):
+            solve_step2(dLt21, eps, n, force=True)
 
 
 # ------------------------------------------------------------------- step 3
@@ -407,6 +443,22 @@ def test_forced_step1_divergence_raises():
         solve_step1(L, dL, force=True)
 
 
+def test_shift_check_propagates_programming_errors(monkeypatch):
+    # only EigenstructureShiftError means inconsistent shifts; any other
+    # exception from shift_recovery is a bug and must surface
+    from bklab import eigenstructure
+
+    def broken(*args, **kwargs):
+        raise RuntimeError("broken shift recovery")
+
+    monkeypatch.setattr(eigenstructure, "shift_recovery", broken)
+    rng = trial_rng(84, 0)
+    bk = _random_block_kronecker(rng, 1, 1, 2, 2)
+    dL = random_pencil_perturbation(bk.shape, 1e-8, rng)
+    with pytest.raises(RuntimeError, match="broken shift recovery"):
+        run_pipeline(bk, dL)
+
+
 def test_degenerate_path_equals_manual_steps():
     # for eta = 0 the pipeline must coincide exactly with running step 2 on
     # the raw (2,1) block and assembling with an empty eta side
@@ -416,8 +468,8 @@ def test_degenerate_path_equals_manual_steps():
     dL = random_pencil_perturbation(bk.shape, 1e-6, rng)
     report = run_pipeline(bk, dL, check_eigen=False)
     blocks = PerturbationBlocks.from_pencil(dL, bk)
-    dR_eps, _ = solve_step2(blocks.block_21(), bk.eps, bk.n)
-    dP = assemble_step3(bk, blocks.block_11(), dR_eps,
+    dR_eps, _ = solve_step2(blocks.d21, bk.eps, bk.n)
+    dP = assemble_step3(bk, blocks.d11, dR_eps,
                         zeros((bk.eta + 1) * bk.m, bk.m, grade=0))
     assert np.all(report.dP.coeff_stack == dP.coeff_stack)
 

@@ -246,6 +246,33 @@ def test_chordal_distance_properties():
     assert chordal_distance(a, b) <= 1e-15  # huge eigenvalues compare safely
 
 
+def _chordal_reference(a, b):
+    if np.isinf(a) and np.isinf(b):
+        return 0.0
+    if np.isinf(a) or np.isinf(b):
+        z = b if np.isinf(a) else a
+        return 1.0 / np.sqrt(1.0 + abs(z) ** 2)
+    return abs(a - b) / np.sqrt((1.0 + abs(a) ** 2) * (1.0 + abs(b) ** 2))
+
+
+def test_chordal_distance_broadcasts_like_scalar_calls():
+    rng = np.random.default_rng(95)
+    sets = []
+    for size in (7, 5):
+        z = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+        z[1] = np.inf
+        z[2:4] = 1e8 * (1.0 + 1e-9 * z[2:4])
+        sets.append(z)
+    first, second = sets
+    matrix = chordal_distance(first[:, None], second[None, :])
+    assert matrix.shape == (7, 5)
+    for i, a in enumerate(first):
+        for j, b in enumerate(second):
+            assert matrix[i, j] == chordal_distance(a, b)
+            assert matrix[i, j] == pytest.approx(_chordal_reference(a, b),
+                                                 rel=1e-14, abs=1e-30)
+
+
 def test_match_eigenvalues_requires_equal_sizes():
     with pytest.raises(ShapeError):
         match_eigenvalues([1.0], [1.0, 2.0])
