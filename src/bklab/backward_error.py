@@ -31,18 +31,21 @@ normalized data) and verifies that the achieved ratio sits below them.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .block_kronecker import BlockKroneckerPencil, from_polynomial, recover_polynomial
 from .errors import (ConvergenceError, EigenstructureShiftError,
                      PreconditionError, ShapeError)
-from .matpoly import (MatrixPolynomial, Pencil, build_L, build_Lambda,
-                      multiply, pair_norm)
+from .matpoly import (MatrixPolynomial, Pencil, _stack_product, build_L,
+                      build_Lambda, multiply, pair_norm)
 from .tolerances import EPS, pseudoinverse
 
 SQRT2M1 = np.sqrt(2.0) - 1.0
 MAX_ITER = 200
+# (eps, eta) pairs and eps values whose scalar pseudoinverses stay cached
+PINV_CACHE_SIZE = 64
 
 
 def _fixed_point(update, x, step: str):
@@ -172,6 +175,7 @@ class Step1Result:
     residual: float
     dLt12: Pencil
     dLt21: Pencil
+    blocks: PerturbationBlocks
 
     @property
     def cd_norm(self) -> float:
@@ -183,6 +187,17 @@ def step1_radius(d: int, one_one_norm: float) -> float:
     return (SQRT2M1 / d) ** 2 / (1.0 + one_one_norm)
 
 
+def _read_only(A: np.ndarray) -> np.ndarray:
+    A.setflags(write=False)
+    return A
+
+
+@lru_cache(maxsize=PINV_CACHE_SIZE)
+def _T_scalar_pinv(eps: int, eta: int) -> np.ndarray:
+    """Read-only ``pinv(build_T(eps, eta, 1, 1))``, computed once per pair."""
+    return _read_only(pseudoinverse(build_T(eps, eta, 1, 1), context="step1:pinv(T)"))
+
+
 def _T_pinv(eps: int, eta: int, m: int, n: int):
     """``R -> (C, D)``: ``pinv(build_T(eps, eta, m, n))`` applied to
     ``[vec R[0]; vec R[1]]`` for a ``(2, eps n, eta m)`` stack ``R``.  Up to
@@ -190,7 +205,7 @@ def _T_pinv(eps: int, eta: int, m: int, n: int):
     ``(a, b)`` of every ``n x m`` block of ``(C, D)`` meets only entry
     ``(a, b)`` of the blocks of ``R``, through the scalar operator, whose one
     pseudoinverse serves them all."""
-    Tp = pseudoinverse(build_T(eps, eta, 1, 1), context="step1:pinv(T)")
+    Tp = _T_scalar_pinv(eps, eta)
     split = eps * (eta + 1)
 
     def ungrid(X, rows, cols):
@@ -234,7 +249,8 @@ def solve_step1(L: BlockKroneckerPencil, dL: Pencil,
     D = np.zeros(((eps + 1) * n, eta * m), dtype=complex)
 
     if eps == 0 or eta == 0:
-        return Step1Result(C, D, None, 0, [], [], 0.0, blocks.d12, blocks.d21)
+        return Step1Result(C, D, None, 0, [], [], 0.0, blocks.d12, blocks.d21,
+                           blocks)
 
     sigma = sigma_min_T_closed(eps, eta)
     dT_bound = blocks.delta_T_bound()
@@ -282,11 +298,21 @@ def solve_step1(L: BlockKroneckerPencil, dL: Pencil,
     DI = np.vstack([D, np.eye(eta * m)])
     residual = float(np.linalg.norm(CI @ (L.assemble() + dL).coeff_stack @ DI))
     return Step1Result(C, D, gauge, iterations, iterate_norms, kappa_seq,
-                       residual, dLt12, dLt21)
+                       residual, dLt12, dLt21, blocks)
 
 
 def step2_radius(eps: int) -> float:
     return 1.0 / (2.0 * (eps + 1) ** 1.5)
+
+
+@lru_cache(maxsize=PINV_CACHE_SIZE)
+def _S_scalar_pinv(eps: int) -> np.ndarray:
+    """Read-only ``pinv(S)`` for the scalar ``S = C_eps(L_eps)``, computed
+    once per ``eps``."""
+    L = build_L(eps)
+    S = (np.kron(np.eye(eps + 2, eps + 1), L.M0)
+         + np.kron(np.eye(eps + 2, eps + 1, -1), L.M1))
+    return _read_only(pseudoinverse(S, context="step2:pinv(C_eps)"))
 
 
 def _S_pinv(eps: int, n: int):
@@ -295,10 +321,7 @@ def _S_pinv(eps: int, n: int):
     of ``(eps+1) n x n``).  Reshaped plainly to ``n^2`` columns the operator
     is ``S (x) I_{n^2}`` with ``S = C_eps(L_eps)`` scalar, whose one
     pseudoinverse serves every entry of the ``n x n`` blocks."""
-    L = build_L(eps)
-    S = (np.kron(np.eye(eps + 2, eps + 1), L.M0)
-         + np.kron(np.eye(eps + 2, eps + 1, -1), L.M1))
-    Sp = pseudoinverse(S, context="step2:pinv(C_eps)")
+    Sp = _S_scalar_pinv(eps)
 
     def apply(Y):
         return (Sp @ Y.reshape((eps + 2) * eps, n * n)).reshape(
@@ -336,16 +359,16 @@ def solve_step2(dLt21: Pencil, eps: int, n: int, force: bool = False):
             f"1 / (2 (eps+1)^(3/2)) = {step2_radius(eps):.3e}",
             inequality="||dLtilde_21|| < 1/(2 (eps+1)^{3/2})")
     solve = _S_pinv(eps, n)
-    lam = build_Lambda(eps, n)
+    lam = build_Lambda(eps, n).coeff_stack
+    A = dLt21.coeff_stack
 
     def update(dR):
-        return -solve(multiply(dLt21, lam + MatrixPolynomial(dR)).coeff_stack)
+        return -solve(_stack_product(A, lam + dR))
 
-    dR, _, _ = _fixed_point(update, np.zeros_like(lam.coeff_stack), "step 2")
-    dR = MatrixPolynomial(dR, grade=eps)
-    product = multiply(build_L(eps, n) + dLt21, lam + dR)
-    residual = float(np.linalg.norm(product.coeff_stack, axis=(1, 2)).max())
-    return dR, residual
+    dR, _, _ = _fixed_point(update, np.zeros_like(lam), "step 2")
+    product = _stack_product(build_L(eps, n).coeff_stack + A, lam + dR)
+    residual = float(np.linalg.norm(product, axis=(1, 2)).max())
+    return MatrixPolynomial(dR, grade=eps), residual
 
 
 def assemble_step3(L: BlockKroneckerPencil, dL11: Pencil,
@@ -353,6 +376,14 @@ def assemble_step3(L: BlockKroneckerPencil, dL11: Pencil,
                    force: bool = False) -> MatrixPolynomial:
     """``dP`` such that ``P + dP`` is the polynomial represented by the
     repaired strong block minimal bases pencil."""
+    perturbed = _perturbed_polynomial(L, dL11, dR_eps, dR_eta, force)
+    return perturbed - recover_polynomial(L).with_grade(perturbed.grade)
+
+
+def _perturbed_polynomial(L: BlockKroneckerPencil, dL11: Pencil,
+                          dR_eps: MatrixPolynomial, dR_eta: MatrixPolynomial,
+                          force: bool) -> MatrixPolynomial:
+    """``P + dP`` of :func:`assemble_step3`, after its preconditions."""
     for name, dR in (("dR_eps", dR_eps), ("dR_eta", dR_eta)):
         if dR.frobenius_norm() >= 1.0 / np.sqrt(2.0) and not force:
             raise PreconditionError(
@@ -361,8 +392,7 @@ def assemble_step3(L: BlockKroneckerPencil, dL11: Pencil,
     left = (build_Lambda(L.eta, L.m) + dR_eta).transpose()
     mid = Pencil.from_parts(L.M0 + dL11.coeff(0), L.M1 + dL11.coeff(1))
     right = build_Lambda(L.eps, L.n) + dR_eps
-    perturbed = multiply(multiply(left, mid), right)
-    return perturbed - recover_polynomial(L).with_grade(perturbed.grade)
+    return multiply(multiply(left, mid), right)
 
 
 # -- bounds ------------------------------------------------------------------
@@ -516,8 +546,8 @@ def run_pipeline(L: BlockKroneckerPencil, dL: Pencil, force: bool = False,
     dR_eps, res_eps = solve_step2(step1.dLt21, L.eps, L.n, force=force)
     dR_eta, res_eta = solve_step2(
         step1.dLt12.transpose(), L.eta, L.m, force=force)
-    blocks = PerturbationBlocks.from_pencil(dL, L)
-    dP = assemble_step3(L, blocks.d11, dR_eps, dR_eta, force=force)
+    perturbed = _perturbed_polynomial(L, step1.blocks.d11, dR_eps, dR_eta, force)
+    dP = perturbed - P.with_grade(perturbed.grade)
     ratio = dP.frobenius_norm() / norm_P
 
     if degenerate:

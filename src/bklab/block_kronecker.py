@@ -97,7 +97,10 @@ class BlockKroneckerPencil:
         return Pencil.from_parts(A, B)
 
     def frobenius_norm(self) -> float:
-        return self.assemble().frobenius_norm()
+        """``||assemble()||_F`` without assembling: ``L_k (x) I_p`` has
+        ``2kp`` unit entries."""
+        return float(np.hypot(self.one_one_norm(),
+                              np.sqrt(2.0 * (self.eps * self.n + self.eta * self.m))))
 
     def one_one_norm(self) -> float:
         return pair_norm(self.M0, self.M1)
@@ -182,30 +185,32 @@ def validate_placement(L: BlockKroneckerPencil, P: MatrixPolynomial) -> np.ndarr
     """Per-coefficient residuals of the antidiagonal sum condition: entry
     ``k`` is the Frobenius distance between the ``k``-th coefficient of the
     represented polynomial and ``P_k``."""
-    d = L.grade
-    if P.grade != d:
-        raise GradeError(f"pencil represents grade {d}, polynomial has {P.grade}")
-    m, n = L.m, L.n
-    res = np.zeros(d + 1)
-    for k in range(d + 1):
-        acc = np.zeros((m, n), dtype=complex)
-        for i in range(1, L.eta + 2):
-            j1 = d + 2 - k - i
-            if 1 <= j1 <= L.eps + 1:
-                acc += L.block("M1", i, j1)
-            j0 = d + 1 - k - i
-            if 1 <= j0 <= L.eps + 1:
-                acc += L.block("M0", i, j0)
-        res[k] = np.linalg.norm(acc - P.coeff(k))
-    return res
+    if P.grade != L.grade:
+        raise GradeError(
+            f"pencil represents grade {L.grade}, polynomial has {P.grade}")
+    return np.linalg.norm(recover_polynomial(L).coeff_stack - P.coeff_stack,
+                          axis=(1, 2))
 
 
 def recover_polynomial(L: BlockKroneckerPencil) -> MatrixPolynomial:
-    """``(Lambda_eta^T (x) I_m) (M0 + lambda*M1) (Lambda_eps (x) I_n)`` by
-    exact polynomial multiplication, declared at grade ``eps + eta + 1``."""
-    left = build_Lambda(L.eta, L.m).transpose()
-    right = build_Lambda(L.eps, L.n)
-    return multiply(multiply(left, L.one_one_block()), right)
+    """``(Lambda_eta^T (x) I_m) (M0 + lambda*M1) (Lambda_eps (x) I_n)``,
+    declared at grade ``eps + eta + 1``, as antidiagonal block sums.
+
+    Block ``(i, j)`` (0-based) of ``M0`` carries ``lambda^{(eta-i)+(eps-j)}``
+    and the same block of ``M1`` one power more.  The sums run as in the
+    product: row blocks first, then column blocks in increasing power of the
+    row factor."""
+    eps, eta, m, n = L.eps, L.eta, L.m, L.n
+    # rows[i]: coefficient i of (Lambda_eta^T (x) I_m)(M0 + lambda*M1)
+    rows = np.zeros((eta + 2, m, (eps + 1) * n), dtype=complex)
+    rows[1:] += L.M1.reshape(eta + 1, m, -1)[::-1]
+    rows[:-1] += L.M0.reshape(eta + 1, m, -1)[::-1]
+    # blocks[i, j]: column block eps - j of rows[i], i.e. power i + j
+    blocks = rows.reshape(eta + 2, m, eps + 1, n)[:, :, ::-1].transpose(0, 2, 1, 3)
+    out = np.zeros((L.grade + 1, m, n), dtype=complex)
+    for i, row in enumerate(blocks):
+        out[i:i + eps + 1] += row
+    return MatrixPolynomial(out, grade=L.grade)
 
 
 @dataclass

@@ -28,7 +28,8 @@ import scipy.linalg
 
 from .errors import EigenstructureShiftError, InconclusiveError, ShapeError
 from .matpoly import MatrixPolynomial, as_pencil, convolution
-from .tolerances import EPS, RankDecision, numerical_rank, svd_with_rank
+from .tolerances import (EPS, RankDecision, _decide_rank, numerical_rank,
+                         svd_with_rank)
 
 
 @dataclass
@@ -159,13 +160,16 @@ def generalized_eigenvalues(pencil):
     return finite, len(infinite)
 
 
-def _staircase_pass(A, B, threshold, log, label):
-    """One staircase pass; returns stage counts and the deflated remainder.
+def _staircase_pass(A, B, threshold, log, label, svd_B=None):
+    """One staircase pass; returns stage counts, the deflated remainder and,
+    when the pass stopped at ``s_j = 0``, the SVD ``(s, U, V)`` of the
+    remainder's ``B`` conjugate transpose (else ``None``).
 
     Stage ``j`` compresses the columns onto ``null(B)`` (``s_j`` of them) and
     the rows onto the range of ``A`` restricted to those columns (``r_j``).
     ``s_j - r_j`` minimal indices of value ``j - 1`` and, after the pass,
     ``r_j - s_{j+1}`` divisors of degree ``j`` at infinity are read off.
+    ``svd_B``, an SVD ``(s, U, V)`` of ``B``, replaces the first stage's.
     """
     ss, rr = [], []
     A_cur = np.array(A, dtype=complex)
@@ -174,11 +178,17 @@ def _staircase_pass(A, B, threshold, log, label):
     while A_cur.shape[1] > 0:
         stage += 1
         p, q = A_cur.shape
-        rank_b, _, _, Vb = svd_with_rank(
-            B_cur, tol=threshold, context=f"{label}:stage{stage}:B", log=log)
+        context = f"{label}:stage{stage}:B"
+        if stage == 1 and svd_B is not None:
+            s, Ub, Vb = svd_B
+            rank_b = _decide_rank(s, (p, q), threshold, context, log)
+        else:
+            rank_b, s, Ub, Vb = svd_with_rank(
+                B_cur, tol=threshold, context=context, log=log)
         s_j = q - rank_b
         if s_j == 0:
-            break
+            # B_cur = U S V^H, so B_cur^H = V S U^H
+            return ss, rr, A_cur, B_cur, (s, Vb, Ub)
         V_null = Vb[:, rank_b:]
         V_keep = Vb[:, :rank_b]
         A_null = A_cur @ V_null
@@ -189,7 +199,7 @@ def _staircase_pass(A, B, threshold, log, label):
         U_rest = Ua[:, rank_a:]
         A_cur = U_rest.conj().T @ A_cur @ V_keep
         B_cur = U_rest.conj().T @ B_cur @ V_keep
-    return ss, rr, A_cur, B_cur
+    return ss, rr, A_cur, B_cur, None
 
 
 def _counts_to_structure(ss, rr):
@@ -219,11 +229,11 @@ def staircase_eigenstructure(pencil, tol=None) -> Eigenstructure:
     else:
         threshold = float(tol)
 
-    ss, rr, A1, B1 = _staircase_pass(A, B, threshold, log, "right")
+    ss, rr, A1, B1, svd_B1h = _staircase_pass(A, B, threshold, log, "right")
     right, infinite = _counts_to_structure(ss, rr)
 
-    ss2, rr2, A2h, B2h = _staircase_pass(
-        A1.conj().T, B1.conj().T, threshold, log, "left")
+    ss2, rr2, A2h, B2h, _ = _staircase_pass(
+        A1.conj().T, B1.conj().T, threshold, log, "left", svd_B1h)
     left, leftover = _counts_to_structure(ss2, rr2)
     # All infinite structure is consumed by the first pass; anything the
     # second pass reports came from a near-threshold decision.

@@ -248,29 +248,24 @@ def identity(n: int) -> MatrixPolynomial:
 
 def build_L(k: int, blocks: int = 1) -> Pencil:
     """The ``k x (k+1)`` pencil with ``-1`` on the diagonal and ``lambda`` on
-    the superdiagonal; ``blocks > 1`` returns its Kronecker lift by ``I_p``."""
+    the superdiagonal; ``blocks > 1`` returns its Kronecker lift by ``I_p``,
+    whose unit entries sit on the main diagonal and on the ``p``-th one."""
     if k < 0:
         raise GradeError("k must be nonnegative")
-    A = np.zeros((k, k + 1), dtype=complex)
-    B = np.zeros((k, k + 1), dtype=complex)
-    for i in range(k):
-        A[i, i] = -1.0
-        B[i, i + 1] = 1.0
-    Ip = np.eye(blocks)
-    return Pencil.from_parts(np.kron(A, Ip), np.kron(B, Ip))
+    shape = (k * blocks, (k + 1) * blocks)
+    return Pencil.from_parts(-np.eye(*shape, dtype=complex),
+                             np.eye(*shape, blocks, dtype=complex))
 
 
 def build_Lambda(k: int, blocks: int = 1) -> MatrixPolynomial:
     """The ``(k+1) x 1`` column ``[lambda^k, ..., lambda, 1]^T`` (optionally
-    Kronecker-lifted by ``I_p``)."""
+    Kronecker-lifted by ``I_p``): coefficient ``power`` is ``I_p`` at block
+    row ``k - power``."""
     if k < 0:
         raise GradeError("k must be nonnegative")
-    coeffs = []
-    for power in range(k + 1):
-        c = np.zeros((k + 1, 1), dtype=complex)
-        c[k - power, 0] = 1.0
-        coeffs.append(np.kron(c, np.eye(blocks)))
-    return MatrixPolynomial(coeffs, grade=k)
+    coeffs = np.zeros((k + 1, k + 1, blocks, blocks), dtype=complex)
+    coeffs[np.arange(k + 1), np.arange(k, -1, -1)] = np.eye(blocks)
+    return MatrixPolynomial(coeffs.reshape(k + 1, (k + 1) * blocks, blocks), grade=k)
 
 
 # -- operations -------------------------------------------------------------
@@ -284,13 +279,18 @@ def multiply(P: MatrixPolynomial, Q: MatrixPolynomial) -> MatrixPolynomial:
     """Polynomial product with grade ``P.grade + Q.grade``."""
     if P.cols != Q.rows:
         raise ShapeError(f"cannot multiply {P.shape} by {Q.shape}")
-    d = P.grade + Q.grade
-    out = [np.zeros((P.rows, Q.cols), dtype=complex) for _ in range(d + 1)]
-    for i in range(P.grade + 1):
-        Pi = P.coeff(i)
-        for j in range(Q.grade + 1):
-            out[i + j] += Pi @ Q.coeff(j)
-    return MatrixPolynomial(out, grade=d)
+    return MatrixPolynomial(_stack_product(P.coeff_stack, Q.coeff_stack),
+                            grade=P.grade + Q.grade)
+
+
+def _stack_product(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    """Coefficient stack of the product of the ascending stacks ``P`` and
+    ``Q``: coefficient ``k`` sums ``P_i Q_{k-i}`` in increasing ``i``."""
+    out = np.zeros((P.shape[0] + Q.shape[0] - 1, P.shape[1], Q.shape[2]),
+                   dtype=complex)
+    for i, Pi in enumerate(P):
+        out[i:i + Q.shape[0]] += Pi @ Q
+    return out
 
 
 def vstack(polys) -> MatrixPolynomial:

@@ -12,7 +12,7 @@ from bklab import (ConvergenceError, MatrixPolynomial, Pencil,
                    solve_step1, solve_step2, step1_radius, step2_radius,
                    zeros)
 from bklab.backward_error import (SQRT2M1, PerturbationBlocks, _S_pinv,
-                                  _T_pinv)
+                                  _S_scalar_pinv, _T_pinv, _T_scalar_pinv)
 from bklab.experiments import (ExperimentConfig, complex_gaussian,
                                generate_trial, random_pencil_perturbation,
                                random_polynomial, trial_rng)
@@ -457,6 +457,68 @@ def test_shift_check_propagates_programming_errors(monkeypatch):
     dL = random_pencil_perturbation(bk.shape, 1e-8, rng)
     with pytest.raises(RuntimeError, match="broken shift recovery"):
         run_pipeline(bk, dL)
+
+
+def test_pipeline_recovers_and_splits_once(monkeypatch):
+    # run_pipeline reuses its P for Step 3 and Step 1's block split for dL_11
+    from bklab import backward_error
+
+    calls = {"recover": 0, "split": 0}
+    recover, split = backward_error.recover_polynomial, PerturbationBlocks.from_pencil
+
+    def counted_recover(L):
+        calls["recover"] += 1
+        return recover(L)
+
+    def counted_split(dL, ref):
+        calls["split"] += 1
+        return split(dL, ref)
+
+    monkeypatch.setattr(backward_error, "recover_polynomial", counted_recover)
+    monkeypatch.setattr(PerturbationBlocks, "from_pencil", counted_split)
+    rng = trial_rng(92, 0)
+    bk = _random_block_kronecker(rng, 2, 1, 2, 3)
+    dL = random_pencil_perturbation(bk.shape, 1e-8, rng)
+    report = run_pipeline(bk, dL)
+    assert calls == {"recover": 1, "split": 1}
+    assert report.bound_holds and report.eigen_consistent
+    assert np.array_equal(report.step1.blocks.reassemble().coeff_stack,
+                          dL.coeff_stack)
+
+
+def test_cached_scalar_pseudoinverses_are_read_only():
+    for pinv in (_T_scalar_pinv(2, 3), _S_scalar_pinv(3)):
+        with pytest.raises(ValueError):
+            pinv[0, 0] = 1.0
+    assert _T_scalar_pinv(2, 3) is _T_scalar_pinv(2, 3)
+    assert _S_scalar_pinv(3) is _S_scalar_pinv(3)
+    # a cached operand must not carry state from one call to the next
+    rng = trial_rng(93, 0)
+    bk = _random_block_kronecker(rng, 2, 2, 2, 2)
+    dL = random_pencil_perturbation(bk.shape, 1e-7, rng)
+    first, second = run_pipeline(bk, dL), run_pipeline(bk, dL)
+    assert json.dumps(first.to_json()) == json.dumps(second.to_json())
+
+
+def test_pipeline_builds_no_kron_operand(monkeypatch):
+    # once the (eps, eta)-only constants are cached, every operand of the
+    # pipeline and of its eigen check is applied or indexed, never np.kron'd
+    rng = trial_rng(94, 0)
+    hook = from_polynomial(random_polynomial(2, 2, 7, rng), 3, 3, "hook")
+    frob = from_polynomial(random_polynomial(3, 3, 4, rng), 3, 0, "frobenius1")
+    cases = [(L, random_pencil_perturbation(L.shape, 0.5 * pipeline_radius(L), rng))
+             for L in (hook, frob)]
+    for L, dL in cases:
+        run_pipeline(L, dL)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.kron called")
+
+    monkeypatch.setattr(np, "kron", refuse)
+    for L, dL in cases:
+        report = run_pipeline(L, dL, check_eigen=True)
+        assert report.bound_holds
+        assert report.eigen_consistent and report.shift_consistent
 
 
 def test_degenerate_path_equals_manual_steps():

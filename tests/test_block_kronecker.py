@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from bklab import block_kronecker
 from bklab import (BlockKroneckerPencil, GradeError, LayoutError,
                    MatrixPolynomial, PlacementError, PlacementSpec,
                    ShapeError, anti_triangularize, build_L, build_Lambda,
@@ -190,6 +191,57 @@ def test_recover_round_trip_higher_grades():
         bk = from_polynomial(P, eps, d - 1 - eps, "hook")
         rec = recover_polynomial(bk)
         assert (rec - P).frobenius_norm() <= 1e-13 * P.frobenius_norm()
+
+
+def _kron_Lambda(k, p):
+    """Reference: ``Lambda_k (x) I_p`` through ``np.kron``."""
+    return MatrixPolynomial([np.kron(np.eye(k + 1)[:, [k - power]], np.eye(p))
+                             for power in range(k + 1)], grade=k)
+
+
+def _product_recover(L):
+    """Reference: the represented polynomial as the product
+    ``(Lambda_eta^T (x) I_m) (M0 + lambda*M1) (Lambda_eps (x) I_n)``."""
+    left = _kron_Lambda(L.eta, L.m).transpose()
+    return multiply(multiply(left, L.one_one_block()), _kron_Lambda(L.eps, L.n))
+
+
+@pytest.mark.parametrize("placement,eps,eta,m,n", [
+    ("hook", 3, 3, 2, 3), ("hook", 0, 2, 3, 2), ("hook", 2, 0, 1, 2),
+    ("frobenius1", 3, 0, 3, 2), ("frobenius2", 0, 3, 2, 3),
+    ("dense", 2, 3, 3, 2), ("dense", 0, 0, 2, 1)])
+def test_recover_polynomial_equals_product_form(monkeypatch, placement, eps,
+                                                eta, m, n):
+    rng = trial_rng(53, 10 * eps + eta)
+    if placement == "dense":
+        # every block nonzero: each coefficient sums several blocks
+        shape = ((eta + 1) * m, (eps + 1) * n)
+        bk = BlockKroneckerPencil(complex_gaussian(shape, rng),
+                                  complex_gaussian(shape, rng), eps, eta, m, n)
+    else:
+        P = random_polynomial(m, n, eps + eta + 1, rng)
+        bk = from_polynomial(P, eps, eta, placement)
+    want = _product_recover(bk)
+
+    def refuse(*args):
+        raise AssertionError("recover_polynomial multiplied polynomials")
+
+    monkeypatch.setattr(block_kronecker, "multiply", refuse)
+    rec = recover_polynomial(bk)
+    assert rec.grade == bk.grade
+    # the same block sums in the same order: equal to the last bit
+    assert np.array_equal(rec.coeff_stack, want.coeff_stack)
+
+
+@pytest.mark.parametrize("eps,eta,m,n", [
+    (0, 0, 2, 3), (3, 0, 2, 1), (0, 2, 1, 3), (2, 3, 3, 2), (1, 1, 1, 1)])
+def test_frobenius_norm_without_assembly(eps, eta, m, n):
+    rng = trial_rng(54, 10 * eps + eta)
+    shape = ((eta + 1) * m, (eps + 1) * n)
+    bk = BlockKroneckerPencil(complex_gaussian(shape, rng),
+                              complex_gaussian(shape, rng), eps, eta, m, n)
+    assert bk.frobenius_norm() == pytest.approx(
+        bk.assemble().frobenius_norm(), rel=1e-14)
 
 
 # ------------------------------------------------------------- norm facts

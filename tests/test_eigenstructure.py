@@ -96,6 +96,64 @@ def test_staircase_unitary_invariance():
             assert match_eigenvalues(base.finite, es.finite) <= 1e-10
 
 
+def _staircase_with_svd_count(monkeypatch, pencil, reuse):
+    """The staircase of ``pencil`` and the contexts of the SVDs it computed;
+    without ``reuse`` every stage takes a fresh SVD."""
+    from bklab import eigenstructure
+
+    contexts = []
+    svd, stair = eigenstructure.svd_with_rank, eigenstructure._staircase_pass
+
+    def counted(M, **kwargs):
+        contexts.append(kwargs["context"])
+        return svd(M, **kwargs)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(eigenstructure, "svd_with_rank", counted)
+        if not reuse:
+            mp.setattr(eigenstructure, "_staircase_pass",
+                       lambda A, B, threshold, log, label, svd_B=None:
+                       stair(A, B, threshold, log, label))
+        return staircase_eigenstructure(pencil), contexts
+
+
+def _staircase_cases():
+    rng = trial_rng(61, 0)
+    singular = from_polynomial(random_singular_polynomial(3, 4, 3, 2, rng),
+                               1, 1, "hook").assemble()
+    regular = from_polynomial(random_polynomial(2, 2, 3, rng), 1, 1, "hook").assemble()
+    Lt = build_L(3).transpose()
+    # the left pass's first stage compresses onto the reused null vectors
+    rotated_Lt = Pencil.from_parts(*(_haar_unitary(4, rng) @ c @ _haar_unitary(3, rng)
+                                     for c in Lt.coeff_stack))
+    empty = Pencil.from_parts(np.zeros((0, 0)), np.zeros((0, 0)))
+    # (pencil, SVDs saved): the bare L_3 runs out of columns in the right
+    # pass, and the empty pencil has no stage at all
+    return {"singular": (singular, 1), "regular": (regular, 1),
+            "rotated_L3T": (rotated_Lt, 1), "L3": (build_L(3), 0),
+            "empty": (empty, 0)}
+
+
+@pytest.mark.parametrize("case", ["singular", "regular", "rotated_L3T", "L3", "empty"])
+def test_left_pass_reuses_the_right_pass_svd(monkeypatch, case):
+    pencil, saved = _staircase_cases()[case]
+    es, calls = _staircase_with_svd_count(monkeypatch, pencil, reuse=True)
+    fresh, fresh_calls = _staircase_with_svd_count(monkeypatch, pencil, reuse=False)
+    assert len(fresh_calls) - len(calls) == saved
+    if saved:
+        assert "left:stage1:B" in fresh_calls and "left:stage1:B" not in calls
+    # the reused decision is logged as the fresh one was, under the same policy
+    assert [d.context for d in es.rank_log] == [d.context for d in fresh.rank_log]
+    for got, want in zip(es.rank_log, fresh.rank_log):
+        assert got.shape == want.shape and got.rank == want.rank
+        assert got.tolerance == want.tolerance
+        scale = max(want.singular_values, default=0.0)
+        assert np.allclose(got.singular_values, want.singular_values,
+                           rtol=0.0, atol=1e-12 * scale)
+    assert (es.right, es.left, es.infinite) == (fresh.right, fresh.left, fresh.infinite)
+    assert match_eigenvalues(es.finite, fresh.finite) <= 1e-12
+
+
 def test_staircase_index_sum_consistency():
     rng = trial_rng(60, 1)
     for trial in range(10):

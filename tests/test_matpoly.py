@@ -178,6 +178,50 @@ def test_kronecker_lifts():
     assert np.all(multiply(L, lam).coeff_stack == 0)
 
 
+def _kron_L(k, p):
+    """Reference: ``L_k (x) I_p`` through ``np.kron``."""
+    A = np.hstack([-np.eye(k), np.zeros((k, 1))])
+    B = np.hstack([np.zeros((k, 1)), np.eye(k)])
+    return np.kron(A, np.eye(p)), np.kron(B, np.eye(p))
+
+
+def _kron_Lambda(k, p):
+    """Reference: the coefficients of ``Lambda_k (x) I_p`` through ``np.kron``."""
+    return np.stack([np.kron(np.eye(k + 1)[:, [k - power]], np.eye(p))
+                     for power in range(k + 1)])
+
+
+@pytest.mark.parametrize("k", [0, 1, 4])
+@pytest.mark.parametrize("p", [1, 3])
+def test_L_and_Lambda_equal_their_kron_forms(k, p):
+    L = build_L(k, p)
+    A, B = _kron_L(k, p)
+    assert np.array_equal(L.M0, A) and np.array_equal(L.M1, B)
+    lam = build_Lambda(k, p)
+    assert lam.grade == k
+    assert np.array_equal(lam.coeff_stack, _kron_Lambda(k, p))
+
+
+def _loop_multiply(P, Q):
+    """Reference: the double loop over coefficient pairs."""
+    out = np.zeros((P.grade + Q.grade + 1, P.rows, Q.cols), dtype=complex)
+    for i in range(P.grade + 1):
+        for j in range(Q.grade + 1):
+            out[i + j] += P.coeff(i) @ Q.coeff(j)
+    return out
+
+
+@pytest.mark.parametrize("p_grade,q_grade", [(0, 0), (1, 3), (3, 1), (4, 2)])
+def test_multiply_equals_double_loop(p_grade, q_grade):
+    # same products summed in the same order: equal to the last bit
+    rng = np.random.default_rng(10 * p_grade + q_grade)
+    P = random_poly(2, 3, p_grade, rng)
+    Q = random_poly(3, 4, q_grade, rng)
+    prod = multiply(P, Q)
+    assert prod.grade == p_grade + q_grade
+    assert np.array_equal(prod.coeff_stack, _loop_multiply(P, Q))
+
+
 # -------------------------------------------------------------- convolution
 
 def test_convolution_c0_is_coefficient_stack():
