@@ -39,7 +39,7 @@ from .block_kronecker import BlockKroneckerPencil, from_polynomial, recover_poly
 from .errors import (ConvergenceError, EigenstructureShiftError,
                      PreconditionError, ShapeError)
 from .matpoly import (MatrixPolynomial, Pencil, _stack_product, build_L,
-                      build_Lambda, multiply, pair_norm)
+                      build_Lambda, convolution, multiply, pair_norm)
 from .tolerances import EPS, pseudoinverse
 
 SQRT2M1 = np.sqrt(2.0) - 1.0
@@ -49,10 +49,11 @@ PINV_CACHE_SIZE = 64
 
 
 def _fixed_point(update, x, step: str):
-    """Iterate ``x <- update(x)`` on a sequence of arrays until a step moves
-    it by at most ``100 EPS (1 + ||x||)``; return the limit, the iteration
-    count and the iterate norms.  Raises :class:`ConvergenceError`, naming
-    ``step``, on a non-finite iterate or after ``MAX_ITER`` iterations."""
+    """Iterate ``x <- update(x)`` on a tuple of arrays, one norm per array,
+    until a step moves it by at most ``100 EPS (1 + ||x||)``; return the
+    limit, the iteration count and the iterate norms.  Raises
+    :class:`ConvergenceError`, naming ``step``, on a non-finite iterate or
+    after ``MAX_ITER`` iterations."""
     norms: list[float] = []
     for iterations in range(1, MAX_ITER + 1):
         x_next = update(x)
@@ -73,20 +74,15 @@ def _fixed_point(update, x, step: str):
 
 # -- the linear operator ----------------------------------------------------
 
-def _ef(k: int, blocks: int) -> tuple[np.ndarray, np.ndarray]:
-    E = np.kron(np.hstack([np.eye(k), np.zeros((k, 1))]), np.eye(blocks))
-    F = np.kron(np.hstack([np.zeros((k, 1)), np.eye(k)]), np.eye(blocks))
-    return E, F
-
-
 def build_T(eps: int, eta: int, m: int, n: int) -> np.ndarray:
     """Coefficient matrix of the linearized Sylvester system acting on
     ``[vec(C); vec(D)]``; full row rank with the closed-form smallest
     singular value from :mod:`bklab.spectral_constants`."""
     if eps < 1 or eta < 1:
         raise ShapeError("the Sylvester step only exists for eps, eta >= 1")
-    E_eta, F_eta = _ef(eta, m)
-    E_eps, F_eps = _ef(eps, n)
+    # |L_k (x) I_p| = [I 0] (x) I_p + lambda [0 I] (x) I_p, real and with no -0
+    E_eta, F_eta = np.abs(build_L(eta, m).coeff_stack)
+    E_eps, F_eps = np.abs(build_L(eps, n).coeff_stack)
     I_en = np.eye(eps * n)
     I_hm = np.eye(eta * m)
     return np.vstack([
@@ -293,10 +289,13 @@ def solve_step1(L: BlockKroneckerPencil, dL: Pencil,
     dLt12 = Pencil(M @ D + d12)
     dLt21 = Pencil(C @ M + d21)
 
-    # the transformed (2,2) block [C I](L+dL)[D;I] must vanish
-    CI = np.hstack([C, np.eye(eps * n)])
-    DI = np.vstack([D, np.eye(eta * m)])
-    residual = float(np.linalg.norm(CI @ (L.assemble() + dL).coeff_stack @ DI))
+    # the transformed (2,2) block [C I](L+dL)[D;I] must vanish: it is
+    # d22 + C (M D + d12) + d21 D + C L12 + L21 D, where L12 = L_eta^T (x) I_m
+    # and L21 = L_eps (x) I_n only pick and shift blocks of C and D
+    R = d22 + C @ dLt12.coeff_stack + d21 @ D
+    R[0] -= C[:, :eta * m] + D[:eps * n]
+    R[1] += C[:, m:] + D[n:]
+    residual = float(np.linalg.norm(R))
     return Step1Result(C, D, gauge, iterations, iterate_norms, kappa_seq,
                        residual, dLt12, dLt21, blocks)
 
@@ -309,9 +308,7 @@ def step2_radius(eps: int) -> float:
 def _S_scalar_pinv(eps: int) -> np.ndarray:
     """Read-only ``pinv(S)`` for the scalar ``S = C_eps(L_eps)``, computed
     once per ``eps``."""
-    L = build_L(eps)
-    S = (np.kron(np.eye(eps + 2, eps + 1), L.M0)
-         + np.kron(np.eye(eps + 2, eps + 1, -1), L.M1))
+    S = convolution(build_L(eps).reversal(), eps)
     return _read_only(pseudoinverse(S, context="step2:pinv(C_eps)"))
 
 
@@ -362,21 +359,21 @@ def solve_step2(dLt21: Pencil, eps: int, n: int, force: bool = False):
     lam = build_Lambda(eps, n).coeff_stack
     A = dLt21.coeff_stack
 
-    def update(dR):
-        return -solve(_stack_product(A, lam + dR))
+    def update(x):
+        return (-solve(_stack_product(A, lam + x[0])),)
 
-    dR, _, _ = _fixed_point(update, np.zeros_like(lam), "step 2")
+    (dR,), _, _ = _fixed_point(update, (np.zeros_like(lam),), "step 2")
     product = _stack_product(build_L(eps, n).coeff_stack + A, lam + dR)
     residual = float(np.linalg.norm(product, axis=(1, 2)).max())
     return MatrixPolynomial(dR, grade=eps), residual
 
 
 def assemble_step3(L: BlockKroneckerPencil, dL11: Pencil,
-                   dR_eps: MatrixPolynomial, dR_eta: MatrixPolynomial,
-                   force: bool = False) -> MatrixPolynomial:
+                   dR_eps: MatrixPolynomial,
+                   dR_eta: MatrixPolynomial) -> MatrixPolynomial:
     """``dP`` such that ``P + dP`` is the polynomial represented by the
     repaired strong block minimal bases pencil."""
-    perturbed = _perturbed_polynomial(L, dL11, dR_eps, dR_eta, force)
+    perturbed = _perturbed_polynomial(L, dL11, dR_eps, dR_eta, force=False)
     return perturbed - recover_polynomial(L).with_grade(perturbed.grade)
 
 
@@ -546,8 +543,8 @@ def run_pipeline(L: BlockKroneckerPencil, dL: Pencil, force: bool = False,
     dR_eps, res_eps = solve_step2(step1.dLt21, L.eps, L.n, force=force)
     dR_eta, res_eta = solve_step2(
         step1.dLt12.transpose(), L.eta, L.m, force=force)
-    perturbed = _perturbed_polynomial(L, step1.blocks.d11, dR_eps, dR_eta, force)
-    dP = perturbed - P.with_grade(perturbed.grade)
+    P_plus_dP = _perturbed_polynomial(L, step1.blocks.d11, dR_eps, dR_eta, force)
+    dP = P_plus_dP - P.with_grade(P_plus_dP.grade)
     ratio = dP.frobenius_norm() / norm_P
 
     if degenerate:
@@ -569,10 +566,9 @@ def run_pipeline(L: BlockKroneckerPencil, dL: Pencil, force: bool = False,
     )
 
     if check_eigen:
-        perturbed = L.assemble() + dL
-        fresh = from_polynomial((P + dP.with_grade(d)).with_grade(d),
-                                L.eps, L.eta, "hook")
-        es_pert = staircase_eigenstructure(perturbed)
+        L_plus_dL = L.assemble() + dL
+        fresh = from_polynomial(P_plus_dP, L.eps, L.eta, "hook")
+        es_pert = staircase_eigenstructure(L_plus_dL)
         es_fresh = staircase_eigenstructure(fresh.assemble())
         report.eigen_checked = True
         try:

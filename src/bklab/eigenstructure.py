@@ -28,8 +28,8 @@ import scipy.linalg
 
 from .errors import EigenstructureShiftError, InconclusiveError, ShapeError
 from .matpoly import MatrixPolynomial, as_pencil, convolution
-from .tolerances import (EPS, RankDecision, _decide_rank, numerical_rank,
-                         svd_with_rank)
+from .tolerances import (EPS, RankDecision, _decide_rank, _svd,
+                         numerical_rank, svd_with_rank)
 
 
 @dataclass
@@ -160,16 +160,15 @@ def generalized_eigenvalues(pencil):
     return finite, len(infinite)
 
 
-def _staircase_pass(A, B, threshold, log, label, svd_B=None):
-    """One staircase pass; returns stage counts, the deflated remainder and,
-    when the pass stopped at ``s_j = 0``, the SVD ``(s, U, V)`` of the
-    remainder's ``B`` conjugate transpose (else ``None``).
+def _staircase_pass(A, B, svd_B, threshold, log, label):
+    """One staircase pass from ``svd_B``, an SVD ``(s, U, V)`` of ``B``;
+    returns stage counts, the deflated remainder and the SVD of the
+    remainder's ``B`` conjugate transpose.
 
     Stage ``j`` compresses the columns onto ``null(B)`` (``s_j`` of them) and
     the rows onto the range of ``A`` restricted to those columns (``r_j``).
     ``s_j - r_j`` minimal indices of value ``j - 1`` and, after the pass,
     ``r_j - s_{j+1}`` divisors of degree ``j`` at infinity are read off.
-    ``svd_B``, an SVD ``(s, U, V)`` of ``B``, replaces the first stage's.
     """
     ss, rr = [], []
     A_cur = np.array(A, dtype=complex)
@@ -179,7 +178,7 @@ def _staircase_pass(A, B, threshold, log, label, svd_B=None):
         stage += 1
         p, q = A_cur.shape
         context = f"{label}:stage{stage}:B"
-        if stage == 1 and svd_B is not None:
+        if stage == 1:
             s, Ub, Vb = svd_B
             rank_b = _decide_rank(s, (p, q), threshold, context, log)
         else:
@@ -199,7 +198,7 @@ def _staircase_pass(A, B, threshold, log, label, svd_B=None):
         U_rest = Ua[:, rank_a:]
         A_cur = U_rest.conj().T @ A_cur @ V_keep
         B_cur = U_rest.conj().T @ B_cur @ V_keep
-    return ss, rr, A_cur, B_cur, None
+    return ss, rr, A_cur, B_cur, _svd(B_cur.conj().T)
 
 
 def _counts_to_structure(ss, rr):
@@ -217,10 +216,10 @@ def staircase_eigenstructure(pencil, tol=None) -> Eigenstructure:
     pencil = as_pencil(pencil)
     A, B = pencil.M0, pencil.M1
     log: list[RankDecision] = []
-    scale = max(
-        float(np.linalg.norm(A, 2)) if A.size else 0.0,
-        float(np.linalg.norm(B, 2)) if B.size else 0.0,
-    )
+    svd_B = _svd(B)
+    s_B = svd_B[0]
+    scale = max(float(np.linalg.norm(A, 2)) if A.size else 0.0,
+                float(s_B[0]) if s_B.size else 0.0)
     if tol is None:
         # max(dim)^3 * eps * scale: the cubic factor absorbs the error the
         # successive deflation stages accumulate and amplify.
@@ -229,11 +228,12 @@ def staircase_eigenstructure(pencil, tol=None) -> Eigenstructure:
     else:
         threshold = float(tol)
 
-    ss, rr, A1, B1, svd_B1h = _staircase_pass(A, B, threshold, log, "right")
+    ss, rr, A1, B1, svd_B1h = _staircase_pass(
+        A, B, svd_B, threshold, log, "right")
     right, infinite = _counts_to_structure(ss, rr)
 
     ss2, rr2, A2h, B2h, _ = _staircase_pass(
-        A1.conj().T, B1.conj().T, threshold, log, "left", svd_B1h)
+        A1.conj().T, B1.conj().T, svd_B1h, threshold, log, "left")
     left, leftover = _counts_to_structure(ss2, rr2)
     # All infinite structure is consumed by the first pass; anything the
     # second pass reports came from a near-threshold decision.

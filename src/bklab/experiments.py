@@ -38,10 +38,11 @@ def random_polynomial(m: int, n: int, d: int, rng,
     return P
 
 
-def random_singular_polynomial(m: int, n: int, d: int, rank: int, rng,
-                               norm: float | None = 1.0) -> MatrixPolynomial:
+def random_singular_polynomial(m: int, n: int, d: int, rank: int,
+                               rng) -> MatrixPolynomial:
     """Singular by construction: a product of an ``m x rank`` and a
-    ``rank x n`` random polynomial whose grades add up to ``d``."""
+    ``rank x n`` random polynomial whose grades add up to ``d``, scaled to
+    unit Frobenius norm."""
     if rank >= min(m, n):
         raise ShapeError("rank must be below min(m, n) to force singularity")
     if d < 2:
@@ -50,9 +51,7 @@ def random_singular_polynomial(m: int, n: int, d: int, rank: int, rng,
     left = random_polynomial(m, rank, d_left, rng, norm=None)
     right = random_polynomial(rank, n, d - d_left, rng, norm=None)
     P = left @ right
-    if norm is not None:
-        P = (norm / P.frobenius_norm()) * P
-    return P
+    return (1.0 / P.frobenius_norm()) * P
 
 
 def random_pencil_perturbation(shape, magnitude: float, rng) -> Pencil:

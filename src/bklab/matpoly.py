@@ -147,13 +147,6 @@ class MatrixPolynomial:
     def transpose(self) -> "MatrixPolynomial":
         return MatrixPolynomial([c.T for c in self._c], grade=self.grade)
 
-    @property
-    def T(self) -> "MatrixPolynomial":
-        return self.transpose()
-
-    def conj(self) -> "MatrixPolynomial":
-        return MatrixPolynomial([c.conj() for c in self._c], grade=self.grade)
-
     def submatrix(self, rows, cols) -> "MatrixPolynomial":
         return MatrixPolynomial([c[np.ix_(rows, cols)] for c in self._c], grade=self.grade)
 
@@ -186,17 +179,15 @@ class MatrixPolynomial:
             raise GradeError(
                 f"expected {grade + 1} coefficients, found {len(coeffs)}"
             )
-        return cls(coeffs, grade=grade)
+        return cls(coeffs)
 
 
 class Pencil(MatrixPolynomial):
     """Matrix polynomial of grade exactly 1, exposed as the pair ``(M0, M1)``
     meaning ``M0 + lambda*M1``."""
 
-    def __init__(self, coeffs, grade=None):
-        super().__init__(coeffs, grade=1 if grade is None else grade)
-        if self.grade != 1:
-            raise GradeError("a pencil has grade exactly 1")
+    def __init__(self, coeffs):
+        super().__init__(coeffs, grade=1)
 
     @classmethod
     def from_parts(cls, M0, M1) -> "Pencil":

@@ -51,7 +51,7 @@ def row_degree_profile(Q: MatrixPolynomial) -> RowDegreeProfile:
     return RowDegreeProfile(tuple(degrees), highest, reduced)
 
 
-def is_minimal_basis(Q: MatrixPolynomial, tol=None) -> bool:
+def is_minimal_basis(Q: MatrixPolynomial) -> bool:
     """Whether the rows of ``Q`` form a minimal basis of the space they span.
 
     Requires ``rows < cols``.  Checks row-reducedness, then full row rank at
@@ -70,9 +70,9 @@ def is_minimal_basis(Q: MatrixPolynomial, tol=None) -> bool:
     if deg is None:
         return False
     if deg == 0:
-        return numerical_rank(Q.coeff(0), tol=tol) == Q.rows
+        return numerical_rank(Q.coeff(0)) == Q.rows
     companion = from_polynomial(Q.with_grade(deg), deg - 1, 0, "frobenius1")
-    structure = staircase_eigenstructure(companion.assemble(), tol=tol)
+    structure = staircase_eigenstructure(companion.assemble())
     return not structure.finite and not structure.left
 
 
@@ -178,7 +178,7 @@ def build_V_inverse(k: int) -> MatrixPolynomial:
     return MatrixPolynomial(out, grade=k)
 
 
-def pencil_is_kronecker_minimal(pencil: Pencil, tol=None) -> bool:
+def pencil_is_kronecker_minimal(pencil: Pencil) -> bool:
     """Whether an ``eps*n x (eps+1)*n`` pencil is a minimal basis with row
     degrees one whose duals have row degrees ``eps``, via the nonsingularity
     of ``C_{eps-1}`` and the full row rank of ``C_eps``."""
@@ -190,13 +190,13 @@ def pencil_is_kronecker_minimal(pencil: Pencil, tol=None) -> bool:
         raise ShapeError(f"shape {pencil.shape} is not eps*n x (eps+1)*n")
     eps = rows // n
     C_low = convolution(pencil, eps - 1)
-    if numerical_rank(C_low, tol=tol) < C_low.shape[0]:
+    if numerical_rank(C_low) < C_low.shape[0]:
         return False
     C_up = convolution(pencil, eps)
-    return numerical_rank(C_up, tol=tol) == C_up.shape[0]
+    return numerical_rank(C_up) == C_up.shape[0]
 
 
-def poly_is_kronecker_dual_minimal(Q: MatrixPolynomial, tol=None) -> bool:
+def poly_is_kronecker_dual_minimal(Q: MatrixPolynomial) -> bool:
     """Dual-side test: ``C_0(Q)`` nonsingular and ``C_1(Q)`` of full row rank
     for an ``n x (eps+1)*n`` polynomial of declared grade ``eps``."""
     rows, cols = Q.shape
@@ -209,7 +209,7 @@ def poly_is_kronecker_dual_minimal(Q: MatrixPolynomial, tol=None) -> bool:
         raise ShapeError(
             f"declared grade {Q.grade} does not match the shape factor {eps}")
     C0 = convolution(Q, 0)
-    if numerical_rank(C0, tol=tol) < C0.shape[0]:
+    if numerical_rank(C0) < C0.shape[0]:
         return False
     C1 = convolution(Q, 1)
-    return numerical_rank(C1, tol=tol) == C1.shape[0]
+    return numerical_rank(C1) == C1.shape[0]

@@ -1,9 +1,10 @@
 """Working precision and the repo-wide numerical rank policy.
 
-Every rank decision in the package, pseudoinverse truncations included, goes
-through one policy: count the singular values above
-``max(rows, cols) * eps * sigma_max`` unless the caller supplies an explicit
-tolerance; ``eps`` is the double-precision unit roundoff :data:`EPS`.
+Every rank decision in the package, pseudoinverse truncations included, takes
+one SVD primitive, :func:`_svd`, and goes through one policy: count the
+singular values above ``max(rows, cols) * eps * sigma_max`` unless the caller
+supplies an explicit tolerance; ``eps`` is the double-precision unit
+roundoff :data:`EPS`.
 """
 
 from __future__ import annotations
@@ -72,6 +73,18 @@ def _decide_rank(s, shape, tol, context, log) -> int:
     return rank
 
 
+def _svd(M):
+    """Full SVD ``(s, U, V)`` of ``M`` with ``M = U diag(s) V^H``, ``U`` and
+    ``V`` unitary; an empty ``M`` has no singular values and identity
+    factors."""
+    M = np.asarray(M)
+    if M.size == 0:
+        return (np.zeros(0), np.eye(M.shape[0], dtype=complex),
+                np.eye(M.shape[1], dtype=complex))
+    U, s, Vh = np.linalg.svd(M, full_matrices=True)
+    return s, U, Vh.conj().T
+
+
 def svd_with_rank(M, tol=None, context="", log=None):
     """Full SVD of ``M`` plus a rank decision under the repo policy.
 
@@ -79,16 +92,8 @@ def svd_with_rank(M, tol=None, context="", log=None):
     An explicit ``tol`` replaces the default tolerance.  The decision is
     appended to ``log`` when one is given.
     """
-    M = np.asarray(M)
-    m, n = M.shape
-    if M.size == 0:
-        s = np.zeros(0)
-        U = np.eye(m, dtype=complex)
-        V = np.eye(n, dtype=complex)
-    else:
-        U, s, Vh = np.linalg.svd(M, full_matrices=True)
-        V = Vh.conj().T
-    rank = _decide_rank(s, (m, n), tol, context, log)
+    s, U, V = _svd(M)
+    rank = _decide_rank(s, np.shape(M), tol, context, log)
     return rank, s, U, V
 
 
@@ -98,13 +103,9 @@ def numerical_rank(M, tol=None, context="", log=None) -> int:
 
 
 def pseudoinverse(M, tol=None, context="", log=None):
-    """Thin-SVD pseudoinverse truncated by the same rank policy as
-    :func:`svd_with_rank`."""
+    """Pseudoinverse of ``M`` on its numerical rank under the same policy
+    as :func:`svd_with_rank`."""
     M = np.asarray(M, dtype=complex)
-    if M.size == 0:
-        return np.zeros((M.shape[1], M.shape[0]), dtype=complex)
-    U, s, Vh = np.linalg.svd(M, full_matrices=False)
-    rank = _decide_rank(s, M.shape, tol, context, log)
-    inv = np.zeros_like(s)
-    inv[:rank] = 1.0 / s[:rank]
-    return (Vh.conj().T * inv) @ U.conj().T
+    s, U, V = _svd(M)
+    r = _decide_rank(s, M.shape, tol, context, log)
+    return (V[:, :r] / s[:r]) @ U[:, :r].conj().T

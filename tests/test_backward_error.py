@@ -7,10 +7,10 @@ from bklab import (ConvergenceError, MatrixPolynomial, Pencil,
                    PreconditionError, ShapeError,
                    assemble_step3, bound_degenerate, bound_nondegenerate,
                    build_L, build_Lambda, build_T, convolution,
-                   from_polynomial, multiply, pipeline_radius, pseudoinverse,
-                   recover_polynomial, run_pipeline, sigma_min_T_closed,
-                   solve_step1, solve_step2, step1_radius, step2_radius,
-                   zeros)
+                   from_polynomial, multiply, pair_norm, pipeline_radius,
+                   pseudoinverse, recover_polynomial, run_pipeline,
+                   sigma_min_T_closed, solve_step1, solve_step2,
+                   step1_radius, step2_radius, zeros)
 from bklab.backward_error import (SQRT2M1, PerturbationBlocks, _S_pinv,
                                   _S_scalar_pinv, _T_pinv, _T_scalar_pinv)
 from bklab.experiments import (ExperimentConfig, complex_gaussian,
@@ -167,6 +167,43 @@ def test_step1_transformed_blocks_definition():
     assert np.all(result.dLt21.coeff_stack == want21.coeff_stack)
 
 
+def test_step1_residual_from_blocks_without_assembly(monkeypatch):
+    # the (2,2) block [C I](L+dL)[D;I] is read off the blocks, L_12 and L_21
+    # only picking and shifting blocks of C and D; it must equal the
+    # assembled product at the fixed point and at any other (C, D)
+    from bklab import backward_error
+    from bklab.block_kronecker import BlockKroneckerPencil
+
+    def refuse(self):
+        raise AssertionError("BlockKroneckerPencil.assemble called")
+
+    def assembled_residual(bk, dL, C, D):
+        CI = np.hstack([C, np.eye(C.shape[0])])
+        DI = np.vstack([D, np.eye(D.shape[1])])
+        return np.linalg.norm(CI @ (bk.assemble() + dL).coeff_stack @ DI)
+
+    for trial in range(10):
+        rng = trial_rng(95, trial)
+        bk, dL = _admissible_step1_trial(rng, 0.5)
+        scale = 1.0 + bk.frobenius_norm()
+        with monkeypatch.context() as mp:
+            mp.setattr(BlockKroneckerPencil, "assemble", refuse)
+            result = solve_step1(bk, dL)
+        assert result.residual <= 1e-12 * scale
+        assert abs(result.residual - assembled_residual(
+            bk, dL, result.C, result.D)) <= 1e-12 * scale
+
+        C = complex_gaussian(result.C.shape, rng)
+        D = complex_gaussian(result.D.shape, rng)
+        with monkeypatch.context() as mp:
+            mp.setattr(BlockKroneckerPencil, "assemble", refuse)
+            mp.setattr(backward_error, "_fixed_point",
+                       lambda update, x, step: ((C, D), 1, [pair_norm(C, D)]))
+            away = solve_step1(bk, dL)
+        want = assembled_residual(bk, dL, C, D)
+        assert abs(away.residual - want) <= 1e-13 * want
+
+
 def test_step1_kappa_sequence_monotone_and_bounded():
     rng = trial_rng(74, 5)
     bk, dL = _admissible_step1_trial(rng, 0.98)
@@ -265,6 +302,35 @@ def test_step2_eta_side_through_transposition():
     assert dR_eta.shape == ((bk.eta + 1) * bk.m, bk.m)
     assert dR_eta.grade == bk.eta
     assert residual <= 1e-12 * (1.0 + result.dLt12.frobenius_norm())
+
+
+def test_step2_takes_one_norm_per_iterate_array(monkeypatch):
+    # the iterate is one coefficient stack, so a sweep takes two norms (the
+    # step and the iterate), not two per coefficient
+    from bklab import backward_error
+
+    eps, n = 6, 2
+    rng = trial_rng(96, 0)
+    dLt21 = random_pencil_perturbation((eps * n, (eps + 1) * n),
+                                       0.5 * step2_radius(eps), rng)
+    calls, sweeps = [0], []
+    norm, fixed_point = np.linalg.norm, backward_error._fixed_point
+
+    def counted_norm(*args, **kwargs):
+        calls[0] += 1
+        return norm(*args, **kwargs)
+
+    def counted_fixed_point(update, x, step):
+        before = calls[0]
+        out = fixed_point(update, x, step)
+        sweeps.append((out[1], calls[0] - before))
+        return out
+
+    monkeypatch.setattr(np.linalg, "norm", counted_norm)
+    monkeypatch.setattr(backward_error, "_fixed_point", counted_fixed_point)
+    solve_step2(dLt21, eps, n)
+    (iterations, norms), = sweeps
+    assert iterations > 1 and norms == 2 * iterations
 
 
 @pytest.mark.parametrize("eps,n", [(1, 1), (2, 3), (4, 2), (6, 8)])
@@ -519,6 +585,11 @@ def test_pipeline_builds_no_kron_operand(monkeypatch):
         report = run_pipeline(L, dL, check_eigen=True)
         assert report.bound_holds
         assert report.eigen_consistent and report.shift_consistent
+    # cold cache: Step 2's scalar C_eps(L_eps) comes from convolution
+    _S_scalar_pinv.cache_clear()
+    report = run_pipeline(frob, cases[1][1], check_eigen=True)
+    assert report.bound_holds
+    assert report.eigen_consistent and report.shift_consistent
 
 
 def test_degenerate_path_equals_manual_steps():

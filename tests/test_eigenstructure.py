@@ -96,25 +96,34 @@ def test_staircase_unitary_invariance():
             assert match_eigenvalues(base.finite, es.finite) <= 1e-10
 
 
-def _staircase_with_svd_count(monkeypatch, pencil, reuse):
-    """The staircase of ``pencil`` and the contexts of the SVDs it computed;
-    without ``reuse`` every stage takes a fresh SVD."""
-    from bklab import eigenstructure
+def _lapack_svds(monkeypatch, fn):
+    """``fn()`` and the number of LAPACK SVDs it took, the value-only ones
+    inside ``np.linalg.norm(., 2)`` included."""
+    from numpy.linalg import _linalg
 
-    contexts = []
-    svd, stair = eigenstructure.svd_with_rank, eigenstructure._staircase_pass
+    calls = [0]
+    svd = _linalg.svd
 
-    def counted(M, **kwargs):
-        contexts.append(kwargs["context"])
-        return svd(M, **kwargs)
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return svd(*args, **kwargs)
 
     with monkeypatch.context() as mp:
-        mp.setattr(eigenstructure, "svd_with_rank", counted)
-        if not reuse:
-            mp.setattr(eigenstructure, "_staircase_pass",
-                       lambda A, B, threshold, log, label, svd_B=None:
-                       stair(A, B, threshold, log, label))
-        return staircase_eigenstructure(pencil), contexts
+        mp.setattr(_linalg, "svd", counted)
+        mp.setattr(np.linalg, "svd", counted)
+        return fn(), calls[0]
+
+
+def _fresh_svd_staircase(monkeypatch, pencil):
+    """Reference staircase that drops the SVD handed to each pass, so every
+    stage, the first of each pass included, takes a fresh SVD."""
+    from bklab import eigenstructure, tolerances
+
+    stair = eigenstructure._staircase_pass
+    with monkeypatch.context() as mp:
+        mp.setattr(eigenstructure, "_staircase_pass",
+                   lambda A, B, svd_B, *rest: stair(A, B, tolerances._svd(B), *rest))
+        return staircase_eigenstructure(pencil)
 
 
 def _staircase_cases():
@@ -127,22 +136,25 @@ def _staircase_cases():
     rotated_Lt = Pencil.from_parts(*(_haar_unitary(4, rng) @ c @ _haar_unitary(3, rng)
                                      for c in Lt.coeff_stack))
     empty = Pencil.from_parts(np.zeros((0, 0)), np.zeros((0, 0)))
-    # (pencil, SVDs saved): the bare L_3 runs out of columns in the right
-    # pass, and the empty pencil has no stage at all
-    return {"singular": (singular, 1), "regular": (regular, 1),
-            "rotated_L3T": (rotated_Lt, 1), "L3": (build_L(3), 0),
-            "empty": (empty, 0)}
+    # (pencil, LAPACK SVDs, SVDs saved against the fresh-SVD reference); the
+    # counts are one fewer than the 16, 3, 8, 8 of a staircase that takes
+    # norm(B, 2) apart from its SVD of B.  The bare L_3 runs out of columns
+    # in the right pass, so its left pass starts from the SVD of an empty B,
+    # and the empty pencil has no stage at all
+    return {"singular": (singular, 15, 2), "regular": (regular, 2, 2),
+            "rotated_L3T": (rotated_Lt, 7, 2), "L3": (build_L(3), 7, 1),
+            "empty": (empty, 0, 0)}
 
 
 @pytest.mark.parametrize("case", ["singular", "regular", "rotated_L3T", "L3", "empty"])
 def test_left_pass_reuses_the_right_pass_svd(monkeypatch, case):
-    pencil, saved = _staircase_cases()[case]
-    es, calls = _staircase_with_svd_count(monkeypatch, pencil, reuse=True)
-    fresh, fresh_calls = _staircase_with_svd_count(monkeypatch, pencil, reuse=False)
-    assert len(fresh_calls) - len(calls) == saved
-    if saved:
-        assert "left:stage1:B" in fresh_calls and "left:stage1:B" not in calls
-    # the reused decision is logged as the fresh one was, under the same policy
+    pencil, lapack, saved = _staircase_cases()[case]
+    es, calls = _lapack_svds(monkeypatch, lambda: staircase_eigenstructure(pencil))
+    fresh, fresh_calls = _lapack_svds(
+        monkeypatch, lambda: _fresh_svd_staircase(monkeypatch, pencil))
+    assert calls == lapack
+    assert fresh_calls - calls == saved
+    # the reused decisions are logged as fresh ones, under the same policy
     assert [d.context for d in es.rank_log] == [d.context for d in fresh.rank_log]
     for got, want in zip(es.rank_log, fresh.rank_log):
         assert got.shape == want.shape and got.rank == want.rank
@@ -152,6 +164,25 @@ def test_left_pass_reuses_the_right_pass_svd(monkeypatch, case):
                            rtol=0.0, atol=1e-12 * scale)
     assert (es.right, es.left, es.infinite) == (fresh.right, fresh.left, fresh.infinite)
     assert match_eigenvalues(es.finite, fresh.finite) <= 1e-12
+
+
+def test_staircase_keeps_a_negligible_qz_beta_as_infinite():
+    # B = 1e-15 is full rank at the threshold 1^3 eps, but QZ finds beta
+    # below 10 eps hypot(alpha, beta)
+    es = staircase_eigenstructure(Pencil.from_parts([[1.0]], [[1e-15]]))
+    assert es.finite == [] and es.infinite == [1]
+    assert es.rank_log[-1].context == "core:qz-beta"
+    assert es.rank_log[-1].rank == 0
+
+
+def test_staircase_logs_an_explicit_tolerance_on_every_decision():
+    pencil = _staircase_cases()["singular"][0]
+    es = staircase_eigenstructure(pencil, tol=1e-9)
+    default = staircase_eigenstructure(pencil)
+    assert [d.context for d in es.rank_log] == [d.context for d in default.rank_log]
+    assert all(d.tolerance == 1e-9 for d in es.rank_log)
+    assert (es.right, es.left, es.infinite) == (default.right, default.left,
+                                                default.infinite)
 
 
 def test_staircase_index_sum_consistency():

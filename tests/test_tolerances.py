@@ -1,3 +1,4 @@
+import ast
 import importlib
 import importlib.util
 from pathlib import Path
@@ -10,7 +11,8 @@ from bklab.experiments import complex_gaussian, trial_rng
 from bklab.tolerances import (EPS, numerical_rank, pseudoinverse,
                               rank_tolerance, svd_with_rank)
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACING = ROOT / "perfbench" / "tracing.py"
 
 
 def _rank_three(seed=0):
@@ -84,9 +86,24 @@ def test_pseudoinverse_and_svd_with_rank_decide_alike(kwargs):
     svd_with_rank(M, context="c", log=by_svd, **kwargs)
     pseudoinverse(M, context="c", log=by_pinv, **kwargs)
     a, b = _only(by_svd), _only(by_pinv)
+    # one SVD primitive, so the same singular values and the same decision
     assert (a.context, a.shape, a.rank) == (b.context, b.shape, b.rank)
-    assert a.tolerance == pytest.approx(b.tolerance, rel=1e-13)
-    assert_allclose(a.singular_values, b.singular_values, rtol=1e-12)
+    assert a.tolerance == b.tolerance
+    assert np.array_equal(a.singular_values, b.singular_values)
+
+
+def test_one_svd_primitive():
+    # every rank decision and pseudoinverse factors through tolerances._svd;
+    # only the numeric cross-checks of spectral_constants take SVDs of their own
+    users = set()
+    for path in sorted((ROOT / "src" / "bklab").glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if isinstance(fn, ast.FunctionDef) and any(
+                    isinstance(node, ast.Attribute) and node.attr == "svd"
+                    for node in ast.walk(fn)):
+                users.add(f"{path.stem}.{fn.name}")
+    assert {u for u in users if not u.startswith("spectral_constants.")} == {
+        "tolerances._svd"}
 
 
 def test_truncated_pseudoinverse_drops_small_singular_values():
