@@ -80,15 +80,20 @@ def build_T(eps: int, eta: int, m: int, n: int) -> np.ndarray:
     singular value from :mod:`bklab.spectral_constants`."""
     if eps < 1 or eta < 1:
         raise ShapeError("the Sylvester step only exists for eps, eta >= 1")
-    # |L_k (x) I_p| = [I 0] (x) I_p + lambda [0 I] (x) I_p, real and with no -0
-    E_eta, F_eta = np.abs(build_L(eta, m).coeff_stack)
-    E_eps, F_eps = np.abs(build_L(eps, n).coeff_stack)
-    I_en = np.eye(eps * n)
-    I_hm = np.eye(eta * m)
-    return np.vstack([
-        np.hstack([np.kron(E_eta, I_en), np.kron(I_hm, E_eps)]),
-        np.hstack([np.kron(F_eta, I_en), np.kron(I_hm, F_eps)]),
-    ])
+    # T = [E_eta (x) I_en, I_hm (x) E_eps; F_eta (x) I_en, I_hm (x) F_eps]
+    # with |L_k (x) I_p| = E_k + lambda F_k, E_k = [I 0] (x) I_p and
+    # F_k = [0 I] (x) I_p: a 0/1 matrix with one unit per row in each block
+    rows = eps * n * eta * m
+    cols_C = (eta + 1) * m * eps * n
+    r = np.arange(rows)
+    # row i eps n + a of I_hm (x) E_eps meets column i (eps+1) n + a
+    r_D = cols_C + r + r // (eps * n) * n
+    T = np.zeros((2 * rows, cols_C + (eps + 1) * n * eta * m))
+    T[r, r] = 1.0
+    T[r, r_D] = 1.0
+    T[rows + r, r + m * eps * n] = 1.0
+    T[rows + r, r_D + n] = 1.0
+    return T
 
 
 @dataclass
@@ -545,6 +550,9 @@ def run_pipeline(L: BlockKroneckerPencil, dL: Pencil, force: bool = False,
         step1.dLt12.transpose(), L.eta, L.m, force=force)
     P_plus_dP = _perturbed_polynomial(L, step1.blocks.d11, dR_eps, dR_eta, force)
     dP = P_plus_dP - P.with_grade(P_plus_dP.grade)
+    if not np.all(np.isfinite(dP.coeff_stack)):
+        # with Step 1 bypassed (eps or eta 0) no iterate sees dL_11
+        raise ConvergenceError("step 3: non-finite dP")
     ratio = dP.frobenius_norm() / norm_P
 
     if degenerate:

@@ -217,9 +217,9 @@ def staircase_eigenstructure(pencil, tol=None) -> Eigenstructure:
     A, B = pencil.M0, pencil.M1
     log: list[RankDecision] = []
     svd_B = _svd(B)
-    s_B = svd_B[0]
-    scale = max(float(np.linalg.norm(A, 2)) if A.size else 0.0,
-                float(s_B[0]) if s_B.size else 0.0)
+    # the larger spectral norm of the two coefficients, zero when empty
+    scale = float(max(_svd(A, vectors=False).max(initial=0.0),
+                      svd_B[0].max(initial=0.0)))
     if tol is None:
         # max(dim)^3 * eps * scale: the cubic factor absorbs the error the
         # successive deflation stages accumulate and amplify.

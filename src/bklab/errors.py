@@ -34,8 +34,8 @@ class PreconditionError(BkLabError):
 
 
 class ConvergenceError(BkLabError):
-    """The fixed-point iteration hit its cap without meeting the stopping rule,
-    or reached a non-finite iterate."""
+    """The fixed-point iteration hit its cap without meeting the stopping rule
+    or reached a non-finite iterate, or Step 3 assembled a non-finite ``dP``."""
 
 
 class InconclusiveError(BkLabError):

@@ -15,6 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import GradeError, ShapeError
+from .tolerances import _svd
 
 
 class MatrixPolynomial:
@@ -358,8 +359,10 @@ def verify_norm_inequalities(P: MatrixPolynomial, Q: MatrixPolynomial):
     nP, nQ = P.frobenius_norm(), Q.frobenius_norm()
     sd = np.sqrt(P.grade + 1.0)
     st = np.sqrt(Q.grade + 1.0)
-    spec_P = np.sqrt(sum(np.linalg.norm(c, 2) ** 2 for c in P.coeff_stack))
-    spec_Q = np.sqrt(sum(np.linalg.norm(c, 2) ** 2 for c in Q.coeff_stack))
+    spec_P = np.sqrt(sum(_svd(c, vectors=False).max(initial=0.0) ** 2
+                         for c in P.coeff_stack))
+    spec_Q = np.sqrt(sum(_svd(c, vectors=False).max(initial=0.0) ** 2
+                         for c in Q.coeff_stack))
 
     def ok(rhs):
         return bool(lhs <= rhs * (1.0 + 1e-12) + 1e-12)

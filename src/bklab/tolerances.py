@@ -4,7 +4,9 @@ Every rank decision in the package, pseudoinverse truncations included, takes
 one SVD primitive, :func:`_svd`, and goes through one policy: count the
 singular values above ``max(rows, cols) * eps * sigma_max`` unless the caller
 supplies an explicit tolerance; ``eps`` is the double-precision unit
-roundoff :data:`EPS`.
+roundoff :data:`EPS`.  A decision that only needs the rank,
+:func:`numerical_rank`, takes the values-only SVD and forms no singular
+vectors.
 """
 
 from __future__ import annotations
@@ -73,11 +75,14 @@ def _decide_rank(s, shape, tol, context, log) -> int:
     return rank
 
 
-def _svd(M):
+def _svd(M, vectors=True):
     """Full SVD ``(s, U, V)`` of ``M`` with ``M = U diag(s) V^H``, ``U`` and
     ``V`` unitary; an empty ``M`` has no singular values and identity
-    factors."""
+    factors.  With ``vectors=False`` only the descending singular values
+    ``s`` are computed and returned."""
     M = np.asarray(M)
+    if not vectors:
+        return np.linalg.svd(M, compute_uv=False) if M.size else np.zeros(0)
     if M.size == 0:
         return (np.zeros(0), np.eye(M.shape[0], dtype=complex),
                 np.eye(M.shape[1], dtype=complex))
@@ -98,8 +103,9 @@ def svd_with_rank(M, tol=None, context="", log=None):
 
 
 def numerical_rank(M, tol=None, context="", log=None) -> int:
-    rank, _, _, _ = svd_with_rank(M, tol=tol, context=context, log=log)
-    return rank
+    """Rank of ``M`` under the policy of :func:`svd_with_rank`, from the
+    singular values alone: no singular vectors are formed."""
+    return _decide_rank(_svd(M, vectors=False), np.shape(M), tol, context, log)
 
 
 def pseudoinverse(M, tol=None, context="", log=None):

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from bklab import (ConvergenceError, MatrixPolynomial, Pencil,
+from bklab import (BkLabError, ConvergenceError, MatrixPolynomial, Pencil,
                    PreconditionError, ShapeError,
                    assemble_step3, bound_degenerate, bound_nondegenerate,
                    build_L, build_Lambda, build_T, convolution,
@@ -56,6 +56,25 @@ def test_build_T_matches_closed_form(eps, eta):
 def test_build_T_rejects_degenerate():
     with pytest.raises(ShapeError):
         build_T(0, 1, 1, 1)
+
+
+def _kron_T(eps, eta, m, n):
+    """Reference: ``T`` from its definition as four Kronecker products."""
+    E_eta, F_eta = np.abs(build_L(eta, m).coeff_stack)
+    E_eps, F_eps = np.abs(build_L(eps, n).coeff_stack)
+    I_en, I_hm = np.eye(eps * n), np.eye(eta * m)
+    return np.vstack([
+        np.hstack([np.kron(E_eta, I_en), np.kron(I_hm, E_eps)]),
+        np.hstack([np.kron(F_eta, I_en), np.kron(I_hm, F_eps)]),
+    ])
+
+
+@pytest.mark.parametrize("eps,eta,m,n",
+                         [(1, 1, 1, 1), (2, 3, 2, 1), (3, 1, 1, 3), (3, 3, 4, 4)])
+def test_build_T_equals_its_kron_definition(eps, eta, m, n):
+    T, want = build_T(eps, eta, m, n), _kron_T(eps, eta, m, n)
+    assert T.dtype == want.dtype and T.shape == want.shape
+    assert T.tobytes() == want.tobytes()
 
 
 def _dense_delta_T(blocks):
@@ -509,6 +528,21 @@ def test_forced_step1_divergence_raises():
         solve_step1(L, dL, force=True)
 
 
+@pytest.mark.parametrize("placement,eps,eta",
+                         [("hook", 2, 2), ("frobenius1", 4, 0)])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_perturbation_raises_a_typed_error(placement, eps, eta, bad):
+    # a forced run either reports finite numbers or raises a BkLabError;
+    # with Step 1 bypassed the bad entry of dL_11 first shows in dP
+    L = from_polynomial(random_polynomial(3, 3, 5, trial_rng(0, 0)), eps, eta,
+                        placement)
+    dL = random_pencil_perturbation(L.shape, 1e-6, trial_rng(0, 1))
+    stack = dL.coeff_stack.copy()
+    stack[0, 0, 0] = bad
+    with np.errstate(all="ignore"), pytest.raises(BkLabError):
+        run_pipeline(L, Pencil(stack), force=True)
+
+
 def test_shift_check_propagates_programming_errors(monkeypatch):
     # only EigenstructureShiftError means inconsistent shifts; any other
     # exception from shift_recovery is a bug and must surface
@@ -585,11 +619,14 @@ def test_pipeline_builds_no_kron_operand(monkeypatch):
         report = run_pipeline(L, dL, check_eigen=True)
         assert report.bound_holds
         assert report.eigen_consistent and report.shift_consistent
-    # cold cache: Step 2's scalar C_eps(L_eps) comes from convolution
+    # cold caches: Step 2's scalar C_eps(L_eps) comes from convolution and
+    # Step 1's scalar T(eps, eta, 1, 1) from index placements
     _S_scalar_pinv.cache_clear()
-    report = run_pipeline(frob, cases[1][1], check_eigen=True)
-    assert report.bound_holds
-    assert report.eigen_consistent and report.shift_consistent
+    _T_scalar_pinv.cache_clear()
+    for L, dL in cases:
+        report = run_pipeline(L, dL, check_eigen=True)
+        assert report.bound_holds
+        assert report.eigen_consistent and report.shift_consistent
 
 
 def test_degenerate_path_equals_manual_steps():

@@ -301,6 +301,17 @@ def test_oracle_equivalence_on_singular_products():
     assert failures == 0
 
 
+@pytest.mark.parametrize("seed", [3, 7, 101, 4242])
+def test_oracle_equivalence_at_benchmark_size(seed):
+    # the 10 x 14 grade-7 rank-6 product: n - r = 8 right and m - r = 4 left
+    # minimal indices summing, with the eigenvalues, to d r = 42
+    P = random_singular_polynomial(10, 14, 7, 6, trial_rng(seed, 0))
+    es = staircase_eigenstructure(from_polynomial(P, 3, 3, "hook").assemble())
+    rec = shift_recovery(es, 3, 3)
+    assert (len(rec.right), len(rec.left), rec.index_sum()) == (8, 4, 42)
+    assert rec.right == right_minimal_indices_by_convolution(P)
+
+
 def test_placements_agree_with_det_roots():
     rng_master = 63
     worst = 0.0

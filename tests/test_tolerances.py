@@ -92,16 +92,102 @@ def test_pseudoinverse_and_svd_with_rank_decide_alike(kwargs):
     assert np.array_equal(a.singular_values, b.singular_values)
 
 
+def test_numerical_rank_forms_no_singular_vectors(monkeypatch):
+    calls = []
+    svd = np.linalg.svd
+
+    def spy(*args, **kwargs):
+        calls.append(kwargs.get("compute_uv", True))
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    assert numerical_rank(_rank_three(4)) == 3
+    assert numerical_rank(_rank_three(5), tol=1e-3) == 3
+    assert calls == [False, False]
+
+
+def _rank_population():
+    """Seeded ``(M, tol)`` pairs: random low rank at the default and at an
+    explicit tolerance, plus the empty shapes."""
+    cases = []
+    for trial in range(20):
+        rng = trial_rng(17, trial)
+        m, n = (int(k) for k in rng.integers(1, 40, size=2))
+        r = int(rng.integers(0, min(m, n) + 1))
+        M = complex_gaussian((m, r), rng) @ complex_gaussian((r, n), rng)
+        M = M + 10.0 ** -rng.integers(6, 16) * complex_gaussian((m, n), rng)
+        cases.append((M, None))
+        cases.append((M, 1e-8 * max(np.abs(M).max(), 1.0)))
+    cases.extend((np.zeros(shape), tol) for shape in [(0, 3), (3, 0), (0, 0)]
+                 for tol in (None, 0.5))
+    return cases
+
+
+def test_numerical_rank_decides_like_svd_with_rank():
+    for M, tol in _rank_population():
+        by_values, by_svd = [], []
+        rank = numerical_rank(M, tol=tol, context="c", log=by_values)
+        svd_with_rank(M, tol=tol, context="c", log=by_svd)
+        a, b = _only(by_values), _only(by_svd)
+        assert rank == a.rank == b.rank
+        assert (a.context, a.shape) == (b.context, b.shape)
+        # LAPACK's values-only path may move sigma_max in its last bits
+        if tol is None:
+            assert a.tolerance == pytest.approx(b.tolerance, rel=1e-13, abs=0.0)
+        else:
+            assert a.tolerance == b.tolerance == tol
+        assert a.singular_values.shape == b.singular_values.shape
+        scale = b.singular_values[0] if b.singular_values.size else 0.0
+        assert_allclose(a.singular_values, b.singular_values,
+                        rtol=0.0, atol=1e-13 * scale)
+
+
+def _literal(node):
+    try:
+        return ast.literal_eval(node)
+    except ValueError:
+        return None
+
+
+def _svd_users(tree):
+    """Names of the functions in ``tree`` that take an SVD: any ``.svd`` or
+    ``svdvals``, and any ``norm(x, 2)`` or ``norm(x, ord=-2)``."""
+    def takes_svd(node):
+        if isinstance(node, ast.Attribute):
+            return node.attr in ("svd", "svdvals")
+        if isinstance(node, ast.Name):
+            return node.id == "svdvals"
+        if not isinstance(node, ast.Call):
+            return False
+        func = node.func
+        name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+        orders = node.args[1:2] + [k.value for k in node.keywords if k.arg == "ord"]
+        return name == "norm" and any(_literal(o) in (2, -2) for o in orders)
+
+    return {fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+            and any(takes_svd(node) for node in ast.walk(fn))}
+
+
+def test_svd_users_sees_every_spelling():
+    tree = ast.parse(
+        "def a(M): return np.linalg.svd(M)\n"
+        "def b(M): return scipy.linalg.svdvals(M)\n"
+        "def c(M): return svdvals(M)\n"
+        "def d(M): return np.linalg.norm(M, 2)\n"
+        "def e(M): return norm(M, ord=-2)\n"
+        "def f(M): return np.linalg.norm(M), np.linalg.norm(M, 'fro')\n"
+        "def g(M): return np.linalg.norm(M, axis=(1, 2))\n")
+    assert _svd_users(tree) == {"a", "b", "c", "d", "e"}
+
+
 def test_one_svd_primitive():
-    # every rank decision and pseudoinverse factors through tolerances._svd;
-    # only the numeric cross-checks of spectral_constants take SVDs of their own
+    # every rank decision, pseudoinverse and spectral norm factors through
+    # tolerances._svd; only the numeric cross-checks of spectral_constants
+    # take SVDs of their own
     users = set()
     for path in sorted((ROOT / "src" / "bklab").glob("*.py")):
-        for fn in ast.walk(ast.parse(path.read_text())):
-            if isinstance(fn, ast.FunctionDef) and any(
-                    isinstance(node, ast.Attribute) and node.attr == "svd"
-                    for node in ast.walk(fn)):
-                users.add(f"{path.stem}.{fn.name}")
+        users |= {f"{path.stem}.{name}"
+                  for name in _svd_users(ast.parse(path.read_text()))}
     assert {u for u in users if not u.startswith("spectral_constants.")} == {
         "tolerances._svd"}
 
