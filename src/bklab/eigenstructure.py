@@ -24,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .errors import EigenstructureShiftError, InconclusiveError, ShapeError
 from .matpoly import MatrixPolynomial, as_pencil, convolution
@@ -95,10 +94,15 @@ def chordal_distance(a, b):
 def match_eigenvalues(first, second) -> float:
     """Largest chordal distance in a minimal-cost pairing of two multisets.
 
-    Raises :class:`ShapeError` when the multisets have different sizes.
-    """
-    from scipy.optimize import linear_sum_assignment
+    When every row of the cost matrix has its minimum in a different column,
+    that pairing is optimal, and every optimal pairing puts each row at its
+    minimum, so the largest distance is the largest row minimum whichever
+    optimum is taken.  Only a shared minimum column (repeated or clustered
+    eigenvalues) calls the assignment solver.
 
+    Raises :class:`ShapeError` when the multisets have different sizes or
+    an entry is NaN.
+    """
     first = np.asarray(list(first), dtype=complex)
     second = np.asarray(list(second), dtype=complex)
     if len(first) != len(second):
@@ -108,8 +112,14 @@ def match_eigenvalues(first, second) -> float:
     if not first.size:
         return 0.0
     cost = chordal_distance(first[:, None], second[None, :])
-    rows, cols = linear_sum_assignment(cost)
-    return float(cost[rows, cols].max())
+    if not np.all(np.isfinite(cost)):
+        raise ShapeError("cannot match eigenvalues with a NaN entry")
+    cols = cost.argmin(axis=1)
+    if np.unique(cols).size < cols.size:
+        from scipy.optimize import linear_sum_assignment
+        rows, cols = linear_sum_assignment(cost)
+        return float(cost[rows, cols].max())
+    return float(cost[np.arange(cols.size), cols].max())
 
 
 def _normal_rank(Q: MatrixPolynomial, tol=None) -> int:
@@ -133,7 +143,9 @@ def _qz(A, B):
     the pair ``(|beta|, threshold)``.
     """
     # det(A + lam*B) = 0  <=>  lam is an eigenvalue of (A, -B) in the
-    # scipy convention det(a - mu*b) = 0.
+    # scipy convention det(a - mu*b) = 0.  Imported here so that paths
+    # without a QZ (and ``import bklab``) never load scipy.
+    import scipy.linalg
     w = scipy.linalg.eig(A, -B, right=False, homogeneous_eigvals=True)
     alpha, beta = np.asarray(w[0]), np.asarray(w[1])
     threshold = 10.0 * EPS * np.hypot(np.abs(alpha), np.abs(beta))

@@ -6,7 +6,8 @@ class BkLabError(Exception):
 
 
 class ShapeError(BkLabError):
-    """Matrix or block dimensions are incompatible with the operation."""
+    """Matrix or block dimensions are incompatible with the operation, or
+    eigenvalue multisets cannot be matched (different sizes, a NaN entry)."""
 
 
 class GradeError(BkLabError):

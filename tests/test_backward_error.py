@@ -543,6 +543,28 @@ def test_non_finite_perturbation_raises_a_typed_error(placement, eps, eta, bad):
         run_pipeline(L, Pencil(stack), force=True)
 
 
+def test_nan_eigenvalue_marks_the_eigen_check_inconsistent(monkeypatch):
+    # a NaN among the computed eigenvalues is reported as a failed check
+    # with no distance, not matched into a plausible number
+    from bklab import eigenstructure
+    staircase = eigenstructure.staircase_eigenstructure
+
+    def nan_first(pencil):
+        es = staircase(pencil)
+        es.finite[0] = complex(np.nan, 0.0)
+        return es
+
+    monkeypatch.setattr(eigenstructure, "staircase_eigenstructure", nan_first)
+    rng = trial_rng(84, 0)
+    bk = _random_block_kronecker(rng, 1, 1, 2, 2)
+    dL = random_pencil_perturbation(bk.shape, 1e-8, rng)
+    report = run_pipeline(bk, dL)
+    assert report.eigen_checked
+    assert report.eigen_consistent is False
+    assert report.eigen_max_distance is None
+    assert report.shift_consistent
+
+
 def test_shift_check_propagates_programming_errors(monkeypatch):
     # only EigenstructureShiftError means inconsistent shifts; any other
     # exception from shift_recovery is a bug and must surface

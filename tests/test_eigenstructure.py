@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+import scipy.optimize
+from scipy.optimize import linear_sum_assignment
 
 from bklab import (EigenstructureShiftError, Eigenstructure, InconclusiveError,
                    MatrixPolynomial, Pencil, ShapeError, build_L, build_Lambda,
@@ -376,3 +378,58 @@ def test_chordal_distance_broadcasts_like_scalar_calls():
 def test_match_eigenvalues_requires_equal_sizes():
     with pytest.raises(ShapeError):
         match_eigenvalues([1.0], [1.0, 2.0])
+
+
+def test_match_eigenvalues_rejects_nan():
+    with pytest.raises(ShapeError):
+        match_eigenvalues([np.nan], [1.0])
+    with pytest.raises(ShapeError):
+        match_eigenvalues([1.0, 2.0], [2.0, complex(1.0, np.nan)])
+
+
+def _assignment_reference(first, second):
+    cost = chordal_distance(np.asarray(first, dtype=complex)[:, None],
+                            np.asarray(second, dtype=complex)[None, :])
+    rows, cols = linear_sum_assignment(cost)
+    return float(cost[rows, cols].max())
+
+
+@pytest.fixture
+def assignment_calls(monkeypatch):
+    """Shapes of the cost matrices ``match_eigenvalues`` hands to the
+    assignment solver."""
+    calls = []
+
+    def spy(cost):
+        calls.append(cost.shape)
+        return linear_sum_assignment(cost)
+
+    monkeypatch.setattr(scipy.optimize, "linear_sum_assignment", spy)
+    return calls
+
+
+def test_match_eigenvalues_certificate_equals_the_assignment(assignment_calls):
+    # distinct row minima: the row-minimum pairing is the assignment optimum
+    rng = np.random.default_rng(8)
+    for size in (1, 28, 56):
+        for trial in range(6):
+            first = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+            if trial % 2:
+                first[rng.integers(size)] = np.inf
+            second = first + 1e-6 * (rng.standard_normal(size)
+                                     + 1j * rng.standard_normal(size))
+            second = rng.permutation(second)
+            expected = _assignment_reference(first, second)
+            assert match_eigenvalues(first, second) == expected
+    assert assignment_calls == []
+
+
+@pytest.mark.parametrize("first, second", [
+    ([0.0, 0.1], [0.05, 10.0]),
+    ([1.0, 1.0, 2.0], [1.0 + 1e-9, 1.0 - 1e-9, 2.0]),
+])
+def test_match_eigenvalues_shared_minimum_solves_the_assignment(
+        assignment_calls, first, second):
+    expected = _assignment_reference(first, second)
+    assert match_eigenvalues(first, second) == expected
+    assert assignment_calls == [(len(first), len(first))]
