@@ -38,14 +38,12 @@ import numpy as np
 from .block_kronecker import BlockKroneckerPencil, from_polynomial, recover_polynomial
 from .errors import (ConvergenceError, EigenstructureShiftError,
                      PreconditionError, ShapeError)
-from .matpoly import (MatrixPolynomial, Pencil, _stack_product, build_L,
-                      build_Lambda, convolution, multiply, pair_norm)
+from .matpoly import (CACHE_SIZE, MatrixPolynomial, Pencil, _stack_product,
+                      build_L, build_Lambda, convolution, pair_norm)
 from .tolerances import EPS, pseudoinverse
 
 SQRT2M1 = np.sqrt(2.0) - 1.0
 MAX_ITER = 200
-# (eps, eta) pairs and eps values whose scalar pseudoinverses stay cached
-PINV_CACHE_SIZE = 64
 
 
 def _fixed_point(update, x, step: str):
@@ -53,11 +51,14 @@ def _fixed_point(update, x, step: str):
     until a step moves it by at most ``100 EPS (1 + ||x||)``; return the
     limit, the iteration count and the iterate norms.  Raises
     :class:`ConvergenceError`, naming ``step``, on a non-finite iterate or
-    after ``MAX_ITER`` iterations."""
+    after ``MAX_ITER`` iterations, then stating the last step size and the
+    mean per-sweep step ratio over the last 10 sweeps (below 1 when slow,
+    above 1 when diverging)."""
     norms: list[float] = []
+    steps: list[float] = []
     for iterations in range(1, MAX_ITER + 1):
         x_next = update(x)
-        diff = pair_norm(*(a - b for a, b in zip(x_next, x)))
+        steps.append(pair_norm(*(a - b for a, b in zip(x_next, x))))
         x = x_next
         norms.append(pair_norm(*x))
         if not np.isfinite(norms[-1]):
@@ -65,11 +66,13 @@ def _fixed_point(update, x, step: str):
             raise ConvergenceError(
                 f"{step}: fixed point diverged: non-finite iterate at "
                 f"iteration {iterations}")
-        if diff <= 100.0 * EPS * (1.0 + norms[-1]):
+        if steps[-1] <= 100.0 * EPS * (1.0 + norms[-1]):
             return x, iterations, norms
+    ratio = (steps[-1] / steps[-11]) ** 0.1
     raise ConvergenceError(
         f"{step}: fixed point did not meet the stopping rule in "
-        f"{MAX_ITER} iterations")
+        f"{MAX_ITER} iterations; last step {steps[-1]:.2e}, step ratio "
+        f"{ratio:.3f} per sweep over the last 10 sweeps")
 
 
 # -- the linear operator ----------------------------------------------------
@@ -193,12 +196,17 @@ def _read_only(A: np.ndarray) -> np.ndarray:
     return A
 
 
-@lru_cache(maxsize=PINV_CACHE_SIZE)
+# the signs (1, -1) of the two coefficients of Step 1's right-hand side
+_SIGN = _read_only(np.array([1.0, -1.0])[:, None, None])
+
+
+@lru_cache(maxsize=CACHE_SIZE)
 def _T_scalar_pinv(eps: int, eta: int) -> np.ndarray:
     """Read-only ``pinv(build_T(eps, eta, 1, 1))``, computed once per pair."""
     return _read_only(pseudoinverse(build_T(eps, eta, 1, 1), context="step1:pinv(T)"))
 
 
+@lru_cache(maxsize=CACHE_SIZE)
 def _T_pinv(eps: int, eta: int, m: int, n: int):
     """``R -> (C, D)``: ``pinv(build_T(eps, eta, m, n))`` applied to
     ``[vec R[0]; vec R[1]]`` for a ``(2, eps n, eta m)`` stack ``R``.  Up to
@@ -272,13 +280,12 @@ def solve_step1(L: BlockKroneckerPencil, dL: Pencil,
             inequality=gauge.violated_condition() or "")
 
     solve = _T_pinv(eps, eta, m, n)
-    sign = np.array([1.0, -1.0])[:, None, None]
 
     def update(x):
         C, D = x
         # b + q(x) - dT x with b = (A22, -B22), q = (C M0' D, -C M1' D) and
         # dT x = (-C A12 - A21 D, C B12 + B21 D), one stack entry per power
-        return solve(sign * (d22 + C @ (M @ D + d12) + d21 @ D))
+        return solve(_SIGN * (d22 + C @ (M @ D + d12) + d21 @ D))
 
     iterations, iterate_norms = 0, []
     if gauge.theta > 0:
@@ -309,7 +316,7 @@ def step2_radius(eps: int) -> float:
     return 1.0 / (2.0 * (eps + 1) ** 1.5)
 
 
-@lru_cache(maxsize=PINV_CACHE_SIZE)
+@lru_cache(maxsize=CACHE_SIZE)
 def _S_scalar_pinv(eps: int) -> np.ndarray:
     """Read-only ``pinv(S)`` for the scalar ``S = C_eps(L_eps)``, computed
     once per ``eps``."""
@@ -317,6 +324,7 @@ def _S_scalar_pinv(eps: int) -> np.ndarray:
     return _read_only(pseudoinverse(S, context="step2:pinv(C_eps)"))
 
 
+@lru_cache(maxsize=CACHE_SIZE)
 def _S_pinv(eps: int, n: int):
     """``Y -> X``: ``pinv(C_eps(L_eps (x) I_n))`` applied to the ascending
     coefficient stacks ``Y`` (``eps+2`` of ``eps n x n``) and ``X`` (``eps+1``
@@ -378,8 +386,8 @@ def assemble_step3(L: BlockKroneckerPencil, dL11: Pencil,
                    dR_eta: MatrixPolynomial) -> MatrixPolynomial:
     """``dP`` such that ``P + dP`` is the polynomial represented by the
     repaired strong block minimal bases pencil."""
-    perturbed = _perturbed_polynomial(L, dL11, dR_eps, dR_eta, force=False)
-    return perturbed - recover_polynomial(L).with_grade(perturbed.grade)
+    return (_perturbed_polynomial(L, dL11, dR_eps, dR_eta, force=False)
+            - recover_polynomial(L))
 
 
 def _perturbed_polynomial(L: BlockKroneckerPencil, dL11: Pencil,
@@ -391,10 +399,10 @@ def _perturbed_polynomial(L: BlockKroneckerPencil, dL11: Pencil,
             raise PreconditionError(
                 f"step 3 refused: ||{name}|| >= 1/sqrt(2)",
                 inequality=f"||{name}|| < 1/sqrt(2)")
-    left = (build_Lambda(L.eta, L.m) + dR_eta).transpose()
-    mid = Pencil.from_parts(L.M0 + dL11.coeff(0), L.M1 + dL11.coeff(1))
-    right = build_Lambda(L.eps, L.n) + dR_eps
-    return multiply(multiply(left, mid), right)
+    left = (build_Lambda(L.eta, L.m) + dR_eta).coeff_stack.transpose(0, 2, 1)
+    mid = L.one_one_block().coeff_stack + dL11.coeff_stack
+    right = (build_Lambda(L.eps, L.n) + dR_eps).coeff_stack
+    return MatrixPolynomial(_stack_product(_stack_product(left, mid), right))
 
 
 # -- bounds ------------------------------------------------------------------
@@ -518,8 +526,9 @@ def run_pipeline(L: BlockKroneckerPencil, dL: Pencil, force: bool = False,
                  eigen_tol: float = 1e-6) -> BackwardErrorReport:
     """Run Steps 1-3 and evaluate the applicable bound.
 
-    The pipeline refuses perturbations outside the guaranteed radius unless
-    ``force`` is set, in which case the report is marked as unguaranteed.
+    The pipeline refuses a ``P`` of zero norm, and perturbations outside the
+    guaranteed radius unless ``force`` is set, in which case the report is
+    marked as unguaranteed.
     With ``check_eigen`` the complete eigenstructures of ``L + dL`` and of a
     fresh hook linearization of ``P + dP`` are compared (eigenvalues under
     the chordal metric, minimal indices through the shifts); disagreement is
@@ -531,6 +540,11 @@ def run_pipeline(L: BlockKroneckerPencil, dL: Pencil, force: bool = False,
     d = L.grade
     P = recover_polynomial(L)
     norm_P = P.frobenius_norm()
+    if norm_P == 0.0:
+        raise PreconditionError(
+            "pipeline refused: ||P|| is 0 (P is zero or its norm underflows), "
+            "so ||dP|| / ||P|| is undefined",
+            inequality="||P|| > 0")
     norm_L = L.frobenius_norm()
     norm_M = L.one_one_norm()
     norm_dL = dL.frobenius_norm()
@@ -549,7 +563,7 @@ def run_pipeline(L: BlockKroneckerPencil, dL: Pencil, force: bool = False,
     dR_eta, res_eta = solve_step2(
         step1.dLt12.transpose(), L.eta, L.m, force=force)
     P_plus_dP = _perturbed_polynomial(L, step1.blocks.d11, dR_eps, dR_eta, force)
-    dP = P_plus_dP - P.with_grade(P_plus_dP.grade)
+    dP = P_plus_dP - P
     if not np.all(np.isfinite(dP.coeff_stack)):
         # with Step 1 bypassed (eps or eta 0) no iterate sees dL_11
         raise ConvergenceError("step 3: non-finite dP")

@@ -19,9 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GradeError, LayoutError, PlacementError, ShapeError
-from .matpoly import (MatrixPolynomial, Pencil, build_L, build_Lambda,
-                      kron_constant, multiply, pair_norm, vstack,
-                      _matrix_from_json, _matrix_to_json)
+from .matpoly import (MatrixPolynomial, Pencil, build_Lambda, kron_constant,
+                      multiply, pair_norm, vstack, _matrix_from_json,
+                      _matrix_to_json)
 from .minimal_bases import build_V_inverse
 
 PLACEMENT_TAGS = ("frobenius1", "frobenius2", "hook", "custom")
@@ -54,15 +54,11 @@ class BlockKroneckerPencil:
     def __init__(self, M0, M1, eps: int, eta: int, m: int, n: int):
         if eps < 0 or eta < 0 or m < 1 or n < 1:
             raise ShapeError("need eps, eta >= 0 and m, n >= 1")
-        M0 = np.array(M0, dtype=complex)
-        M1 = np.array(M1, dtype=complex)
+        self._one_one = Pencil([M0, M1])
         want = ((eta + 1) * m, (eps + 1) * n)
-        if M0.shape != want or M1.shape != want:
-            raise ShapeError(
-                f"M0/M1 must be {want}, got {M0.shape} and {M1.shape}")
-        M0.setflags(write=False)
-        M1.setflags(write=False)
-        self.M0, self.M1 = M0, M1
+        if self._one_one.shape != want:
+            raise ShapeError(f"M0/M1 must be {want}, got {self._one_one.shape}")
+        self.M0, self.M1 = self._one_one.M0, self._one_one.M1
         self.eps, self.eta, self.m, self.n = eps, eta, m, n
 
     @property
@@ -75,26 +71,24 @@ class BlockKroneckerPencil:
                 (self.eps + 1) * self.n + self.eta * self.m)
 
     def one_one_block(self) -> Pencil:
-        return Pencil.from_parts(self.M0, self.M1)
+        return self._one_one
 
     def assemble(self) -> Pencil:
-        """Full pencil with exact L blocks and an exact zero (2,2) block."""
-        rows, cols = self.shape
+        """Full pencil with the units of the L blocks placed by index and an
+        exact zero (2,2) block."""
         r1 = (self.eta + 1) * self.m
         c1 = (self.eps + 1) * self.n
-        A = np.zeros((rows, cols), dtype=complex)
-        B = np.zeros((rows, cols), dtype=complex)
-        A[:r1, :c1] = self.M0
-        B[:r1, :c1] = self.M1
-        if self.eta:
-            Lt = build_L(self.eta, self.m)
-            A[:r1, c1:] = Lt.M0.T
-            B[:r1, c1:] = Lt.M1.T
-        if self.eps:
-            Le = build_L(self.eps, self.n)
-            A[r1:, :c1] = Le.M0
-            B[r1:, :c1] = Le.M1
-        return Pencil.from_parts(A, B)
+        S = np.zeros((2,) + self.shape, dtype=complex)
+        S[:, :r1, :c1] = self._one_one.coeff_stack
+        # L_eta^T (x) I_m: -1 at (i, c1 + i), lambda at (i + m, c1 + i)
+        i = np.arange(self.eta * self.m)
+        S[0, i, c1 + i] = -1.0
+        S[1, i + self.m, c1 + i] = 1.0
+        # L_eps (x) I_n: -1 at (r1 + j, j), lambda at (r1 + j, j + n)
+        j = np.arange(self.eps * self.n)
+        S[0, r1 + j, j] = -1.0
+        S[1, r1 + j, j + self.n] = 1.0
+        return Pencil(S)
 
     def frobenius_norm(self) -> float:
         """``||assemble()||_F`` without assembling: ``L_k (x) I_p`` has
@@ -260,9 +254,7 @@ def anti_triangularize(L: BlockKroneckerPencil) -> AntiTriangularForm:
         "(2,3) zero": blk(1, 2).frobenius_norm(),
         "(3,2) zero": blk(2, 1).frobenius_norm(),
         "(3,3) zero": blk(2, 2).frobenius_norm(),
-        "middle equals recovered": (middle.with_grade(max(middle.grade, recovered.grade))
-                                    - recovered.with_grade(max(middle.grade, recovered.grade))
-                                    ).frobenius_norm(),
+        "middle equals recovered": (middle - recovered).frobenius_norm(),
     }
     for name, value in checks.items():
         if value > 1e-12 * scale:

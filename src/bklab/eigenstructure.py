@@ -87,8 +87,8 @@ def chordal_distance(a, b):
     a_inf, b_inf = np.isinf(a), np.isinf(b)
     a, b = np.where(a_inf, 0.0, a), np.where(b_inf, 0.0, b)
     a2, b2 = 1.0 / np.hypot(np.abs(a), 1.0), 1.0 / np.hypot(np.abs(b), 1.0)
-    return np.select([a_inf & b_inf, a_inf, b_inf], [0.0, b2, a2],
-                     np.abs(a - b) * a2 * b2)[()]
+    return np.where(a_inf, np.where(b_inf, 0.0, b2),
+                    np.where(b_inf, a2, np.abs(a - b) * a2 * b2))[()]
 
 
 def match_eigenvalues(first, second) -> float:
@@ -150,7 +150,7 @@ def _qz(A, B):
     alpha, beta = np.asarray(w[0]), np.asarray(w[1])
     threshold = 10.0 * EPS * np.hypot(np.abs(alpha), np.abs(beta))
     infinite = np.abs(beta) <= threshold
-    finite = [complex(a / b) for a, b in zip(alpha[~infinite], beta[~infinite])]
+    finite = (alpha[~infinite] / beta[~infinite]).tolist()
     return finite, list(zip(np.abs(beta[infinite]), threshold[infinite]))
 
 
@@ -183,8 +183,7 @@ def _staircase_pass(A, B, svd_B, threshold, log, label):
     ``r_j - s_{j+1}`` divisors of degree ``j`` at infinity are read off.
     """
     ss, rr = [], []
-    A_cur = np.array(A, dtype=complex)
-    B_cur = np.array(B, dtype=complex)
+    A_cur, B_cur = A, B  # only read: every stage forms new products
     stage = 0
     while A_cur.shape[1] > 0:
         stage += 1

@@ -12,10 +12,16 @@ grade, only on the nonzero coefficients.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from .errors import GradeError, ShapeError
 from .tolerances import _svd
+
+# index tuples whose structural constants (L_k (x) I_p, Lambda_k (x) I_p, the
+# scalar pseudoinverses of Steps 1 and 2 and their appliers) stay cached
+CACHE_SIZE = 64
 
 
 class MatrixPolynomial:
@@ -24,29 +30,22 @@ class MatrixPolynomial:
     __slots__ = ("_c",)
 
     def __init__(self, coeffs, grade=None):
-        arrs = [np.asarray(c, dtype=complex) for c in coeffs]
-        if not arrs:
+        try:
+            stack = np.array(coeffs, dtype=complex)
+        except ValueError as exc:
+            raise ShapeError(f"coefficients differ in shape: {exc}") from None
+        if stack.ndim == 0 or not len(stack):
             raise ShapeError("a matrix polynomial needs at least one coefficient")
-        shape = arrs[0].shape
-        if len(shape) != 2:
-            raise ShapeError(f"coefficients must be 2-d, got shape {shape}")
-        for a in arrs:
-            if a.shape != shape:
-                raise ShapeError(f"coefficient shapes differ: {a.shape} vs {shape}")
+        if stack.ndim != 3:
+            raise ShapeError(f"coefficients must be 2-d, got shape {stack.shape[1:]}")
         if grade is not None:
             grade = int(grade)
             if grade < 0:
                 raise GradeError("grade must be nonnegative")
-            if grade + 1 < len(arrs):
-                for extra in arrs[grade + 1:]:
-                    if np.any(extra != 0):
-                        raise GradeError(
-                            f"grade {grade} is smaller than the degree of the data"
-                        )
-                arrs = arrs[:grade + 1]
-            while len(arrs) < grade + 1:
-                arrs.append(np.zeros(shape, dtype=complex))
-        stack = np.stack(arrs, axis=0)
+            if np.any(stack[grade + 1:]):
+                raise GradeError(
+                    f"grade {grade} is smaller than the degree of the data")
+            stack = _pad(stack[:grade + 1], grade)
         stack.setflags(write=False)
         self._c = stack
 
@@ -94,10 +93,9 @@ class MatrixPolynomial:
 
     def with_grade(self, d: int) -> "MatrixPolynomial":
         """Same polynomial re-declared at grade ``d`` (pads with zeros)."""
-        deg = self.degree()
-        if deg is not None and d < deg:
-            raise GradeError(f"grade {d} is below the degree {deg}")
-        return MatrixPolynomial(list(self._c[:min(d, self.grade) + 1]), grade=d)
+        if np.any(self._c[d + 1:]):
+            raise GradeError(f"grade {d} is below the degree {self.degree()}")
+        return MatrixPolynomial(self._c, grade=d)
 
     # -- evaluation and reversal -----------------------------------------
 
@@ -112,11 +110,7 @@ class MatrixPolynomial:
         """``lambda^d * P(1/lambda)`` as a grade-``d`` polynomial."""
         if d is None:
             d = self.grade
-        deg = self.degree()
-        if deg is not None and d < deg:
-            raise GradeError(f"reversal grade {d} is below the degree {deg}")
-        padded = self.with_grade(d)
-        return MatrixPolynomial(list(padded._c[::-1]), grade=d)
+        return MatrixPolynomial(self.with_grade(d)._c[::-1], grade=d)
 
     # -- norms -----------------------------------------------------------
 
@@ -129,15 +123,13 @@ class MatrixPolynomial:
         if self.shape != other.shape:
             raise ShapeError(f"cannot add {self.shape} and {other.shape}")
         d = max(self.grade, other.grade)
-        return MatrixPolynomial(
-            [self.coeff(k) + other.coeff(k) for k in range(d + 1)], grade=d
-        )
+        return MatrixPolynomial(_pad(self._c, d) + _pad(other._c, d), grade=d)
 
     def __sub__(self, other: "MatrixPolynomial") -> "MatrixPolynomial":
         return self + (-1.0) * other
 
     def __rmul__(self, scalar) -> "MatrixPolynomial":
-        return MatrixPolynomial([scalar * c for c in self._c], grade=self.grade)
+        return MatrixPolynomial(scalar * self._c, grade=self.grade)
 
     def __mul__(self, scalar) -> "MatrixPolynomial":
         return self.__rmul__(scalar)
@@ -146,7 +138,7 @@ class MatrixPolynomial:
         return multiply(self, other)
 
     def transpose(self) -> "MatrixPolynomial":
-        return MatrixPolynomial([c.T for c in self._c], grade=self.grade)
+        return MatrixPolynomial(self._c.transpose(0, 2, 1), grade=self.grade)
 
     def submatrix(self, rows, cols) -> "MatrixPolynomial":
         return MatrixPolynomial([c[np.ix_(rows, cols)] for c in self._c], grade=self.grade)
@@ -155,9 +147,8 @@ class MatrixPolynomial:
         if self.shape != other.shape:
             return False
         d = max(self.grade, other.grade)
-        return all(
-            np.linalg.norm(self.coeff(k) - other.coeff(k)) <= atol for k in range(d + 1)
-        )
+        return all(np.linalg.norm(a - b) <= atol
+                   for a, b in zip(_pad(self._c, d), _pad(other._c, d)))
 
     def __repr__(self) -> str:
         return f"MatrixPolynomial({self.rows}x{self.cols}, grade={self.grade})"
@@ -204,10 +195,16 @@ class Pencil(MatrixPolynomial):
 
 
 def as_pencil(P: MatrixPolynomial) -> Pencil:
-    """View a grade-1 polynomial (or a constant) as a pencil."""
-    if P.grade > 1 and P.degree() not in (None, 0, 1):
-        raise GradeError(f"grade-{P.grade} polynomial with degree > 1 is not a pencil")
-    return Pencil([P.coeff(0), P.coeff(1)])
+    """View a grade-1 polynomial (or a constant) as a pencil; a pencil is
+    returned as it is, and a nonzero coefficient above grade 1 raises
+    :class:`GradeError`."""
+    return P if isinstance(P, Pencil) else Pencil(P.coeff_stack)
+
+
+def _pad(S: np.ndarray, d: int) -> np.ndarray:
+    """The coefficient stack ``S`` followed by zeros up to grade ``d``."""
+    zeros = np.zeros((d + 1 - len(S),) + S.shape[1:], dtype=complex)
+    return np.concatenate([S, zeros]) if len(zeros) else S
 
 
 # -- json helpers ---------------------------------------------------------
@@ -238,10 +235,12 @@ def identity(n: int) -> MatrixPolynomial:
     return constant(np.eye(n))
 
 
+@lru_cache(maxsize=CACHE_SIZE)
 def build_L(k: int, blocks: int = 1) -> Pencil:
     """The ``k x (k+1)`` pencil with ``-1`` on the diagonal and ``lambda`` on
     the superdiagonal; ``blocks > 1`` returns its Kronecker lift by ``I_p``,
-    whose unit entries sit on the main diagonal and on the ``p``-th one."""
+    whose unit entries sit on the main diagonal and on the ``p``-th one.
+    Cached, like :func:`build_Lambda`: the result is immutable."""
     if k < 0:
         raise GradeError("k must be nonnegative")
     shape = (k * blocks, (k + 1) * blocks)
@@ -249,6 +248,7 @@ def build_L(k: int, blocks: int = 1) -> Pencil:
                              np.eye(*shape, blocks, dtype=complex))
 
 
+@lru_cache(maxsize=CACHE_SIZE)
 def build_Lambda(k: int, blocks: int = 1) -> MatrixPolynomial:
     """The ``(k+1) x 1`` column ``[lambda^k, ..., lambda, 1]^T`` (optionally
     Kronecker-lifted by ``I_p``): coefficient ``power`` is ``I_p`` at block
@@ -288,20 +288,15 @@ def _stack_product(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
 def vstack(polys) -> MatrixPolynomial:
     polys = list(polys)
     d = max(p.grade for p in polys)
-    return MatrixPolynomial(
-        [np.vstack([p.coeff(k) for p in polys]) for k in range(d + 1)], grade=d
-    )
+    return MatrixPolynomial(np.concatenate([_pad(p.coeff_stack, d) for p in polys], 1))
 
 
 def direct_sum(P: MatrixPolynomial, Q: MatrixPolynomial) -> MatrixPolynomial:
-    d = max(P.grade, Q.grade)
-    out = []
-    for k in range(d + 1):
-        c = np.zeros((P.rows + Q.rows, P.cols + Q.cols), dtype=complex)
-        c[:P.rows, :P.cols] = P.coeff(k)
-        c[P.rows:, P.cols:] = Q.coeff(k)
-        out.append(c)
-    return MatrixPolynomial(out, grade=d)
+    S = np.zeros((max(P.grade, Q.grade) + 1, P.rows + Q.rows, P.cols + Q.cols),
+                 dtype=complex)
+    S[:P.grade + 1, :P.rows, :P.cols] = P.coeff_stack
+    S[:Q.grade + 1, P.rows:, P.cols:] = Q.coeff_stack
+    return MatrixPolynomial(S)
 
 
 def kron_constant(P: MatrixPolynomial, A) -> MatrixPolynomial:

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -528,6 +529,28 @@ def test_forced_step1_divergence_raises():
         solve_step1(L, dL, force=True)
 
 
+@pytest.mark.parametrize("trial,slow", [(0, True), (3, False)])
+def test_capped_fixed_point_states_step_and_ratio(trial, slow):
+    # backward-error --force --placement frobenius1 --d 5 --m 3 --n 3 --mag 3:
+    # Step 2 hits the sweep cap in every trial; trial 0 still converges at
+    # about x0.90 per sweep, trial 3 grows, and the message tells them apart
+    config = ExperimentConfig(seed=0, m=(3, 3), n=(3, 3), d=(5, 5),
+                              magnitude=3.0, placement="frobenius1", force=True)
+    L, dL, _ = generate_trial(config, trial)
+    with pytest.raises(ConvergenceError) as info:
+        run_pipeline(L, dL, force=True)
+    message = str(info.value)
+    assert message.startswith("step 2: fixed point did not meet the stopping "
+                              "rule in 200 iterations; ")
+    found = re.search(r"last step (\S+), step ratio (\S+) per sweep over the "
+                      r"last 10 sweeps$", message)
+    last, ratio = float(found[1]), float(found[2])
+    if slow:
+        assert last < 1e-8 and 0.85 < ratio < 0.95
+    else:
+        assert last > 1.0 and ratio > 1.0
+
+
 @pytest.mark.parametrize("placement,eps,eta",
                          [("hook", 2, 2), ("frobenius1", 4, 0)])
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -614,6 +637,14 @@ def test_cached_scalar_pseudoinverses_are_read_only():
             pinv[0, 0] = 1.0
     assert _T_scalar_pinv(2, 3) is _T_scalar_pinv(2, 3)
     assert _S_scalar_pinv(3) is _S_scalar_pinv(3)
+    # so are the blockwise appliers and the structural blocks built on them
+    assert _T_pinv(2, 3, 2, 1) is _T_pinv(2, 3, 2, 1)
+    assert _S_pinv(3, 2) is _S_pinv(3, 2)
+    assert build_L(3, 2) is build_L(3, 2)
+    assert build_Lambda(3, 2) is build_Lambda(3, 2)
+    for block in (build_L(3, 2), build_Lambda(3, 2)):
+        with pytest.raises(ValueError):
+            block.coeff_stack[0, 0, 0] = 1.0
     # a cached operand must not carry state from one call to the next
     rng = trial_rng(93, 0)
     bk = _random_block_kronecker(rng, 2, 2, 2, 2)
@@ -643,11 +674,35 @@ def test_pipeline_builds_no_kron_operand(monkeypatch):
         assert report.eigen_consistent and report.shift_consistent
     # cold caches: Step 2's scalar C_eps(L_eps) comes from convolution and
     # Step 1's scalar T(eps, eta, 1, 1) from index placements
-    _S_scalar_pinv.cache_clear()
-    _T_scalar_pinv.cache_clear()
+    for cached in (_S_scalar_pinv, _T_scalar_pinv, _S_pinv, _T_pinv, build_L,
+                   build_Lambda):
+        cached.cache_clear()
     for L, dL in cases:
         report = run_pipeline(L, dL, check_eigen=True)
         assert report.bound_holds
+        assert report.eigen_consistent and report.shift_consistent
+
+
+def test_warm_pipeline_never_takes_coefficient_norms_for_degree(monkeypatch):
+    # grades are checked with np.any on the stack, never through degree()'s
+    # per-coefficient norms
+    rng = trial_rng(97, 0)
+    cases = []
+    for placement, eps, eta in (("hook", 2, 1), ("frobenius1", 3, 0),
+                                ("frobenius2", 0, 2)):
+        L = from_polynomial(random_polynomial(2, 2, eps + eta + 1, rng), eps,
+                            eta, placement)
+        cases.append((L, random_pencil_perturbation(
+            L.shape, 0.5 * pipeline_radius(L), rng)))
+    for L, dL in cases:
+        run_pipeline(L, dL)
+
+    def refuse(self, tol=0.0):
+        raise AssertionError("MatrixPolynomial.degree called")
+
+    monkeypatch.setattr(MatrixPolynomial, "degree", refuse)
+    for L, dL in cases:
+        report = run_pipeline(L, dL, check_eigen=True)
         assert report.eigen_consistent and report.shift_consistent
 
 

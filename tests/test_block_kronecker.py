@@ -92,6 +92,35 @@ def test_assembled_blocks_of_reference_pencil():
     assert np.all(pen.M0[r1:, c1:] == 0) and np.all(pen.M1[r1:, c1:] == 0)
 
 
+def _assembled_from_build_L(bk):
+    """Reference: the four blocks placed from ``build_L`` pencils."""
+    r1, c1 = (bk.eta + 1) * bk.m, (bk.eps + 1) * bk.n
+    S = np.zeros((2,) + bk.shape, dtype=complex)
+    S[0, :r1, :c1], S[1, :r1, :c1] = bk.M0, bk.M1
+    if bk.eta:
+        Lt = build_L(bk.eta, bk.m)
+        S[0, :r1, c1:], S[1, :r1, c1:] = Lt.M0.T, Lt.M1.T
+    if bk.eps:
+        Le = build_L(bk.eps, bk.n)
+        S[0, r1:, :c1], S[1, r1:, :c1] = Le.M0, Le.M1
+    return S
+
+
+@pytest.mark.parametrize("placement,eps,eta,m,n", [
+    ("hook", 0, 0, 2, 3), ("hook", 2, 1, 2, 3), ("hook", 1, 2, 3, 1),
+    ("hook", 3, 0, 1, 2), ("hook", 0, 3, 2, 1), ("frobenius1", 3, 0, 2, 3),
+    ("frobenius2", 0, 3, 3, 2)])
+def test_assemble_places_L_units_by_index(placement, eps, eta, m, n):
+    rng = trial_rng(44, eps + 4 * eta)
+    P = random_polynomial(m, n, eps + eta + 1, rng)
+    bk = from_polynomial(P, eps, eta, placement)
+    got = bk.assemble().coeff_stack
+    # build_L's constant coefficient is -eye, whose zeros are -0.0; adding
+    # 0.0 turns those into the +0.0 of the index placement and leaves every
+    # other bit as it is
+    assert got.tobytes() == (_assembled_from_build_L(bk) + 0.0).tobytes()
+
+
 # -------------------------------------------------------------- placements
 
 def test_frobenius1_on_quadratic():

@@ -45,6 +45,120 @@ def test_mismatched_coefficient_shapes_rejected():
         MatrixPolynomial([np.eye(2), np.eye(3)])
 
 
+def test_ragged_non_2d_and_empty_input_rejected():
+    for coeffs in ([np.eye(2), np.ones((2, 3))], [np.eye(2), np.ones(2)],
+                   [np.ones(3)], [np.ones((2, 2, 2))], [], np.zeros((0, 2, 2)),
+                   5.0):
+        with pytest.raises(ShapeError):
+            MatrixPolynomial(coeffs)
+
+
+def test_nonzero_truncated_coefficient_rejected():
+    for bad in (1.0, 1j, -0.5, np.nan, np.inf):
+        top = np.zeros((2, 2), dtype=complex)
+        top[1, 0] = bad
+        with pytest.raises(GradeError):
+            MatrixPolynomial([np.eye(2), np.eye(2), top], grade=1)
+    # zeros of either sign may be dropped
+    P = MatrixPolynomial([np.eye(2), -np.zeros((2, 2)), np.zeros((2, 2))], grade=0)
+    assert P.grade == 0
+
+
+def test_nan_in_a_dropped_coefficient_is_not_zero():
+    # a NaN coefficient is not zero, although its norm is not above 0
+    P = MatrixPolynomial([np.eye(2), np.full((2, 2), np.nan)])
+    with pytest.raises(GradeError):
+        P.with_grade(0)
+    assert P.with_grade(3).grade == 3
+
+
+# -------------------------------------------------- stack arithmetic, pinned
+# Each operation acts on the whole (grade+1, m, n) stack.  The references
+# below work one coefficient at a time, with the missing coefficients of the
+# shorter operand read as zeros, and must agree to the last bit, the sign of
+# every zero included.
+
+def _coeffs(P, d):
+    """Coefficients 0..d of ``P``, zero beyond its grade."""
+    zero = np.zeros(P.shape, dtype=complex)
+    return [P.coeff_stack[k] if k <= P.grade else zero for k in range(d + 1)]
+
+
+def _ref_add(P, Q):
+    d = max(P.grade, Q.grade)
+    return np.stack([a + b for a, b in zip(_coeffs(P, d), _coeffs(Q, d))])
+
+
+def _ref_scale(s, P):
+    return np.stack([s * c for c in P.coeff_stack])
+
+
+def _ref_sub(P, Q):
+    # P + (-1.0) Q, the negation a complex product
+    return _ref_add(P, MatrixPolynomial(_ref_scale(-1.0, Q)))
+
+
+def _ref_with_grade(P, d):
+    assert all(not np.any(c) for c in P.coeff_stack[d + 1:])
+    return np.stack(_coeffs(P, d))
+
+
+def _signed_poly(m, n, d, rng):
+    """Random coefficients with zeros of both signs mixed in."""
+    S = complex_gaussian((d + 1, m, n), rng)
+    mask = rng.random(S.shape)
+    S.real[mask < 0.2] = 0.0
+    S.imag[mask < 0.3] = -0.0
+    S.real[mask > 0.95] = -0.0
+    return MatrixPolynomial(S)
+
+
+def _same_bits(P, ref):
+    assert P.coeff_stack.shape == ref.shape
+    assert P.coeff_stack.tobytes() == np.ascontiguousarray(ref).tobytes()
+
+
+@pytest.mark.parametrize("p_grade,q_grade", [(0, 0), (3, 3), (1, 4), (4, 1)])
+def test_stack_sum_and_difference_bit_for_bit(p_grade, q_grade):
+    rng = np.random.default_rng(30 + 10 * p_grade + q_grade)
+    P = _signed_poly(2, 3, p_grade, rng)
+    Q = _signed_poly(2, 3, q_grade, rng)
+    _same_bits(P + Q, _ref_add(P, Q))
+    _same_bits(P - Q, _ref_sub(P, Q))
+    _same_bits(Q - P, _ref_sub(Q, P))
+    assert (P + Q).grade == (P - Q).grade == max(p_grade, q_grade)
+    with pytest.raises(ShapeError):
+        P + _signed_poly(3, 2, p_grade, rng)
+    with pytest.raises(ShapeError):
+        P - _signed_poly(2, 2, p_grade, rng)
+
+
+@pytest.mark.parametrize("scalar", [-1.0, 0.5 + 0.25j, 0.0, 3])
+def test_stack_scale_and_transpose_bit_for_bit(scalar):
+    rng = np.random.default_rng(40)
+    P = _signed_poly(2, 3, 3, rng)
+    _same_bits(scalar * P, _ref_scale(scalar, P))
+    _same_bits(P * scalar, _ref_scale(scalar, P))
+    _same_bits(P.transpose(), np.stack([c.T for c in P.coeff_stack]))
+    assert P.transpose().shape == (3, 2)
+
+
+def test_with_grade_pads_and_trims_bit_for_bit():
+    rng = np.random.default_rng(41)
+    P = _signed_poly(3, 2, 2, rng)
+    for d in (2, 3, 6):
+        _same_bits(P.with_grade(d), _ref_with_grade(P, d))
+    padded = P.with_grade(5)
+    for d in (2, 4, 5):
+        _same_bits(padded.with_grade(d), _ref_with_grade(padded, d))
+    with pytest.raises(GradeError):
+        P.with_grade(1)
+    # the explicit grade of the constructor pads and trims the same way
+    _same_bits(MatrixPolynomial(padded.coeff_stack, grade=3),
+               _ref_with_grade(padded, 3))
+    _same_bits(MatrixPolynomial(P.coeff_stack, grade=4), _ref_with_grade(P, 4))
+
+
 # --------------------------------------------------------------------- eval
 
 def test_eval_identity_case():
