@@ -23,6 +23,7 @@ from .matpoly import (MatrixPolynomial, Pencil, build_Lambda, kron_constant,
                       multiply, pair_norm, vstack, _matrix_from_json,
                       _matrix_to_json)
 from .minimal_bases import build_V_inverse
+from .tolerances import _require_finite
 
 PLACEMENT_TAGS = ("frobenius1", "frobenius2", "hook", "custom")
 
@@ -60,6 +61,7 @@ class BlockKroneckerPencil:
             raise ShapeError(f"M0/M1 must be {want}, got {self._one_one.shape}")
         self.M0, self.M1 = self._one_one.M0, self._one_one.M1
         self.eps, self.eta, self.m, self.n = eps, eta, m, n
+        self._one_one_norm = None
 
     @property
     def grade(self) -> int:
@@ -97,7 +99,10 @@ class BlockKroneckerPencil:
                               np.sqrt(2.0 * (self.eps * self.n + self.eta * self.m))))
 
     def one_one_norm(self) -> float:
-        return pair_norm(self.M0, self.M1)
+        """``||M0 + lambda*M1||_F``, taken once: the blocks are read-only."""
+        if self._one_one_norm is None:
+            self._one_one_norm = pair_norm(self.M0, self.M1)
+        return self._one_one_norm
 
     def block(self, which: str, i: int, j: int) -> np.ndarray:
         """``m x n`` block ``(i, j)`` (one-based) of ``M0`` or ``M1``."""
@@ -130,7 +135,8 @@ class BlockKroneckerPencil:
 def from_polynomial(P: MatrixPolynomial, eps: int, eta: int,
                     placement="hook") -> BlockKroneckerPencil:
     """Block Kronecker pencil whose antidiagonal coefficient sums reproduce
-    the coefficients of ``P`` to ``1e-12 max(1, ||P||)``."""
+    the coefficients of a finite ``P`` to ``1e-12 max(1, ||P||)``."""
+    _require_finite(P.coeff_stack)
     if isinstance(placement, str):
         placement = PlacementSpec(placement)
     d = P.grade
@@ -168,7 +174,7 @@ def from_polynomial(P: MatrixPolynomial, eps: int, eta: int,
             raise ShapeError(f"custom blocks must have shape {shape}")
     pencil = BlockKroneckerPencil(M0, M1, eps, eta, m, n)
     residuals = validate_placement(pencil, P)
-    if np.max(residuals) > 1e-12 * max(1.0, P.frobenius_norm()):
+    if not np.max(residuals) <= 1e-12 * max(1.0, P.frobenius_norm()):
         raise PlacementError(
             f"antidiagonal sums do not reproduce the polynomial "
             f"(max residual {np.max(residuals):.3e})")

@@ -16,7 +16,8 @@ than a single SVD (the cubic dimension factor was calibrated on the random
 singular-product population used by the tests).  Stage-local thresholds
 would misread that noise as structure.  Every decision is logged so
 borderline outcomes are diagnosable; the problem is intrinsically ill-posed
-and a tolerance-free answer does not exist.
+and a tolerance-free answer does not exist.  Non-finite input raises
+:class:`ShapeError` before any LAPACK call.
 """
 
 from __future__ import annotations
@@ -25,10 +26,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import EigenstructureShiftError, InconclusiveError, ShapeError
+from .errors import (ConvergenceError, EigenstructureShiftError,
+                     InconclusiveError, ShapeError)
 from .matpoly import MatrixPolynomial, as_pencil, convolution
-from .tolerances import (EPS, RankDecision, _decide_rank, _svd,
-                         numerical_rank, svd_with_rank)
+from .tolerances import (EPS, RankDecision, _decide_rank, _require_finite,
+                         _svd, numerical_rank, svd_with_rank)
 
 
 @dataclass
@@ -140,14 +142,16 @@ def _qz(A, B):
     rule ``|beta| <= 10 EPS hypot(|alpha|, |beta|)`` for an infinite one.
 
     Returns the finite eigenvalues in QZ order and, for each infinite one,
-    the pair ``(|beta|, threshold)``.
+    the pair ``(|beta|, threshold)``; a QZ failure raises ConvergenceError.
     """
-    # det(A + lam*B) = 0  <=>  lam is an eigenvalue of (A, -B) in the
-    # scipy convention det(a - mu*b) = 0.  Imported here so that paths
-    # without a QZ (and ``import bklab``) never load scipy.
-    import scipy.linalg
-    w = scipy.linalg.eig(A, -B, right=False, homogeneous_eigvals=True)
-    alpha, beta = np.asarray(w[0]), np.asarray(w[1])
+    # det(A + lam*B) = 0 is LAPACK's det(beta A - alpha (-B)) = 0 at (lam, 1),
+    # solved without eigenvectors in scipy.linalg.eig's workspace.  Imported
+    # here so that paths without a QZ (and ``import bklab``) never load scipy.
+    from scipy.linalg.lapack import zggev
+    lwork = int(zggev(A, -B, 0, 0, -1)[-2][0].real)
+    alpha, beta, _, _, _, info = zggev(A, -B, 0, 0, lwork)
+    if info != 0:
+        raise ConvergenceError(f"QZ failed: LAPACK zggev returned info {info}")
     threshold = 10.0 * EPS * np.hypot(np.abs(alpha), np.abs(beta))
     infinite = np.abs(beta) <= threshold
     finite = (alpha[~infinite] / beta[~infinite]).tolist()
@@ -162,6 +166,7 @@ def generalized_eigenvalues(pencil):
     against ``(alpha, beta)``.
     """
     pencil = as_pencil(pencil)
+    _require_finite(pencil.coeff_stack)
     if pencil.rows != pencil.cols:
         raise ShapeError("generalized eigenvalues need a square pencil")
     if _normal_rank(pencil) < pencil.rows:
@@ -173,9 +178,9 @@ def generalized_eigenvalues(pencil):
 
 
 def _staircase_pass(A, B, svd_B, threshold, log, label):
-    """One staircase pass from ``svd_B``, an SVD ``(s, U, V)`` of ``B``;
-    returns stage counts, the deflated remainder and the SVD of the
-    remainder's ``B`` conjugate transpose.
+    """One staircase pass from ``svd_B``, an SVD ``(s, U, V)`` of ``B`` or
+    ``(s, None, None)``; returns stage counts, the deflated remainder and the
+    SVD of the remainder's ``B^H``, ``svd_B`` transposed when nothing deflates.
 
     Stage ``j`` compresses the columns onto ``null(B)`` (``s_j`` of them) and
     the rows onto the range of ``A`` restricted to those columns (``r_j``).
@@ -199,6 +204,8 @@ def _staircase_pass(A, B, svd_B, threshold, log, label):
         if s_j == 0:
             # B_cur = U S V^H, so B_cur^H = V S U^H
             return ss, rr, A_cur, B_cur, (s, Vb, Ub)
+        if Vb is None:  # a values-only start found a null space
+            _, Ub, Vb = _svd(B_cur)
         V_null = Vb[:, rank_b:]
         V_keep = Vb[:, :rank_b]
         A_null = A_cur @ V_null
@@ -225,9 +232,12 @@ def staircase_eigenstructure(pencil, tol=None) -> Eigenstructure:
     """Complete eigenstructure of an arbitrary (possibly singular,
     rectangular) pencil ``M0 + lambda*M1`` by unitary staircase reduction."""
     pencil = as_pencil(pencil)
+    _require_finite(pencil.coeff_stack)
     A, B = pencil.M0, pencil.M1
     log: list[RankDecision] = []
-    svd_B = _svd(B)
+    # a full-rank square B's vectors go unread; a wide or tall B's are read
+    svd_B = ((_svd(B, vectors=False), None, None) if B.shape[0] == B.shape[1]
+             else _svd(B))
     # the larger spectral norm of the two coefficients, zero when empty
     scale = float(max(_svd(A, vectors=False).max(initial=0.0),
                       svd_B[0].max(initial=0.0)))
@@ -285,6 +295,7 @@ def right_minimal_indices_by_convolution(Q: MatrixPolynomial, j_max=None,
     ``j``; the scan stops once the count reaches ``cols - rank`` and raises
     :class:`InconclusiveError` if ``j_max`` is hit first.
     """
+    _require_finite(Q.coeff_stack)
     total = Q.cols - _normal_rank(Q, tol)
     if total == 0:
         return []

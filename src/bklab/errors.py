@@ -6,8 +6,8 @@ class BkLabError(Exception):
 
 
 class ShapeError(BkLabError):
-    """Matrix or block dimensions are incompatible with the operation, or
-    eigenvalue multisets cannot be matched (different sizes, a NaN entry)."""
+    """Matrix or block dimensions are incompatible with the operation, an
+    input has a non-finite entry, or eigenvalue multisets cannot be matched."""
 
 
 class GradeError(BkLabError):
@@ -35,8 +35,8 @@ class PreconditionError(BkLabError):
 
 
 class ConvergenceError(BkLabError):
-    """The fixed-point iteration hit its cap without meeting the stopping rule
-    or reached a non-finite iterate, or Step 3 assembled a non-finite ``dP``."""
+    """A fixed-point iteration hit its cap or reached a non-finite iterate,
+    Step 3 assembled a non-finite ``dP``, or QZ (LAPACK ``zggev``) failed."""
 
 
 class InconclusiveError(BkLabError):

@@ -6,7 +6,7 @@ singular values above ``max(rows, cols) * eps * sigma_max`` unless the caller
 supplies an explicit tolerance; ``eps`` is the double-precision unit
 roundoff :data:`EPS`.  A decision that only needs the rank,
 :func:`numerical_rank`, takes the values-only SVD and forms no singular
-vectors.
+vectors.  Non-finite input is refused: a full SVD of it may never return.
 """
 
 from __future__ import annotations
@@ -14,6 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+from .errors import ShapeError
 
 EPS = float(np.finfo(float).eps)
 BORDERLINE_WINDOW = 32.0
@@ -75,6 +77,11 @@ def _decide_rank(s, shape, tol, context, log) -> int:
     return rank
 
 
+def _require_finite(M) -> None:
+    if not np.isfinite(M).all():
+        raise ShapeError("input has a non-finite (inf or NaN) entry")
+
+
 def _svd(M, vectors=True):
     """Full SVD ``(s, U, V)`` of ``M`` with ``M = U diag(s) V^H``, ``U`` and
     ``V`` unitary; an empty ``M`` has no singular values and identity
@@ -110,8 +117,9 @@ def numerical_rank(M, tol=None, context="", log=None) -> int:
 
 def pseudoinverse(M, tol=None, context="", log=None):
     """Pseudoinverse of ``M`` on its numerical rank under the same policy
-    as :func:`svd_with_rank`."""
+    as :func:`svd_with_rank`; a non-finite ``M`` raises :class:`ShapeError`."""
     M = np.asarray(M, dtype=complex)
+    _require_finite(M)
     s, U, V = _svd(M)
     r = _decide_rank(s, M.shape, tol, context, log)
     return (V[:, :r] / s[:r]) @ U[:, :r].conj().T

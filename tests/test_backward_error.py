@@ -706,6 +706,30 @@ def test_warm_pipeline_never_takes_coefficient_norms_for_degree(monkeypatch):
         assert report.eigen_consistent and report.shift_consistent
 
 
+def test_warm_pipeline_takes_the_one_one_norm_once(monkeypatch):
+    # ||M|| feeds ||L||, the radius and the bounds; the read-only pencil
+    # keeps it after the first time
+    from bklab import block_kronecker
+    from bklab.block_kronecker import BlockKroneckerPencil
+
+    rng = trial_rng(98, 0)
+    bk = from_polynomial(random_polynomial(2, 2, 7, rng), 3, 3, "hook")
+    dL = random_pencil_perturbation(bk.shape, 0.5 * pipeline_radius(bk), rng)
+    run_pipeline(bk, dL)
+    calls = []
+
+    def counted(*arrays):
+        calls.append(len(arrays))
+        return pair_norm(*arrays)
+
+    monkeypatch.setattr(block_kronecker, "pair_norm", counted)
+    L = BlockKroneckerPencil(bk.M0, bk.M1, bk.eps, bk.eta, bk.m, bk.n)
+    report = run_pipeline(L, dL, check_eigen=True)
+    assert calls == [2]
+    assert report.norm_M == pair_norm(bk.M0, bk.M1)
+    assert report.eigen_consistent and report.shift_consistent
+
+
 def test_degenerate_path_equals_manual_steps():
     # for eta = 0 the pipeline must coincide exactly with running step 2 on
     # the raw (2,1) block and assembling with an empty eta side

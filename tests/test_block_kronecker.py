@@ -182,6 +182,17 @@ def test_custom_placement_validated():
         from_polynomial(P, 1, 1, bad)
 
 
+def test_custom_placement_with_a_nan_entry_is_refused():
+    # a NaN residual fails the placement check like a large one
+    rng = np.random.default_rng(48)
+    P = random_polynomial(1, 1, 3, rng)
+    good = from_polynomial(P, 1, 1, "hook")
+    M0 = np.array(good.M0)
+    M0[0, 0] = np.nan
+    with np.errstate(invalid="ignore"), pytest.raises(PlacementError, match="nan"):
+        from_polynomial(P, 1, 1, PlacementSpec("custom", M0, good.M1))
+
+
 def test_validate_placement_localizes_corruption():
     rng = np.random.default_rng(49)
     P = random_polynomial(2, 2, 5, rng)

@@ -104,6 +104,30 @@ def test_eig_block_kronecker_file(tmp_path, capsys):
     assert len(payload["polynomial_eigenstructure"]["finite"]) == 6
 
 
+def _non_finite_inputs():
+    """Input files whose leading coefficient has ``inf`` at (0, 0), where a
+    full SVD does not return: a grade-3 polynomial, its block Kronecker
+    pencil and a grade-1 polynomial."""
+    P = random_polynomial(2, 2, 3, trial_rng(94, 0))
+    stack = P.coeff_stack.copy()
+    stack[-1, 0, 0] = np.inf
+    bk = from_polynomial(P, 1, 1, "hook").to_json()
+    bk["M1"][0][0] = [float("inf"), 0.0]
+    return {"polynomial": MatrixPolynomial(stack).to_json(),
+            "block_kronecker": bk,
+            "pencil": MatrixPolynomial(stack[2:]).to_json()}
+
+
+@pytest.mark.parametrize("kind", ["polynomial", "block_kronecker", "pencil"])
+def test_eig_refuses_a_non_finite_input_with_exit_2(tmp_path, capsys, kind):
+    path = tmp_path / "bad.json"
+    write_json(path, _non_finite_inputs()[kind])
+    assert "Infinity" in path.read_text()
+    assert main(["eig", str(path), "--oracle"]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "non-finite" in out.err
+
+
 def test_perturb_is_deterministic(tmp_path):
     rng = trial_rng(92, 0)
     P = random_polynomial(2, 2, 3, rng)

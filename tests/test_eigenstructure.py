@@ -1,17 +1,19 @@
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.optimize
 from scipy.optimize import linear_sum_assignment
 
-from bklab import (EigenstructureShiftError, Eigenstructure, InconclusiveError,
-                   MatrixPolynomial, Pencil, ShapeError, build_L, build_Lambda,
-                   chordal_distance, det_roots, from_polynomial,
-                   generalized_eigenvalues, match_eigenvalues,
-                   right_minimal_indices_by_convolution,
+from bklab import (BkLabError, ConvergenceError, EigenstructureShiftError,
+                   Eigenstructure, InconclusiveError, MatrixPolynomial, Pencil,
+                   ShapeError, build_L, build_Lambda, chordal_distance,
+                   det_roots, from_polynomial, generalized_eigenvalues,
+                   match_eigenvalues, right_minimal_indices_by_convolution,
                    shift_recovery, staircase_eigenstructure)
-from bklab.experiments import (random_polynomial, random_singular_polynomial,
-                               trial_rng)
+from bklab.experiments import (complex_gaussian, random_polynomial,
+                               random_singular_polynomial, trial_rng)
 from bklab.matpoly import as_pencil, direct_sum
+from bklab.tolerances import EPS, pseudoinverse
 
 
 def _haar_unitary(k, rng):
@@ -99,21 +101,24 @@ def test_staircase_unitary_invariance():
 
 
 def _lapack_svds(monkeypatch, fn):
-    """``fn()`` and the number of LAPACK SVDs it took, the value-only ones
-    inside ``np.linalg.norm(., 2)`` included."""
+    """``fn()``, the number of LAPACK SVDs it took, the value-only ones
+    inside ``np.linalg.norm(., 2)`` included, and the inputs of those that
+    formed singular vectors."""
     from numpy.linalg import _linalg
 
-    calls = [0]
+    calls, vectors = [0], []
     svd = _linalg.svd
 
-    def counted(*args, **kwargs):
+    def counted(a, *args, **kwargs):
         calls[0] += 1
-        return svd(*args, **kwargs)
+        if kwargs.get("compute_uv", True):
+            vectors.append(np.array(a))
+        return svd(a, *args, **kwargs)
 
     with monkeypatch.context() as mp:
         mp.setattr(_linalg, "svd", counted)
         mp.setattr(np.linalg, "svd", counted)
-        return fn(), calls[0]
+        return fn(), calls[0], vectors
 
 
 def _fresh_svd_staircase(monkeypatch, pencil):
@@ -151,8 +156,9 @@ def _staircase_cases():
 @pytest.mark.parametrize("case", ["singular", "regular", "rotated_L3T", "L3", "empty"])
 def test_left_pass_reuses_the_right_pass_svd(monkeypatch, case):
     pencil, lapack, saved = _staircase_cases()[case]
-    es, calls = _lapack_svds(monkeypatch, lambda: staircase_eigenstructure(pencil))
-    fresh, fresh_calls = _lapack_svds(
+    es, calls, _ = _lapack_svds(monkeypatch,
+                                lambda: staircase_eigenstructure(pencil))
+    fresh, fresh_calls, _ = _lapack_svds(
         monkeypatch, lambda: _fresh_svd_staircase(monkeypatch, pencil))
     assert calls == lapack
     assert fresh_calls - calls == saved
@@ -166,6 +172,148 @@ def test_left_pass_reuses_the_right_pass_svd(monkeypatch, case):
                            rtol=0.0, atol=1e-12 * scale)
     assert (es.right, es.left, es.infinite) == (fresh.right, fresh.left, fresh.infinite)
     assert match_eigenvalues(es.finite, fresh.finite) <= 1e-12
+
+
+def _square_regular_pencils():
+    rng = trial_rng(62, 0)
+    # the eigen check of be_sylvester: a 28 x 28 hook pencil (eps = eta = 3)
+    # of a 4 x 4 grade-7 polynomial, perturbed
+    L = from_polynomial(random_polynomial(4, 4, 7, rng), 3, 3, "hook").assemble()
+    perturbed = L + 1e-8 * Pencil(complex_gaussian((2,) + L.shape, rng))
+    return {"hook": _staircase_cases()["regular"][0], "be_sylvester": perturbed}
+
+
+@pytest.mark.parametrize("case", ["hook", "be_sylvester"])
+def test_square_regular_pencil_forms_no_singular_vectors(monkeypatch, case):
+    pencil = _square_regular_pencils()[case]
+    es, calls, vectors = _lapack_svds(
+        monkeypatch, lambda: staircase_eigenstructure(pencil))
+    # the values of A and of B; both passes end at their first stage
+    assert (calls, vectors) == (2, [])
+    assert [d.context for d in es.rank_log] == ["right:stage1:B", "left:stage1:B"]
+    assert len(es.finite) == pencil.rows
+    fresh = _fresh_svd_staircase(monkeypatch, pencil)
+    assert [d.rank for d in es.rank_log] == [d.rank for d in fresh.rank_log]
+    assert es.finite == fresh.finite
+
+
+def _square_singular_B_pencils():
+    rng = trial_rng(63, 0)
+    nilpotent = np.zeros((3, 3))
+    nilpotent[0, 1] = nilpotent[1, 2] = 1.0
+    lead0 = random_polynomial(3, 3, 3, rng).coeff_stack.copy()
+    lead0[-1] = 0.0
+    return {"nilpotent": Pencil.from_parts(np.eye(3), nilpotent),
+            "lead0_hook": from_polynomial(MatrixPolynomial(lead0), 1, 1,
+                                          "hook").assemble()}
+
+
+@pytest.mark.parametrize("case", ["nilpotent", "lead0_hook"])
+def test_square_pencil_with_singular_B_forms_its_vectors_once(monkeypatch, case):
+    pencil = _square_singular_B_pencils()[case]
+    B = np.asarray(pencil.M1)
+    es, calls, vectors = _lapack_svds(
+        monkeypatch, lambda: staircase_eigenstructure(pencil))
+    assert sum(v.shape == B.shape and np.array_equal(v, B) for v in vectors) == 1
+    # one values-only SVD of B more than the 7 and 4 of a staircase that
+    # starts from B's full SVD
+    assert calls == {"nilpotent": 8, "lead0_hook": 5}[case]
+    fresh = _fresh_svd_staircase(monkeypatch, pencil)
+    assert es.infinite
+    assert (es.right, es.left, es.infinite) == (fresh.right, fresh.left,
+                                                fresh.infinite)
+    assert [(d.context, d.rank, d.tolerance) for d in es.rank_log] == [
+        (d.context, d.rank, d.tolerance) for d in fresh.rank_log]
+    assert match_eigenvalues(es.finite, fresh.finite) <= 1e-12
+
+
+def _scipy_qz(A, B):
+    """The QZ split of ``_qz`` on top of ``scipy.linalg.eig``."""
+    alpha, beta = scipy.linalg.eig(A, -B, right=False, homogeneous_eigvals=True)
+    threshold = 10.0 * EPS * np.hypot(np.abs(alpha), np.abs(beta))
+    infinite = np.abs(beta) <= threshold
+    return ((alpha[~infinite] / beta[~infinite]).tolist(),
+            list(zip(np.abs(beta[infinite]), threshold[infinite])))
+
+
+def _qz_cases():
+    rng = trial_rng(64, 0)
+    cases = {f"n{n}": tuple(complex_gaussian((n, n), rng) for _ in range(2))
+             for n in (1, 28, 56)}
+    A, B = (complex_gaussian((28, 28), rng) for _ in range(2))
+    B[:, :5] = 0.0  # five eigenvalues at infinity
+    cases["singular_B"] = (A, B)
+    cases["negligible_beta"] = (np.array([[1.0 + 0j]]), np.array([[1e-15 + 0j]]))
+    return cases
+
+
+@pytest.mark.parametrize("case", ["n1", "n28", "n56", "singular_B",
+                                  "negligible_beta"])
+def test_qz_equals_scipy_eig_bit_for_bit(case):
+    from bklab.eigenstructure import _qz
+
+    A, B = _qz_cases()[case]
+    finite, infinite = _qz(A, B)
+    assert (finite, infinite) == _scipy_qz(A, B)
+    assert len(infinite) == {"singular_B": 5, "negligible_beta": 1}.get(case, 0)
+
+
+@pytest.mark.parametrize("info", [-1, 1])
+def test_qz_failure_raises_a_typed_error(monkeypatch, info):
+    from scipy.linalg import lapack
+
+    zggev = lapack.zggev
+
+    def failing(*args, **kwargs):
+        out = zggev(*args, **kwargs)
+        return out if args[4] == -1 else out[:-1] + (info,)
+
+    monkeypatch.setattr(lapack, "zggev", failing)
+    pencil = _square_regular_pencils()["hook"]
+    with pytest.raises(ConvergenceError, match=f"info {info}") as raised:
+        staircase_eigenstructure(pencil)
+    assert not isinstance(raised.value, np.linalg.LinAlgError)
+    with pytest.raises(BkLabError):
+        generalized_eigenvalues(pencil)
+
+
+NON_FINITE = [np.inf, -np.inf, np.nan, complex(0.0, np.inf)]
+
+
+def _non_finite_calls(bad):
+    """The public calls that refuse a non-finite input, each on a square
+    polynomial or pencil whose leading coefficient has ``bad`` at (0, 0)."""
+    stack = random_polynomial(2, 2, 3, trial_rng(65, 0)).coeff_stack.copy()
+    stack[-1, 0, 0] = bad
+    P = MatrixPolynomial(stack)
+    pencil = Pencil(stack[2:])
+    return {
+        "staircase_eigenstructure": lambda: staircase_eigenstructure(pencil),
+        "generalized_eigenvalues": lambda: generalized_eigenvalues(pencil),
+        "right_minimal_indices_by_convolution":
+            lambda: right_minimal_indices_by_convolution(P),
+        "pseudoinverse": lambda: pseudoinverse(pencil.M1),
+        "from_polynomial": lambda: from_polynomial(P, 1, 1, "hook"),
+    }
+
+
+@pytest.mark.parametrize("call", ["staircase_eigenstructure",
+                                  "generalized_eigenvalues",
+                                  "right_minimal_indices_by_convolution",
+                                  "pseudoinverse", "from_polynomial"])
+@pytest.mark.parametrize("bad", NON_FINITE)
+def test_non_finite_input_raises_before_any_lapack_call(monkeypatch, call, bad):
+    # a full SVD of a matrix with inf at (0, 0) does not return
+    from numpy.linalg import _linalg
+    from scipy.linalg import lapack
+
+    def reached(*args, **kwargs):
+        raise AssertionError("LAPACK reached")
+
+    for module, name in ((_linalg, "svd"), (np.linalg, "svd"), (lapack, "zggev")):
+        monkeypatch.setattr(module, name, reached)
+    with pytest.raises(ShapeError, match="non-finite"):
+        _non_finite_calls(bad)[call]()
 
 
 def test_staircase_keeps_a_negligible_qz_beta_as_infinite():
