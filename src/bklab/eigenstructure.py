@@ -22,7 +22,12 @@ and a tolerance-free answer does not exist.  Non-finite input raises
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import os
+import sys
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -103,7 +108,9 @@ def match_eigenvalues(first, second) -> float:
     eigenvalues) calls the assignment solver.
 
     Raises :class:`ShapeError` when the multisets have different sizes or
-    an entry is NaN.
+    an entry is NaN.  The solver is scipy's compiled
+    ``linear_sum_assignment`` (the one ``scipy.optimize`` re-exports),
+    loaded without ``scipy.optimize``.
     """
     first = np.asarray(list(first), dtype=complex)
     second = np.asarray(list(second), dtype=complex)
@@ -118,8 +125,8 @@ def match_eigenvalues(first, second) -> float:
         raise ShapeError("cannot match eigenvalues with a NaN entry")
     cols = cost.argmin(axis=1)
     if np.unique(cols).size < cols.size:
-        from scipy.optimize import linear_sum_assignment
-        rows, cols = linear_sum_assignment(cost)
+        assign = _scipy_extension("optimize._lsap").linear_sum_assignment
+        rows, cols = assign(cost)
         return float(cost[rows, cols].max())
     return float(cost[np.arange(cols.size), cols].max())
 
@@ -137,6 +144,40 @@ def _normal_rank(Q: MatrixPolynomial, tol=None) -> int:
     return best
 
 
+@lru_cache(maxsize=None)
+def _scipy_extension(name):
+    """scipy's compiled module ``scipy.<name>`` (``"linalg._flapack"`` or
+    ``"optimize._lsap"``), loaded without running the ``__init__`` of its
+    package, which loads far more than the one module (``import
+    scipy.linalg`` took about 0.3 s with scipy 1.17 on a 2-core Xeon VM).
+
+    Only the root package ``scipy`` is imported, for its shared-library
+    set-up and its path.  A module scipy has already loaded is returned as
+    it is, and a module loaded here is registered in ``sys.modules``, where
+    a later ``import scipy.linalg`` finds it.  A missing module raises
+    :class:`ImportError`.
+    """
+    full = f"scipy.{name}"
+    if full in sys.modules:
+        return sys.modules[full]
+    import scipy
+    package, _, leaf = name.rpartition(".")
+    directory = os.path.join(scipy.__path__[0], *package.split("."))
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        path = os.path.join(directory, leaf + suffix)
+        if os.path.isfile(path):
+            break
+    else:
+        raise ImportError(f"scipy's compiled module {full} was not found in "
+                          f"{directory}", name=full)
+    loader = importlib.machinery.ExtensionFileLoader(full, path)
+    module = importlib.util.module_from_spec(
+        importlib.util.spec_from_loader(full, loader))
+    loader.exec_module(module)
+    sys.modules[full] = module
+    return module
+
+
 def _qz(A, B):
     """QZ eigenvalues of ``A + lambda*B`` in homogeneous form, split by the
     rule ``|beta| <= 10 EPS hypot(|alpha|, |beta|)`` for an infinite one.
@@ -145,9 +186,9 @@ def _qz(A, B):
     the pair ``(|beta|, threshold)``; a QZ failure raises ConvergenceError.
     """
     # det(A + lam*B) = 0 is LAPACK's det(beta A - alpha (-B)) = 0 at (lam, 1),
-    # solved without eigenvectors in scipy.linalg.eig's workspace.  Imported
-    # here so that paths without a QZ (and ``import bklab``) never load scipy.
-    from scipy.linalg.lapack import zggev
+    # solved without eigenvectors in the workspace scipy.linalg.eig queries,
+    # by the zggev of scipy's compiled LAPACK wrappers.
+    zggev = _scipy_extension("linalg._flapack").zggev
     lwork = int(zggev(A, -B, 0, 0, -1)[-2][0].real)
     alpha, beta, _, _, _, info = zggev(A, -B, 0, 0, lwork)
     if info != 0:

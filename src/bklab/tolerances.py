@@ -6,11 +6,13 @@ singular values above ``max(rows, cols) * eps * sigma_max`` unless the caller
 supplies an explicit tolerance; ``eps`` is the double-precision unit
 roundoff :data:`EPS`.  A decision that only needs the rank,
 :func:`numerical_rank`, takes the values-only SVD and forms no singular
-vectors.  Non-finite input is refused: a full SVD of it may never return.
+vectors.  :func:`_svd` refuses non-finite input with :class:`ShapeError`
+before LAPACK sees it: a full SVD of it may never return.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,7 +80,10 @@ def _decide_rank(s, shape, tol, context, log) -> int:
 
 
 def _require_finite(M) -> None:
-    if not np.isfinite(M).all():
+    M = np.asarray(M)
+    # sum |m|^2 is finite only when every entry is; one BLAS dot costs a
+    # quarter of an elementwise test, which runs only when the sum overflows
+    if not math.isfinite(abs(np.vdot(M, M))) and not np.isfinite(M).all():
         raise ShapeError("input has a non-finite (inf or NaN) entry")
 
 
@@ -86,8 +91,10 @@ def _svd(M, vectors=True):
     """Full SVD ``(s, U, V)`` of ``M`` with ``M = U diag(s) V^H``, ``U`` and
     ``V`` unitary; an empty ``M`` has no singular values and identity
     factors.  With ``vectors=False`` only the descending singular values
-    ``s`` are computed and returned."""
+    ``s`` are computed and returned.  A non-finite ``M`` raises
+    :class:`ShapeError`."""
     M = np.asarray(M)
+    _require_finite(M)
     if not vectors:
         return np.linalg.svd(M, compute_uv=False) if M.size else np.zeros(0)
     if M.size == 0:
@@ -119,7 +126,6 @@ def pseudoinverse(M, tol=None, context="", log=None):
     """Pseudoinverse of ``M`` on its numerical rank under the same policy
     as :func:`svd_with_rank`; a non-finite ``M`` raises :class:`ShapeError`."""
     M = np.asarray(M, dtype=complex)
-    _require_finite(M)
     s, U, V = _svd(M)
     r = _decide_rank(s, M.shape, tol, context, log)
     return (V[:, :r] / s[:r]) @ U[:, :r].conj().T

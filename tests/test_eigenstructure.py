@@ -1,9 +1,11 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 import scipy.linalg
-import scipy.optimize
 from scipy.optimize import linear_sum_assignment
 
+import bklab.eigenstructure
 from bklab import (BkLabError, ConvergenceError, EigenstructureShiftError,
                    Eigenstructure, InconclusiveError, MatrixPolynomial, Pencil,
                    ShapeError, build_L, build_Lambda, chordal_distance,
@@ -13,7 +15,12 @@ from bklab import (BkLabError, ConvergenceError, EigenstructureShiftError,
 from bklab.experiments import (complex_gaussian, random_polynomial,
                                random_singular_polynomial, trial_rng)
 from bklab.matpoly import as_pencil, direct_sum
-from bklab.tolerances import EPS, pseudoinverse
+from bklab.tolerances import EPS, numerical_rank, pseudoinverse, svd_with_rank
+
+try:  # the module whose ``svd`` numpy.linalg's own functions call
+    from numpy.linalg import _linalg
+except ImportError:  # numpy < 2
+    from numpy.linalg import linalg as _linalg
 
 
 def _haar_unitary(k, rng):
@@ -104,8 +111,6 @@ def _lapack_svds(monkeypatch, fn):
     """``fn()``, the number of LAPACK SVDs it took, the value-only ones
     inside ``np.linalg.norm(., 2)`` included, and the inputs of those that
     formed singular vectors."""
-    from numpy.linalg import _linalg
-
     calls, vectors = [0], []
     svd = _linalg.svd
 
@@ -258,17 +263,38 @@ def test_qz_equals_scipy_eig_bit_for_bit(case):
     assert len(infinite) == {"singular_B": 5, "negligible_beta": 1}.get(case, 0)
 
 
+def _substitute_extension(monkeypatch, name, **attributes):
+    """Let bklab's loader of scipy's compiled modules hand out a module
+    ``name`` with only ``attributes``; other modules load as before."""
+    load = bklab.eigenstructure._scipy_extension
+
+    def substitute(requested):
+        return SimpleNamespace(**attributes) if requested == name else load(requested)
+
+    monkeypatch.setattr(bklab.eigenstructure, "_scipy_extension", substitute)
+
+
+def test_scipy_extension_is_scipys_own_compiled_function():
+    load = bklab.eigenstructure._scipy_extension
+    assert load("linalg._flapack").zggev is scipy.linalg.lapack.zggev
+    assert (load("optimize._lsap").linear_sum_assignment
+            is linear_sum_assignment)
+
+
+def test_missing_scipy_extension_raises_an_import_error_naming_it():
+    with pytest.raises(ImportError, match=r"scipy\.linalg\._no_such_module"):
+        bklab.eigenstructure._scipy_extension("linalg._no_such_module")
+
+
 @pytest.mark.parametrize("info", [-1, 1])
 def test_qz_failure_raises_a_typed_error(monkeypatch, info):
-    from scipy.linalg import lapack
-
-    zggev = lapack.zggev
+    zggev = bklab.eigenstructure._scipy_extension("linalg._flapack").zggev
 
     def failing(*args, **kwargs):
         out = zggev(*args, **kwargs)
         return out if args[4] == -1 else out[:-1] + (info,)
 
-    monkeypatch.setattr(lapack, "zggev", failing)
+    _substitute_extension(monkeypatch, "linalg._flapack", zggev=failing)
     pencil = _square_regular_pencils()["hook"]
     with pytest.raises(ConvergenceError, match=f"info {info}") as raised:
         staircase_eigenstructure(pencil)
@@ -294,23 +320,24 @@ def _non_finite_calls(bad):
             lambda: right_minimal_indices_by_convolution(P),
         "pseudoinverse": lambda: pseudoinverse(pencil.M1),
         "from_polynomial": lambda: from_polynomial(P, 1, 1, "hook"),
+        "numerical_rank": lambda: numerical_rank(pencil.M1),
+        "svd_with_rank": lambda: svd_with_rank(pencil.M1),
     }
 
 
 @pytest.mark.parametrize("call", ["staircase_eigenstructure",
                                   "generalized_eigenvalues",
                                   "right_minimal_indices_by_convolution",
-                                  "pseudoinverse", "from_polynomial"])
+                                  "pseudoinverse", "from_polynomial",
+                                  "numerical_rank", "svd_with_rank"])
 @pytest.mark.parametrize("bad", NON_FINITE)
 def test_non_finite_input_raises_before_any_lapack_call(monkeypatch, call, bad):
     # a full SVD of a matrix with inf at (0, 0) does not return
-    from numpy.linalg import _linalg
-    from scipy.linalg import lapack
-
     def reached(*args, **kwargs):
         raise AssertionError("LAPACK reached")
 
-    for module, name in ((_linalg, "svd"), (np.linalg, "svd"), (lapack, "zggev")):
+    for module, name in ((_linalg, "svd"), (np.linalg, "svd"),
+                         (bklab.eigenstructure, "_scipy_extension")):
         monkeypatch.setattr(module, name, reached)
     with pytest.raises(ShapeError, match="non-finite"):
         _non_finite_calls(bad)[call]()
@@ -552,7 +579,8 @@ def assignment_calls(monkeypatch):
         calls.append(cost.shape)
         return linear_sum_assignment(cost)
 
-    monkeypatch.setattr(scipy.optimize, "linear_sum_assignment", spy)
+    _substitute_extension(monkeypatch, "optimize._lsap",
+                          linear_sum_assignment=spy)
     return calls
 
 

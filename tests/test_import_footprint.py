@@ -7,28 +7,41 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import bklab
+from bklab.experiments import random_polynomial, trial_rng
 
 SRC = Path(bklab.__file__).resolve().parents[1]
 
 
-def _scipy_modules_after(code):
+def _run_fresh(code):
+    """Last line of what ``code`` prints in a fresh interpreter."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(SRC)] + [p for p in [env.get("PYTHONPATH")] if p])
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120).stdout
+    return out.splitlines()[-1]
+
+
+def _scipy_modules_after(code):
     probe = (code + "\nimport json, sys\n"
              "print(json.dumps(sorted(m for m in sys.modules"
              " if m == 'scipy' or m.startswith('scipy.'))))\n")
-    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
-                         capture_output=True, text=True, timeout=120).stdout
-    return set(json.loads(out.splitlines()[-1]))
+    return set(json.loads(_run_fresh(probe)))
+
+
+def _under_linalg_and_optimize(modules):
+    return {m for m in modules
+            if m.split(".")[:2] in (["scipy", "linalg"], ["scipy", "optimize"])}
 
 
 def test_import_loads_no_scipy():
     assert _scipy_modules_after("import bklab") == set()
 
 
-def test_eigen_check_loads_linalg_but_not_optimize():
+def test_eigen_check_loads_neither_linalg_nor_optimize():
     modules = _scipy_modules_after(
         "from bklab import from_polynomial, pipeline_radius, run_pipeline\n"
         "from bklab.experiments import (random_pencil_perturbation,\n"
@@ -38,8 +51,28 @@ def test_eigen_check_loads_linalg_but_not_optimize():
         "dL = random_pencil_perturbation(L.shape, 0.5 * pipeline_radius(L), rng)\n"
         "report = run_pipeline(L, dL, check_eigen=True)\n"
         "assert report.eigen_consistent and report.shift_consistent\n")
-    assert "scipy.linalg" in modules
-    assert not any(m.startswith("scipy.optimize") for m in modules)
+    assert _under_linalg_and_optimize(modules) == {"scipy.linalg._flapack"}
+
+
+def test_shared_minimum_matching_loads_only_the_assignment_module():
+    modules = _scipy_modules_after(
+        "from bklab import match_eigenvalues\n"
+        "assert match_eigenvalues([1.0, 1.0, 2.0],\n"
+        "                         [1.0 + 1e-9, 1.0 - 1e-9, 2.0]) > 0.0\n")
+    assert _under_linalg_and_optimize(modules) == {"scipy.optimize._lsap"}
+
+
+def test_cli_eig_on_a_regular_polynomial_loads_only_lapack(tmp_path):
+    path = tmp_path / "poly.json"
+    path.write_text(json.dumps(
+        random_polynomial(3, 3, 4, trial_rng(5, 0)).to_json()))
+    modules = _scipy_modules_after(
+        "import contextlib, io\n"
+        "from bklab.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+        f"    assert main(['eig', {str(path)!r}]) == 0\n"
+        "assert '\"finite\"' in out.getvalue()\n")
+    assert _under_linalg_and_optimize(modules) == {"scipy.linalg._flapack"}
 
 
 def test_cli_constants_loads_no_scipy():
@@ -51,3 +84,46 @@ def test_cli_constants_loads_no_scipy():
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    assert main(args) == 0\n")
     assert modules == set()
+
+
+_BKLAB_ANSWERS = """
+from bklab.eigenstructure import _qz, match_eigenvalues
+from bklab.experiments import complex_gaussian, trial_rng
+rng = trial_rng(64, 1)
+A, B = (complex_gaussian((28, 28), rng) for _ in range(2))
+B[:, :3] = 0.0
+first, second = [1.0, 1.0, 2.0], [1.0 + 1e-9, 1.0 - 1e-9, 2.0]
+qz, matched = _qz(A, B), match_eigenvalues(first, second)
+"""
+
+_SCIPY_ANSWERS = """
+import numpy as np
+import scipy.linalg, scipy.optimize
+from bklab.eigenstructure import chordal_distance
+from bklab.tolerances import EPS
+alpha, beta = scipy.linalg.eig(A, -B, right=False, homogeneous_eigvals=True)
+threshold = 10.0 * EPS * np.hypot(np.abs(alpha), np.abs(beta))
+inf = np.abs(beta) <= threshold
+assert qz == ((alpha[~inf] / beta[~inf]).tolist(),
+              list(zip(np.abs(beta[inf]), threshold[inf])))
+assert len(qz[1]) == 3
+cost = chordal_distance(np.asarray(first, dtype=complex)[:, None],
+                        np.asarray(second, dtype=complex)[None, :])
+rows, cols = scipy.optimize.linear_sum_assignment(cost)
+assert matched == float(cost[rows, cols].max())
+print("equal")
+"""
+
+
+@pytest.mark.parametrize("bklab_first", [True, False],
+                         ids=["bklab_first", "scipy_first"])
+def test_answers_equal_scipys_in_either_import_order(bklab_first):
+    if bklab_first:
+        code = _BKLAB_ANSWERS + (
+            "import sys\n"
+            "assert not {'scipy.linalg', 'scipy.optimize'} & set(sys.modules)\n"
+        ) + _SCIPY_ANSWERS
+    else:
+        code = "import scipy.linalg, scipy.optimize\n" + _BKLAB_ANSWERS \
+            + _SCIPY_ANSWERS
+    assert _run_fresh(code) == "equal"

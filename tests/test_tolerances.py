@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from bklab.errors import ShapeError
 from bklab.experiments import complex_gaussian, trial_rng
-from bklab.tolerances import (EPS, numerical_rank, pseudoinverse,
-                              rank_tolerance, svd_with_rank)
+from bklab.tolerances import (EPS, _require_finite, numerical_rank,
+                              pseudoinverse, rank_tolerance, svd_with_rank)
 
 ROOT = Path(__file__).resolve().parents[1]
 TRACING = ROOT / "perfbench" / "tracing.py"
@@ -190,6 +191,19 @@ def test_one_svd_primitive():
                   for name in _svd_users(ast.parse(path.read_text()))}
     assert {u for u in users if not u.startswith("spectral_constants.")} == {
         "tolerances._svd"}
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("bad", [None, np.inf, -np.inf, np.nan])
+def test_finiteness_check_is_exact_when_the_sum_of_squares_overflows(dtype, bad):
+    # 1e200^2 overflows, so the cheap sum-of-squares test is inconclusive
+    M = np.full((3, 4), 1e200, dtype=dtype)
+    if bad is None:
+        _require_finite(M)
+        return
+    M[1, 2] = bad
+    with pytest.raises(ShapeError, match="non-finite"):
+        _require_finite(M)
 
 
 def test_truncated_pseudoinverse_drops_small_singular_values():
