@@ -4,22 +4,14 @@ mapping from pencil perturbations to polynomial perturbations."""
 
 __version__ = "0.1.0"
 
-from .errors import (BkLabError, ConvergenceError, DegenerateRowError,
-                     EigenstructureShiftError, GradeError, InconclusiveError,
-                     LayoutError, PlacementError, PreconditionError,
-                     ShapeError)
+from .errors import (BkLabError, ConvergenceError, EigenstructureShiftError,
+                     GradeError, InconclusiveError, LayoutError,
+                     PlacementError, PreconditionError, ShapeError)
 from .matpoly import (MatrixPolynomial, Pencil, as_pencil, build_L,
-                      build_Lambda, constant, convolution, determinant,
-                      identity, kron_constant, multiply, pair_norm,
-                      verify_norm_inequalities, zeros)
-from .minimal_bases import (DualBasisCertificate, RowDegreeProfile,
-                            are_dual_minimal_bases, build_V, build_V_inverse,
-                            check_reversal_duality, is_minimal_basis,
-                            pencil_is_kronecker_minimal,
-                            poly_is_kronecker_dual_minimal,
-                            row_degree_profile)
-from .block_kronecker import (AntiTriangularForm, BlockKroneckerPencil,
-                              PlacementSpec, anti_triangularize,
+                      build_Lambda, build_V, build_V_inverse, constant,
+                      convolution, determinant, identity, kron_constant,
+                      multiply, pair_norm, verify_norm_inequalities, zeros)
+from .block_kronecker import (BlockKroneckerPencil, PlacementSpec,
                               from_polynomial, lift_right_null_vector,
                               recover_polynomial, validate_placement)
 from .eigenstructure import (Eigenstructure, chordal_distance, det_roots,
@@ -29,13 +21,13 @@ from .eigenstructure import (Eigenstructure, chordal_distance, det_roots,
 from .backward_error import (BackwardErrorReport, PerturbationBlocks,
                              Step1Result, SylvesterGauge, assemble_step3,
                              bound_degenerate, bound_informal,
-                             bound_nondegenerate, build_T, pipeline_radius,
+                             bound_nondegenerate, pipeline_radius,
                              run_pipeline, solve_step1, solve_step2,
                              step1_radius, step2_radius)
 from .spectral_constants import (ConvolutionConstants, G_matrix,
                                  G_singular_values, M_matrix,
                                  M_singular_values, SingularValuePrediction,
-                                 build_W, constants_sweep,
+                                 build_T, build_W, constants_sweep,
                                  sigma_max_W_closed, sigma_min_T_closed,
                                  sigma_min_T_lower_bound,
                                  sigma_min_convolution_L, sigma_min_from_W,

@@ -36,10 +36,13 @@ from functools import lru_cache
 import numpy as np
 
 from .block_kronecker import BlockKroneckerPencil, from_polynomial, recover_polynomial
+from .eigenstructure import (match_eigenvalues, shift_recovery,
+                             staircase_eigenstructure)
 from .errors import (ConvergenceError, EigenstructureShiftError,
                      PreconditionError, ShapeError)
 from .matpoly import (CACHE_SIZE, MatrixPolynomial, Pencil, _stack_product,
                       build_L, build_Lambda, convolution, pair_norm)
+from .spectral_constants import build_T, sigma_min_T_closed
 from .tolerances import EPS, pseudoinverse
 
 SQRT2M1 = np.sqrt(2.0) - 1.0
@@ -73,30 +76,6 @@ def _fixed_point(update, x, step: str):
         f"{step}: fixed point did not meet the stopping rule in "
         f"{MAX_ITER} iterations; last step {steps[-1]:.2e}, step ratio "
         f"{ratio:.3f} per sweep over the last 10 sweeps")
-
-
-# -- the linear operator ----------------------------------------------------
-
-def build_T(eps: int, eta: int, m: int, n: int) -> np.ndarray:
-    """Coefficient matrix of the linearized Sylvester system acting on
-    ``[vec(C); vec(D)]``; full row rank with the closed-form smallest
-    singular value from :mod:`bklab.spectral_constants`."""
-    if eps < 1 or eta < 1:
-        raise ShapeError("the Sylvester step only exists for eps, eta >= 1")
-    # T = [E_eta (x) I_en, I_hm (x) E_eps; F_eta (x) I_en, I_hm (x) F_eps]
-    # with |L_k (x) I_p| = E_k + lambda F_k, E_k = [I 0] (x) I_p and
-    # F_k = [0 I] (x) I_p: a 0/1 matrix with one unit per row in each block
-    rows = eps * n * eta * m
-    cols_C = (eta + 1) * m * eps * n
-    r = np.arange(rows)
-    # row i eps n + a of I_hm (x) E_eps meets column i (eps+1) n + a
-    r_D = cols_C + r + r // (eps * n) * n
-    T = np.zeros((2 * rows, cols_C + (eps + 1) * n * eta * m))
-    T[r, r] = 1.0
-    T[r, r_D] = 1.0
-    T[rows + r, r + m * eps * n] = 1.0
-    T[rows + r, r_D + n] = 1.0
-    return T
 
 
 @dataclass
@@ -250,8 +229,6 @@ def solve_step1(L: BlockKroneckerPencil, dL: Pencil,
     iteration diverges or hits ``MAX_ITER``; ``force`` only lifts the
     solvability precondition.
     """
-    from .spectral_constants import sigma_min_T_closed
-
     blocks = PerturbationBlocks.from_pencil(dL, L)
     eps, eta, m, n = L.eps, L.eta, L.m, L.n
     C = np.zeros((eps * n, (eta + 1) * m), dtype=complex)
@@ -534,9 +511,6 @@ def run_pipeline(L: BlockKroneckerPencil, dL: Pencil, force: bool = False,
     the chordal metric, minimal indices through the shifts); disagreement is
     flagged in the report rather than fatal, since the problem is ill-posed.
     """
-    from .eigenstructure import (match_eigenvalues, shift_recovery,
-                                 staircase_eigenstructure)
-
     d = L.grade
     P = recover_polynomial(L)
     norm_P = P.frobenius_norm()

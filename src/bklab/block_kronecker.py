@@ -1,5 +1,5 @@
-"""Construction, validation, recovery and reduction of block Kronecker
-pencils.
+"""Construction, validation and recovery of block Kronecker pencils, and
+the lift of right null vectors.
 
 An ``(eps, n, eta, m)``-block Kronecker pencil consists of an arbitrary
 ``(eta+1)m x (eps+1)n`` pencil ``M0 + lambda*M1`` in the (1,1) block, the
@@ -18,11 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GradeError, LayoutError, PlacementError, ShapeError
-from .matpoly import (MatrixPolynomial, Pencil, build_Lambda, kron_constant,
-                      multiply, pair_norm, vstack, _matrix_from_json,
-                      _matrix_to_json)
-from .minimal_bases import build_V_inverse
+from .errors import GradeError, PlacementError, ShapeError
+from .matpoly import (MatrixPolynomial, Pencil, build_Lambda, build_V_inverse,
+                      kron_constant, multiply, pair_norm, vstack,
+                      _matrix_from_json, _matrix_to_json)
 from .tolerances import _require_finite
 
 PLACEMENT_TAGS = ("frobenius1", "frobenius2", "hook", "custom")
@@ -211,72 +210,6 @@ def recover_polynomial(L: BlockKroneckerPencil) -> MatrixPolynomial:
     for i, row in enumerate(blocks):
         out[i:i + eps + 1] += row
     return MatrixPolynomial(out, grade=L.grade)
-
-
-@dataclass
-class AntiTriangularForm:
-    form: MatrixPolynomial
-    Z: MatrixPolynomial
-    X: MatrixPolynomial
-    Y: MatrixPolynomial
-    middle: MatrixPolynomial
-    left_factor: MatrixPolynomial
-    right_factor: MatrixPolynomial
-
-
-def anti_triangularize(L: BlockKroneckerPencil) -> AntiTriangularForm:
-    """Unimodular reduction to the block anti-triangular form.
-
-    Multiplies the assembled pencil by the explicit inverse completions of
-    the L blocks and asserts the resulting layout: identity corner blocks,
-    zero blocks below the anti-diagonal, and the represented polynomial in
-    the middle, each to ``1e-12`` times the form's norm (at least 1).  A
-    failed assertion means a construction bug, not bad input.
-    """
-    from .matpoly import direct_sum, identity
-
-    eps, eta, m, n = L.eps, L.eta, L.m, L.n
-    v_eta_inv_T = kron_constant(build_V_inverse(eta).transpose(), np.eye(m))
-    v_eps_inv = kron_constant(build_V_inverse(eps), np.eye(n))
-    left = direct_sum(v_eta_inv_T, identity(eps * n))
-    right = direct_sum(v_eps_inv, identity(eta * m))
-    form = multiply(multiply(left, L.assemble()), right)
-
-    rows = [eta * m, m, eps * n]
-    cols = [eps * n, n, eta * m]
-    r_ofs = np.cumsum([0] + rows)
-    c_ofs = np.cumsum([0] + cols)
-
-    def blk(i, j):
-        return form.submatrix(range(r_ofs[i], r_ofs[i + 1]),
-                              range(c_ofs[j], c_ofs[j + 1]))
-
-    scale = max(1.0, form.frobenius_norm())
-    middle = blk(1, 1)
-    recovered = recover_polynomial(L)
-    checks = {
-        "(1,3) identity": _poly_minus_identity(blk(0, 2)),
-        "(3,1) identity": _poly_minus_identity(blk(2, 0)),
-        "(2,3) zero": blk(1, 2).frobenius_norm(),
-        "(3,2) zero": blk(2, 1).frobenius_norm(),
-        "(3,3) zero": blk(2, 2).frobenius_norm(),
-        "middle equals recovered": (middle - recovered).frobenius_norm(),
-    }
-    for name, value in checks.items():
-        if value > 1e-12 * scale:
-            raise LayoutError(f"anti-triangular layout check failed: {name} "
-                              f"residual {value:.3e}")
-    return AntiTriangularForm(form=form, Z=blk(0, 0), X=blk(0, 1), Y=blk(1, 0),
-                              middle=middle, left_factor=left, right_factor=right)
-
-
-def _poly_minus_identity(P: MatrixPolynomial) -> float:
-    if P.rows != P.cols:
-        raise LayoutError(f"expected a square identity block, got {P.shape}")
-    delta = np.array(P.coeff_stack, copy=True)
-    if delta.shape[0] > 0 and P.rows > 0:
-        delta[0] -= np.eye(P.rows)
-    return float(np.linalg.norm(delta))
 
 
 def lift_right_null_vector(L: BlockKroneckerPencil,

@@ -19,7 +19,8 @@ import numpy as np
 
 from . import __version__
 from .block_kronecker import (BlockKroneckerPencil, PlacementSpec,
-                              from_polynomial, validate_placement)
+                              from_polynomial, recover_polynomial,
+                              validate_placement)
 from .eigenstructure import (right_minimal_indices_by_convolution,
                              shift_recovery, staircase_eigenstructure)
 from .errors import BkLabError, GradeError, PlacementError, ShapeError
@@ -80,46 +81,34 @@ def cmd_eig(args) -> int:
     obj = _load_json(args.input)
     payload: dict = {}
     if "M0" in obj and "epsilon" in obj:
-        bk = BlockKroneckerPencil.from_json(obj)
-        structure = staircase_eigenstructure(bk.assemble(), tol=args.tol)
+        bk, poly = BlockKroneckerPencil.from_json(obj), None
         payload["kind"] = "block-kronecker-pencil"
-        payload["pencil_eigenstructure"] = structure.to_json()
-        recovered = shift_recovery(structure, bk.eps, bk.eta)
-        payload["polynomial_eigenstructure"] = recovered.to_json()
-        poly_for_oracle = None
-        if args.oracle:
-            from .block_kronecker import recover_polynomial
-            poly_for_oracle = recover_polynomial(bk)
-            recovered_for_oracle = recovered
     elif "coeffs" in obj:
-        poly = MatrixPolynomial.from_json(obj)
+        bk, poly = None, MatrixPolynomial.from_json(obj)
         if poly.grade == 1:
-            pencil = as_pencil(poly)
-            structure = staircase_eigenstructure(pencil, tol=args.tol)
             payload["kind"] = "pencil"
-            payload["polynomial_eigenstructure"] = structure.to_json()
-            recovered_for_oracle = structure
-            poly_for_oracle = poly if args.oracle else None
         else:
             eps, eta = split_for_placement(args.placement, poly.grade,
                                            args.epsilon, args.eta)
             bk = from_polynomial(poly, eps, eta, args.placement)
-            structure = staircase_eigenstructure(bk.assemble(), tol=args.tol)
-            recovered = shift_recovery(structure, eps, eta)
             payload["kind"] = "polynomial"
             payload["linearization"] = {"epsilon": eps, "eta": eta,
                                         "placement": args.placement}
-            payload["pencil_eigenstructure"] = structure.to_json()
-            payload["polynomial_eigenstructure"] = recovered.to_json()
-            recovered_for_oracle = recovered
-            poly_for_oracle = poly if args.oracle else None
     else:
         raise ShapeError("input is neither a polynomial nor a pencil file")
-    if args.oracle and poly_for_oracle is not None:
-        oracle = right_minimal_indices_by_convolution(poly_for_oracle, tol=args.tol)
+    if bk is None:
+        recovered = staircase_eigenstructure(as_pencil(poly), tol=args.tol)
+    else:
+        structure = staircase_eigenstructure(bk.assemble(), tol=args.tol)
+        payload["pencil_eigenstructure"] = structure.to_json()
+        recovered = shift_recovery(structure, bk.eps, bk.eta)
+    payload["polynomial_eigenstructure"] = recovered.to_json()
+    if args.oracle:
+        oracle = right_minimal_indices_by_convolution(
+            recover_polynomial(bk) if poly is None else poly, tol=args.tol)
         payload["oracle_right"] = oracle
         payload["oracle_agrees"] = (
-            oracle == recovered_for_oracle.to_json()["right"])
+            oracle == payload["polynomial_eigenstructure"]["right"])
     _emit(payload, args.out)
     return EXIT_OK
 

@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import (ConvergenceError, EigenstructureShiftError,
                      InconclusiveError, ShapeError)
-from .matpoly import MatrixPolynomial, as_pencil, convolution
+from .matpoly import MatrixPolynomial, as_pencil, convolution, determinant
 from .tolerances import (EPS, RankDecision, _decide_rank, _require_finite,
                          _svd, numerical_rank, svd_with_rank)
 
@@ -387,8 +387,6 @@ def det_roots(P: MatrixPolynomial) -> np.ndarray:
     Trailing coefficients below ``1e-10`` times the largest one are dropped
     (they encode eigenvalues at infinity).
     """
-    from .matpoly import determinant
-
     coeffs = determinant(P)
     scale = np.max(np.abs(coeffs))
     if scale == 0:

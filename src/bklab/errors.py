@@ -14,10 +14,6 @@ class GradeError(BkLabError):
     """A declared grade is invalid (for instance, smaller than the degree)."""
 
 
-class DegenerateRowError(BkLabError):
-    """An operation that needs nonzero rows met an identically zero row."""
-
-
 class PlacementError(BkLabError):
     """A coefficient placement violates its pattern or the antidiagonal sums."""
 

@@ -260,6 +260,40 @@ def build_Lambda(k: int, blocks: int = 1) -> MatrixPolynomial:
     return MatrixPolynomial(coeffs.reshape(k + 1, (k + 1) * blocks, blocks), grade=k)
 
 
+def build_V(k: int) -> MatrixPolynomial:
+    """Unimodular completion of ``L_k`` by the last coordinate row."""
+    if k < 0:
+        raise GradeError("k must be nonnegative")
+    L = build_L(k)
+    last = np.zeros((1, k + 1), dtype=complex)
+    last[0, k] = 1.0
+    c0 = np.vstack([L.M0, last])
+    c1 = np.vstack([L.M1, np.zeros((1, k + 1))])
+    return MatrixPolynomial([c0, c1], grade=1)
+
+
+def build_V_inverse(k: int) -> MatrixPolynomial:
+    """Explicit polynomial inverse of :func:`build_V`; its last column is the
+    ``Lambda_k`` column, so ``V_k * V_k^{-1} == I`` exactly as polynomials."""
+    if k < 0:
+        raise GradeError("k must be nonnegative")
+    coeffs = [np.zeros((k + 1, k + 1), dtype=complex) for _ in range(max(k, 1))]
+    if k == 0:
+        coeffs[0][0, 0] = 1.0
+        return MatrixPolynomial(coeffs, grade=0)
+    for i in range(k):
+        for j in range(i, k):
+            coeffs[j - i][i, j] = -1.0
+    lam = build_Lambda(k)
+    out = []
+    for power in range(k + 1):
+        c = coeffs[power] if power < k else np.zeros((k + 1, k + 1), dtype=complex)
+        c = np.array(c)
+        c[:, k] = lam.coeff(power)[:, 0]
+        out.append(c)
+    return MatrixPolynomial(out, grade=k)
+
+
 # -- operations -------------------------------------------------------------
 
 def pair_norm(*arrays) -> float:
@@ -289,14 +323,6 @@ def vstack(polys) -> MatrixPolynomial:
     polys = list(polys)
     d = max(p.grade for p in polys)
     return MatrixPolynomial(np.concatenate([_pad(p.coeff_stack, d) for p in polys], 1))
-
-
-def direct_sum(P: MatrixPolynomial, Q: MatrixPolynomial) -> MatrixPolynomial:
-    S = np.zeros((max(P.grade, Q.grade) + 1, P.rows + Q.rows, P.cols + Q.cols),
-                 dtype=complex)
-    S[:P.grade + 1, :P.rows, :P.cols] = P.coeff_stack
-    S[:Q.grade + 1, P.rows:, P.cols:] = Q.coeff_stack
-    return MatrixPolynomial(S)
 
 
 def kron_constant(P: MatrixPolynomial, A) -> MatrixPolynomial:

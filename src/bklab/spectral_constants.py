@@ -4,8 +4,8 @@ backward-error analysis, with numeric cross-verification.
 The shipped formulas:
 
 * ``sigma_min_T_closed``: smallest singular value of the Sylvester operator
-  matrix ``T`` -- ``2 sin(pi / (4 min(eps,eta) + 2))`` when ``eps != eta``
-  and ``2 sin(pi / (4 eta))`` when ``eps == eta``.
+  matrix ``T`` (built by ``build_T``) -- ``2 sin(pi / (4 min(eps,eta) + 2))``
+  when ``eps != eta`` and ``2 sin(pi / (4 eta))`` when ``eps == eta``.
 * ``sigma_max_W_closed``: largest singular value of the bidiagonal block
   Toeplitz matrix ``W`` -- ``2 cos(pi / (2 min + 1))`` resp.
   ``2 cos(pi / (2 eta))``; the two are linked by
@@ -79,6 +79,28 @@ def sigma_max_W_closed(eps: int, eta: int) -> float:
     if eps != eta:
         return 2.0 * np.cos(np.pi / (2 * min(eps, eta) + 1))
     return 2.0 * np.cos(np.pi / (2 * eta))
+
+
+def build_T(eps: int, eta: int, m: int, n: int) -> np.ndarray:
+    """Coefficient matrix of the linearized Sylvester system acting on
+    ``[vec(C); vec(D)]``; full row rank with the closed-form smallest
+    singular value :func:`sigma_min_T_closed`."""
+    if eps < 1 or eta < 1:
+        raise ShapeError("the Sylvester step only exists for eps, eta >= 1")
+    # T = [E_eta (x) I_en, I_hm (x) E_eps; F_eta (x) I_en, I_hm (x) F_eps]
+    # with |L_k (x) I_p| = E_k + lambda F_k, E_k = [I 0] (x) I_p and
+    # F_k = [0 I] (x) I_p: a 0/1 matrix with one unit per row in each block
+    rows = eps * n * eta * m
+    cols_C = (eta + 1) * m * eps * n
+    r = np.arange(rows)
+    # row i eps n + a of I_hm (x) E_eps meets column i (eps+1) n + a
+    r_D = cols_C + r + r // (eps * n) * n
+    T = np.zeros((2 * rows, cols_C + (eps + 1) * n * eta * m))
+    T[r, r] = 1.0
+    T[r, r_D] = 1.0
+    T[rows + r, r + m * eps * n] = 1.0
+    T[rows + r, r_D + n] = 1.0
+    return T
 
 
 def sigma_min_T_closed(eps: int, eta: int) -> float:
@@ -221,8 +243,6 @@ def constants_sweep(max_eps: int = 4, max_eta: int = 4, max_m: int = 2,
     its SVD, the W direct-sum multiset, the trigonometric identity linking T
     and W, and the convolution constants of the L/Lambda families.
     """
-    from .backward_error import build_T  # deferred: avoids an import cycle
-
     rows: list[SingularValuePrediction] = []
     for eps in range(1, max_eps + 1):
         for eta in range(1, max_eta + 1):

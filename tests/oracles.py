@@ -1,10 +1,11 @@
-"""Minimal bases, dual minimal bases and their numerical certificates.
+"""Structural oracles that only the tests call: minimal-basis and
+dual-basis certificates, the convolution-rank predicates for perturbed
+``L`` / ``Lambda`` blocks, and the unimodular reduction of a block Kronecker
+pencil to block anti-triangular form.
 
-The "full row rank at every point" half of the minimal-basis test routes
-through the complete eigenstructure of a companion pencil: a row-reduced
-polynomial is a minimal basis exactly when that eigenstructure carries no
-finite eigenvalues and no left minimal indices.  This keeps the toolchain
-purely numerical; a symbolic minor-root oracle exists only in the tests.
+A row-reduced polynomial is a minimal basis exactly when the complete
+eigenstructure of a companion pencil carries no finite eigenvalues and no
+left minimal indices, so the minimality test stays purely numerical.
 """
 
 from __future__ import annotations
@@ -13,12 +14,26 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (DegenerateRowError, GradeError, PreconditionError,
-                     ShapeError)
-from .matpoly import (MatrixPolynomial, Pencil, build_L, build_Lambda,
-                      convolution, multiply)
-from .tolerances import numerical_rank
+from bklab import (BkLabError, BlockKroneckerPencil, LayoutError,
+                   MatrixPolynomial, Pencil, PreconditionError, ShapeError,
+                   build_V_inverse, convolution, from_polynomial, identity,
+                   kron_constant, multiply, numerical_rank,
+                   recover_polynomial, staircase_eigenstructure)
 
+
+class DegenerateRowError(BkLabError):
+    """An operation that needs nonzero rows met an identically zero row."""
+
+
+def direct_sum(P: MatrixPolynomial, Q: MatrixPolynomial) -> MatrixPolynomial:
+    S = np.zeros((max(P.grade, Q.grade) + 1, P.rows + Q.rows, P.cols + Q.cols),
+                 dtype=complex)
+    S[:P.grade + 1, :P.rows, :P.cols] = P.coeff_stack
+    S[:Q.grade + 1, P.rows:, P.cols:] = Q.coeff_stack
+    return MatrixPolynomial(S)
+
+
+# -- minimal bases -----------------------------------------------------------
 
 @dataclass
 class RowDegreeProfile:
@@ -58,9 +73,6 @@ def is_minimal_basis(Q: MatrixPolynomial) -> bool:
     every point through the eigenstructure of a companion linearization of
     ``Q`` at its degree (no finite eigenvalues, no left minimal indices).
     """
-    from .block_kronecker import from_polynomial
-    from .eigenstructure import staircase_eigenstructure
-
     if Q.rows >= Q.cols:
         raise ShapeError(f"a minimal basis must be wide, got {Q.shape}")
     profile = row_degree_profile(Q)
@@ -91,18 +103,6 @@ class DualBasisCertificate:
         return (self.rows_first + self.rows_second == self.cols
                 and self.product_residual <= self.tolerance
                 and self.first_minimal and self.second_minimal)
-
-    def to_json(self) -> dict:
-        return {
-            "rows_first": self.rows_first,
-            "rows_second": self.rows_second,
-            "cols": self.cols,
-            "product_residual": self.product_residual,
-            "first_minimal": self.first_minimal,
-            "second_minimal": self.second_minimal,
-            "tolerance": self.tolerance,
-            "accepted": self.accepted,
-        }
 
 
 def are_dual_minimal_bases(L: MatrixPolynomial,
@@ -144,40 +144,6 @@ def check_reversal_duality(K: MatrixPolynomial, N: MatrixPolynomial) -> bool:
     return are_dual_minimal_bases(K_rev, N_rev).accepted
 
 
-def build_V(k: int) -> MatrixPolynomial:
-    """Unimodular completion of ``L_k`` by the last coordinate row."""
-    if k < 0:
-        raise GradeError("k must be nonnegative")
-    L = build_L(k)
-    last = np.zeros((1, k + 1), dtype=complex)
-    last[0, k] = 1.0
-    c0 = np.vstack([L.M0, last])
-    c1 = np.vstack([L.M1, np.zeros((1, k + 1))])
-    return MatrixPolynomial([c0, c1], grade=1)
-
-
-def build_V_inverse(k: int) -> MatrixPolynomial:
-    """Explicit polynomial inverse of :func:`build_V`; its last column is the
-    ``Lambda_k`` column, so ``V_k * V_k^{-1} == I`` exactly as polynomials."""
-    if k < 0:
-        raise GradeError("k must be nonnegative")
-    coeffs = [np.zeros((k + 1, k + 1), dtype=complex) for _ in range(max(k, 1))]
-    if k == 0:
-        coeffs[0][0, 0] = 1.0
-        return MatrixPolynomial(coeffs, grade=0)
-    for i in range(k):
-        for j in range(i, k):
-            coeffs[j - i][i, j] = -1.0
-    lam = build_Lambda(k)
-    out = []
-    for power in range(k + 1):
-        c = coeffs[power] if power < k else np.zeros((k + 1, k + 1), dtype=complex)
-        c = np.array(c)
-        c[:, k] = lam.coeff(power)[:, 0]
-        out.append(c)
-    return MatrixPolynomial(out, grade=k)
-
-
 def pencil_is_kronecker_minimal(pencil: Pencil) -> bool:
     """Whether an ``eps*n x (eps+1)*n`` pencil is a minimal basis with row
     degrees one whose duals have row degrees ``eps``, via the nonsingularity
@@ -213,3 +179,69 @@ def poly_is_kronecker_dual_minimal(Q: MatrixPolynomial) -> bool:
         return False
     C1 = convolution(Q, 1)
     return numerical_rank(C1) == C1.shape[0]
+
+
+# -- block anti-triangular form ----------------------------------------------
+
+@dataclass
+class AntiTriangularForm:
+    form: MatrixPolynomial
+    Z: MatrixPolynomial
+    X: MatrixPolynomial
+    Y: MatrixPolynomial
+    middle: MatrixPolynomial
+    left_factor: MatrixPolynomial
+    right_factor: MatrixPolynomial
+
+
+def anti_triangularize(L: BlockKroneckerPencil) -> AntiTriangularForm:
+    """Unimodular reduction to the block anti-triangular form.
+
+    Multiplies the assembled pencil by the explicit inverse completions of
+    the L blocks and asserts the resulting layout: identity corner blocks,
+    zero blocks below the anti-diagonal, and the represented polynomial in
+    the middle, each to ``1e-12`` times the form's norm (at least 1).  A
+    failed assertion means a construction bug, not bad input.
+    """
+    eps, eta, m, n = L.eps, L.eta, L.m, L.n
+    v_eta_inv_T = kron_constant(build_V_inverse(eta).transpose(), np.eye(m))
+    v_eps_inv = kron_constant(build_V_inverse(eps), np.eye(n))
+    left = direct_sum(v_eta_inv_T, identity(eps * n))
+    right = direct_sum(v_eps_inv, identity(eta * m))
+    form = multiply(multiply(left, L.assemble()), right)
+
+    rows = [eta * m, m, eps * n]
+    cols = [eps * n, n, eta * m]
+    r_ofs = np.cumsum([0] + rows)
+    c_ofs = np.cumsum([0] + cols)
+
+    def blk(i, j):
+        return form.submatrix(range(r_ofs[i], r_ofs[i + 1]),
+                              range(c_ofs[j], c_ofs[j + 1]))
+
+    scale = max(1.0, form.frobenius_norm())
+    middle = blk(1, 1)
+    recovered = recover_polynomial(L)
+    checks = {
+        "(1,3) identity": _poly_minus_identity(blk(0, 2)),
+        "(3,1) identity": _poly_minus_identity(blk(2, 0)),
+        "(2,3) zero": blk(1, 2).frobenius_norm(),
+        "(3,2) zero": blk(2, 1).frobenius_norm(),
+        "(3,3) zero": blk(2, 2).frobenius_norm(),
+        "middle equals recovered": (middle - recovered).frobenius_norm(),
+    }
+    for name, value in checks.items():
+        if value > 1e-12 * scale:
+            raise LayoutError(f"anti-triangular layout check failed: {name} "
+                              f"residual {value:.3e}")
+    return AntiTriangularForm(form=form, Z=blk(0, 0), X=blk(0, 1), Y=blk(1, 0),
+                              middle=middle, left_factor=left, right_factor=right)
+
+
+def _poly_minus_identity(P: MatrixPolynomial) -> float:
+    if P.rows != P.cols:
+        raise LayoutError(f"expected a square identity block, got {P.shape}")
+    delta = np.array(P.coeff_stack, copy=True)
+    if delta.shape[0] > 0 and P.rows > 0:
+        delta[0] -= np.eye(P.rows)
+    return float(np.linalg.norm(delta))

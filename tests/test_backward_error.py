@@ -4,14 +4,15 @@ import re
 import numpy as np
 import pytest
 
-from bklab import (BkLabError, ConvergenceError, MatrixPolynomial, Pencil,
-                   PreconditionError, ShapeError,
-                   assemble_step3, bound_degenerate, bound_nondegenerate,
-                   build_L, build_Lambda, build_T, convolution,
-                   from_polynomial, multiply, pair_norm, pipeline_radius,
-                   pseudoinverse, recover_polynomial, run_pipeline,
-                   sigma_min_T_closed, solve_step1, solve_step2,
-                   step1_radius, step2_radius, zeros)
+from bklab import (BkLabError, BlockKroneckerPencil, ConvergenceError,
+                   MatrixPolynomial, Pencil, PreconditionError, ShapeError,
+                   assemble_step3, backward_error, block_kronecker,
+                   bound_degenerate, bound_nondegenerate, build_L,
+                   build_Lambda, build_T, convolution, det_roots,
+                   from_polynomial, generalized_eigenvalues, match_eigenvalues,
+                   multiply, pair_norm, pipeline_radius, pseudoinverse,
+                   recover_polynomial, run_pipeline, sigma_min_T_closed,
+                   solve_step1, solve_step2, step1_radius, step2_radius, zeros)
 from bklab.backward_error import (SQRT2M1, PerturbationBlocks, _S_pinv,
                                   _S_scalar_pinv, _T_pinv, _T_scalar_pinv)
 from bklab.experiments import (ExperimentConfig, complex_gaussian,
@@ -191,9 +192,6 @@ def test_step1_residual_from_blocks_without_assembly(monkeypatch):
     # the (2,2) block [C I](L+dL)[D;I] is read off the blocks, L_12 and L_21
     # only picking and shifting blocks of C and D; it must equal the
     # assembled product at the fixed point and at any other (C, D)
-    from bklab import backward_error
-    from bklab.block_kronecker import BlockKroneckerPencil
-
     def refuse(self):
         raise AssertionError("BlockKroneckerPencil.assemble called")
 
@@ -327,8 +325,6 @@ def test_step2_eta_side_through_transposition():
 def test_step2_takes_one_norm_per_iterate_array(monkeypatch):
     # the iterate is one coefficient stack, so a sweep takes two norms (the
     # step and the iterate), not two per coefficient
-    from bklab import backward_error
-
     eps, n = 6, 2
     rng = trial_rng(96, 0)
     dLt21 = random_pencil_perturbation((eps * n, (eps + 1) * n),
@@ -569,15 +565,14 @@ def test_non_finite_perturbation_raises_a_typed_error(placement, eps, eta, bad):
 def test_nan_eigenvalue_marks_the_eigen_check_inconsistent(monkeypatch):
     # a NaN among the computed eigenvalues is reported as a failed check
     # with no distance, not matched into a plausible number
-    from bklab import eigenstructure
-    staircase = eigenstructure.staircase_eigenstructure
+    staircase = backward_error.staircase_eigenstructure
 
     def nan_first(pencil):
         es = staircase(pencil)
         es.finite[0] = complex(np.nan, 0.0)
         return es
 
-    monkeypatch.setattr(eigenstructure, "staircase_eigenstructure", nan_first)
+    monkeypatch.setattr(backward_error, "staircase_eigenstructure", nan_first)
     rng = trial_rng(84, 0)
     bk = _random_block_kronecker(rng, 1, 1, 2, 2)
     dL = random_pencil_perturbation(bk.shape, 1e-8, rng)
@@ -591,12 +586,10 @@ def test_nan_eigenvalue_marks_the_eigen_check_inconsistent(monkeypatch):
 def test_shift_check_propagates_programming_errors(monkeypatch):
     # only EigenstructureShiftError means inconsistent shifts; any other
     # exception from shift_recovery is a bug and must surface
-    from bklab import eigenstructure
-
     def broken(*args, **kwargs):
         raise RuntimeError("broken shift recovery")
 
-    monkeypatch.setattr(eigenstructure, "shift_recovery", broken)
+    monkeypatch.setattr(backward_error, "shift_recovery", broken)
     rng = trial_rng(84, 0)
     bk = _random_block_kronecker(rng, 1, 1, 2, 2)
     dL = random_pencil_perturbation(bk.shape, 1e-8, rng)
@@ -606,8 +599,6 @@ def test_shift_check_propagates_programming_errors(monkeypatch):
 
 def test_pipeline_recovers_and_splits_once(monkeypatch):
     # run_pipeline reuses its P for Step 3 and Step 1's block split for dL_11
-    from bklab import backward_error
-
     calls = {"recover": 0, "split": 0}
     recover, split = backward_error.recover_polynomial, PerturbationBlocks.from_pencil
 
@@ -709,9 +700,6 @@ def test_warm_pipeline_never_takes_coefficient_norms_for_degree(monkeypatch):
 def test_warm_pipeline_takes_the_one_one_norm_once(monkeypatch):
     # ||M|| feeds ||L||, the radius and the bounds; the read-only pencil
     # keeps it after the first time
-    from bklab import block_kronecker
-    from bklab.block_kronecker import BlockKroneckerPencil
-
     rng = trial_rng(98, 0)
     bk = from_polynomial(random_polynomial(2, 2, 7, rng), 3, 3, "hook")
     dL = random_pencil_perturbation(bk.shape, 0.5 * pipeline_radius(bk), rng)
@@ -778,7 +766,6 @@ def test_reports_are_strict_json():
 def test_pipeline_perturbed_pencil_is_linearization_of_perturbed_poly():
     # the strict-equivalence consistency in full: eigenvalues of L + dL match
     # the det roots of P + dP
-    from bklab import det_roots, generalized_eigenvalues, match_eigenvalues
     rng = trial_rng(90, 0)
     bk = _random_block_kronecker(rng, 1, 1, 2, 2)
     dL = random_pencil_perturbation(bk.shape, 1e-9, rng)

@@ -5,10 +5,11 @@ from numpy.testing import assert_allclose
 from bklab import block_kronecker
 from bklab import (BlockKroneckerPencil, GradeError, LayoutError,
                    MatrixPolynomial, PlacementError, PlacementSpec,
-                   ShapeError, anti_triangularize, build_L, build_Lambda,
-                   constant, from_polynomial, lift_right_null_vector,
-                   multiply, recover_polynomial, validate_placement)
+                   ShapeError, build_L, build_Lambda, constant,
+                   from_polynomial, lift_right_null_vector, multiply,
+                   recover_polynomial, validate_placement)
 from bklab.experiments import complex_gaussian, random_polynomial, trial_rng
+from oracles import anti_triangularize
 
 
 def _example_grade5(rng):

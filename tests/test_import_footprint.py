@@ -1,6 +1,8 @@
 """Which scipy modules each entry point loads, checked in fresh interpreters
-(this process may already hold scipy)."""
+(this process may already hold scipy), and that every module of the package
+imports its siblings at the top."""
 
+import ast
 import json
 import os
 import subprocess
@@ -127,3 +129,37 @@ def test_answers_equal_scipys_in_either_import_order(bklab_first):
         code = "import scipy.linalg, scipy.optimize\n" + _BKLAB_ANSWERS \
             + _SCIPY_ANSWERS
     assert _run_fresh(code) == "equal"
+
+
+def _deferred_package_imports(tree, stem):
+    """``stem.function`` for every function in ``tree`` whose body imports a
+    ``bklab`` module, by relative or absolute name."""
+    def imports_package(node):
+        if isinstance(node, ast.ImportFrom):
+            return node.level > 0 or node.module.split(".")[0] == "bklab"
+        return isinstance(node, ast.Import) and any(
+            alias.name.split(".")[0] == "bklab" for alias in node.names)
+
+    return {f"{stem}.{fn.name}" for fn in ast.walk(tree)
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and any(imports_package(node) for node in ast.walk(fn))}
+
+
+def test_deferred_package_imports_sees_every_spelling():
+    tree = ast.parse(
+        "from .matpoly import zeros\nimport scipy\n"
+        "def a(): from .matpoly import zeros\n"
+        "def b(): from . import matpoly\n"
+        "def c(): import bklab.matpoly\n"
+        "async def d(): from bklab.matpoly import zeros\n"
+        "def e(): import scipy; from scipy import linalg\n")
+    assert _deferred_package_imports(tree, "m") == {"m.a", "m.b", "m.c", "m.d"}
+
+
+def test_no_module_defers_an_import_of_another():
+    # a deferred import hides a dependency (or a cycle) until the first call;
+    # a lazy third-party import such as scipy's stays allowed
+    hits = set()
+    for path in sorted(Path(bklab.__file__).parent.glob("*.py")):
+        hits |= _deferred_package_imports(ast.parse(path.read_text()), path.stem)
+    assert hits == set()

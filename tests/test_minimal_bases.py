@@ -2,14 +2,15 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from bklab import (DegenerateRowError, MatrixPolynomial, PreconditionError,
-                   ShapeError, are_dual_minimal_bases, build_L, build_Lambda,
-                   build_V, build_V_inverse, check_reversal_duality, identity,
-                   is_minimal_basis, multiply, pencil_is_kronecker_minimal,
-                   poly_is_kronecker_dual_minimal,
-                   right_minimal_indices_by_convolution, row_degree_profile)
+from bklab import (MatrixPolynomial, PreconditionError, ShapeError, build_L,
+                   build_Lambda, build_V, build_V_inverse, identity, multiply,
+                   right_minimal_indices_by_convolution)
 from bklab.experiments import complex_gaussian, random_pencil_perturbation
 from bklab.matpoly import Pencil
+from oracles import (DegenerateRowError, are_dual_minimal_bases,
+                     check_reversal_duality, is_minimal_basis,
+                     pencil_is_kronecker_minimal,
+                     poly_is_kronecker_dual_minimal, row_degree_profile)
 
 
 # ------------------------------------------------------------ row profiles
