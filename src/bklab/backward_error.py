@@ -40,8 +40,9 @@ from .eigenstructure import (match_eigenvalues, shift_recovery,
                              staircase_eigenstructure)
 from .errors import (ConvergenceError, EigenstructureShiftError,
                      PreconditionError, ShapeError)
-from .matpoly import (CACHE_SIZE, MatrixPolynomial, Pencil, _stack_product,
-                      build_L, build_Lambda, convolution, pair_norm)
+from .matpoly import (CACHE_SIZE, MatrixPolynomial, Pencil, _frobenius,
+                      _stack_product, build_L, build_Lambda, convolution,
+                      pair_norm)
 from .spectral_constants import build_T, sigma_min_T_closed
 from .tolerances import EPS, pseudoinverse
 
@@ -249,7 +250,7 @@ def solve_step1(L: BlockKroneckerPencil, dL: Pencil,
         delta_T_bound=dT_bound,
         delta=sigma - dT_bound,
         theta=blocks.d22.frobenius_norm(),
-        omega=float(np.linalg.norm(M)),
+        omega=_frobenius(M),
     )
     if not gauge.solvable and not force:
         raise PreconditionError(
@@ -284,7 +285,7 @@ def solve_step1(L: BlockKroneckerPencil, dL: Pencil,
     R = d22 + C @ dLt12.coeff_stack + d21 @ D
     R[0] -= C[:, :eta * m] + D[:eps * n]
     R[1] += C[:, m:] + D[n:]
-    residual = float(np.linalg.norm(R))
+    residual = _frobenius(R)
     return Step1Result(C, D, gauge, iterations, iterate_norms, kappa_seq,
                        residual, dLt12, dLt21, blocks)
 
@@ -562,7 +563,7 @@ def run_pipeline(L: BlockKroneckerPencil, dL: Pencil, force: bool = False,
     )
 
     if check_eigen:
-        L_plus_dL = L.assemble() + dL
+        L_plus_dL = Pencil(L.assemble().coeff_stack + dL.coeff_stack)
         fresh = from_polynomial(P_plus_dP, L.eps, L.eta, "hook")
         es_pert = staircase_eigenstructure(L_plus_dL)
         es_fresh = staircase_eigenstructure(fresh.assemble())

@@ -140,6 +140,8 @@ def from_polynomial(P: MatrixPolynomial, eps: int, eta: int,
         placement = PlacementSpec(placement)
     d = P.grade
     m, n = P.shape
+    if eps < 0 or eta < 0:
+        raise ShapeError(f"need eps, eta >= 0, got eps = {eps}, eta = {eta}")
     if eps + eta + 1 != d:
         raise GradeError(f"eps + eta + 1 = {eps + eta + 1} but the grade is {d}")
     if placement.tag == "frobenius1" and (eta != 0 or eps != d - 1):

@@ -33,7 +33,8 @@ import numpy as np
 
 from .errors import (ConvergenceError, EigenstructureShiftError,
                      InconclusiveError, ShapeError)
-from .matpoly import MatrixPolynomial, as_pencil, convolution, determinant
+from .matpoly import (CACHE_SIZE, MatrixPolynomial, as_pencil, convolution,
+                      determinant)
 from .tolerances import (EPS, RankDecision, _decide_rank, _require_finite,
                          _svd, numerical_rank, svd_with_rank)
 
@@ -178,6 +179,15 @@ def _scipy_extension(name):
     return module
 
 
+@lru_cache(maxsize=CACHE_SIZE)
+def _zggev_lwork(n: int) -> int:
+    """The optimal ``zggev`` workspace for order ``n`` without eigenvectors,
+    queried once per order: LAPACK sizes it from ``n`` alone."""
+    zggev = _scipy_extension("linalg._flapack").zggev
+    z = np.zeros((n, n), dtype=complex)
+    return int(zggev(z, z, 0, 0, -1)[-2][0].real)
+
+
 def _qz(A, B):
     """QZ eigenvalues of ``A + lambda*B`` in homogeneous form, split by the
     rule ``|beta| <= 10 EPS hypot(|alpha|, |beta|)`` for an infinite one.
@@ -186,11 +196,10 @@ def _qz(A, B):
     the pair ``(|beta|, threshold)``; a QZ failure raises ConvergenceError.
     """
     # det(A + lam*B) = 0 is LAPACK's det(beta A - alpha (-B)) = 0 at (lam, 1),
-    # solved without eigenvectors in the workspace scipy.linalg.eig queries,
-    # by the zggev of scipy's compiled LAPACK wrappers.
+    # solved without eigenvectors by the zggev of scipy's compiled LAPACK
+    # wrappers, in the workspace scipy.linalg.eig would query
     zggev = _scipy_extension("linalg._flapack").zggev
-    lwork = int(zggev(A, -B, 0, 0, -1)[-2][0].real)
-    alpha, beta, _, _, _, info = zggev(A, -B, 0, 0, lwork)
+    alpha, beta, _, _, _, info = zggev(A, -B, 0, 0, _zggev_lwork(len(A)))
     if info != 0:
         raise ConvergenceError(f"QZ failed: LAPACK zggev returned info {info}")
     threshold = 10.0 * EPS * np.hypot(np.abs(alpha), np.abs(beta))

@@ -14,7 +14,7 @@ import numpy as np
 from .backward_error import pipeline_radius, run_pipeline
 from .block_kronecker import from_polynomial
 from .errors import BkLabError, GradeError, ShapeError
-from .matpoly import MatrixPolynomial, Pencil
+from .matpoly import MatrixPolynomial, Pencil, pair_norm
 
 
 def trial_rng(master_seed: int, index: int) -> np.random.Generator:
@@ -34,7 +34,12 @@ def random_polynomial(m: int, n: int, d: int, rng,
     coeffs = [complex_gaussian((m, n), rng) for _ in range(d + 1)]
     P = MatrixPolynomial(coeffs, grade=d)
     if norm is not None:
-        P = (norm / P.frobenius_norm()) * P
+        scale = P.frobenius_norm()
+        if scale == 0.0:
+            raise ShapeError(
+                f"a {m}x{n} draw of grade {d} has norm 0 and cannot be scaled "
+                f"to norm {norm}")
+        P = (norm / scale) * P
     return P
 
 
@@ -58,7 +63,7 @@ def random_pencil_perturbation(shape, magnitude: float, rng) -> Pencil:
     """Dense Gaussian pencil scaled to the requested Frobenius norm."""
     A = complex_gaussian(shape, rng)
     B = complex_gaussian(shape, rng)
-    total = np.hypot(np.linalg.norm(A), np.linalg.norm(B))
+    total = pair_norm(A, B)
     if total == 0 or magnitude == 0:
         return Pencil.from_parts(np.zeros(shape, dtype=complex),
                                  np.zeros(shape, dtype=complex))
@@ -84,7 +89,10 @@ def split_for_placement(placement: str, d: int, epsilon=None, eta=None):
 @dataclass
 class ExperimentConfig:
     """Batch study parameters.  Size fields are inclusive ``(lo, hi)``
-    ranges; every generated trial satisfies ``eps + eta + 1 == d``."""
+    ranges with ``1 <= lo <= hi``; every generated trial satisfies
+    ``eps + eta + 1 == d``.  An empty or nonpositive range of ``m`` or ``n``
+    and a negative ``trials`` raise :class:`ShapeError`, one of ``d``
+    :class:`GradeError`."""
 
     seed: int = 0
     trials: int = 10
@@ -99,6 +107,15 @@ class ExperimentConfig:
     check_eigen: bool = True
 
     def __post_init__(self):
+        if self.trials < 0:
+            raise ShapeError(f"trials must be nonnegative, got {self.trials}")
+        for name, (lo, hi), error in (("m", self.m, ShapeError),
+                                      ("n", self.n, ShapeError),
+                                      ("d", self.d, GradeError)):
+            if lo > hi:
+                raise error(f"{name} range {lo}:{hi} is empty")
+            if lo < 1:
+                raise error(f"{name} must be at least 1, got {lo}")
         if self.epsilon is not None and self.eta is not None:
             want = self.epsilon + self.eta + 1
             if not (self.d[0] <= want <= self.d[1]) and self.d != (want, want):

@@ -12,6 +12,7 @@ grade, only on the nonzero coefficients.
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -20,7 +21,8 @@ from .errors import GradeError, ShapeError
 from .tolerances import _svd
 
 # index tuples whose structural constants (L_k (x) I_p, Lambda_k (x) I_p, the
-# scalar pseudoinverses of Steps 1 and 2 and their appliers) stay cached
+# scalar pseudoinverses of Steps 1 and 2 and their appliers, the QZ workspace
+# of an order) stay cached
 CACHE_SIZE = 64
 
 
@@ -42,10 +44,13 @@ class MatrixPolynomial:
             grade = int(grade)
             if grade < 0:
                 raise GradeError("grade must be nonnegative")
-            if np.any(stack[grade + 1:]):
-                raise GradeError(
-                    f"grade {grade} is smaller than the degree of the data")
-            stack = _pad(stack[:grade + 1], grade)
+            if len(stack) > grade + 1:
+                if np.any(stack[grade + 1:]):
+                    raise GradeError(
+                        f"grade {grade} is smaller than the degree of the data")
+                stack = stack[:grade + 1]
+            elif len(stack) < grade + 1:
+                stack = _pad(stack, grade)
         stack.setflags(write=False)
         self._c = stack
 
@@ -87,7 +92,7 @@ class MatrixPolynomial:
         zero, which is needed for polynomials assembled in floating point.
         """
         for k in range(self.grade, -1, -1):
-            if np.linalg.norm(self._c[k]) > tol:
+            if _frobenius(self._c[k]) > tol:
                 return k
         return None
 
@@ -115,7 +120,7 @@ class MatrixPolynomial:
     # -- norms -----------------------------------------------------------
 
     def frobenius_norm(self) -> float:
-        return float(np.linalg.norm(self._c))
+        return _frobenius(self._c)
 
     # -- algebra -----------------------------------------------------------
 
@@ -147,7 +152,7 @@ class MatrixPolynomial:
         if self.shape != other.shape:
             return False
         d = max(self.grade, other.grade)
-        return all(np.linalg.norm(a - b) <= atol
+        return all(_frobenius(a - b) <= atol
                    for a, b in zip(_pad(self._c, d), _pad(other._c, d)))
 
     def __repr__(self) -> str:
@@ -203,8 +208,10 @@ def as_pencil(P: MatrixPolynomial) -> Pencil:
 
 def _pad(S: np.ndarray, d: int) -> np.ndarray:
     """The coefficient stack ``S`` followed by zeros up to grade ``d``."""
+    if len(S) > d:
+        return S
     zeros = np.zeros((d + 1 - len(S),) + S.shape[1:], dtype=complex)
-    return np.concatenate([S, zeros]) if len(zeros) else S
+    return np.concatenate([S, zeros])
 
 
 # -- json helpers ---------------------------------------------------------
@@ -296,9 +303,27 @@ def build_V_inverse(k: int) -> MatrixPolynomial:
 
 # -- operations -------------------------------------------------------------
 
+def _frobenius(a: np.ndarray) -> float:
+    """Frobenius norm of one float64 or complex128 array, bit for bit what
+    ``np.linalg.norm(a)`` returns: the same ``ravel(order='K')`` and the
+    same BLAS dots, ``sqrt(re.dot(re) + im.dot(im))``, without the
+    wrapper's dispatch (``math.sqrt`` rounds correctly, as numpy's does).
+    Norms along axes stay on numpy, which sums them differently."""
+    x = a.ravel(order="K")
+    if x.dtype.kind == "c":
+        re, im = x.real, x.imag
+        return math.sqrt(re.dot(re) + im.dot(im))
+    return math.sqrt(x.dot(x))
+
+
 def pair_norm(*arrays) -> float:
-    """Frobenius norm of arrays of possibly different sizes taken together."""
-    return float(np.hypot.reduce([np.linalg.norm(a) for a in arrays]))
+    """Frobenius norm of float or complex arrays of possibly different sizes
+    taken together: numpy's left-to-right ``np.hypot`` reduction of their
+    norms, one scalar ``hypot`` per further array."""
+    total, *rest = [_frobenius(a) for a in arrays] or [0.0]
+    for norm in rest:
+        total = np.hypot(total, norm)
+    return float(total)
 
 
 def multiply(P: MatrixPolynomial, Q: MatrixPolynomial) -> MatrixPolynomial:

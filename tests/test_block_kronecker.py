@@ -69,6 +69,17 @@ def test_make_pencil_rejects_bad_shapes():
         BlockKroneckerPencil(np.eye(2), np.eye(2), 1, 0, 1, 1)
 
 
+@pytest.mark.parametrize("placement", ["hook", "frobenius1", "frobenius2"])
+@pytest.mark.parametrize("eps,eta,grade", [(-1, 2, 2), (2, -1, 2), (0, -1, 0),
+                                           (-1, 0, 0)])
+def test_negative_split_is_refused_before_any_block_is_filled(
+        placement, eps, eta, grade):
+    # eps + eta + 1 equals the grade, so only the sign check refuses it
+    P = random_polynomial(2, 2, grade, trial_rng(56, grade))
+    with pytest.raises(ShapeError, match="eps, eta >= 0"):
+        from_polynomial(P, eps, eta, placement)
+
+
 def test_reference_pencils_reproduce_their_polynomial():
     rng = np.random.default_rng(42)
     poly, pencils = _example_grade5(rng)

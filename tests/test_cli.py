@@ -128,6 +128,36 @@ def test_eig_refuses_a_non_finite_input_with_exit_2(tmp_path, capsys, kind):
     assert out.out == "" and "non-finite" in out.err
 
 
+def test_eig_on_a_constant_polynomial_refuses_the_split_with_exit_2(tmp_path, capsys):
+    # the hook split of grade 0 is (0, -1)
+    path = tmp_path / "constant.json"
+    write_json(path, MatrixPolynomial([[[1.0, 2.0], [3.0, 4.0]]]).to_json())
+    assert main(["eig", str(path)]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "eps" in out.err and "eta" in out.err
+    assert "broadcast" not in out.err and "Traceback" not in out.err
+
+
+@pytest.mark.parametrize("flags,names", [
+    (["--m", "0"], ["m", "at least 1"]),
+    (["--m", "-1"], ["m", "at least 1"]),
+    (["--m", "3:2"], ["m", "empty"]),
+    (["--n", "2:1"], ["n", "empty"]),
+    (["--d", "0"], ["d", "at least 1"]),
+    (["--d", "4:3"], ["d", "empty"]),
+    (["--trials", "-1"], ["trials", "nonnegative"]),
+])
+def test_backward_error_refuses_a_bad_range_with_exit_2(tmp_path, capsys,
+                                                        flags, names):
+    out = tmp_path / "r.json"
+    assert main(["backward-error", *flags, "--no-eigen-check",
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and all(name in err for name in names)
+    assert "Traceback" not in err and not out.exists()
+
+
 def test_perturb_is_deterministic(tmp_path):
     rng = trial_rng(92, 0)
     P = random_polynomial(2, 2, 3, rng)

@@ -287,6 +287,61 @@ def test_missing_scipy_extension_raises_an_import_error_naming_it():
         bklab.eigenstructure._scipy_extension("linalg._no_such_module")
 
 
+def _zggev_calls(monkeypatch):
+    """The ``(n, lwork, alpha, beta)`` of every ``zggev`` call bklab makes
+    from now on, recorded by a spy on scipy's compiled function."""
+    zggev = bklab.eigenstructure._scipy_extension("linalg._flapack").zggev
+    calls = []
+
+    def spy(a, b, *args):
+        out = zggev(a, b, *args)
+        calls.append((len(a), args[-1], out[0], out[1]))
+        return out
+
+    _substitute_extension(monkeypatch, "linalg._flapack", zggev=spy)
+    return calls
+
+
+def test_qz_makes_one_zggev_call_with_the_queried_workspace(monkeypatch):
+    zggev = bklab.eigenstructure._scipy_extension("linalg._flapack").zggev
+    rng = trial_rng(97, 0)
+    calls = _zggev_calls(monkeypatch)
+    bklab.eigenstructure._zggev_lwork.cache_clear()
+    # only the first QZ of an order queries its workspace
+    for n, queries in ((1, 1), (5, 1), (28, 1), (5, 0), (28, 0), (1, 0)):
+        A, B = complex_gaussian((n, n), rng), complex_gaussian((n, n), rng)
+        calls.clear()
+        bklab.eigenstructure._qz(A, B)
+        assert [lwork == -1 for _, lwork, _, _ in calls] == [True] * queries + [False]
+        size, lwork, alpha, beta = calls[-1]
+        # the two-call form: query, then solve in the optimal workspace
+        fresh = int(zggev(A, -B, 0, 0, -1)[-2][0].real)
+        want_alpha, want_beta, *_ = zggev(A, -B, 0, 0, fresh)
+        assert (size, lwork) == (n, fresh)
+        assert alpha.tobytes() == want_alpha.tobytes()
+        assert beta.tobytes() == want_beta.tobytes()
+    assert bklab.eigenstructure._zggev_lwork.cache_info().misses == 3
+
+
+def test_staircase_takes_one_zggev_call_per_qz(monkeypatch):
+    pencil = _square_regular_pencils()["be_sylvester"]
+    staircase_eigenstructure(pencil)  # the workspace of order 28 is cached
+    calls = _zggev_calls(monkeypatch)
+    for runs in (1, 2, 3):
+        staircase_eigenstructure(pencil)
+        assert [lwork != -1 for _, lwork, _, _ in calls] == [True] * runs
+
+
+def test_cached_zggev_workspace_equals_a_fresh_query():
+    zggev = bklab.eigenstructure._scipy_extension("linalg._flapack").zggev
+    rng = trial_rng(97, 1)
+    bklab.eigenstructure._zggev_lwork.cache_clear()
+    for n in range(1, 65):
+        A, B = complex_gaussian((n, n), rng), complex_gaussian((n, n), rng)
+        fresh = int(zggev(A, -B, 0, 0, -1)[-2][0].real)
+        assert bklab.eigenstructure._zggev_lwork(n) == fresh, n
+
+
 @pytest.mark.parametrize("info", [-1, 1])
 def test_qz_failure_raises_a_typed_error(monkeypatch, info):
     zggev = bklab.eigenstructure._scipy_extension("linalg._flapack").zggev

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from bklab import GradeError, from_polynomial, run_pipeline
+from bklab import GradeError, ShapeError, from_polynomial, run_pipeline
 from bklab.experiments import (ExperimentConfig, generate_trial,
                                random_pencil_perturbation, random_polynomial,
                                random_singular_polynomial,
@@ -55,6 +55,37 @@ def test_config_reconciles_explicit_split_with_d():
     assert config.d == (4, 4)
     with pytest.raises(GradeError):
         ExperimentConfig(epsilon=2, eta=1, d=(5, 6))
+
+
+@pytest.mark.parametrize("fields,error,names", [
+    ({"m": (0, 0)}, ShapeError, "m"),
+    ({"m": (-1, 2)}, ShapeError, "m"),
+    ({"m": (3, 2)}, ShapeError, "m"),
+    ({"n": (0, 3)}, ShapeError, "n"),
+    ({"n": (2, 1)}, ShapeError, "n"),
+    ({"d": (0, 0)}, GradeError, "d"),
+    ({"d": (4, 3)}, GradeError, "d"),
+    ({"d": (0, 3), "epsilon": 1, "eta": 1}, GradeError, "d"),
+    ({"trials": -1}, ShapeError, "trials"),
+])
+def test_config_refuses_empty_and_nonpositive_ranges(fields, error, names):
+    with pytest.raises(error, match=rf"^{names} "):
+        ExperimentConfig(**fields)
+
+
+def test_config_accepts_the_smallest_sizes_and_no_trials():
+    config = ExperimentConfig(trials=0, m=(1, 1), n=(1, 3), d=(1, 1))
+    assert run_backward_error_batch(config)["summary"]["trials"] == 0
+    L, _, _ = generate_trial(ExperimentConfig(m=(1, 1), n=(1, 1), d=(1, 1)), 0)
+    assert (L.m, L.n, L.grade) == (1, 1, 1)
+
+
+@pytest.mark.parametrize("m,n", [(0, 2), (2, 0)])
+def test_random_polynomial_refuses_to_scale_a_zero_norm_draw(m, n):
+    with pytest.raises(ShapeError, match="norm 0"):
+        random_polynomial(m, n, 3, trial_rng(0, 0))
+    # without scaling an empty draw is a valid polynomial
+    assert random_polynomial(m, n, 3, trial_rng(0, 0), norm=None).shape == (m, n)
 
 
 def test_batch_summary_counts():

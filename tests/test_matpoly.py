@@ -3,9 +3,10 @@ import pytest
 from numpy.testing import assert_allclose
 
 from bklab import (GradeError, MatrixPolynomial, Pencil, ShapeError, build_L,
-                   build_Lambda, constant, convolution, identity, multiply,
-                   pair_norm, verify_norm_inequalities, zeros)
+                   build_Lambda, constant, convolution, identity, matpoly,
+                   multiply, pair_norm, verify_norm_inequalities, zeros)
 from bklab.experiments import complex_gaussian
+from bklab.matpoly import _frobenius
 
 
 def random_poly(m, n, d, rng):
@@ -159,6 +160,32 @@ def test_with_grade_pads_and_trims_bit_for_bit():
     _same_bits(MatrixPolynomial(P.coeff_stack, grade=4), _ref_with_grade(P, 4))
 
 
+def test_constructor_trims_and_pads_only_when_the_length_differs(monkeypatch):
+    # an exact-length stack is copied once, neither scanned nor padded
+    calls = {"any": 0, "_pad": 0}
+    scan, pad = np.any, matpoly._pad
+
+    def counted_any(*args, **kwargs):
+        calls["any"] += 1
+        return scan(*args, **kwargs)
+
+    def counted_pad(*args, **kwargs):
+        calls["_pad"] += 1
+        return pad(*args, **kwargs)
+
+    monkeypatch.setattr(np, "any", counted_any)
+    monkeypatch.setattr(matpoly, "_pad", counted_pad)
+    stack = _signed_poly(2, 3, 2, np.random.default_rng(42)).coeff_stack.copy()
+    stack[2] = 0.0
+    for grade, want in ((2, {"any": 0, "_pad": 0}), (4, {"any": 0, "_pad": 1}),
+                        (1, {"any": 1, "_pad": 0})):
+        calls.update(dict.fromkeys(calls, 0))
+        P = MatrixPolynomial(stack, grade=grade)
+        assert calls == want, grade
+        assert not np.shares_memory(P.coeff_stack, stack)
+        _same_bits(P, _ref_with_grade(MatrixPolynomial(stack), grade))
+
+
 # --------------------------------------------------------------------- eval
 
 def test_eval_identity_case():
@@ -230,6 +257,59 @@ def test_pair_norm():
     C, D = complex_gaussian((2, 4), rng), complex_gaussian((3, 2), rng)
     flat = np.concatenate([C.ravel(), D.ravel()])
     assert pair_norm(C, D) == pytest.approx(np.linalg.norm(flat))
+
+
+def _bits(x) -> bytes:
+    return np.float64(x).tobytes()
+
+
+def _norm_cases():
+    rng = np.random.default_rng(15)
+    stack = complex_gaussian((3, 4, 5), rng)
+    huge = np.full((2, 3), 1e200 + 1e200j)
+    nan = stack.copy()
+    nan[1, 2, 3] = np.nan
+    return {
+        "stack": stack,
+        "empty": np.zeros((0, 3), dtype=complex),
+        "empty_stack": np.zeros((2, 0, 3), dtype=complex),
+        "fortran": np.asfortranarray(stack[1]),
+        "transposed": stack.transpose(0, 2, 1),
+        "strided": stack[:, ::2, 1:],
+        "real": rng.standard_normal((4, 3)),
+        "real_transposed": rng.standard_normal((3, 4)).T,
+        "huge": huge,
+        "huge_real": huge.real.copy(),
+        "nan": nan,
+        "tiny": 1e-170 * stack,
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_norm_cases()))
+def test_frobenius_equals_numpy_norm_bit_for_bit(case):
+    a = _norm_cases()[case]
+    with np.errstate(over="ignore"):  # both overflow alike on 1e200
+        got, want = _frobenius(a), np.linalg.norm(a)
+    assert isinstance(got, float)
+    assert _bits(got) == _bits(want)
+    if case.startswith("huge"):
+        assert got == np.inf
+
+
+def test_pair_norm_equals_numpy_hypot_reduction_bit_for_bit():
+    cases = _norm_cases()
+    rng = np.random.default_rng(16)
+    names = sorted(cases)
+    for count in (1, 2, 3, 4, 6):
+        for _ in range(20):
+            with np.errstate(over="ignore", invalid="ignore"):
+                arrays = [cases[names[i]] * rng.choice([1.0, 1e-3, 1e150])
+                          for i in rng.choice(len(names), count)]
+                want = np.hypot.reduce([np.linalg.norm(a) for a in arrays])
+                got = pair_norm(*arrays)
+            assert isinstance(got, float)
+            assert _bits(got) == _bits(want), [a.shape for a in arrays]
+    assert pair_norm() == np.hypot.reduce([]) == 0.0
 
 
 # ----------------------------------------------------------------- multiply

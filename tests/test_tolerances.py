@@ -193,6 +193,55 @@ def test_one_svd_primitive():
         "tolerances._svd"}
 
 
+def _whole_array_norm_users(tree):
+    """Names of the functions in ``tree`` that take a ``norm`` other than
+    along an ``axis=`` keyword: a ``norm(...)`` call without it, whatever
+    its module is called, and a bare ``linalg.norm`` passed on as a value."""
+    def is_norm(func):
+        name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+        return name == "norm"
+
+    def whole_array(node):
+        if isinstance(node, ast.Call):
+            return is_norm(node.func) and not any(k.arg == "axis" for k in node.keywords)
+        return False
+
+    def passed_on(fn):
+        called = {id(node.func) for node in ast.walk(fn) if isinstance(node, ast.Call)}
+        return any(isinstance(node, ast.Attribute) and node.attr == "norm"
+                   and id(node) not in called for node in ast.walk(fn))
+
+    return {fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+            and (passed_on(fn) or any(whole_array(node) for node in ast.walk(fn)))}
+
+
+def test_whole_array_norm_users_sees_every_spelling():
+    tree = ast.parse(
+        "def a(M): return np.linalg.norm(M)\n"
+        "def b(M): return numpy.linalg.norm(M, 'fro')\n"
+        "def c(M): return linalg.norm(M, ord=2)\n"
+        "def d(M): return norm(M)\n"
+        "def e(M): return la.norm(M, None, (1, 2))\n"
+        "def f(Ms): return list(map(np.linalg.norm, Ms))\n"
+        "def g(M): return float(np.linalg.norm(M).max())\n"
+        "def h(M): return np.linalg.norm(M, axis=(1, 2))\n"
+        "def i(M): return norm(M, ord=2, axis=0)\n"
+        "def j(P): norm = P.frobenius_norm(); return norm, pair_norm(P)\n"
+        "def k(M): return _frobenius(M)\n")
+    assert _whole_array_norm_users(tree) == {"a", "b", "c", "d", "e", "f", "g"}
+
+
+def test_one_whole_array_norm_helper():
+    # single-array Frobenius norms go through matpoly._frobenius, which
+    # equals np.linalg.norm bit for bit without its wrapper; per-coefficient
+    # norms along an axis stay on numpy, which sums them differently
+    users = set()
+    for path in sorted((ROOT / "src" / "bklab").glob("*.py")):
+        users |= {f"{path.stem}.{name}"
+                  for name in _whole_array_norm_users(ast.parse(path.read_text()))}
+    assert users == set()
+
+
 @pytest.mark.parametrize("dtype", [float, complex])
 @pytest.mark.parametrize("bad", [None, np.inf, -np.inf, np.nan])
 def test_finiteness_check_is_exact_when_the_sum_of_squares_overflows(dtype, bad):
