@@ -36,7 +36,8 @@ from functools import lru_cache
 import numpy as np
 
 from .block_kronecker import BlockKroneckerPencil, from_polynomial, recover_polynomial
-from .eigenstructure import (match_eigenvalues, shift_recovery,
+from .eigenstructure import (Eigenstructure, _normal_rank, chordal_distance,
+                             match_eigenvalues, shift_recovery,
                              staircase_eigenstructure)
 from .errors import (ConvergenceError, EigenstructureShiftError,
                      PreconditionError, ShapeError)
@@ -44,7 +45,7 @@ from .matpoly import (CACHE_SIZE, MatrixPolynomial, Pencil, _frobenius,
                       _stack_product, build_L, build_Lambda, convolution,
                       pair_norm)
 from .spectral_constants import build_T, sigma_min_T_closed
-from .tolerances import EPS, pseudoinverse
+from .tolerances import EPS, _svd, pseudoinverse
 
 SQRT2M1 = np.sqrt(2.0) - 1.0
 MAX_ITER = 200
@@ -383,6 +384,82 @@ def _perturbed_polynomial(L: BlockKroneckerPencil, dL11: Pencil,
     return MatrixPolynomial(_stack_product(_stack_product(left, mid), right))
 
 
+# -- eigenvalue certificate --------------------------------------------------
+
+def _certify_eigenvalues(Q: MatrixPolynomial, structure: Eigenstructure,
+                         tol: float):
+    """Certify the eigenvalues of ``structure`` as eigenvalues of ``Q``.
+
+    Each eigenvalue is the point ``(alpha, beta)``, ``|alpha|^2 + |beta|^2 =
+    1``, with ``(1, 0)`` for the infinite ones, and ``Q`` is evaluated there
+    in homogeneous form, ``Q(alpha, beta) = sum_k alpha^k beta^(d-k) Q_k``,
+    in one product of the weights with the coefficient stack.  With ``r``
+    the normal rank of ``Q`` and ``(sigma_r, x, y)`` the ``r``-th singular
+    triplet of ``Q(alpha, beta)`` from one batched SVD, the backward error
+    is ``sigma_r / (||Q||_F ||(alpha^k beta^(d-k))_k||_2)`` (Tisseur, LAA 309
+    (2000)) and the first-order chordal distance to an eigenvalue of ``Q``
+    is ``sigma_r / |y^H (conj(beta) dQ/dalpha - conj(alpha) dQ/dbeta) x|``
+    (Dedieu and Tisseur, LAA 358 (2003)).
+
+    Returns ``(eta, distance)``: the largest backward error, ``None`` when
+    it is not finite, and the largest distance over the finite eigenvalues,
+    ``None`` unless the eigenvalues are certified.  They are when
+    ``structure`` has no minimal indices, ``Q`` is square of full normal
+    rank, every finite eigenvalue lies more than ``2 tol`` from every other
+    eigenvalue and from infinity, and every distance is at most ``tol``.
+    Then the discs of radius ``tol`` around the finite eigenvalues are
+    disjoint and each holds its own finite eigenvalue of ``Q``: the
+    one-to-one pairing a chordal match of the two spectra looks for.  The
+    infinite eigenvalues are covered by their backward error alone.
+    """
+    finite = np.array(structure.finite, dtype=complex)
+    beta = 1.0 / np.hypot(np.abs(finite), 1.0)
+    alpha = finite * beta
+    if structure.infinite:
+        alpha, beta = np.append(alpha, 1.0), np.append(beta, 0.0)
+    points, d = alpha.size, Q.grade
+    rank = _normal_rank(Q)
+    if points == 0 or rank == 0:
+        return (0.0 if rank else None), None
+    # alpha^k and beta^k for k = 0 .. d, by repeated products
+    a_pow = np.ones((points, d + 1), dtype=complex)
+    b_pow = np.ones((points, d + 1), dtype=complex)
+    for j in range(1, d + 1):
+        a_pow[:, j] = a_pow[:, j - 1] * alpha
+        b_pow[:, j] = b_pow[:, j - 1] * beta
+    k, zero = np.arange(d + 1), np.zeros((points, 1))
+    weights = a_pow * b_pow[:, ::-1]
+    # the derivatives of alpha^k beta^(d-k) in alpha and in beta
+    d_alpha = k * np.hstack([zero, a_pow[:, :-1]]) * b_pow[:, ::-1]
+    d_beta = (d - k) * a_pow * np.hstack([b_pow[:, -2::-1], zero])
+    tangent = beta[:, None] * d_alpha - alpha.conj()[:, None] * d_beta
+    values = (np.vstack([weights, tangent])
+              @ Q.coeff_stack.reshape(d + 1, -1)).reshape(-1, Q.rows, Q.cols)
+    try:
+        s, U, V = _svd(values[:points])
+    except ShapeError:  # a non-finite evaluation
+        return None, None
+    sigma = s[:, rank - 1]
+    eta = float(np.max(sigma / (Q.frobenius_norm()
+                                * np.linalg.norm(weights, axis=1))))
+    eta = eta if np.isfinite(eta) else None
+    if structure.right or structure.left or not rank == Q.rows == Q.cols:
+        return eta, None
+    count = finite.size
+    if count:
+        gaps = chordal_distance(finite[:, None], np.append(finite, np.inf))
+        gaps[np.arange(count), np.arange(count)] = np.inf
+        if not gaps.min() > 2.0 * tol:
+            return eta, None
+    x, y = V[:count, :, rank - 1], U[:count, :, rank - 1].conj()
+    slope = np.abs(np.einsum("ia,iab,ib->i", y, values[points:points + count], x))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        distance = float(np.max(sigma[:count] / slope, initial=0.0))
+    if not distance <= tol:  # also when a slope vanishes
+        return eta, None
+    return eta, distance
+
+
 # -- bounds ------------------------------------------------------------------
 
 def bound_nondegenerate(d: int, norm_L: float, norm_P: float, norm_M: float,
@@ -443,6 +520,7 @@ class BackwardErrorReport:
     eigen_max_distance: float | None = None
     eigen_consistent: bool | None = None
     shift_consistent: bool | None = None
+    eigen_backward_error: float | None = None
     forced: bool = False
 
     def record(self) -> dict:
@@ -478,6 +556,7 @@ class BackwardErrorReport:
             "eigen_max_distance": self.eigen_max_distance,
             "eigen_consistent": self.eigen_consistent,
             "shift_consistent": self.shift_consistent,
+            "eigen_backward_error": self.eigen_backward_error,
         }
 
     def to_json(self) -> dict:
@@ -507,10 +586,21 @@ def run_pipeline(L: BlockKroneckerPencil, dL: Pencil, force: bool = False,
     The pipeline refuses a ``P`` of zero norm, and perturbations outside the
     guaranteed radius unless ``force`` is set, in which case the report is
     marked as unguaranteed.
-    With ``check_eigen`` the complete eigenstructures of ``L + dL`` and of a
-    fresh hook linearization of ``P + dP`` are compared (eigenvalues under
-    the chordal metric, minimal indices through the shifts); disagreement is
-    flagged in the report rather than fatal, since the problem is ill-posed.
+    With ``check_eigen`` the staircase of ``L + dL`` is computed, and its
+    eigenvalues are certified as eigenvalues of ``P + dP`` by
+    :func:`_certify_eigenvalues`: one batched SVD of ``P + dP`` at every
+    eigenvalue, with no second linearization, staircase or QZ.  A certified
+    check reports the largest first-order chordal distance as
+    ``eigen_max_distance`` and sets ``eigen_consistent`` and
+    ``shift_consistent``.  Otherwise (minimal indices, a singular
+    ``P + dP``, eigenvalues closer than ``2 eigen_tol``, a distance above
+    ``eigen_tol`` or a non-finite evaluation) the complete eigenstructure of
+    a fresh hook linearization of ``P + dP`` is compared with that of
+    ``L + dL``: eigenvalues under the chordal metric, minimal indices
+    through the shifts, and the infinite elementary divisors.  Either way
+    ``eigen_backward_error`` is the largest backward error of ``L + dL``'s
+    eigenvalues for ``P + dP``.  Disagreement is flagged in the report
+    rather than fatal, since the problem is ill-posed.
     """
     d = L.grade
     P = recover_polynomial(L)
@@ -564,10 +654,16 @@ def run_pipeline(L: BlockKroneckerPencil, dL: Pencil, force: bool = False,
 
     if check_eigen:
         L_plus_dL = Pencil(L.assemble().coeff_stack + dL.coeff_stack)
-        fresh = from_polynomial(P_plus_dP, L.eps, L.eta, "hook")
         es_pert = staircase_eigenstructure(L_plus_dL)
-        es_fresh = staircase_eigenstructure(fresh.assemble())
         report.eigen_checked = True
+        report.eigen_backward_error, dist = _certify_eigenvalues(
+            P_plus_dP, es_pert, eigen_tol)
+        if dist is not None:
+            report.eigen_max_distance = dist
+            report.eigen_consistent = report.shift_consistent = True
+            return report
+        fresh = from_polynomial(P_plus_dP, L.eps, L.eta, "hook")
+        es_fresh = staircase_eigenstructure(fresh.assemble())
         try:
             dist = match_eigenvalues(es_pert.finite, es_fresh.finite)
             report.eigen_max_distance = dist
@@ -580,7 +676,8 @@ def run_pipeline(L: BlockKroneckerPencil, dL: Pencil, force: bool = False,
             rec_fresh = shift_recovery(es_fresh, L.eps, L.eta)
             report.shift_consistent = bool(
                 rec_pert.right == rec_fresh.right
-                and rec_pert.left == rec_fresh.left)
+                and rec_pert.left == rec_fresh.left
+                and rec_pert.infinite == rec_fresh.infinite)
         except EigenstructureShiftError:
             report.shift_consistent = False
     return report

@@ -371,7 +371,10 @@ def right_minimal_indices_by_convolution(Q: MatrixPolynomial, j_max=None,
 def shift_recovery(structure: Eigenstructure, eps: int, eta: int) -> Eigenstructure:
     """Map a linearization's eigenstructure to the polynomial's: right
     minimal indices drop by ``eps``, left ones by ``eta``, eigenvalue content
-    is shared."""
+    is shared.  A negative shift raises :class:`ShapeError`."""
+    if eps < 0 or eta < 0:
+        raise ShapeError(f"shifts must be nonnegative, got eps = {eps}, "
+                         f"eta = {eta}")
     for idx in structure.right:
         if idx < eps:
             raise EigenstructureShiftError(

@@ -50,6 +50,9 @@ def random_singular_polynomial(m: int, n: int, d: int, rank: int,
     unit Frobenius norm."""
     if rank >= min(m, n):
         raise ShapeError("rank must be below min(m, n) to force singularity")
+    if rank < 1:
+        raise ShapeError(f"rank must be at least 1, got {rank}: a rank-0 "
+                         "product is the zero polynomial")
     if d < 2:
         raise GradeError("the product construction needs grade at least 2")
     d_left = d // 2
@@ -60,7 +63,10 @@ def random_singular_polynomial(m: int, n: int, d: int, rank: int,
 
 
 def random_pencil_perturbation(shape, magnitude: float, rng) -> Pencil:
-    """Dense Gaussian pencil scaled to the requested Frobenius norm."""
+    """Dense Gaussian pencil scaled to the requested Frobenius norm; a
+    negative (or NaN) ``magnitude`` raises :class:`ShapeError`."""
+    if not magnitude >= 0:
+        raise ShapeError(f"magnitude must be nonnegative, got {magnitude}")
     A = complex_gaussian(shape, rng)
     B = complex_gaussian(shape, rng)
     total = pair_norm(A, B)

@@ -91,17 +91,23 @@ def _svd(M, vectors=True):
     """Full SVD ``(s, U, V)`` of ``M`` with ``M = U diag(s) V^H``, ``U`` and
     ``V`` unitary; an empty ``M`` has no singular values and identity
     factors.  With ``vectors=False`` only the descending singular values
-    ``s`` are computed and returned.  A non-finite ``M`` raises
-    :class:`ShapeError`."""
+    ``s`` are computed and returned.  A stack ``(..., rows, cols)`` gives
+    the SVD of each matrix, stacked the same way.  A non-finite ``M``
+    raises :class:`ShapeError`."""
     M = np.asarray(M)
     _require_finite(M)
-    if not vectors:
-        return np.linalg.svd(M, compute_uv=False) if M.size else np.zeros(0)
     if M.size == 0:
-        return (np.zeros(0), np.eye(M.shape[0], dtype=complex),
-                np.eye(M.shape[1], dtype=complex))
+        *batch, rows, cols = M.shape
+        s = np.zeros((*batch, min(rows, cols)))
+        if not vectors:
+            return s
+        U, V = (np.broadcast_to(np.eye(k, dtype=complex), (*batch, k, k)).copy()
+                for k in (rows, cols))
+        return s, U, V
+    if not vectors:
+        return np.linalg.svd(M, compute_uv=False)
     U, s, Vh = np.linalg.svd(M, full_matrices=True)
-    return s, U, Vh.conj().T
+    return s, U, np.swapaxes(Vh, -1, -2).conj()
 
 
 def svd_with_rank(M, tol=None, context="", log=None):

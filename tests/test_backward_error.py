@@ -5,19 +5,23 @@ import numpy as np
 import pytest
 
 from bklab import (BkLabError, BlockKroneckerPencil, ConvergenceError,
-                   MatrixPolynomial, Pencil, PreconditionError, ShapeError,
-                   assemble_step3, backward_error, block_kronecker,
+                   Eigenstructure, MatrixPolynomial, Pencil, PreconditionError,
+                   ShapeError, assemble_step3, backward_error, block_kronecker,
                    bound_degenerate, bound_nondegenerate, build_L,
-                   build_Lambda, build_T, convolution, det_roots,
-                   from_polynomial, generalized_eigenvalues, match_eigenvalues,
-                   matpoly, multiply, pair_norm, pipeline_radius, pseudoinverse,
+                   build_Lambda, build_T, chordal_distance, convolution,
+                   det_roots, eigenstructure, from_polynomial,
+                   generalized_eigenvalues, match_eigenvalues, matpoly,
+                   multiply, pair_norm, pipeline_radius, pseudoinverse,
                    recover_polynomial, run_pipeline, sigma_min_T_closed,
-                   solve_step1, solve_step2, step1_radius, step2_radius, zeros)
+                   solve_step1, solve_step2, staircase_eigenstructure,
+                   step1_radius, step2_radius, zeros)
 from bklab.backward_error import (SQRT2M1, PerturbationBlocks, _S_pinv,
-                                  _S_scalar_pinv, _T_pinv, _T_scalar_pinv)
+                                  _S_scalar_pinv, _T_pinv, _T_scalar_pinv,
+                                  _certify_eigenvalues)
 from bklab.experiments import (ExperimentConfig, complex_gaussian,
                                generate_trial, random_pencil_perturbation,
                                random_polynomial, trial_rng)
+from bklab.tolerances import EPS
 
 
 def _random_block_kronecker(rng, eps, eta, m, n, unit_norm=True):
@@ -585,14 +589,13 @@ def test_nan_eigenvalue_marks_the_eigen_check_inconsistent(monkeypatch):
 
 def test_shift_check_propagates_programming_errors(monkeypatch):
     # only EigenstructureShiftError means inconsistent shifts; any other
-    # exception from shift_recovery is a bug and must surface
+    # exception from shift_recovery is a bug and must surface.  A certified
+    # check compares no shifts, so the input is one that falls back.
     def broken(*args, **kwargs):
         raise RuntimeError("broken shift recovery")
 
     monkeypatch.setattr(backward_error, "shift_recovery", broken)
-    rng = trial_rng(84, 0)
-    bk = _random_block_kronecker(rng, 1, 1, 2, 2)
-    dL = random_pencil_perturbation(bk.shape, 1e-8, rng)
+    bk, dL = _double_eigenvalue_case()
     with pytest.raises(RuntimeError, match="broken shift recovery"):
         run_pipeline(bk, dL)
 
@@ -774,3 +777,230 @@ def test_pipeline_perturbed_pencil_is_linearization_of_perturbed_poly():
     roots = det_roots(P_pert)
     finite, _ = generalized_eigenvalues(bk.assemble() + dL)
     assert match_eigenvalues(roots, finite) <= 1e-6
+
+
+# ------------------------------------------------------- eigen certificate
+
+def _be_style_cases(seed=3):
+    """Inputs built as the benchmark's ``be_sylvester`` (hook, 4x4, grade 7)
+    and ``be_onesided`` (frobenius1, 8x8, grade 7) workloads build theirs."""
+    cases = []
+    for m, eps, eta, placement in ((4, 3, 3, "hook"), (8, 6, 0, "frobenius1")):
+        rng = trial_rng(seed, 0)
+        L = from_polynomial(random_polynomial(m, m, eps + eta + 1, rng), eps,
+                            eta, placement)
+        dL = random_pencil_perturbation(L.shape, 0.5 * pipeline_radius(L), rng)
+        cases.append((L, dL))
+    return cases
+
+
+def _double_eigenvalue_case():
+    # diag(lambda - 1, lambda - 1) at grade 2: dL splits the double
+    # eigenvalue 1 by about ||dL|| and moves the two infinite ones near
+    # infinity, closer than 2 eigen_tol on both counts
+    eye = np.eye(2)
+    L = from_polynomial(MatrixPolynomial([-eye, eye, 0.0 * eye]), 1, 0, "hook")
+    return L, random_pencil_perturbation(L.shape, 1e-8, trial_rng(5, 0))
+
+
+def _perturbed_structure(L, dL):
+    return staircase_eigenstructure(
+        Pencil(L.assemble().coeff_stack + dL.coeff_stack))
+
+
+def _chordal_match(L, dL, report):
+    """The eigen check without the certificate: the chordal match of the
+    finite eigenvalues of ``L + dL`` with those of a fresh hook
+    linearization of ``P + dP``."""
+    fresh = from_polynomial(recover_polynomial(L) + report.dP, L.eps, L.eta,
+                            "hook")
+    return match_eigenvalues(_perturbed_structure(L, dL).finite,
+                             staircase_eigenstructure(fresh.assemble()).finite)
+
+
+def _count_qz(monkeypatch):
+    calls = []
+    qz = eigenstructure._qz
+
+    def counted(A, B):
+        calls.append(A.shape)
+        return qz(A, B)
+
+    monkeypatch.setattr(eigenstructure, "_qz", counted)
+    return calls
+
+
+def test_certified_eigen_check_runs_one_staircase_and_one_qz(monkeypatch):
+    calls = _count_qz(monkeypatch)
+    stairs = []
+    staircase = backward_error.staircase_eigenstructure
+
+    def counted(pencil):
+        stairs.append(pencil.shape)
+        return staircase(pencil)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("fresh linearization built")
+
+    monkeypatch.setattr(backward_error, "staircase_eigenstructure", counted)
+    monkeypatch.setattr(backward_error, "from_polynomial", refuse)
+    for L, dL in _be_style_cases():
+        calls.clear()
+        stairs.clear()
+        report = run_pipeline(L, dL)
+        assert calls == [L.shape] and stairs == [L.shape]
+        assert report.eigen_consistent is True and report.shift_consistent is True
+        assert 0.0 < report.eigen_max_distance <= 1e-6
+
+
+def test_double_eigenvalue_falls_back_to_the_second_qz(monkeypatch):
+    calls = _count_qz(monkeypatch)
+    L, dL = _double_eigenvalue_case()
+    report = run_pipeline(L, dL)
+    assert len(calls) == 2
+    assert report.eigen_consistent is True and report.shift_consistent is True
+    # the fallback's distance is the chordal match, as it was before
+    assert report.eigen_max_distance == _chordal_match(L, dL, report)
+    assert 0.0 <= report.eigen_backward_error <= 100 * EPS
+
+
+def test_fallback_compares_the_infinite_partitions(monkeypatch):
+    # two infinite partitions with the same minimal indices no longer pass
+    staircase = backward_error.staircase_eigenstructure
+    seen = []
+
+    def fresh_reads_one_more_divisor(pencil):
+        es = staircase(pencil)
+        seen.append(es)
+        if len(seen) == 2:
+            es.infinite = sorted(es.infinite + [1])
+        return es
+
+    monkeypatch.setattr(backward_error, "staircase_eigenstructure",
+                        fresh_reads_one_more_divisor)
+    L, dL = _double_eigenvalue_case()
+    report = run_pipeline(L, dL)
+    assert len(seen) == 2 and seen[0].right == seen[1].right
+    assert seen[0].left == seen[1].left
+    assert report.shift_consistent is False
+    assert report.eigen_consistent is True
+
+
+def test_certificate_refuses_a_wrong_polynomial():
+    # the certificate is not vacuous: moved by h ||P|| in a random
+    # direction, P + dP is read with backward errors and distances of the
+    # order of h, and refused once they pass eigen_tol.  At h = 1e-6 these
+    # well-conditioned spectra move by 0.5e-6 to 3e-6, so a wrong Q at the
+    # tolerance itself may pass; at h = 1e-5 none does.
+    for L, dL in _be_style_cases():
+        report = run_pipeline(L, dL, check_eigen=False)
+        Q = recover_polynomial(L) + report.dP
+        structure = _perturbed_structure(L, dL)
+        eta, distance = _certify_eigenvalues(Q, structure, 1e-6)
+        assert distance is not None and distance <= 1e-13
+        error = random_polynomial(L.m, L.n, L.grade, trial_rng(5, 1))
+        for h in (1e-6, 1e-5):
+            wrong = Q + (h * report.norm_P) * error
+            # a tolerance of 1e-3 reads the distance without refusing it
+            wrong_eta, wrong_distance = _certify_eigenvalues(wrong, structure,
+                                                             1e-3)
+            assert 0.01 * h <= wrong_eta <= h
+            assert 0.1 * h <= wrong_distance <= 10.0 * h
+            if h == 1e-5:
+                assert _certify_eigenvalues(wrong, structure, 1e-6) == (
+                    wrong_eta, None)
+
+
+@pytest.mark.parametrize("seed", [1, 3, 7, 4242])
+def test_eigen_backward_error_is_of_the_order_of_the_unit_roundoff(seed):
+    for L, dL in _be_style_cases(seed):
+        report = run_pipeline(L, dL)
+        assert report.eigen_max_distance is not None
+        assert 0.0 < report.eigen_backward_error <= 100 * EPS
+
+
+def test_eigen_backward_error_is_none_without_the_check():
+    L, dL = _be_style_cases()[0]
+    report = run_pipeline(L, dL, check_eigen=False)
+    assert report.eigen_backward_error is None
+    assert report.record()["eigen_backward_error"] is None
+
+
+@pytest.mark.parametrize("placement,eps,eta",
+                         [("hook", 2, 2), ("frobenius1", 4, 0),
+                          ("frobenius2", 0, 4)])
+def test_certified_distance_is_near_the_chordal_match(placement, eps, eta):
+    # both are roundoff-level: the certificate measures L + dL's eigenvalues
+    # against P + dP, the match against a second computed spectrum
+    for trial in range(4):
+        rng = trial_rng(16, trial)
+        L = from_polynomial(random_polynomial(3, 3, eps + eta + 1, rng), eps,
+                            eta, placement)
+        for fraction in (1e-6, 0.5):
+            dL = random_pencil_perturbation(
+                L.shape, fraction * pipeline_radius(L), rng)
+            report = run_pipeline(L, dL)
+            match = _chordal_match(L, dL, report)
+            assert 0.25 * match <= report.eigen_max_distance <= 4.0 * match
+
+
+def _diagonal_polynomial(roots, d, rng):
+    """``U diag(p_i) V`` for unitary ``U``, ``V`` and monic ``p_i`` with the
+    given roots, at grade ``d``: a row with fewer than ``d`` roots adds
+    infinite eigenvalues."""
+    n = len(roots)
+    coeffs = np.zeros((d + 1, n, n), dtype=complex)
+    for i, row in enumerate(roots):
+        coeffs[:len(row) + 1, i, i] = np.poly(row)[::-1]
+    U = np.linalg.qr(complex_gaussian((n, n), rng))[0]
+    V = np.linalg.qr(complex_gaussian((n, n), rng))[0]
+    return MatrixPolynomial(U @ coeffs @ V)
+
+
+def test_certificate_reads_known_eigenvalues():
+    rng = trial_rng(17, 0)
+    roots = [list(2.0 * complex_gaussian(3, rng)) for _ in range(2)]
+    roots.append(list(2.0 * complex_gaussian(2, rng)))  # one infinite eigenvalue
+    Q = _diagonal_polynomial(roots, 3, rng)
+    exact = np.concatenate(roots)
+    eta, distance = _certify_eigenvalues(
+        Q, Eigenstructure(finite=list(exact), infinite=[1]), 1e-6)
+    assert eta <= 10 * EPS and distance <= 100 * EPS
+    # displaced by a known chordal distance h, each point reads h to first
+    # order
+    for h in (1e-4, 1e-7):
+        moved = exact + h * np.exp(2j * np.pi * rng.uniform(size=exact.size))
+        want = chordal_distance(moved, exact)
+        for z, w in zip(moved, want):
+            _, got = _certify_eigenvalues(Q, Eigenstructure(finite=[z]), 1e-3)
+            assert got == pytest.approx(w, rel=10 * h)
+
+
+def test_certificate_defers_when_it_cannot_decide():
+    rng = trial_rng(18, 0)
+    roots = [list(2.0 * complex_gaussian(2, rng)) for _ in range(2)]
+    Q = _diagonal_polynomial(roots, 2, rng)
+    exact = list(np.concatenate(roots))
+    assert _certify_eigenvalues(Q, Eigenstructure(finite=exact), 1e-6)[1] is not None
+    # minimal indices, a double eigenvalue, an eigenvalue near infinity, a
+    # distance above the tolerance and a non-finite evaluation
+    for structure, tol in [
+            (Eigenstructure(finite=exact, right=[0]), 1e-6),
+            (Eigenstructure(finite=exact + [exact[0] + 1e-7]), 1e-6),
+            (Eigenstructure(finite=exact[1:] + [1e7]), 1e-6),
+            (Eigenstructure(finite=[exact[0] + 1e-3] + exact[1:]), 1e-6),
+            (Eigenstructure(finite=[complex(np.nan, 0.0)] + exact[1:]), 1e-6)]:
+        assert _certify_eigenvalues(Q, structure, tol)[1] is None
+    # a singular Q: its normal rank 1 is below its size, and sigma_1 gives
+    # the backward errors of the roots of its one nonzero entry
+    U, V = (np.linalg.qr(complex_gaussian((2, 2), rng))[0] for _ in range(2))
+    coeffs = np.zeros((3, 2, 2), dtype=complex)
+    coeffs[:, 0, 0] = np.poly(roots[0])[::-1]
+    singular = MatrixPolynomial(U @ coeffs @ V)
+    eta, distance = _certify_eigenvalues(
+        singular, Eigenstructure(finite=roots[0]), 1e-6)
+    assert distance is None and eta <= 10 * EPS
+    # off the roots sigma_1 stays away from 0, where sigma_2 vanishes
+    off = [z + 0.1 for z in roots[0]]
+    eta, _ = _certify_eigenvalues(singular, Eigenstructure(finite=off), 1e-6)
+    assert eta > 1e-3

@@ -147,6 +147,7 @@ def test_eig_on_a_constant_polynomial_refuses_the_split_with_exit_2(tmp_path, ca
     (["--d", "0"], ["d", "at least 1"]),
     (["--d", "4:3"], ["d", "empty"]),
     (["--trials", "-1"], ["trials", "nonnegative"]),
+    (["--mag=-1e-8"], ["magnitude", "nonnegative"]),
 ])
 def test_backward_error_refuses_a_bad_range_with_exit_2(tmp_path, capsys,
                                                         flags, names):

@@ -515,6 +515,14 @@ def test_shift_below_epsilon_rejected():
         shift_recovery(es, 1, 0)
 
 
+@pytest.mark.parametrize("eps,eta", [(-2, 0), (0, -1), (-1, -1)])
+def test_negative_shift_rejected(eps, eta):
+    # a negative shift would raise the indices: right index 1 read as 3
+    es = Eigenstructure(right=[1], left=[1])
+    with pytest.raises(ShapeError, match="shifts must be nonnegative"):
+        shift_recovery(es, eps, eta)
+
+
 # ------------------------------------------------- cross-method agreement
 
 def test_oracle_equivalence_on_singular_products():

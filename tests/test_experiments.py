@@ -30,6 +30,20 @@ def test_random_singular_polynomial_is_rank_deficient():
     assert s[-1] <= 1e-12 * s[0]
 
 
+@pytest.mark.parametrize("rank", [0, -1])
+def test_random_singular_polynomial_refuses_a_rank_below_one(rank):
+    # a rank-0 product is the zero polynomial, which cannot be normalized
+    with pytest.raises(ShapeError, match="rank must be at least 1"):
+        random_singular_polynomial(3, 3, 4, rank, trial_rng(0, 0))
+
+
+@pytest.mark.parametrize("magnitude", [-1.0, -1e-300, np.nan])
+def test_perturbation_refuses_a_negative_magnitude(magnitude):
+    with pytest.raises(ShapeError, match="magnitude must be nonnegative"):
+        random_pencil_perturbation((2, 3), magnitude, trial_rng(2, 0))
+    assert random_pencil_perturbation((2, 3), 0.0, trial_rng(2, 0)).frobenius_norm() == 0.0
+
+
 def test_perturbation_norm_is_exact():
     dL = random_pencil_perturbation((3, 4), 1e-7, trial_rng(2, 0))
     assert dL.frobenius_norm() == pytest.approx(1e-7)

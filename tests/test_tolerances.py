@@ -9,7 +9,7 @@ from numpy.testing import assert_allclose
 
 from bklab.errors import ShapeError
 from bklab.experiments import complex_gaussian, trial_rng
-from bklab.tolerances import (EPS, _require_finite, numerical_rank,
+from bklab.tolerances import (EPS, _require_finite, _svd, numerical_rank,
                               pseudoinverse, rank_tolerance, svd_with_rank)
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -69,6 +69,35 @@ def test_empty_matrix(shape):
     numerical_rank(np.zeros(shape), tol=0.5, log=log)
     assert log[-1].tolerance == 0.5
     assert pseudoinverse(np.zeros(shape)).shape == (shape[1], shape[0])
+
+
+@pytest.mark.parametrize("shape", [(5, 3, 3), (4, 3, 5), (2, 3, 6, 2),
+                                   (3, 0, 2), (0, 4, 4)])
+def test_svd_of_a_stack_is_the_svd_of_each_matrix(shape):
+    # U and V stay unitary per matrix: V^H is transposed on its last two
+    # axes only, never across the stack
+    M = complex_gaussian(shape, trial_rng(3, 0))
+    s, U, V = _svd(M)
+    values = _svd(M, vectors=False)
+    assert s.shape == values.shape == (*shape[:-2], min(shape[-2:]))
+    assert U.shape == (*shape[:-1], shape[-2])
+    assert V.shape == (*shape[:-2], shape[-1], shape[-1])
+    for index in np.ndindex(*shape[:-2]):
+        s1, U1, V1 = _svd(M[index])
+        assert np.array_equal(s[index], s1)
+        assert np.array_equal(U[index], U1) and np.array_equal(V[index], V1)
+        assert np.array_equal(values[index], _svd(M[index], vectors=False))
+        k = s1.size
+        assert_allclose((U1[:, :k] * s1) @ V1[:, :k].conj().T, M[index],
+                        atol=1e-14)
+
+
+def test_svd_of_a_stack_refuses_a_non_finite_matrix():
+    M = complex_gaussian((3, 2, 2), trial_rng(3, 1))
+    M[2, 1, 0] = np.nan
+    for vectors in (True, False):
+        with pytest.raises(ShapeError, match="non-finite"):
+            _svd(M, vectors=vectors)
 
 
 def test_pseudoinverse_is_moore_penrose_on_the_numerical_rank():
