@@ -21,7 +21,8 @@ import numpy as np
 from .errors import GradeError, PlacementError, ShapeError
 from .matpoly import (MatrixPolynomial, Pencil, build_Lambda, build_V_inverse,
                       kron_constant, multiply, pair_norm, vstack,
-                      _matrix_from_json, _matrix_to_json)
+                      _json_count, _json_fields, _matrix_from_json,
+                      _matrix_to_json)
 from .tolerances import _require_finite
 
 PLACEMENT_TAGS = ("frobenius1", "frobenius2", "hook", "custom")
@@ -120,11 +121,16 @@ class BlockKroneckerPencil:
 
     @classmethod
     def from_json(cls, obj: dict) -> "BlockKroneckerPencil":
-        eps, eta = int(obj["epsilon"]), int(obj["eta"])
-        m, n = int(obj["m"]), int(obj["n"])
-        M0 = _matrix_from_json(obj["M0"], (eta + 1) * m, (eps + 1) * n)
-        M1 = _matrix_from_json(obj["M1"], (eta + 1) * m, (eps + 1) * n)
-        return cls(M0, M1, eps, eta, m, n)
+        """The pencil of :meth:`to_json`; any other value raises
+        :class:`ShapeError`."""
+        keys = ("epsilon", "eta", "m", "n")
+        *sizes, M0, M1 = _json_fields(obj, "a block Kronecker pencil",
+                                      *keys, "M0", "M1")
+        eps, eta, m, n = (_json_count(v, repr(k))
+                          for v, k in zip(sizes, keys))
+        rows, cols = (eta + 1) * m, (eps + 1) * n
+        return cls(_matrix_from_json(M0, rows, cols, "M0"),
+                   _matrix_from_json(M1, rows, cols, "M1"), eps, eta, m, n)
 
     def __repr__(self) -> str:
         return (f"BlockKroneckerPencil(eps={self.eps}, eta={self.eta}, "

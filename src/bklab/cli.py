@@ -29,6 +29,7 @@ from .experiments import (STATUSES, ExperimentConfig,
                           split_for_placement)
 from .matpoly import MatrixPolynomial, as_pencil
 from .spectral_constants import constants_sweep
+from .tolerances import _require_finite
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -79,11 +80,12 @@ def cmd_linearize(args) -> int:
 
 def cmd_eig(args) -> int:
     obj = _load_json(args.input)
+    keys = obj if isinstance(obj, dict) else {}
     payload: dict = {}
-    if "M0" in obj and "epsilon" in obj:
+    if "M0" in keys and "epsilon" in keys:
         bk, poly = BlockKroneckerPencil.from_json(obj), None
         payload["kind"] = "block-kronecker-pencil"
-    elif "coeffs" in obj:
+    elif "coeffs" in keys:
         bk, poly = None, MatrixPolynomial.from_json(obj)
         if poly.grade == 1:
             payload["kind"] = "pencil"
@@ -177,6 +179,9 @@ def cmd_constants(args) -> int:
 def cmd_check(args) -> int:
     poly = MatrixPolynomial.from_json(_load_json(args.poly))
     bk = BlockKroneckerPencil.from_json(_load_json(args.pencil))
+    # a NaN residual would read as neither accepted nor over the tolerance
+    _require_finite(poly.coeff_stack)
+    _require_finite(bk.one_one_block().coeff_stack)
     residuals = validate_placement(bk, poly)
     worst = float(np.max(residuals))
     payload = {
@@ -283,7 +288,7 @@ def main(argv=None) -> int:
     except PlacementError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (json.JSONDecodeError, FileNotFoundError, KeyError, ValueError) as exc:
+    except (json.JSONDecodeError, OSError, KeyError, ValueError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except BkLabError as exc:

@@ -22,6 +22,7 @@ and a tolerance-free answer does not exist.  Non-finite input raises
 
 from __future__ import annotations
 
+import ctypes
 import importlib.machinery
 import importlib.util
 import os
@@ -30,11 +31,12 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .errors import (ConvergenceError, EigenstructureShiftError,
                      InconclusiveError, ShapeError)
-from .matpoly import (CACHE_SIZE, MatrixPolynomial, as_pencil, convolution,
-                      determinant)
+from .matpoly import (CACHE_SIZE, MatrixPolynomial, _json_count,
+                      _json_fields, as_pencil, convolution, determinant)
 from .tolerances import (EPS, RankDecision, _decide_rank, _require_finite,
                          _svd, numerical_rank, svd_with_rank)
 
@@ -75,14 +77,30 @@ class Eigenstructure:
 
     @classmethod
     def from_json(cls, obj: dict) -> "Eigenstructure":
-        finite = []
-        for re, im, mult in obj.get("finite", []):
-            finite.extend([complex(re, im)] * int(mult))
+        """The structure of :meth:`to_json` without its rank log; a missing
+        list is empty, and any other value raises :class:`ShapeError`."""
+        _json_fields(obj, "an eigenstructure")
+        parts = {key: obj.get(key, [])
+                 for key in ("finite", "infinite", "right", "left")}
+        for key, values in parts.items():
+            if not isinstance(values, list):
+                raise ShapeError(f"{key!r} must be a list, got "
+                                 f"{type(values).__name__}")
+            for v in values:
+                name = f"an entry of {key!r}"
+                if key == "finite":
+                    if not (isinstance(v, list) and len(v) == 3 and all(
+                            type(x) in (int, float) for x in v[:2])):
+                        raise ShapeError("'finite' entries must be [re, im, "
+                                         f"multiplicity], got {v!r:.40}")
+                    v, name = v[2], "a multiplicity in 'finite'"
+                _json_count(v, name)
         return cls(
-            finite=finite,
-            infinite=[int(k) for k in obj.get("infinite", [])],
-            right=[int(k) for k in obj.get("right", [])],
-            left=[int(k) for k in obj.get("left", [])],
+            finite=[complex(re, im) for re, im, mult in parts["finite"]
+                    for _ in range(mult)],
+            infinite=list(parts["infinite"]),
+            right=list(parts["right"]),
+            left=list(parts["left"]),
         )
 
 
@@ -147,10 +165,12 @@ def _normal_rank(Q: MatrixPolynomial, tol=None) -> int:
 
 @lru_cache(maxsize=None)
 def _scipy_extension(name):
-    """scipy's compiled module ``scipy.<name>`` (``"linalg._flapack"`` or
-    ``"optimize._lsap"``), loaded without running the ``__init__`` of its
-    package, which loads far more than the one module (``import
-    scipy.linalg`` took about 0.3 s with scipy 1.17 on a 2-core Xeon VM).
+    """scipy's compiled module ``scipy.<name>``, loaded without running the
+    ``__init__`` of its package, which loads far more than the one module
+    (``import scipy.linalg`` took about 0.3 s with scipy 1.17 on a 2-core
+    Xeon VM).  bklab loads two: ``"optimize._lsap"`` for a matching that
+    meets a shared minimum, and ``"linalg._flapack"`` for QZ only where
+    numpy's own LAPACK exports no ``zggev`` that :func:`_zggev` can bind.
 
     Only the root package ``scipy`` is imported, for its shared-library
     set-up and its path.  A module scipy has already loaded is returned as
@@ -179,13 +199,80 @@ def _scipy_extension(name):
     return module
 
 
+# the ILP64 zggev of the OpenBLAS that numpy's wheels link: numpy >= 2
+# (scipy-openblas64) and numpy 1.2x (openblas64_)
+NUMPY_ZGGEV_NAMES = ("scipy_zggev_64_", "zggev_64_")
+
+
+class _Ilp64Zggev:
+    """An ILP64 Fortran ``zggev`` called in the convention of scipy's
+    ``_flapack.zggev``: ``(a, b, compute_vl, compute_vr, lwork)`` returns
+    ``(alpha, beta, vl, vr, work, info)``, and ``lwork = -1`` is a
+    workspace query whose answer is ``work[0]``."""
+
+    def __init__(self, function, library):
+        pointer = ctypes.c_void_p
+        # JOBVL, JOBVR, then the 15 array and integer arguments, then the
+        # lengths of the two strings, which gfortran passes last
+        function.argtypes = ([ctypes.c_char_p] * 2 + [pointer] * 15
+                             + [ctypes.c_size_t] * 2)
+        function.restype = None
+        self.function, self.library = function, library
+
+    def __repr__(self):
+        return f"<{self.function.__name__} of {self.library}>"
+
+    def __call__(self, a, b, compute_vl, compute_vr, lwork):
+        a = np.array(a, dtype=complex, order="F")
+        b = np.array(b, dtype=complex, order="F")
+        n = len(a)
+        # LAPACK reads n x n from each pointer
+        if a.shape != (n, n) or b.shape != (n, n):
+            raise ShapeError(f"zggev needs two square matrices of one order, "
+                             f"got {a.shape} and {b.shape}")
+        ldvl, ldvr = (n if compute_vl else 1), (n if compute_vr else 1)
+        alpha, beta = np.empty(n, dtype=complex), np.empty(n, dtype=complex)
+        vl = np.zeros((ldvl, n), dtype=complex, order="F")
+        vr = np.zeros((ldvr, n), dtype=complex, order="F")
+        work = np.empty(max(lwork, 1), dtype=complex)
+        rwork = np.empty(max(8 * n, 1))
+        # N, LDA, LDB, LDVL, LDVR, LWORK, INFO
+        ints = np.array([n, max(n, 1), max(n, 1), ldvl, ldvr, lwork, 0],
+                        dtype=np.int64)
+        n_, lda, ldb, ldvl_, ldvr_, lwork_, info = (
+            ints.ctypes.data + 8 * k for k in range(7))
+        self.function(b"V" if compute_vl else b"N",
+                      b"V" if compute_vr else b"N", n_,
+                      a.ctypes.data, lda, b.ctypes.data, ldb,
+                      alpha.ctypes.data, beta.ctypes.data,
+                      vl.ctypes.data, ldvl_, vr.ctypes.data, ldvr_,
+                      work.ctypes.data, lwork_, rwork.ctypes.data, info, 1, 1)
+        return alpha, beta, vl, vr, work, int(ints[6])
+
+
+@lru_cache(maxsize=None)
+def _zggev():
+    """The ``zggev`` that :func:`_qz` calls, in ``_flapack.zggev``'s
+    convention: the one numpy's own LAPACK exports under a name of
+    ``NUMPY_ZGGEV_NAMES``, so QZ maps no second BLAS and loads no scipy, or
+    else scipy's compiled ``_flapack.zggev`` (MKL, Accelerate and Windows
+    builds of numpy export neither name)."""
+    path = _umath_linalg.__file__
+    # dlsym on the extension searches the libraries it links
+    library = ctypes.CDLL(path)
+    for name in NUMPY_ZGGEV_NAMES:
+        function = getattr(library, name, None)
+        if function is not None:
+            return _Ilp64Zggev(function, path)
+    return _scipy_extension("linalg._flapack").zggev
+
+
 @lru_cache(maxsize=CACHE_SIZE)
 def _zggev_lwork(n: int) -> int:
     """The optimal ``zggev`` workspace for order ``n`` without eigenvectors,
     queried once per order: LAPACK sizes it from ``n`` alone."""
-    zggev = _scipy_extension("linalg._flapack").zggev
     z = np.zeros((n, n), dtype=complex)
-    return int(zggev(z, z, 0, 0, -1)[-2][0].real)
+    return int(_zggev()(z, z, 0, 0, -1)[-2][0].real)
 
 
 def _qz(A, B):
@@ -196,10 +283,9 @@ def _qz(A, B):
     the pair ``(|beta|, threshold)``; a QZ failure raises ConvergenceError.
     """
     # det(A + lam*B) = 0 is LAPACK's det(beta A - alpha (-B)) = 0 at (lam, 1),
-    # solved without eigenvectors by the zggev of scipy's compiled LAPACK
-    # wrappers, in the workspace scipy.linalg.eig would query
-    zggev = _scipy_extension("linalg._flapack").zggev
-    alpha, beta, _, _, _, info = zggev(A, -B, 0, 0, _zggev_lwork(len(A)))
+    # solved without eigenvectors by one zggev call in the workspace
+    # scipy.linalg.eig would query
+    alpha, beta, _, _, _, info = _zggev()(A, -B, 0, 0, _zggev_lwork(len(A)))
     if info != 0:
         raise ConvergenceError(f"QZ failed: LAPACK zggev returned info {info}")
     threshold = 10.0 * EPS * np.hypot(np.abs(alpha), np.abs(beta))
@@ -397,9 +483,12 @@ def det_roots(P: MatrixPolynomial) -> np.ndarray:
 
     The reference oracle for regular-polynomial eigenvalues at tiny sizes.
     Trailing coefficients below ``1e-10`` times the largest one are dropped
-    (they encode eigenvalues at infinity).
+    (they encode eigenvalues at infinity).  A non-finite entry of ``P``, or
+    a determinant that overflows, raises :class:`ShapeError`.
     """
+    _require_finite(P.coeff_stack)
     coeffs = determinant(P)
+    _require_finite(coeffs)
     scale = np.max(np.abs(coeffs))
     if scale == 0:
         raise ShapeError("det is identically zero: the polynomial is singular")

@@ -170,13 +170,22 @@ class MatrixPolynomial:
 
     @classmethod
     def from_json(cls, obj: dict) -> "MatrixPolynomial":
-        m, n, grade = int(obj["m"]), int(obj["n"]), int(obj["grade"])
-        coeffs = [_matrix_from_json(c, m, n) for c in obj["coeffs"]]
+        """The polynomial of :meth:`to_json`; any other value raises
+        :class:`ShapeError`, and a coefficient count other than
+        ``grade + 1`` raises :class:`GradeError`."""
+        keys = ("m", "n", "grade")
+        *sizes, coeffs = _json_fields(obj, "a matrix polynomial",
+                                      *keys, "coeffs")
+        m, n, grade = (_json_count(v, repr(k)) for v, k in zip(sizes, keys))
+        if not isinstance(coeffs, list):
+            raise ShapeError(f"'coeffs' must be a list, got "
+                             f"{type(coeffs).__name__}")
         if len(coeffs) != grade + 1:
             raise GradeError(
                 f"expected {grade + 1} coefficients, found {len(coeffs)}"
             )
-        return cls(coeffs)
+        return cls([_matrix_from_json(c, m, n, f"coeffs[{k}]")
+                    for k, c in enumerate(coeffs)])
 
 
 class Pencil(MatrixPolynomial):
@@ -215,17 +224,50 @@ def _pad(S: np.ndarray, d: int) -> np.ndarray:
 
 
 # -- json helpers ---------------------------------------------------------
+# The readers check what they are given against their schema and refuse
+# anything else with ShapeError, which the CLI turns into exit code 2.
 
 def _matrix_to_json(A) -> list:
     A = np.asarray(A, dtype=complex)
     return [[[float(v.real), float(v.imag)] for v in row] for row in A]
 
 
-def _matrix_from_json(rows, m, n) -> np.ndarray:
-    A = np.array([[complex(v[0], v[1]) for v in row] for row in rows] if m and n else [],
-                 dtype=complex)
-    A = A.reshape(m, n)
-    return A
+def _matrix_from_json(rows, m, n, name) -> np.ndarray:
+    """The ``m x n`` matrix stored as ``m`` rows of ``n`` ``[re, im]``
+    pairs of numbers, or as an empty list when ``m n = 0``."""
+    try:
+        pairs = np.array(rows) if isinstance(rows, list) else None
+    except ValueError:  # a ragged nesting
+        pairs = None
+    if pairs is not None and pairs.size == 0 and m * n == 0:
+        return np.zeros((m, n), dtype=complex)
+    if (pairs is None or pairs.dtype.kind not in "iuf"
+            or pairs.shape != (m, n, 2)):
+        raise ShapeError(f"{name} must be {m} rows of {n} [re, im] pairs "
+                         "of numbers")
+    return np.ascontiguousarray(pairs, dtype=float).view(complex)[..., 0]
+
+
+def _json_fields(obj, what, *keys) -> list:
+    """The values of ``keys`` in ``obj``, which must be a JSON object
+    holding all of them."""
+    if not isinstance(obj, dict):
+        raise ShapeError(f"{what} must be a JSON object, got "
+                         f"{type(obj).__name__}")
+    missing = [key for key in keys if key not in obj]
+    if missing:
+        raise ShapeError(f"{what} needs the keys {', '.join(keys)}; "
+                         f"missing {', '.join(missing)}")
+    return [obj[key] for key in keys]
+
+
+def _json_count(value, name) -> int:
+    """``value``, which must be a JSON integer (not a float or a boolean)
+    of at least 0."""
+    if type(value) is not int or value < 0:
+        raise ShapeError(f"{name} must be a nonnegative integer, got "
+                         f"{value!r:.40}")
+    return value
 
 
 # -- constructors ----------------------------------------------------------

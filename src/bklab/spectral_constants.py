@@ -241,8 +241,16 @@ def constants_sweep(max_eps: int = 4, max_eta: int = 4, max_m: int = 2,
 
     Covers sigma_min(T) against the assembled operator, sigma_max(W) against
     its SVD, the W direct-sum multiset, the trigonometric identity linking T
-    and W, and the convolution constants of the L/Lambda families.
+    and W, and the convolution constants of the L/Lambda families.  A
+    negative bound raises :class:`ShapeError`.
     """
+    bounds = {"max_eps": max_eps, "max_eta": max_eta, "max_m": max_m,
+              "max_n": max_n}
+    negative = [f"{name} = {value}" for name, value in bounds.items()
+                if value < 0]
+    if negative:
+        raise ShapeError(f"sweep bounds must be nonnegative, got "
+                         f"{', '.join(negative)}")
     rows: list[SingularValuePrediction] = []
     for eps in range(1, max_eps + 1):
         for eta in range(1, max_eta + 1):

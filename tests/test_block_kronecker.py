@@ -428,3 +428,35 @@ def test_lifted_basis_stays_independent():
         np.vstack([z.with_grade(grade).coeff(grade - t) for t in range(grade + 1)])
         for z in lifted])
     assert np.linalg.matrix_rank(stacked) == p
+
+
+def test_pencil_json_round_trip_is_bit_exact():
+    P = random_polynomial(2, 3, 4, trial_rng(66, 0))
+    bk = from_polynomial(P, 2, 1, "hook")
+    again = BlockKroneckerPencil.from_json(bk.to_json())
+    assert (again.eps, again.eta, again.m, again.n) == (2, 1, 2, 3)
+    assert again.M0.tobytes() == bk.M0.tobytes()
+    assert again.M1.tobytes() == bk.M1.tobytes()
+
+
+def _bad_pencil_json():
+    good = from_polynomial(random_polynomial(1, 1, 2, trial_rng(66, 1)),
+                           1, 0, "frobenius1").to_json()
+    return {
+        "missing_M1": {k: v for k, v in good.items() if k != "M1"},
+        "not_an_object": "pencil",
+        "negative_eps": dict(good, epsilon=-1),
+        "float_m": dict(good, m=1.5),
+        "zero_m": dict(good, m=0),
+        "M0_string": dict(good, M0="abc"),
+        "M1_wrong_width": dict(good, M1=[[[0.0, 0.0]]]),
+        "M0_entry_null": dict(good, M0=[[[None, 0.0], [1.0, 0.0]]]),
+        "split_mismatch": dict(good, epsilon=2),
+    }
+
+
+@pytest.mark.parametrize("kind", sorted(_bad_pencil_json()))
+def test_pencil_reader_refuses_a_bad_schema_with_a_shape_error(kind):
+    with pytest.raises(ShapeError):
+        BlockKroneckerPencil.from_json(_bad_pencil_json()[kind])
+

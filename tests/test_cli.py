@@ -286,3 +286,96 @@ def test_check_accepts_and_rejects(tmp_path, scalar_quadratic):
     bad = tmp_path / "bad_pencil.json"
     write_json(bad, blob)
     assert main(["check", str(scalar_quadratic), str(bad)]) == 3
+
+
+def _bad_files():
+    """Malformed polynomial and block Kronecker pencil files, by name."""
+    poly = MatrixPolynomial([[[2.0]], [[-3.0]], [[1.0]]]).to_json()
+    bk = from_polynomial(MatrixPolynomial.from_json(poly), 1, 0,
+                         "frobenius1").to_json()
+    nan_poly = json.loads(json.dumps(poly))
+    nan_poly["coeffs"][0][0][0] = [float("nan"), 0.0]
+    return {
+        "poly_missing_keys": {"rows": 2},
+        "poly_coeffs_string": dict(poly, coeffs="abc"),
+        "poly_entry_string": dict(poly, coeffs=[[[["1", "a"]]]] * 3),
+        "poly_entry_null": dict(poly, coeffs=[[[[1.0, None]]]] * 3),
+        "poly_ragged": dict(poly, coeffs=[[[1.0, 0.0]], [[[1.0]]], []]),
+        "poly_wrong_shape": dict(poly, m=2),
+        "poly_negative_size": dict(poly, n=-1),
+        "poly_float_size": dict(poly, grade=2.0),
+        "poly_nan": nan_poly,
+        "bk_missing_m1": {k: v for k, v in bk.items() if k != "M1"},
+        "bk_m0_number": dict(bk, M0=5),
+        "bk_bool_size": dict(bk, epsilon=True),
+        "not_an_object": [1, 2, 3],
+        "a_number": 5,
+        "a_string": "M0 epsilon coeffs",
+    }
+
+
+def _bad_file_commands(bad, good_poly, good_bk):
+    """Every CLI command that reads a file, with ``bad`` in one place."""
+    return {
+        "linearize": ["linearize", bad, "--epsilon", "1", "--eta", "0"],
+        "linearize_custom": ["linearize", good_poly, "--epsilon", "1",
+                             "--eta", "0", "--placement", "custom",
+                             "--custom", bad],
+        "eig": ["eig", bad],
+        "perturb": ["perturb", bad, "--mag", "1e-8"],
+        "check_poly": ["check", bad, good_bk],
+        "check_pencil": ["check", good_poly, bad],
+    }
+
+
+@pytest.mark.parametrize("command", ["linearize", "linearize_custom", "eig",
+                                     "perturb", "check_poly", "check_pencil"])
+@pytest.mark.parametrize("kind", sorted(_bad_files()))
+def test_every_command_refuses_a_bad_file_with_exit_2(tmp_path, capsys,
+                                                      scalar_quadratic,
+                                                      command, kind):
+    good_bk = tmp_path / "bk.json"
+    assert main(["linearize", str(scalar_quadratic), "--epsilon", "1",
+                 "--eta", "0", "--placement", "frobenius1",
+                 "--out", str(good_bk)]) == 0
+    bad = tmp_path / "bad.json"
+    write_json(bad, _bad_files()[kind])
+    capsys.readouterr()
+    argv = _bad_file_commands(str(bad), str(scalar_quadratic), str(good_bk))
+    assert main(argv[command]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "error" in out.err and "Traceback" not in out.err
+
+
+def test_a_directory_in_place_of_a_file_exits_2(tmp_path, capsys):
+    assert main(["eig", str(tmp_path)]) == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_constants_refuses_a_negative_size_with_exit_2(tmp_path, capsys):
+    out = tmp_path / "c.json"
+    assert main(["constants", "--max-m", "-1", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "max_m = -1" in err and not out.exists()
+
+
+@pytest.mark.parametrize("where", ["poly", "pencil"])
+def test_check_refuses_a_non_finite_file_with_exit_2(tmp_path, capsys,
+                                                     scalar_quadratic, where):
+    # a NaN residual is neither accepted nor over the tolerance
+    pencil = tmp_path / "bk.json"
+    assert main(["linearize", str(scalar_quadratic), "--epsilon", "1",
+                 "--eta", "0", "--placement", "frobenius1",
+                 "--out", str(pencil)]) == 0
+    path = scalar_quadratic if where == "poly" else pencil
+    blob = json.loads(path.read_text())
+    if where == "poly":
+        blob["coeffs"][1][0][0] = [float("nan"), 0.0]
+    else:
+        blob["M1"][0][0] = [float("inf"), 0.0]
+    write_json(path, blob)
+    capsys.readouterr()
+    assert main(["check", str(scalar_quadratic), str(pencil)]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "non-finite" in out.err

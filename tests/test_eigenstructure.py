@@ -287,10 +287,16 @@ def test_missing_scipy_extension_raises_an_import_error_naming_it():
         bklab.eigenstructure._scipy_extension("linalg._no_such_module")
 
 
+def _substitute_zggev(monkeypatch, zggev):
+    """Let ``_qz`` call ``zggev`` in place of the one bklab's resolver
+    binds."""
+    monkeypatch.setattr(bklab.eigenstructure, "_zggev", lambda: zggev)
+
+
 def _zggev_calls(monkeypatch):
     """The ``(n, lwork, alpha, beta)`` of every ``zggev`` call bklab makes
-    from now on, recorded by a spy on scipy's compiled function."""
-    zggev = bklab.eigenstructure._scipy_extension("linalg._flapack").zggev
+    from now on, recorded by a spy on the function its resolver binds."""
+    zggev = bklab.eigenstructure._zggev()
     calls = []
 
     def spy(a, b, *args):
@@ -298,12 +304,12 @@ def _zggev_calls(monkeypatch):
         calls.append((len(a), args[-1], out[0], out[1]))
         return out
 
-    _substitute_extension(monkeypatch, "linalg._flapack", zggev=spy)
+    _substitute_zggev(monkeypatch, spy)
     return calls
 
 
 def test_qz_makes_one_zggev_call_with_the_queried_workspace(monkeypatch):
-    zggev = bklab.eigenstructure._scipy_extension("linalg._flapack").zggev
+    zggev = bklab.eigenstructure._zggev()
     rng = trial_rng(97, 0)
     calls = _zggev_calls(monkeypatch)
     bklab.eigenstructure._zggev_lwork.cache_clear()
@@ -333,7 +339,7 @@ def test_staircase_takes_one_zggev_call_per_qz(monkeypatch):
 
 
 def test_cached_zggev_workspace_equals_a_fresh_query():
-    zggev = bklab.eigenstructure._scipy_extension("linalg._flapack").zggev
+    zggev = bklab.eigenstructure._zggev()
     rng = trial_rng(97, 1)
     bklab.eigenstructure._zggev_lwork.cache_clear()
     for n in range(1, 65):
@@ -344,19 +350,65 @@ def test_cached_zggev_workspace_equals_a_fresh_query():
 
 @pytest.mark.parametrize("info", [-1, 1])
 def test_qz_failure_raises_a_typed_error(monkeypatch, info):
-    zggev = bklab.eigenstructure._scipy_extension("linalg._flapack").zggev
+    zggev = bklab.eigenstructure._zggev()
 
     def failing(*args, **kwargs):
         out = zggev(*args, **kwargs)
         return out if args[4] == -1 else out[:-1] + (info,)
 
-    _substitute_extension(monkeypatch, "linalg._flapack", zggev=failing)
+    _substitute_zggev(monkeypatch, failing)
     pencil = _square_regular_pencils()["hook"]
     with pytest.raises(ConvergenceError, match=f"info {info}") as raised:
         staircase_eigenstructure(pencil)
     assert not isinstance(raised.value, np.linalg.LinAlgError)
     with pytest.raises(BkLabError):
         generalized_eigenvalues(pencil)
+
+
+@pytest.mark.parametrize("shapes", [((2, 3), (2, 3)), ((2, 2), (3, 3)),
+                                    ((3, 3), (3, 2)), ((2,), (2,))])
+def test_ilp64_zggev_refuses_other_shapes_before_calling_lapack(shapes):
+    def reached(*args):
+        raise AssertionError("LAPACK reached")
+
+    zggev = bklab.eigenstructure._Ilp64Zggev(reached, "no library")
+    a, b = (np.zeros(shape, dtype=complex) for shape in shapes)
+    with pytest.raises(ShapeError, match="square"):
+        zggev(a, b, 0, 0, 8)
+
+
+def test_ilp64_zggev_returns_lapacks_info(capfd):
+    bound = bklab.eigenstructure._zggev()
+    if not isinstance(bound, bklab.eigenstructure._Ilp64Zggev):
+        pytest.skip("numpy's LAPACK exports no ILP64 zggev: QZ takes scipy's")
+    A = complex_gaussian((5, 5), trial_rng(97, 3))
+    # LWORK, argument 15, is below max(1, 2n)
+    assert bound(A, A, 0, 0, 1)[-1] == -15
+    assert bound(A, A, 0, 0, 10)[-1] == 0
+    capfd.readouterr()  # LAPACK's own report of the illegal value
+
+
+@pytest.mark.parametrize("vectors", [(0, 0), (1, 0), (0, 1), (1, 1)])
+def test_bound_zggev_returns_what_scipys_returns(vectors):
+    # the same LAPACK routine in two builds of OpenBLAS: equal to rounding,
+    # and every output in scipy's shape and dtype
+    scipys = bklab.eigenstructure._scipy_extension("linalg._flapack").zggev
+    bound = bklab.eigenstructure._zggev()
+    rng = trial_rng(97, 2)
+    A, B = complex_gaussian((9, 9), rng), complex_gaussian((9, 9), rng)
+    lwork = int(bound(A, B, *vectors, -1)[-2][0].real)
+    assert lwork == int(scipys(A, B, *vectors, -1)[-2][0].real)
+    ours, theirs = bound(A, B, *vectors, lwork), scipys(A, B, *vectors, lwork)
+    assert ours[-1] == theirs[-1] == 0
+    for mine, want in zip(ours[:4], theirs[:4]):
+        assert (mine.shape, mine.dtype) == (want.shape, want.dtype)
+    np.testing.assert_allclose(ours[0] / ours[1], theirs[0] / theirs[1],
+                               rtol=1e-10)
+    for k, wanted in zip((2, 3), vectors):
+        if wanted:  # unit eigenvectors, equal up to a phase
+            overlap = np.abs(np.sum(ours[k].conj() * theirs[k], axis=0))
+            np.testing.assert_allclose(overlap, np.abs(np.sum(
+                theirs[k].conj() * theirs[k], axis=0)), rtol=1e-8)
 
 
 NON_FINITE = [np.inf, -np.inf, np.nan, complex(0.0, np.inf)]
@@ -393,7 +445,8 @@ def test_non_finite_input_raises_before_any_lapack_call(monkeypatch, call, bad):
         raise AssertionError("LAPACK reached")
 
     for module, name in ((_linalg, "svd"), (np.linalg, "svd"),
-                         (bklab.eigenstructure, "_scipy_extension")):
+                         (bklab.eigenstructure, "_scipy_extension"),
+                         (bklab.eigenstructure, "_zggev")):
         monkeypatch.setattr(module, name, reached)
     with pytest.raises(ShapeError, match="non-finite"):
         _non_finite_calls(bad)[call]()
@@ -457,6 +510,25 @@ def test_eigenstructure_json_round_trip():
     again = Eigenstructure.from_json(es.to_json())
     assert sorted(again.finite, key=abs) == sorted(es.finite, key=abs)
     assert (again.infinite, again.right, again.left) == ([1], [0, 2], [1])
+
+
+@pytest.mark.parametrize("blob", [
+    [], "finite", {"finite": "abc"}, {"finite": [[1.0, 2.0]]},
+    {"finite": [[1.0, "2", 1]]}, {"finite": [[1.0, 2.0, -1]]},
+    {"finite": [[1.0, 2.0, 1.5]]}, {"finite": [[1.0, 2.0, True]]},
+    {"right": [-1]}, {"left": [0.5]}, {"infinite": 3}, {"right": ["1"]},
+], ids=repr)
+def test_eigenstructure_reader_refuses_a_bad_schema_with_a_shape_error(blob):
+    with pytest.raises(ShapeError):
+        Eigenstructure.from_json(blob)
+
+
+def test_eigenstructure_reader_copies_its_lists():
+    blob = {"right": [1, 2], "finite": [[0.5, -1.0, 2]]}
+    es = Eigenstructure.from_json(blob)
+    blob["right"].append(3)
+    assert es.right == [1, 2] and es.finite == [0.5 - 1j, 0.5 - 1j]
+    assert Eigenstructure.from_json({}) == Eigenstructure()
 
 
 # -------------------------------------------------------- convolution scan
@@ -551,6 +623,20 @@ def test_oracle_equivalence_at_benchmark_size(seed):
     rec = shift_recovery(es, 3, 3)
     assert (len(rec.right), len(rec.left), rec.index_sum()) == (8, 4, 42)
     assert rec.right == right_minimal_indices_by_convolution(P)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_det_roots_refuses_a_non_finite_polynomial(bad):
+    with pytest.raises(ShapeError, match="non-finite"):
+        det_roots(MatrixPolynomial(np.full((3, 2, 2), bad)))
+
+
+def test_det_roots_refuses_an_overflowing_determinant():
+    # finite entries whose 2x2 determinant overflows
+    P = MatrixPolynomial([[[1e200, 1e200], [-1e200, 1e200]], np.eye(2)])
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(ShapeError, match="non-finite"):
+        det_roots(P)
 
 
 def test_placements_agree_with_det_roots():

@@ -3,6 +3,7 @@
 imports its siblings at the top."""
 
 import ast
+import ctypes
 import json
 import os
 import subprocess
@@ -10,8 +11,10 @@ import sys
 from pathlib import Path
 
 import pytest
+from numpy.linalg import _umath_linalg
 
 import bklab
+import bklab.eigenstructure
 from bklab.experiments import random_polynomial, trial_rng
 
 SRC = Path(bklab.__file__).resolve().parents[1]
@@ -43,6 +46,23 @@ def test_import_loads_no_scipy():
     assert _scipy_modules_after("import bklab") == set()
 
 
+def _numpy_zggev_names():
+    """The names of ``NUMPY_ZGGEV_NAMES`` that numpy's LAPACK exports."""
+    library = ctypes.CDLL(_umath_linalg.__file__)
+    return [name for name in bklab.eigenstructure.NUMPY_ZGGEV_NAMES
+            if hasattr(library, name)]
+
+
+def _assert_qz_footprint(modules):
+    """QZ through numpy's LAPACK loads no scipy; only where numpy exports
+    no ``zggev`` does it load scipy's ``_flapack``, and nothing else under
+    ``scipy.linalg`` or ``scipy.optimize``."""
+    if _numpy_zggev_names():
+        assert modules == set()
+    else:
+        assert _under_linalg_and_optimize(modules) == {"scipy.linalg._flapack"}
+
+
 def test_eigen_check_loads_neither_linalg_nor_optimize():
     modules = _scipy_modules_after(
         "from bklab import from_polynomial, pipeline_radius, run_pipeline\n"
@@ -53,7 +73,7 @@ def test_eigen_check_loads_neither_linalg_nor_optimize():
         "dL = random_pencil_perturbation(L.shape, 0.5 * pipeline_radius(L), rng)\n"
         "report = run_pipeline(L, dL, check_eigen=True)\n"
         "assert report.eigen_consistent and report.shift_consistent\n")
-    assert _under_linalg_and_optimize(modules) == {"scipy.linalg._flapack"}
+    _assert_qz_footprint(modules)
 
 
 def test_shared_minimum_matching_loads_only_the_assignment_module():
@@ -74,7 +94,47 @@ def test_cli_eig_on_a_regular_polynomial_loads_only_lapack(tmp_path):
         "with contextlib.redirect_stdout(io.StringIO()) as out:\n"
         f"    assert main(['eig', {str(path)!r}]) == 0\n"
         "assert '\"finite\"' in out.getvalue()\n")
-    assert _under_linalg_and_optimize(modules) == {"scipy.linalg._flapack"}
+    _assert_qz_footprint(modules)
+
+
+def test_qz_binds_numpys_own_zggev_where_its_library_exports_one():
+    names = _numpy_zggev_names()
+    if not names:
+        pytest.skip("numpy's LAPACK exports no ILP64 zggev: QZ takes scipy's")
+    bound = bklab.eigenstructure._zggev()
+    assert isinstance(bound, bklab.eigenstructure._Ilp64Zggev)
+    assert bound.function.__name__ == names[0]
+    assert bound.library == _umath_linalg.__file__
+    exported = getattr(ctypes.CDLL(_umath_linalg.__file__), names[0])
+    assert (ctypes.cast(bound.function, ctypes.c_void_p).value
+            == ctypes.cast(exported, ctypes.c_void_p).value)
+
+
+_FALLBACK_QZ = """
+import json, sys
+import bklab.eigenstructure as e
+from bklab.experiments import complex_gaussian, trial_rng
+rng = trial_rng(64, 2)
+A, B = (complex_gaussian((28, 28), rng) for _ in range(2))
+B[:, :3] = 0.0  # three eigenvalues at infinity
+bound = e._qz(A, B)
+loaded_before = "scipy.linalg._flapack" in sys.modules
+e.NUMPY_ZGGEV_NAMES = ("bklab_no_such_zggev_",)
+e._zggev.cache_clear()
+e._zggev_lwork.cache_clear()
+fallback = e._qz(A, B)
+assert e._zggev() is sys.modules["scipy.linalg._flapack"].zggev
+assert len(fallback[1]) == 3
+print(json.dumps([loaded_before, fallback == bound]))
+"""
+
+
+def test_qz_falls_back_to_scipys_zggev_where_numpy_exports_none():
+    # the resolver, made to find no symbol, loads _flapack, and _qz gives
+    # the same alpha and beta through it
+    loaded_before, equal = json.loads(_run_fresh(_FALLBACK_QZ))
+    assert loaded_before == (not _numpy_zggev_names())
+    assert equal
 
 
 def test_cli_constants_loads_no_scipy():

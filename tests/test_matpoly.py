@@ -495,3 +495,48 @@ def test_json_round_trip():
     assert again.allclose(P)
     assert P.to_json()["coeffs"][0][0][0] == [P.coeff(0)[0, 0].real,
                                               P.coeff(0)[0, 0].imag]
+
+
+def test_json_round_trip_is_bit_exact_at_every_size():
+    rng = np.random.default_rng(23)
+    for m, n, d in ((0, 2, 1), (2, 0, 0), (0, 0, 2), (1, 1, 0), (3, 2, 2)):
+        P = random_poly(m, n, d, rng)
+        classes = (MatrixPolynomial, Pencil) if d == 1 else (MatrixPolynomial,)
+        for cls in classes:
+            again = cls.from_json(P.to_json())
+            assert type(again) is cls
+            assert again.coeff_stack.tobytes() == P.coeff_stack.tobytes()
+            assert again.coeff_stack.shape == (d + 1, m, n)
+
+
+def _bad_polynomial_json():
+    good = MatrixPolynomial([[[1.0, 2.0]], [[3.0, 4.0]]]).to_json()
+    return {
+        "missing_keys": {"rows": 2},
+        "not_an_object": [good],
+        "coeffs_string": dict(good, coeffs="abc"),
+        "coeffs_object": dict(good, coeffs={"0": 1}),
+        "entry_string": dict(good, coeffs=[[[["1", "2"], [3, 4]]]] * 2),
+        "entry_null": dict(good, coeffs=[[[[1, None], [3, 4]]]] * 2),
+        "entry_triple": dict(good, coeffs=[[[[1, 2, 3], [3, 4, 5]]]] * 2),
+        "ragged": dict(good, coeffs=[[[[1, 2], [3]]]] * 2),
+        "too_few_rows": dict(good, m=2),
+        "negative_size": dict(good, n=-2),
+        "float_size": dict(good, m=1.0),
+        "string_size": dict(good, grade="1"),
+        "bool_size": dict(good, m=True),
+        "empty_list_for_a_nonempty_matrix": dict(good, coeffs=[[], []]),
+    }
+
+
+@pytest.mark.parametrize("cls", [MatrixPolynomial, Pencil])
+@pytest.mark.parametrize("kind", sorted(_bad_polynomial_json()))
+def test_polynomial_reader_refuses_a_bad_schema_with_a_shape_error(cls, kind):
+    with pytest.raises(ShapeError):
+        cls.from_json(_bad_polynomial_json()[kind])
+
+
+def test_polynomial_reader_refuses_a_coefficient_count_with_a_grade_error():
+    blob = MatrixPolynomial([[[1.0]], [[2.0]]]).to_json()
+    with pytest.raises(GradeError, match="expected 3 coefficients, found 2"):
+        MatrixPolynomial.from_json(dict(blob, grade=2))

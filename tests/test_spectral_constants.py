@@ -160,3 +160,15 @@ def test_kronecker_factor_preserves_extremes():
         for m, n in ((2, 1), (1, 3), (2, 2), (3, 3)):
             full = np.linalg.svd(build_T(eps, eta, m, n), compute_uv=False)[-1]
             assert abs(full - base) <= 1e-12
+
+
+@pytest.mark.parametrize("bounds", [(-1, 4, 2, 2), (4, -1, 2, 2),
+                                    (1, 1, -1, 1), (1, 1, 1, -3)])
+def test_constants_sweep_refuses_a_negative_bound(bounds):
+    with pytest.raises(ShapeError, match="nonnegative"):
+        constants_sweep(*bounds)
+
+
+def test_constants_sweep_accepts_zero_bounds():
+    assert [row.label for row in constants_sweep(0, 0, 0, 0)] == [
+        "M_spectrum[k=1]", "G_spectrum[k=1]"]
