@@ -9,12 +9,12 @@ from .errors import (BkLabError, ConvergenceError, EigenstructureShiftError,
                      PlacementError, PreconditionError, ShapeError)
 from .matpoly import (MatrixPolynomial, Pencil, as_pencil, build_L,
                       build_Lambda, build_V, build_V_inverse, constant,
-                      convolution, determinant, identity, kron_constant,
-                      multiply, pair_norm, verify_norm_inequalities, zeros)
+                      convolution, identity, kron_constant, multiply,
+                      pair_norm, zeros)
 from .block_kronecker import (BlockKroneckerPencil, PlacementSpec,
                               from_polynomial, lift_right_null_vector,
                               recover_polynomial, validate_placement)
-from .eigenstructure import (Eigenstructure, chordal_distance, det_roots,
+from .eigenstructure import (Eigenstructure, chordal_distance,
                              generalized_eigenvalues, match_eigenvalues,
                              right_minimal_indices_by_convolution,
                              shift_recovery, staircase_eigenstructure)

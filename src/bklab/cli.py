@@ -29,7 +29,7 @@ from .experiments import (STATUSES, ExperimentConfig,
                           split_for_placement)
 from .matpoly import MatrixPolynomial, as_pencil
 from .spectral_constants import constants_sweep
-from .tolerances import _require_finite
+from .tolerances import _finite_nonnegative
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -43,12 +43,15 @@ def _load_json(path: str) -> dict:
 
 
 def _emit(payload, out_path=None):
-    text = json.dumps(payload, sort_keys=True, indent=2)
+    """Write ``payload`` to ``out_path`` or stdout: text as it is, anything
+    else as JSON."""
+    text = (payload if isinstance(payload, str)
+            else json.dumps(payload, sort_keys=True, indent=2) + "\n")
     if out_path:
         with open(out_path, "w") as fh:
-            fh.write(text + "\n")
+            fh.write(text)
     else:
-        sys.stdout.write(text + "\n")
+        sys.stdout.write(text)
 
 
 def _timestamp() -> str:
@@ -146,12 +149,7 @@ def cmd_backward_error(args) -> int:
             "reason": " ".join(f"{s}={summary[s]}" for s in STATUSES
                                if s != "passed"),
             "ratio_over_bound": summary["max_ratio_over_bound"]})
-        text = buf.getvalue()
-        if args.out:
-            with open(args.out, "w") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
+        _emit(buf.getvalue(), args.out)
     else:
         _emit(result, args.out)
     if summary["failed"]:
@@ -179,9 +177,6 @@ def cmd_constants(args) -> int:
 def cmd_check(args) -> int:
     poly = MatrixPolynomial.from_json(_load_json(args.poly))
     bk = BlockKroneckerPencil.from_json(_load_json(args.pencil))
-    # a NaN residual would read as neither accepted nor over the tolerance
-    _require_finite(poly.coeff_stack)
-    _require_finite(bk.one_one_block().coeff_stack)
     residuals = validate_placement(bk, poly)
     worst = float(np.max(residuals))
     payload = {
@@ -281,6 +276,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "tol", None) is not None:  # eig's default is None
+            _finite_nonnegative(args.tol, "--tol")
         return args.func(args)
     except (ShapeError, GradeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -23,10 +23,6 @@ and a tolerance-free answer does not exist.  Non-finite input raises
 from __future__ import annotations
 
 import ctypes
-import importlib.machinery
-import importlib.util
-import os
-import sys
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -36,7 +32,7 @@ from numpy.linalg import _umath_linalg
 from .errors import (ConvergenceError, EigenstructureShiftError,
                      InconclusiveError, ShapeError)
 from .matpoly import (CACHE_SIZE, MatrixPolynomial, _json_count,
-                      _json_fields, as_pencil, convolution, determinant)
+                      _json_fields, as_pencil, convolution)
 from .tolerances import (EPS, RankDecision, _decide_rank, _require_finite,
                          _svd, numerical_rank, svd_with_rank)
 
@@ -118,18 +114,12 @@ def chordal_distance(a, b):
 
 
 def match_eigenvalues(first, second) -> float:
-    """Largest chordal distance in a minimal-cost pairing of two multisets.
-
-    When every row of the cost matrix has its minimum in a different column,
-    that pairing is optimal, and every optimal pairing puts each row at its
-    minimum, so the largest distance is the largest row minimum whichever
-    optimum is taken.  Only a shared minimum column (repeated or clustered
-    eigenvalues) calls the assignment solver.
+    """Largest chordal distance in a minimal-cost pairing of two multisets,
+    solved by ``scipy.optimize.linear_sum_assignment``.
 
     Raises :class:`ShapeError` when the multisets have different sizes or
-    an entry is NaN.  The solver is scipy's compiled
-    ``linear_sum_assignment`` (the one ``scipy.optimize`` re-exports),
-    loaded without ``scipy.optimize``.
+    an entry is NaN.  ``scipy.optimize`` is imported on the first match of
+    two non-empty multisets, so matching empty spectra loads no scipy.
     """
     first = np.asarray(list(first), dtype=complex)
     second = np.asarray(list(second), dtype=complex)
@@ -142,12 +132,9 @@ def match_eigenvalues(first, second) -> float:
     cost = chordal_distance(first[:, None], second[None, :])
     if not np.all(np.isfinite(cost)):
         raise ShapeError("cannot match eigenvalues with a NaN entry")
-    cols = cost.argmin(axis=1)
-    if np.unique(cols).size < cols.size:
-        assign = _scipy_extension("optimize._lsap").linear_sum_assignment
-        rows, cols = assign(cost)
-        return float(cost[rows, cols].max())
-    return float(cost[np.arange(cols.size), cols].max())
+    from scipy.optimize import linear_sum_assignment
+    rows, cols = linear_sum_assignment(cost)
+    return float(cost[rows, cols].max())
 
 
 def _normal_rank(Q: MatrixPolynomial, tol=None) -> int:
@@ -161,42 +148,6 @@ def _normal_rank(Q: MatrixPolynomial, tol=None) -> int:
         if best == min(Q.rows, Q.cols):
             break
     return best
-
-
-@lru_cache(maxsize=None)
-def _scipy_extension(name):
-    """scipy's compiled module ``scipy.<name>``, loaded without running the
-    ``__init__`` of its package, which loads far more than the one module
-    (``import scipy.linalg`` took about 0.3 s with scipy 1.17 on a 2-core
-    Xeon VM).  bklab loads two: ``"optimize._lsap"`` for a matching that
-    meets a shared minimum, and ``"linalg._flapack"`` for QZ only where
-    numpy's own LAPACK exports no ``zggev`` that :func:`_zggev` can bind.
-
-    Only the root package ``scipy`` is imported, for its shared-library
-    set-up and its path.  A module scipy has already loaded is returned as
-    it is, and a module loaded here is registered in ``sys.modules``, where
-    a later ``import scipy.linalg`` finds it.  A missing module raises
-    :class:`ImportError`.
-    """
-    full = f"scipy.{name}"
-    if full in sys.modules:
-        return sys.modules[full]
-    import scipy
-    package, _, leaf = name.rpartition(".")
-    directory = os.path.join(scipy.__path__[0], *package.split("."))
-    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
-        path = os.path.join(directory, leaf + suffix)
-        if os.path.isfile(path):
-            break
-    else:
-        raise ImportError(f"scipy's compiled module {full} was not found in "
-                          f"{directory}", name=full)
-    loader = importlib.machinery.ExtensionFileLoader(full, path)
-    module = importlib.util.module_from_spec(
-        importlib.util.spec_from_loader(full, loader))
-    loader.exec_module(module)
-    sys.modules[full] = module
-    return module
 
 
 # the ILP64 zggev of the OpenBLAS that numpy's wheels link: numpy >= 2
@@ -252,11 +203,11 @@ class _Ilp64Zggev:
 
 @lru_cache(maxsize=None)
 def _zggev():
-    """The ``zggev`` that :func:`_qz` calls, in ``_flapack.zggev``'s
-    convention: the one numpy's own LAPACK exports under a name of
-    ``NUMPY_ZGGEV_NAMES``, so QZ maps no second BLAS and loads no scipy, or
-    else scipy's compiled ``_flapack.zggev`` (MKL, Accelerate and Windows
-    builds of numpy export neither name)."""
+    """The ``zggev`` that :func:`_qz` calls, in the convention of
+    ``scipy.linalg.lapack.zggev``: the one numpy's own LAPACK exports under a
+    name of ``NUMPY_ZGGEV_NAMES``, so QZ maps no second BLAS and loads no
+    scipy, or else ``scipy.linalg.lapack.zggev`` itself, imported here (MKL,
+    Accelerate and Windows builds of numpy export neither name)."""
     path = _umath_linalg.__file__
     # dlsym on the extension searches the libraries it links
     library = ctypes.CDLL(path)
@@ -264,7 +215,8 @@ def _zggev():
         function = getattr(library, name, None)
         if function is not None:
             return _Ilp64Zggev(function, path)
-    return _scipy_extension("linalg._flapack").zggev
+    from scipy.linalg.lapack import zggev
+    return zggev
 
 
 @lru_cache(maxsize=CACHE_SIZE)
@@ -461,14 +413,12 @@ def shift_recovery(structure: Eigenstructure, eps: int, eta: int) -> Eigenstruct
     if eps < 0 or eta < 0:
         raise ShapeError(f"shifts must be nonnegative, got eps = {eps}, "
                          f"eta = {eta}")
-    for idx in structure.right:
-        if idx < eps:
+    for side, indices, shift in (("right", structure.right, eps),
+                                 ("left", structure.left, eta)):
+        low = min(indices, default=shift)
+        if low < shift:
             raise EigenstructureShiftError(
-                f"right minimal index {idx} is below the shift {eps}")
-    for idx in structure.left:
-        if idx < eta:
-            raise EigenstructureShiftError(
-                f"left minimal index {idx} is below the shift {eta}")
+                f"{side} minimal index {low} is below the shift {shift}")
     return Eigenstructure(
         finite=list(structure.finite),
         infinite=list(structure.infinite),
@@ -477,22 +427,3 @@ def shift_recovery(structure: Eigenstructure, eps: int, eta: int) -> Eigenstruct
         rank_log=list(structure.rank_log),
     )
 
-
-def det_roots(P: MatrixPolynomial) -> np.ndarray:
-    """Finite roots of ``det P(lambda)`` via exact coefficient expansion.
-
-    The reference oracle for regular-polynomial eigenvalues at tiny sizes.
-    Trailing coefficients below ``1e-10`` times the largest one are dropped
-    (they encode eigenvalues at infinity).  A non-finite entry of ``P``, or
-    a determinant that overflows, raises :class:`ShapeError`.
-    """
-    _require_finite(P.coeff_stack)
-    coeffs = determinant(P)
-    _require_finite(coeffs)
-    scale = np.max(np.abs(coeffs))
-    if scale == 0:
-        raise ShapeError("det is identically zero: the polynomial is singular")
-    trimmed = np.trim_zeros(np.where(np.abs(coeffs) > 1e-10 * scale, coeffs, 0.0), "b")
-    if len(trimmed) <= 1:
-        return np.zeros(0, dtype=complex)
-    return np.roots(trimmed[::-1])

@@ -15,6 +15,7 @@ from .backward_error import pipeline_radius, run_pipeline
 from .block_kronecker import from_polynomial
 from .errors import BkLabError, GradeError, ShapeError
 from .matpoly import MatrixPolynomial, Pencil, pair_norm
+from .tolerances import _finite_nonnegative
 
 
 def trial_rng(master_seed: int, index: int) -> np.random.Generator:
@@ -64,9 +65,8 @@ def random_singular_polynomial(m: int, n: int, d: int, rank: int,
 
 def random_pencil_perturbation(shape, magnitude: float, rng) -> Pencil:
     """Dense Gaussian pencil scaled to the requested Frobenius norm; a
-    negative (or NaN) ``magnitude`` raises :class:`ShapeError`."""
-    if not magnitude >= 0:
-        raise ShapeError(f"magnitude must be nonnegative, got {magnitude}")
+    negative, infinite or NaN ``magnitude`` raises :class:`ShapeError`."""
+    _finite_nonnegative(magnitude, "magnitude")
     A = complex_gaussian(shape, rng)
     B = complex_gaussian(shape, rng)
     total = pair_norm(A, B)

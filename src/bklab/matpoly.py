@@ -18,7 +18,6 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import GradeError, ShapeError
-from .tolerances import _svd
 
 # index tuples whose structural constants (L_k (x) I_p, Lambda_k (x) I_p, the
 # scalar pseudoinverses of Steps 1 and 2 and their appliers, the QZ workspace
@@ -234,7 +233,7 @@ def _matrix_to_json(A) -> list:
 
 def _matrix_from_json(rows, m, n, name) -> np.ndarray:
     """The ``m x n`` matrix stored as ``m`` rows of ``n`` ``[re, im]``
-    pairs of numbers, or as an empty list when ``m n = 0``."""
+    pairs of finite numbers, or as an empty list when ``m n = 0``."""
     try:
         pairs = np.array(rows) if isinstance(rows, list) else None
     except ValueError:  # a ragged nesting
@@ -245,6 +244,8 @@ def _matrix_from_json(rows, m, n, name) -> np.ndarray:
             or pairs.shape != (m, n, 2)):
         raise ShapeError(f"{name} must be {m} rows of {n} [re, im] pairs "
                          "of numbers")
+    if not np.isfinite(pairs).all():
+        raise ShapeError(f"{name} has a non-finite (inf or NaN) entry")
     return np.ascontiguousarray(pairs, dtype=float).view(complex)[..., 0]
 
 
@@ -417,84 +418,3 @@ def convolution(Q: MatrixPolynomial, j: int) -> np.ndarray:
             C[r * m:(r + 1) * m, c * n:(c + 1) * n] = Q.coeff(q - (r - c))
     return C
 
-
-def _as_lambda_kron(Q: MatrixPolynomial):
-    """Return ``(k, p)`` when ``Q == Lambda_k (x) I_p`` exactly, else ``None``."""
-    p = Q.cols
-    if p == 0 or Q.rows % p != 0:
-        return None
-    k = Q.rows // p - 1
-    if k < 0 or Q.degree() != k:
-        return None
-    if Q.allclose(build_Lambda(k, p).with_grade(Q.grade)):
-        return (k, p)
-    return None
-
-
-def verify_norm_inequalities(P: MatrixPolynomial, Q: MatrixPolynomial):
-    """Check the five product-norm bounds on the pair ``(P, Q)``.
-
-    Flags (a)-(c) compare ``||P Q||_F`` against the spectral-column and
-    Frobenius mixed bounds with the ``sqrt(grade+1)`` factors.  Flag (d)
-    applies only when ``Q`` is exactly a ``Lambda_k (x) I_p`` column and flag
-    (e) only when ``P`` is such a row; both are vacuously true otherwise.
-    A ``1e-12`` relative and absolute slack absorbs roundoff in the norms.
-    """
-    if P.cols != Q.rows:
-        raise ShapeError(f"product undefined for {P.shape} and {Q.shape}")
-    prod = multiply(P, Q)
-    lhs = prod.frobenius_norm()
-    nP, nQ = P.frobenius_norm(), Q.frobenius_norm()
-    sd = np.sqrt(P.grade + 1.0)
-    st = np.sqrt(Q.grade + 1.0)
-    spec_P = np.sqrt(sum(_svd(c, vectors=False).max(initial=0.0) ** 2
-                         for c in P.coeff_stack))
-    spec_Q = np.sqrt(sum(_svd(c, vectors=False).max(initial=0.0) ** 2
-                         for c in Q.coeff_stack))
-
-    def ok(rhs):
-        return bool(lhs <= rhs * (1.0 + 1e-12) + 1e-12)
-
-    a = ok(sd * spec_P * nQ)
-    b = ok(st * nP * spec_Q)
-    c = ok(min(sd, st) * nP * nQ)
-
-    lam_q = _as_lambda_kron(Q)
-    if lam_q is None:
-        d = True
-    else:
-        k, _ = lam_q
-        d = ok(min(sd, np.sqrt(k + 1.0)) * nP)
-    lam_p = _as_lambda_kron(P.transpose())
-    if lam_p is None:
-        e = True
-    else:
-        k, _ = lam_p
-        e = ok(min(st, np.sqrt(k + 1.0)) * nQ)
-    return (a, b, c, d, e)
-
-
-def determinant(P: MatrixPolynomial) -> np.ndarray:
-    """Coefficients (ascending) of ``det P(lambda)`` by cofactor expansion.
-
-    Exponential in the matrix size; intended for the small desk-scale
-    oracles, not production sizes.
-    """
-    if P.rows != P.cols:
-        raise ShapeError("determinant needs a square polynomial")
-    n = P.rows
-    if n == 0:
-        return np.array([1.0 + 0.0j])
-    if n == 1:
-        return np.array([P.coeff(k)[0, 0] for k in range(P.grade + 1)])
-    total = np.zeros(n * P.grade + 1, dtype=complex)
-    rest_cols = list(range(1, n))
-    for i in range(n):
-        entry = np.array([P.coeff(k)[i, 0] for k in range(P.grade + 1)])
-        if not np.any(entry):
-            continue
-        minor = P.submatrix([r for r in range(n) if r != i], rest_cols)
-        sub = determinant(minor)
-        term = np.convolve(entry, sub)
-        total[:term.size] += ((-1) ** i) * term
-    return total

@@ -66,9 +66,10 @@ class RankDecision:
 def _decide_rank(s, shape, tol, context, log) -> int:
     """The rank policy: count the singular values ``s`` above ``tol``, or
     else above :func:`rank_tolerance` at ``s[0]``, and append the decision to
-    ``log`` when one is given."""
+    ``log`` when one is given.  An explicit ``tol`` must be finite and >= 0:
+    a NaN one would read every rank as 0."""
     if tol is not None:
-        used_tol = float(tol)
+        used_tol = _finite_nonnegative(tol, "tol")
     elif s.size == 0:
         used_tol = 0.0
     else:
@@ -77,6 +78,14 @@ def _decide_rank(s, shape, tol, context, log) -> int:
     if log is not None:
         log.append(RankDecision(context, shape, np.array(s, copy=True), rank, used_tol))
     return rank
+
+
+def _finite_nonnegative(value, name) -> float:
+    """``value`` as a float, or :class:`ShapeError` unless finite and >= 0."""
+    value = float(value)
+    if not 0.0 <= value < math.inf:
+        raise ShapeError(f"{name} must be nonnegative and finite, got {value}")
+    return value
 
 
 def _require_finite(M) -> None:

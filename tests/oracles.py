@@ -1,7 +1,8 @@
 """Structural oracles that only the tests call: minimal-basis and
 dual-basis certificates, the convolution-rank predicates for perturbed
 ``L`` / ``Lambda`` blocks, and the unimodular reduction of a block Kronecker
-pencil to block anti-triangular form.
+pencil to block anti-triangular form, the determinant of a small square
+polynomial with its roots, and the five product-norm bounds.
 
 A row-reduced polynomial is a minimal basis exactly when the complete
 eigenstructure of a companion pencil carries no finite eigenvalues and no
@@ -16,9 +17,11 @@ import numpy as np
 
 from bklab import (BkLabError, BlockKroneckerPencil, LayoutError,
                    MatrixPolynomial, Pencil, PreconditionError, ShapeError,
-                   build_V_inverse, convolution, from_polynomial, identity,
-                   kron_constant, multiply, numerical_rank,
-                   recover_polynomial, staircase_eigenstructure)
+                   build_Lambda, build_V_inverse, convolution,
+                   from_polynomial, identity, kron_constant, multiply,
+                   numerical_rank, recover_polynomial,
+                   staircase_eigenstructure)
+from bklab.tolerances import _require_finite, _svd
 
 
 class DegenerateRowError(BkLabError):
@@ -245,3 +248,107 @@ def _poly_minus_identity(P: MatrixPolynomial) -> float:
     if delta.shape[0] > 0 and P.rows > 0:
         delta[0] -= np.eye(P.rows)
     return float(np.linalg.norm(delta))
+
+
+# -- determinant and product norms --------------------------------------
+
+def determinant(P: MatrixPolynomial) -> np.ndarray:
+    """Coefficients (ascending) of ``det P(lambda)`` by cofactor expansion.
+
+    Exponential in the matrix size; intended for the small desk-scale
+    oracles, not production sizes.
+    """
+    if P.rows != P.cols:
+        raise ShapeError("determinant needs a square polynomial")
+    n = P.rows
+    if n == 0:
+        return np.array([1.0 + 0.0j])
+    if n == 1:
+        return np.array([P.coeff(k)[0, 0] for k in range(P.grade + 1)])
+    total = np.zeros(n * P.grade + 1, dtype=complex)
+    rest_cols = list(range(1, n))
+    for i in range(n):
+        entry = np.array([P.coeff(k)[i, 0] for k in range(P.grade + 1)])
+        if not np.any(entry):
+            continue
+        minor = P.submatrix([r for r in range(n) if r != i], rest_cols)
+        sub = determinant(minor)
+        term = np.convolve(entry, sub)
+        total[:term.size] += ((-1) ** i) * term
+    return total
+
+
+def det_roots(P: MatrixPolynomial) -> np.ndarray:
+    """Finite roots of ``det P(lambda)`` via exact coefficient expansion.
+
+    The reference oracle for regular-polynomial eigenvalues at tiny sizes.
+    Trailing coefficients below ``1e-10`` times the largest one are dropped
+    (they encode eigenvalues at infinity).  A non-finite entry of ``P``, or
+    a determinant that overflows, raises :class:`ShapeError`.
+    """
+    _require_finite(P.coeff_stack)
+    coeffs = determinant(P)
+    _require_finite(coeffs)
+    scale = np.max(np.abs(coeffs))
+    if scale == 0:
+        raise ShapeError("det is identically zero: the polynomial is singular")
+    trimmed = np.trim_zeros(np.where(np.abs(coeffs) > 1e-10 * scale, coeffs, 0.0), "b")
+    if len(trimmed) <= 1:
+        return np.zeros(0, dtype=complex)
+    return np.roots(trimmed[::-1])
+
+
+def _as_lambda_kron(Q: MatrixPolynomial):
+    """Return ``(k, p)`` when ``Q == Lambda_k (x) I_p`` exactly, else ``None``."""
+    p = Q.cols
+    if p == 0 or Q.rows % p != 0:
+        return None
+    k = Q.rows // p - 1
+    if k < 0 or Q.degree() != k:
+        return None
+    if Q.allclose(build_Lambda(k, p).with_grade(Q.grade)):
+        return (k, p)
+    return None
+
+
+def verify_norm_inequalities(P: MatrixPolynomial, Q: MatrixPolynomial):
+    """Check the five product-norm bounds on the pair ``(P, Q)``.
+
+    Flags (a)-(c) compare ``||P Q||_F`` against the spectral-column and
+    Frobenius mixed bounds with the ``sqrt(grade+1)`` factors.  Flag (d)
+    applies only when ``Q`` is exactly a ``Lambda_k (x) I_p`` column and flag
+    (e) only when ``P`` is such a row; both are vacuously true otherwise.
+    A ``1e-12`` relative and absolute slack absorbs roundoff in the norms.
+    """
+    if P.cols != Q.rows:
+        raise ShapeError(f"product undefined for {P.shape} and {Q.shape}")
+    prod = multiply(P, Q)
+    lhs = prod.frobenius_norm()
+    nP, nQ = P.frobenius_norm(), Q.frobenius_norm()
+    sd = np.sqrt(P.grade + 1.0)
+    st = np.sqrt(Q.grade + 1.0)
+    spec_P = np.sqrt(sum(_svd(c, vectors=False).max(initial=0.0) ** 2
+                         for c in P.coeff_stack))
+    spec_Q = np.sqrt(sum(_svd(c, vectors=False).max(initial=0.0) ** 2
+                         for c in Q.coeff_stack))
+
+    def ok(rhs):
+        return bool(lhs <= rhs * (1.0 + 1e-12) + 1e-12)
+
+    a = ok(sd * spec_P * nQ)
+    b = ok(st * nP * spec_Q)
+    c = ok(min(sd, st) * nP * nQ)
+
+    lam_q = _as_lambda_kron(Q)
+    if lam_q is None:
+        d = True
+    else:
+        k, _ = lam_q
+        d = ok(min(sd, np.sqrt(k + 1.0)) * nP)
+    lam_p = _as_lambda_kron(P.transpose())
+    if lam_p is None:
+        e = True
+    else:
+        k, _ = lam_p
+        e = ok(min(st, np.sqrt(k + 1.0)) * nQ)
+    return (a, b, c, d, e)

@@ -7,14 +7,14 @@ import time
 import numpy as np
 
 from bklab import (MatrixPolynomial, build_L, build_Lambda, build_T, constant,
-                   det_roots, from_polynomial, generalized_eigenvalues,
+                   from_polynomial, generalized_eigenvalues,
                    lift_right_null_vector, match_eigenvalues, multiply,
                    right_minimal_indices_by_convolution,
                    run_pipeline, shift_recovery, sigma_max_W_closed,
                    sigma_min_T_closed, sigma_min_convolution_L,
                    solve_step1, solve_step2, staircase_eigenstructure,
-                   step1_radius, step2_radius, verify_W_direct_sum,
-                   verify_norm_inequalities, build_W)
+                   step1_radius, step2_radius, verify_W_direct_sum, build_W)
+from oracles import det_roots, verify_norm_inequalities
 from bklab.backward_error import SQRT2M1
 from bklab.experiments import (complex_gaussian, random_pencil_perturbation,
                                random_polynomial, random_singular_polynomial,

@@ -9,7 +9,7 @@ from bklab import (BkLabError, BlockKroneckerPencil, ConvergenceError,
                    ShapeError, assemble_step3, backward_error, block_kronecker,
                    bound_degenerate, bound_nondegenerate, build_L,
                    build_Lambda, build_T, chordal_distance, convolution,
-                   det_roots, eigenstructure, from_polynomial,
+                   eigenstructure, from_polynomial,
                    generalized_eigenvalues, match_eigenvalues, matpoly,
                    multiply, pair_norm, pipeline_radius, pseudoinverse,
                    recover_polynomial, run_pipeline, sigma_min_T_closed,
@@ -22,6 +22,7 @@ from bklab.experiments import (ExperimentConfig, complex_gaussian,
                                generate_trial, random_pencil_perturbation,
                                random_polynomial, trial_rng)
 from bklab.tolerances import EPS
+from oracles import det_roots
 
 
 def _random_block_kronecker(rng, eps, eta, m, n, unit_norm=True):

@@ -295,6 +295,8 @@ def _bad_files():
                          "frobenius1").to_json()
     nan_poly = json.loads(json.dumps(poly))
     nan_poly["coeffs"][0][0][0] = [float("nan"), 0.0]
+    inf_bk = json.loads(json.dumps(bk))
+    inf_bk["M1"][0][0] = [float("inf"), 0.0]
     return {
         "poly_missing_keys": {"rows": 2},
         "poly_coeffs_string": dict(poly, coeffs="abc"),
@@ -308,6 +310,7 @@ def _bad_files():
         "bk_missing_m1": {k: v for k, v in bk.items() if k != "M1"},
         "bk_m0_number": dict(bk, M0=5),
         "bk_bool_size": dict(bk, epsilon=True),
+        "bk_inf": inf_bk,
         "not_an_object": [1, 2, 3],
         "a_number": 5,
         "a_string": "M0 epsilon coeffs",
@@ -379,3 +382,35 @@ def test_check_refuses_a_non_finite_file_with_exit_2(tmp_path, capsys,
     assert main(["check", str(scalar_quadratic), str(pencil)]) == 2
     out = capsys.readouterr()
     assert out.out == "" and "non-finite" in out.err
+
+
+def test_perturb_refuses_an_infinite_magnitude_with_exit_2(tmp_path, capsys,
+                                                           scalar_quadratic):
+    # inf / ||G|| would write Infinity entries, which are not JSON
+    pencil, out = tmp_path / "bk.json", tmp_path / "dL.json"
+    assert main(["linearize", str(scalar_quadratic), "--epsilon", "1",
+                 "--eta", "0", "--out", str(pencil)]) == 0
+    capsys.readouterr()
+    assert main(["perturb", str(pencil), "--mag", "inf",
+                 "--out", str(out)]) == 2
+    assert "magnitude" in capsys.readouterr().err and not out.exists()
+
+
+@pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
+@pytest.mark.parametrize("command", ["check", "constants", "eig"])
+def test_every_tol_option_refuses_a_non_finite_or_negative_value_with_exit_2(
+        tmp_path, capsys, scalar_quadratic, command, tol):
+    # a NaN tolerance accepts nothing and fails nothing; in eig it reads
+    # every rank as 0, and a negative one every singular value as signal
+    pencil = tmp_path / "bk.json"
+    assert main(["linearize", str(scalar_quadratic), "--epsilon", "1",
+                 "--eta", "0", "--out", str(pencil)]) == 0
+    argv = {"check": ["check", str(scalar_quadratic), str(pencil)],
+            "constants": ["constants", "--max-epsilon", "1", "--max-eta",
+                          "1", "--max-m", "1", "--max-n", "1"],
+            "eig": ["eig", str(pencil)]}[command]
+    capsys.readouterr()
+    assert main(argv + [f"--tol={tol}"]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("error: --tol must be nonnegative and finite")

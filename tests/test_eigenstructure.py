@@ -1,5 +1,3 @@
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
 import scipy.linalg
@@ -9,14 +7,14 @@ import bklab.eigenstructure
 from bklab import (BkLabError, ConvergenceError, EigenstructureShiftError,
                    Eigenstructure, InconclusiveError, MatrixPolynomial, Pencil,
                    ShapeError, build_L, build_Lambda, chordal_distance,
-                   det_roots, from_polynomial, generalized_eigenvalues,
+                   from_polynomial, generalized_eigenvalues,
                    match_eigenvalues, right_minimal_indices_by_convolution,
                    shift_recovery, staircase_eigenstructure)
 from bklab.experiments import (complex_gaussian, random_polynomial,
                                random_singular_polynomial, trial_rng)
 from bklab.matpoly import as_pencil
 from bklab.tolerances import EPS, numerical_rank, pseudoinverse, svd_with_rank
-from oracles import direct_sum
+from oracles import det_roots, direct_sum
 
 try:  # the module whose ``svd`` numpy.linalg's own functions call
     from numpy.linalg import _linalg
@@ -264,29 +262,6 @@ def test_qz_equals_scipy_eig_bit_for_bit(case):
     assert len(infinite) == {"singular_B": 5, "negligible_beta": 1}.get(case, 0)
 
 
-def _substitute_extension(monkeypatch, name, **attributes):
-    """Let bklab's loader of scipy's compiled modules hand out a module
-    ``name`` with only ``attributes``; other modules load as before."""
-    load = bklab.eigenstructure._scipy_extension
-
-    def substitute(requested):
-        return SimpleNamespace(**attributes) if requested == name else load(requested)
-
-    monkeypatch.setattr(bklab.eigenstructure, "_scipy_extension", substitute)
-
-
-def test_scipy_extension_is_scipys_own_compiled_function():
-    load = bklab.eigenstructure._scipy_extension
-    assert load("linalg._flapack").zggev is scipy.linalg.lapack.zggev
-    assert (load("optimize._lsap").linear_sum_assignment
-            is linear_sum_assignment)
-
-
-def test_missing_scipy_extension_raises_an_import_error_naming_it():
-    with pytest.raises(ImportError, match=r"scipy\.linalg\._no_such_module"):
-        bklab.eigenstructure._scipy_extension("linalg._no_such_module")
-
-
 def _substitute_zggev(monkeypatch, zggev):
     """Let ``_qz`` call ``zggev`` in place of the one bklab's resolver
     binds."""
@@ -392,7 +367,7 @@ def test_ilp64_zggev_returns_lapacks_info(capfd):
 def test_bound_zggev_returns_what_scipys_returns(vectors):
     # the same LAPACK routine in two builds of OpenBLAS: equal to rounding,
     # and every output in scipy's shape and dtype
-    scipys = bklab.eigenstructure._scipy_extension("linalg._flapack").zggev
+    scipys = scipy.linalg.lapack.zggev
     bound = bklab.eigenstructure._zggev()
     rng = trial_rng(97, 2)
     A, B = complex_gaussian((9, 9), rng), complex_gaussian((9, 9), rng)
@@ -445,7 +420,6 @@ def test_non_finite_input_raises_before_any_lapack_call(monkeypatch, call, bad):
         raise AssertionError("LAPACK reached")
 
     for module, name in ((_linalg, "svd"), (np.linalg, "svd"),
-                         (bklab.eigenstructure, "_scipy_extension"),
                          (bklab.eigenstructure, "_zggev")):
         monkeypatch.setattr(module, name, reached)
     with pytest.raises(ShapeError, match="non-finite"):
@@ -729,15 +703,16 @@ def assignment_calls(monkeypatch):
         calls.append(cost.shape)
         return linear_sum_assignment(cost)
 
-    _substitute_extension(monkeypatch, "optimize._lsap",
-                          linear_sum_assignment=spy)
+    monkeypatch.setattr("scipy.optimize.linear_sum_assignment", spy)
     return calls
 
 
 def test_match_eigenvalues_certificate_equals_the_assignment(assignment_calls):
-    # distinct row minima: the row-minimum pairing is the assignment optimum
+    # distinct row minima, where every optimal pairing takes each row's
+    # minimum: each match solves the assignment once and returns its value
     rng = np.random.default_rng(8)
-    for size in (1, 28, 56):
+    sizes = (1, 28, 56)
+    for size in sizes:
         for trial in range(6):
             first = rng.standard_normal(size) + 1j * rng.standard_normal(size)
             if trial % 2:
@@ -747,7 +722,8 @@ def test_match_eigenvalues_certificate_equals_the_assignment(assignment_calls):
             second = rng.permutation(second)
             expected = _assignment_reference(first, second)
             assert match_eigenvalues(first, second) == expected
-    assert assignment_calls == []
+    assert assignment_calls == [(size, size) for size in sizes
+                                for _ in range(6)]
 
 
 @pytest.mark.parametrize("first, second", [

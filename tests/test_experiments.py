@@ -44,6 +44,12 @@ def test_perturbation_refuses_a_negative_magnitude(magnitude):
     assert random_pencil_perturbation((2, 3), 0.0, trial_rng(2, 0)).frobenius_norm() == 0.0
 
 
+def test_perturbation_refuses_an_infinite_magnitude():
+    # inf / ||G|| scales every entry to inf, which JSON cannot hold
+    with pytest.raises(ShapeError, match="finite"):
+        random_pencil_perturbation((2, 3), np.inf, trial_rng(2, 0))
+
+
 def test_perturbation_norm_is_exact():
     dL = random_pencil_perturbation((3, 4), 1e-7, trial_rng(2, 0))
     assert dL.frobenius_norm() == pytest.approx(1e-7)

@@ -4,9 +4,10 @@ from numpy.testing import assert_allclose
 
 from bklab import (GradeError, MatrixPolynomial, Pencil, ShapeError, build_L,
                    build_Lambda, constant, convolution, identity, matpoly,
-                   multiply, pair_norm, verify_norm_inequalities, zeros)
+                   multiply, pair_norm, zeros)
 from bklab.experiments import complex_gaussian
 from bklab.matpoly import _frobenius
+from oracles import verify_norm_inequalities
 
 
 def random_poly(m, n, d, rng):
@@ -519,6 +520,8 @@ def _bad_polynomial_json():
         "entry_string": dict(good, coeffs=[[[["1", "2"], [3, 4]]]] * 2),
         "entry_null": dict(good, coeffs=[[[[1, None], [3, 4]]]] * 2),
         "entry_triple": dict(good, coeffs=[[[[1, 2, 3], [3, 4, 5]]]] * 2),
+        "entry_inf": dict(good, coeffs=[[[[1, float("inf")], [3, 4]]]] * 2),
+        "entry_nan": dict(good, coeffs=[[[[1, 2], [float("nan"), 4]]]] * 2),
         "ragged": dict(good, coeffs=[[[[1, 2], [3]]]] * 2),
         "too_few_rows": dict(good, m=2),
         "negative_size": dict(good, n=-2),

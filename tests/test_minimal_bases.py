@@ -8,7 +8,7 @@ from bklab import (MatrixPolynomial, PreconditionError, ShapeError, build_L,
 from bklab.experiments import complex_gaussian, random_pencil_perturbation
 from bklab.matpoly import Pencil
 from oracles import (DegenerateRowError, are_dual_minimal_bases,
-                     check_reversal_duality, is_minimal_basis,
+                     check_reversal_duality, determinant, is_minimal_basis,
                      pencil_is_kronecker_minimal,
                      poly_is_kronecker_dual_minimal, row_degree_profile)
 
@@ -68,7 +68,6 @@ def _minor_root_oracle(Q):
     """Full row rank for all lambda0, checked at the roots of one maximal
     minor (any rank-drop point is a common root of every maximal minor)."""
     from itertools import combinations
-    from bklab.matpoly import determinant
     m, n = Q.shape
     for cols in combinations(range(n), m):
         coeffs = determinant(Q.submatrix(range(m), list(cols)))

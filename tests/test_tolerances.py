@@ -58,6 +58,16 @@ def test_explicit_tolerance_wins():
     assert numerical_rank(M, tol=0.0) == 3
 
 
+@pytest.mark.parametrize("tol", [np.nan, -1.0, -1e-300, np.inf])
+def test_explicit_tolerance_must_be_finite_and_nonnegative(tol):
+    # a NaN threshold would read every rank as 0, a negative one every
+    # singular value as signal
+    M = np.diag([1.0, 1e-3, 0.0])
+    for decide in (numerical_rank, svd_with_rank, pseudoinverse):
+        with pytest.raises(ShapeError, match="tol must be nonnegative and finite"):
+            decide(M, tol=tol)
+
+
 @pytest.mark.parametrize("shape", [(0, 3), (4, 0), (0, 0)])
 def test_empty_matrix(shape):
     log = []
