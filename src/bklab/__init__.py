@@ -18,12 +18,11 @@ from .eigenstructure import (Eigenstructure, chordal_distance,
                              generalized_eigenvalues, match_eigenvalues,
                              right_minimal_indices_by_convolution,
                              shift_recovery, staircase_eigenstructure)
-from .backward_error import (BackwardErrorReport, PerturbationBlocks,
-                             Step1Result, SylvesterGauge, assemble_step3,
-                             bound_degenerate, bound_informal,
-                             bound_nondegenerate, pipeline_radius,
-                             run_pipeline, solve_step1, solve_step2,
-                             step1_radius, step2_radius)
+from .backward_error import (BackwardErrorReport, Step1Result,
+                             SylvesterGauge, assemble_step3, bound_degenerate,
+                             bound_informal, bound_nondegenerate,
+                             pipeline_radius, run_pipeline, solve_step1,
+                             solve_step2, step1_radius, step2_radius)
 from .spectral_constants import (ConvolutionConstants, G_matrix,
                                  G_singular_values, M_matrix,
                                  M_singular_values, SingularValuePrediction,

@@ -81,38 +81,6 @@ def _fixed_point(update, x, step: str):
 
 
 @dataclass
-class PerturbationBlocks:
-    """The perturbation pencil split along the natural partition."""
-
-    d11: Pencil
-    d12: Pencil
-    d21: Pencil
-    d22: Pencil
-
-    @classmethod
-    def from_pencil(cls, dL: Pencil, ref: BlockKroneckerPencil) -> "PerturbationBlocks":
-        if dL.shape != ref.shape:
-            raise ShapeError(
-                f"perturbation shape {dL.shape} does not match pencil {ref.shape}")
-        r1 = (ref.eta + 1) * ref.m
-        c1 = (ref.eps + 1) * ref.n
-        S = dL.coeff_stack
-        return cls(Pencil(S[:, :r1, :c1]), Pencil(S[:, :r1, c1:]),
-                   Pencil(S[:, r1:, :c1]), Pencil(S[:, r1:, c1:]))
-
-    def reassemble(self) -> Pencil:
-        return Pencil(np.block([[self.d11.coeff_stack, self.d12.coeff_stack],
-                                [self.d21.coeff_stack, self.d22.coeff_stack]]))
-
-    def delta_T_bound(self) -> float:
-        """Upper bound on ``||dT||_2``, the norm of the map
-        ``(C, D) -> (-C A12 - A21 D, C B12 + B21 D)`` with ``d12 = A12 +
-        lambda B12`` and ``d21 = A21 + lambda B21``: by Cauchy-Schwarz it is
-        at most the Frobenius norm of the two off-diagonal blocks."""
-        return pair_norm(self.d12.coeff_stack, self.d21.coeff_stack)
-
-
-@dataclass
 class SylvesterGauge:
     """The scalars governing Step-1 solvability."""
 
@@ -160,7 +128,7 @@ class Step1Result:
     residual: float
     dLt12: Pencil
     dLt21: Pencil
-    blocks: PerturbationBlocks
+    dL11: Pencil              # the (1,1) block, which Step 1 leaves as it is
 
     @property
     def cd_norm(self) -> float:
@@ -187,28 +155,23 @@ def _T_scalar_pinv(eps: int, eta: int) -> np.ndarray:
     return _read_only(pseudoinverse(build_T(eps, eta, 1, 1), context="step1:pinv(T)"))
 
 
-@lru_cache(maxsize=CACHE_SIZE)
-def _T_pinv(eps: int, eta: int, m: int, n: int):
-    """``R -> (C, D)``: ``pinv(build_T(eps, eta, m, n))`` applied to
-    ``[vec R[0]; vec R[1]]`` for a ``(2, eps n, eta m)`` stack ``R``.  Up to
-    a perfect shuffle ``T`` is ``T(eps, eta, 1, 1) (x) I_mn``: entry
-    ``(a, b)`` of every ``n x m`` block of ``(C, D)`` meets only entry
-    ``(a, b)`` of the blocks of ``R``, through the scalar operator, whose one
-    pseudoinverse serves them all."""
-    Tp = _T_scalar_pinv(eps, eta)
+def _T_pinv(R: np.ndarray, eps: int, eta: int, m: int, n: int):
+    """``(C, D)``: ``pinv(build_T(eps, eta, m, n))`` applied to ``[vec R[0];
+    vec R[1]]`` for a ``(2, eps n, eta m)`` stack ``R``.  Up to a perfect
+    shuffle ``T`` is ``T(eps, eta, 1, 1) (x) I_mn``: entry ``(a, b)`` of
+    every ``n x m`` block of ``(C, D)`` meets only entry ``(a, b)`` of the
+    blocks of ``R``, through the scalar operator, whose one pseudoinverse
+    serves them all."""
     split = eps * (eta + 1)
 
     def ungrid(X, rows, cols):
         return (X.reshape(cols, rows, n, m).transpose(1, 2, 0, 3)
                 .reshape(rows * n, cols * m))
 
-    def apply(R):
-        # one row per n x m block, blocks of each half in column-major order
-        X = Tp @ (R.reshape(2, eps, n, eta, m).transpose(0, 3, 1, 2, 4)
-                  .reshape(2 * eps * eta, n * m))
-        return ungrid(X[:split], eps, eta + 1), ungrid(X[split:], eps + 1, eta)
-
-    return apply
+    # one row per n x m block, blocks of each half in column-major order
+    grid = R.reshape(2, eps, n, eta, m).transpose(0, 3, 1, 2, 4)
+    X = _T_scalar_pinv(eps, eta) @ grid.reshape(2 * eps * eta, n * m)
+    return ungrid(X[:split], eps, eta + 1), ungrid(X[split:], eps + 1, eta)
 
 
 def solve_step1(L: BlockKroneckerPencil, dL: Pencil,
@@ -231,26 +194,35 @@ def solve_step1(L: BlockKroneckerPencil, dL: Pencil,
     iteration diverges or hits ``MAX_ITER``; ``force`` only lifts the
     solvability precondition.
     """
-    blocks = PerturbationBlocks.from_pencil(dL, L)
+    if dL.shape != L.shape:
+        raise ShapeError(
+            f"perturbation shape {dL.shape} does not match pencil {L.shape}")
     eps, eta, m, n = L.eps, L.eta, L.m, L.n
+    # coefficient stacks (2, rows, cols) of the four blocks of dL, as views
+    r1, c1 = (eta + 1) * m, (eps + 1) * n
+    S = dL.coeff_stack
+    d11, d12 = S[:, :r1, :c1], S[:, :r1, c1:]
+    d21, d22 = S[:, r1:, :c1], S[:, r1:, c1:]
+    dL11 = Pencil(d11)
     C = np.zeros((eps * n, (eta + 1) * m), dtype=complex)
     D = np.zeros(((eps + 1) * n, eta * m), dtype=complex)
 
     if eps == 0 or eta == 0:
-        return Step1Result(C, D, None, 0, [], [], 0.0, blocks.d12, blocks.d21,
-                           blocks)
+        return Step1Result(C, D, None, 0, [], [], 0.0, Pencil(d12),
+                           Pencil(d21), dL11)
 
     sigma = sigma_min_T_closed(eps, eta)
-    dT_bound = blocks.delta_T_bound()
-    # coefficient stacks (2, rows, cols) of M + dL_11 and of dL_12, dL_21, dL_22
-    M = L.one_one_block().coeff_stack + blocks.d11.coeff_stack
-    d12, d21, d22 = (blocks.d12.coeff_stack, blocks.d21.coeff_stack,
-                     blocks.d22.coeff_stack)
+    # an upper bound on ||dT||_2, the norm of the map (C, D) -> (-C A12 -
+    # A21 D, C B12 + B21 D) with d12 = A12 + lambda B12 and d21 = A21 +
+    # lambda B21: by Cauchy-Schwarz it is at most the Frobenius norm of the
+    # two off-diagonal blocks
+    dT_bound = pair_norm(d12, d21)
+    M = L.one_one_block().coeff_stack + d11
     gauge = SylvesterGauge(
         sigma_min_T=sigma,
         delta_T_bound=dT_bound,
         delta=sigma - dT_bound,
-        theta=blocks.d22.frobenius_norm(),
+        theta=_frobenius(d22),
         omega=_frobenius(M),
     )
     if not gauge.solvable and not force:
@@ -258,13 +230,12 @@ def solve_step1(L: BlockKroneckerPencil, dL: Pencil,
             f"step 1 refused: violated {gauge.violated_condition()}",
             inequality=gauge.violated_condition() or "")
 
-    solve = _T_pinv(eps, eta, m, n)
-
     def update(x):
         C, D = x
         # b + q(x) - dT x with b = (A22, -B22), q = (C M0' D, -C M1' D) and
         # dT x = (-C A12 - A21 D, C B12 + B21 D), one stack entry per power
-        return solve(_SIGN * (d22 + C @ (M @ D + d12) + d21 @ D))
+        return _T_pinv(_SIGN * (d22 + C @ (M @ D + d12) + d21 @ D),
+                       eps, eta, m, n)
 
     iterations, iterate_norms = 0, []
     if gauge.theta > 0:
@@ -288,7 +259,7 @@ def solve_step1(L: BlockKroneckerPencil, dL: Pencil,
     R[1] += C[:, m:] + D[n:]
     residual = _frobenius(R)
     return Step1Result(C, D, gauge, iterations, iterate_norms, kappa_seq,
-                       residual, dLt12, dLt21, blocks)
+                       residual, dLt12, dLt21, dL11)
 
 
 def step2_radius(eps: int) -> float:
@@ -303,20 +274,14 @@ def _S_scalar_pinv(eps: int) -> np.ndarray:
     return _read_only(pseudoinverse(S, context="step2:pinv(C_eps)"))
 
 
-@lru_cache(maxsize=CACHE_SIZE)
-def _S_pinv(eps: int, n: int):
-    """``Y -> X``: ``pinv(C_eps(L_eps (x) I_n))`` applied to the ascending
-    coefficient stacks ``Y`` (``eps+2`` of ``eps n x n``) and ``X`` (``eps+1``
-    of ``(eps+1) n x n``).  Reshaped plainly to ``n^2`` columns the operator
-    is ``S (x) I_{n^2}`` with ``S = C_eps(L_eps)`` scalar, whose one
-    pseudoinverse serves every entry of the ``n x n`` blocks."""
-    Sp = _S_scalar_pinv(eps)
-
-    def apply(Y):
-        return (Sp @ Y.reshape((eps + 2) * eps, n * n)).reshape(
-            eps + 1, (eps + 1) * n, n)
-
-    return apply
+def _S_pinv(Y: np.ndarray, eps: int, n: int) -> np.ndarray:
+    """``X``: ``pinv(C_eps(L_eps (x) I_n))`` applied to the ascending
+    coefficient stacks ``Y`` (``eps+2`` of ``eps n x n``) and ``X``
+    (``eps+1`` of ``(eps+1) n x n``).  Reshaped plainly to ``n^2`` columns
+    the operator is ``S (x) I_{n^2}`` with ``S = C_eps(L_eps)`` scalar, whose
+    one pseudoinverse serves every entry of the ``n x n`` blocks."""
+    return (_S_scalar_pinv(eps) @ Y.reshape((eps + 2) * eps, n * n)).reshape(
+        eps + 1, (eps + 1) * n, n)
 
 
 def solve_step2(dLt21: Pencil, eps: int, n: int, force: bool = False):
@@ -347,12 +312,11 @@ def solve_step2(dLt21: Pencil, eps: int, n: int, force: bool = False):
             f"step 2 refused: ||dLtilde_21|| = {norm:.3e} is not below "
             f"1 / (2 (eps+1)^(3/2)) = {step2_radius(eps):.3e}",
             inequality="||dLtilde_21|| < 1/(2 (eps+1)^{3/2})")
-    solve = _S_pinv(eps, n)
     lam = build_Lambda(eps, n).coeff_stack
     A = dLt21.coeff_stack
 
     def update(x):
-        return (-solve(_stack_product(A, lam + x[0])),)
+        return (-_S_pinv(_stack_product(A, lam + x[0]), eps, n),)
 
     (dR,), _, _ = _fixed_point(update, (np.zeros_like(lam),), "step 2")
     product = _stack_product(build_L(eps, n).coeff_stack + A, lam + dR)
@@ -505,12 +469,12 @@ class BackwardErrorReport:
     norm_dL: float
     radius: float
     admissible: bool
-    step1: Step1Result | None
+    step1: Step1Result
     dR_eps_norm: float
     dR_eta_norm: float
     step2_residual_eps: float
     step2_residual_eta: float
-    dP: MatrixPolynomial | None
+    dP: MatrixPolynomial
     ratio: float
     bound: float
     bound_label: str
@@ -541,8 +505,8 @@ class BackwardErrorReport:
             "radius": self.radius,
             "admissible": self.admissible,
             "forced": self.forced,
-            "step1_residual": step1.residual if step1 is not None else None,
-            "step1_iterations": step1.iterations if step1 is not None else None,
+            "step1_residual": step1.residual,
+            "step1_iterations": step1.iterations,
             "dR_eps_norm": self.dR_eps_norm,
             "dR_eta_norm": self.dR_eta_norm,
             "step2_residual_eps": self.step2_residual_eps,
@@ -560,22 +524,19 @@ class BackwardErrorReport:
         }
 
     def to_json(self) -> dict:
-        out = self.record()
-        if self.step1 is not None:
-            out["step1"] = {
-                "iterations": self.step1.iterations,
-                "cd_norm": self.step1.cd_norm,
-                "residual": self.step1.residual,
-                "iterate_norms": self.step1.iterate_norms,
-                "kappa_sequence": self.step1.kappa_sequence,
-                "gauge": (self.step1.gauge.to_json()
-                          if self.step1.gauge is not None else None),
-            }
-        else:
-            out["step1"] = None
-        if self.dP is not None:
-            out["dP"] = self.dP.to_json()
-        return out
+        step1 = self.step1
+        return {
+            **self.record(),
+            "step1": {
+                "iterations": step1.iterations,
+                "cd_norm": step1.cd_norm,
+                "residual": step1.residual,
+                "iterate_norms": step1.iterate_norms,
+                "kappa_sequence": step1.kappa_sequence,
+                "gauge": step1.gauge.to_json() if step1.gauge is not None else None,
+            },
+            "dP": self.dP.to_json(),
+        }
 
 
 def run_pipeline(L: BlockKroneckerPencil, dL: Pencil, force: bool = False,
@@ -627,7 +588,7 @@ def run_pipeline(L: BlockKroneckerPencil, dL: Pencil, force: bool = False,
     dR_eps, res_eps = solve_step2(step1.dLt21, L.eps, L.n, force=force)
     dR_eta, res_eta = solve_step2(
         step1.dLt12.transpose(), L.eta, L.m, force=force)
-    P_plus_dP = _perturbed_polynomial(L, step1.blocks.d11, dR_eps, dR_eta, force)
+    P_plus_dP = _perturbed_polynomial(L, step1.dL11, dR_eps, dR_eta, force)
     dP = P_plus_dP - P
     if not np.all(np.isfinite(dP.coeff_stack)):
         # with Step 1 bypassed (eps or eta 0) no iterate sees dL_11

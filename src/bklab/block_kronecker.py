@@ -191,12 +191,18 @@ def from_polynomial(P: MatrixPolynomial, eps: int, eta: int,
 def validate_placement(L: BlockKroneckerPencil, P: MatrixPolynomial) -> np.ndarray:
     """Per-coefficient residuals of the antidiagonal sum condition: entry
     ``k`` is the Frobenius distance between the ``k``-th coefficient of the
-    represented polynomial and ``P_k``."""
+    represented polynomial and ``P_k``.  A residual that overflows or is NaN
+    raises :class:`PlacementError`."""
     if P.grade != L.grade:
         raise GradeError(
             f"pencil represents grade {L.grade}, polynomial has {P.grade}")
-    return np.linalg.norm(recover_polynomial(L).coeff_stack - P.coeff_stack,
-                          axis=(1, 2))
+    with np.errstate(over="ignore", invalid="ignore"):
+        residuals = np.linalg.norm(
+            recover_polynomial(L).coeff_stack - P.coeff_stack, axis=(1, 2))
+    if not np.isfinite(residuals).all():
+        raise PlacementError("antidiagonal sum residual overflows or is NaN "
+                             f"(max residual {np.max(residuals):.3e})")
+    return residuals
 
 
 def recover_polynomial(L: BlockKroneckerPencil) -> MatrixPolynomial:

@@ -23,6 +23,7 @@ and a tolerance-free answer does not exist.  Non-finite input raises
 from __future__ import annotations
 
 import ctypes
+import sys
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -74,7 +75,8 @@ class Eigenstructure:
     @classmethod
     def from_json(cls, obj: dict) -> "Eigenstructure":
         """The structure of :meth:`to_json` without its rank log; a missing
-        list is empty, and any other value raises :class:`ShapeError`."""
+        list is empty, and any other value, a non-finite ``re`` or ``im``
+        among them, raises :class:`ShapeError`."""
         _json_fields(obj, "an eigenstructure")
         parts = {key: obj.get(key, [])
                  for key in ("finite", "infinite", "right", "left")}
@@ -89,6 +91,10 @@ class Eigenstructure:
                             type(x) in (int, float) for x in v[:2])):
                         raise ShapeError("'finite' entries must be [re, im, "
                                          f"multiplicity], got {v!r:.40}")
+                    # also refuses an integer beyond the float range
+                    if not all(abs(x) <= sys.float_info.max for x in v[:2]):
+                        raise ShapeError("a 'finite' entry has a non-finite "
+                                         f"(inf or NaN) re or im: {v!r:.40}")
                     v, name = v[2], "a multiplicity in 'finite'"
                 _json_count(v, name)
         return cls(

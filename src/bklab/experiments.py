@@ -166,7 +166,7 @@ def _judge(report) -> tuple[str, str | None]:
     """Status and reason of a trial whose pipeline run completed."""
     if not report.admissible:
         return "unguaranteed", "forced outside the guaranteed radius"
-    gauge = report.step1.gauge if report.step1 is not None else None
+    gauge = report.step1.gauge
     if gauge is not None and not gauge.solvable:
         return "failed", f"step 1 gauge violates {gauge.violated_condition()}"
     if not report.bound_holds:

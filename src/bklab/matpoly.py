@@ -20,8 +20,8 @@ import numpy as np
 from .errors import GradeError, ShapeError
 
 # index tuples whose structural constants (L_k (x) I_p, Lambda_k (x) I_p, the
-# scalar pseudoinverses of Steps 1 and 2 and their appliers, the QZ workspace
-# of an order) stay cached
+# scalar pseudoinverses of Steps 1 and 2, the QZ workspace of an order) stay
+# cached
 CACHE_SIZE = 64
 
 

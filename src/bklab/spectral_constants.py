@@ -27,29 +27,14 @@ from .errors import LayoutError, ShapeError
 from .matpoly import build_L, build_Lambda, convolution
 
 
-def _shift(k: int) -> np.ndarray:
-    """Down-shift ``J_k`` (ones on the subdiagonal, ``J_1 = 0``)."""
-    J = np.zeros((k, k))
-    for i in range(k - 1):
-        J[i + 1, i] = 1.0
-    return J
-
-
 def M_matrix(k: int) -> np.ndarray:
     """Upper bidiagonal ``k x k`` matrix of ones."""
-    M = np.eye(k)
-    for i in range(k - 1):
-        M[i, i + 1] = 1.0
-    return M
+    return np.eye(k) + np.eye(k, k=1)
 
 
 def G_matrix(k: int) -> np.ndarray:
     """Lower bidiagonal ``(k+1) x k`` matrix of ones."""
-    G = np.zeros((k + 1, k))
-    for i in range(k):
-        G[i, i] = 1.0
-        G[i + 1, i] = 1.0
-    return G
+    return np.eye(k + 1, k) + np.eye(k + 1, k, -1)
 
 
 def M_singular_values(k: int) -> np.ndarray:
@@ -67,10 +52,12 @@ def G_singular_values(k: int) -> np.ndarray:
 
 
 def build_W(eps: int, eta: int) -> np.ndarray:
-    """``W = I_eps (x) J_eta + J_eps (x) I_eta`` (size ``eps*eta``)."""
+    """``W = I_eps (x) J_eta + J_eps (x) I_eta`` (size ``eps*eta``), with
+    the down-shift ``J_k`` (ones on the subdiagonal, ``J_1 = 0``)."""
     if eps < 1 or eta < 1:
         raise ShapeError("eps and eta must be at least 1")
-    return np.kron(np.eye(eps), _shift(eta)) + np.kron(_shift(eps), np.eye(eta))
+    return (np.kron(np.eye(eps), np.eye(eta, k=-1))
+            + np.kron(np.eye(eps, k=-1), np.eye(eta)))
 
 
 def sigma_max_W_closed(eps: int, eta: int) -> float:

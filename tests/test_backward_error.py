@@ -15,9 +15,8 @@ from bklab import (BkLabError, BlockKroneckerPencil, ConvergenceError,
                    recover_polynomial, run_pipeline, sigma_min_T_closed,
                    solve_step1, solve_step2, staircase_eigenstructure,
                    step1_radius, step2_radius, zeros)
-from bklab.backward_error import (SQRT2M1, PerturbationBlocks, _S_pinv,
-                                  _S_scalar_pinv, _T_pinv, _T_scalar_pinv,
-                                  _certify_eigenvalues)
+from bklab.backward_error import (SQRT2M1, _S_pinv, _S_scalar_pinv, _T_pinv,
+                                  _T_scalar_pinv, _certify_eigenvalues)
 from bklab.experiments import (ExperimentConfig, complex_gaussian,
                                generate_trial, random_pencil_perturbation,
                                random_polynomial, trial_rng)
@@ -84,14 +83,23 @@ def test_build_T_equals_its_kron_definition(eps, eta, m, n):
     assert T.tobytes() == want.tobytes()
 
 
-def _dense_delta_T(blocks):
+def _blocks(dL, bk):
+    """The coefficient stacks ``(2, rows, cols)`` of the four blocks of
+    ``dL`` along the natural partition of ``bk``."""
+    r1, c1 = (bk.eta + 1) * bk.m, (bk.eps + 1) * bk.n
+    S = dL.coeff_stack
+    return S[:, :r1, :c1], S[:, :r1, c1:], S[:, r1:, :c1], S[:, r1:, c1:]
+
+
+def _dense_delta_T(dL, bk):
     """Oracle: the perturbation of ``build_T``'s operator induced by the
     off-diagonal blocks, acting on ``[vec(C); vec(D)]`` (column-major)."""
-    I_en = np.eye(blocks.d21.rows)
-    I_hm = np.eye(blocks.d12.cols)
+    _, d12, d21, _ = _blocks(dL, bk)
+    I_en = np.eye(d21.shape[1])
+    I_hm = np.eye(d12.shape[2])
     return np.vstack([
-        np.hstack([np.kron(-blocks.d12.M0.T, I_en), np.kron(I_hm, -blocks.d21.M0)]),
-        np.hstack([np.kron(blocks.d12.M1.T, I_en), np.kron(I_hm, blocks.d21.M1)]),
+        np.hstack([np.kron(-d12[0].T, I_en), np.kron(I_hm, -d21[0])]),
+        np.hstack([np.kron(d12[1].T, I_en), np.kron(I_hm, d21[1])]),
     ])
 
 
@@ -103,10 +111,8 @@ def test_delta_T_zero_for_zero_perturbation():
     rng = trial_rng(70, 0)
     bk = _random_block_kronecker(rng, 1, 1, 1, 1)
     zero = random_pencil_perturbation(bk.shape, 0.0, rng)
-    blocks = PerturbationBlocks.from_pencil(zero, bk)
-    assert np.all(_dense_delta_T(blocks) == 0)
-    assert blocks.delta_T_bound() == 0.0
-    assert blocks.reassemble().frobenius_norm() == 0.0
+    assert np.all(_dense_delta_T(zero, bk) == 0)
+    assert solve_step1(bk, zero).gauge.delta_T_bound == 0.0
 
 
 @pytest.mark.parametrize("eps,eta,m,n", [(1, 1, 1, 1), (2, 3, 2, 1),
@@ -115,7 +121,7 @@ def test_block_T_pinv_matches_dense(eps, eta, m, n):
     rng = trial_rng(76, eps * 1000 + eta * 100 + m * 10 + n)
     R0 = complex_gaussian((eps * n, eta * m), rng)
     R1 = complex_gaussian((eps * n, eta * m), rng)
-    C, D = _T_pinv(eps, eta, m, n)(np.stack([R0, R1]))
+    C, D = _T_pinv(np.stack([R0, R1]), eps, eta, m, n)
     assert C.shape == (eps * n, (eta + 1) * m)
     assert D.shape == ((eps + 1) * n, eta * m)
     want = pseudoinverse(build_T(eps, eta, m, n)) @ np.concatenate(
@@ -123,7 +129,11 @@ def test_block_T_pinv_matches_dense(eps, eta, m, n):
     assert np.max(np.abs(np.concatenate([_vec(C), _vec(D)]) - want)) <= 1e-12
 
 
-def test_delta_T_bound_is_certified():
+def test_delta_T_bound_is_certified(monkeypatch):
+    # the gauge is read before any sweep; the iteration would not converge
+    # at the larger magnitudes
+    monkeypatch.setattr(backward_error, "_fixed_point",
+                        lambda update, x, step: (x, 0, []))
     for trial in range(60):
         rng = trial_rng(77, trial)
         eps, eta = int(rng.integers(1, 4)), int(rng.integers(1, 4))
@@ -131,19 +141,10 @@ def test_delta_T_bound_is_certified():
         bk = _random_block_kronecker(rng, eps, eta, m, n)
         magnitude = (1e-8, 1e-3, 0.1, 1.0, 10.0)[trial % 5]
         dL = random_pencil_perturbation(bk.shape, magnitude, rng)
-        blocks = PerturbationBlocks.from_pencil(dL, bk)
-        exact = np.linalg.norm(_dense_delta_T(blocks), 2)
-        bound = blocks.delta_T_bound()
+        exact = np.linalg.norm(_dense_delta_T(dL, bk), 2)
+        bound = solve_step1(bk, dL, force=True).gauge.delta_T_bound
         assert exact <= bound * (1 + 1e-12)
         assert bound <= dL.frobenius_norm() * (1 + 1e-12)
-
-
-def test_blocks_reassemble_exactly():
-    rng = trial_rng(70, 1)
-    bk = _random_block_kronecker(rng, 2, 1, 2, 1)
-    dL = random_pencil_perturbation(bk.shape, 0.3, rng)
-    blocks = PerturbationBlocks.from_pencil(dL, bk)
-    assert np.all(blocks.reassemble().coeff_stack == dL.coeff_stack)
 
 
 # ------------------------------------------------------------------- step 1
@@ -183,12 +184,12 @@ def test_step1_transformed_blocks_definition():
     rng = trial_rng(73, 0)
     bk, dL = _admissible_step1_trial(rng, 0.5)
     result = solve_step1(bk, dL)
-    blocks = PerturbationBlocks.from_pencil(dL, bk)
-    M_pert = Pencil.from_parts(bk.M0 + blocks.d11.M0, bk.M1 + blocks.d11.M1)
-    want12 = Pencil.from_parts(M_pert.M0 @ result.D + blocks.d12.M0,
-                               M_pert.M1 @ result.D + blocks.d12.M1)
-    want21 = Pencil.from_parts(result.C @ M_pert.M0 + blocks.d21.M0,
-                               result.C @ M_pert.M1 + blocks.d21.M1)
+    d11, d12, d21, _ = _blocks(dL, bk)
+    M_pert = Pencil.from_parts(bk.M0 + d11[0], bk.M1 + d11[1])
+    want12 = Pencil.from_parts(M_pert.M0 @ result.D + d12[0],
+                               M_pert.M1 @ result.D + d12[1])
+    want21 = Pencil.from_parts(result.C @ M_pert.M0 + d21[0],
+                               result.C @ M_pert.M1 + d21[1])
     assert np.all(result.dLt12.coeff_stack == want12.coeff_stack)
     assert np.all(result.dLt21.coeff_stack == want21.coeff_stack)
 
@@ -271,11 +272,11 @@ def test_step1_degenerate_pass_through():
     bk = from_polynomial(P, 2, 0, "frobenius1")
     dL = random_pencil_perturbation(bk.shape, 1e-3, rng)
     result = solve_step1(bk, dL)
-    blocks = PerturbationBlocks.from_pencil(dL, bk)
+    _, _, d21, _ = _blocks(dL, bk)
     assert result.gauge is None and result.iterations == 0
     assert result.C.shape == (4, 2) and result.C.size == 8
     assert result.D.shape == (6, 0)
-    assert np.all(result.dLt21.coeff_stack == blocks.d21.coeff_stack)
+    assert np.all(result.dLt21.coeff_stack == d21)
 
 
 # ------------------------------------------------------------------- step 2
@@ -358,7 +359,7 @@ def test_step2_takes_one_norm_per_iterate_array(monkeypatch):
 def test_scalar_S_pinv_matches_dense(eps, n):
     rng = trial_rng(92, eps * 10 + n)
     Y = complex_gaussian((eps + 2, eps * n, n), rng)
-    X = _S_pinv(eps, n)(Y)
+    X = _S_pinv(Y, eps, n)
     assert X.shape == (eps + 1, (eps + 1) * n, n)
     dense = pseudoinverse(convolution(build_L(eps, n), eps))
     want = dense @ convolution(MatrixPolynomial(Y), 0)
@@ -602,28 +603,23 @@ def test_shift_check_propagates_programming_errors(monkeypatch):
 
 
 def test_pipeline_recovers_and_splits_once(monkeypatch):
-    # run_pipeline reuses its P for Step 3 and Step 1's block split for dL_11
-    calls = {"recover": 0, "split": 0}
-    recover, split = backward_error.recover_polynomial, PerturbationBlocks.from_pencil
+    # run_pipeline reuses its P for Step 3 and Step 1's (1,1) block of dL
+    calls = []
+    recover = backward_error.recover_polynomial
 
     def counted_recover(L):
-        calls["recover"] += 1
+        calls.append(L)
         return recover(L)
 
-    def counted_split(dL, ref):
-        calls["split"] += 1
-        return split(dL, ref)
-
     monkeypatch.setattr(backward_error, "recover_polynomial", counted_recover)
-    monkeypatch.setattr(PerturbationBlocks, "from_pencil", counted_split)
     rng = trial_rng(92, 0)
     bk = _random_block_kronecker(rng, 2, 1, 2, 3)
     dL = random_pencil_perturbation(bk.shape, 1e-8, rng)
     report = run_pipeline(bk, dL)
-    assert calls == {"recover": 1, "split": 1}
+    assert calls == [bk]
     assert report.bound_holds and report.eigen_consistent
-    assert np.array_equal(report.step1.blocks.reassemble().coeff_stack,
-                          dL.coeff_stack)
+    d11 = _blocks(dL, bk)[0]
+    assert report.step1.dL11.coeff_stack.tobytes() == d11.tobytes()
 
 
 def test_cached_scalar_pseudoinverses_are_read_only():
@@ -632,9 +628,7 @@ def test_cached_scalar_pseudoinverses_are_read_only():
             pinv[0, 0] = 1.0
     assert _T_scalar_pinv(2, 3) is _T_scalar_pinv(2, 3)
     assert _S_scalar_pinv(3) is _S_scalar_pinv(3)
-    # so are the blockwise appliers and the structural blocks built on them
-    assert _T_pinv(2, 3, 2, 1) is _T_pinv(2, 3, 2, 1)
-    assert _S_pinv(3, 2) is _S_pinv(3, 2)
+    # so are the structural blocks
     assert build_L(3, 2) is build_L(3, 2)
     assert build_Lambda(3, 2) is build_Lambda(3, 2)
     for block in (build_L(3, 2), build_Lambda(3, 2)):
@@ -669,8 +663,7 @@ def test_pipeline_builds_no_kron_operand(monkeypatch):
         assert report.eigen_consistent and report.shift_consistent
     # cold caches: Step 2's scalar C_eps(L_eps) comes from convolution and
     # Step 1's scalar T(eps, eta, 1, 1) from index placements
-    for cached in (_S_scalar_pinv, _T_scalar_pinv, _S_pinv, _T_pinv, build_L,
-                   build_Lambda):
+    for cached in (_S_scalar_pinv, _T_scalar_pinv, build_L, build_Lambda):
         cached.cache_clear()
     for L, dL in cases:
         report = run_pipeline(L, dL, check_eigen=True)
@@ -730,9 +723,9 @@ def test_degenerate_path_equals_manual_steps():
     bk = from_polynomial(P, 2, 0, "frobenius1")
     dL = random_pencil_perturbation(bk.shape, 1e-6, rng)
     report = run_pipeline(bk, dL, check_eigen=False)
-    blocks = PerturbationBlocks.from_pencil(dL, bk)
-    dR_eps, _ = solve_step2(blocks.d21, bk.eps, bk.n)
-    dP = assemble_step3(bk, blocks.d11, dR_eps,
+    d11, _, d21, _ = _blocks(dL, bk)
+    dR_eps, _ = solve_step2(Pencil(d21), bk.eps, bk.n)
+    dP = assemble_step3(bk, Pencil(d11), dR_eps,
                         zeros((bk.eta + 1) * bk.m, bk.m, grade=0))
     assert np.all(report.dP.coeff_stack == dP.coeff_stack)
 

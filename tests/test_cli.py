@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -382,6 +383,23 @@ def test_check_refuses_a_non_finite_file_with_exit_2(tmp_path, capsys,
     assert main(["check", str(scalar_quadratic), str(pencil)]) == 2
     out = capsys.readouterr()
     assert out.out == "" and "non-finite" in out.err
+
+
+def test_check_refuses_an_overflowing_residual_with_exit_3(tmp_path, capsys):
+    # finite files whose antidiagonal sums differ by more than the float
+    # range: an inf residual is not JSON, and numpy must not warn about it
+    poly, pencil = tmp_path / "p.json", tmp_path / "bk.json"
+    write_json(poly, MatrixPolynomial([[[1e308]], [[-1e308]], [[1e308]]]).to_json())
+    write_json(pencil, {"epsilon": 1, "eta": 0, "m": 1, "n": 1,
+                        "M0": [[[1e308, 0.0], [-1e308, 0.0]]],
+                        "M1": [[[1e308, 0.0], [0.0, 0.0]]]})
+    capsys.readouterr()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["check", str(poly), str(pencil)]) == 3
+    out = capsys.readouterr()
+    assert out.out == "" and "residual overflows" in out.err
+    assert [str(w.message) for w in caught] == []
 
 
 def test_perturb_refuses_an_infinite_magnitude_with_exit_2(tmp_path, capsys,

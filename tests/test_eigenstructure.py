@@ -491,6 +491,9 @@ def test_eigenstructure_json_round_trip():
     {"finite": [[1.0, "2", 1]]}, {"finite": [[1.0, 2.0, -1]]},
     {"finite": [[1.0, 2.0, 1.5]]}, {"finite": [[1.0, 2.0, True]]},
     {"right": [-1]}, {"left": [0.5]}, {"infinite": 3}, {"right": ["1"]},
+    {"finite": [[float("nan"), 0.0, 1]]}, {"finite": [[0.0, float("inf"), 1]]},
+    {"finite": [[-float("inf"), 1.0, 1]]},
+    pytest.param({"finite": [[10 ** 400, 0, 1]]}, id="finite-int-beyond-float"),
 ], ids=repr)
 def test_eigenstructure_reader_refuses_a_bad_schema_with_a_shape_error(blob):
     with pytest.raises(ShapeError):
