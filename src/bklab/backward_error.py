@@ -325,18 +325,11 @@ def solve_step2(dLt21: Pencil, eps: int, n: int, force: bool = False):
 
 
 def assemble_step3(L: BlockKroneckerPencil, dL11: Pencil,
-                   dR_eps: MatrixPolynomial,
-                   dR_eta: MatrixPolynomial) -> MatrixPolynomial:
-    """``dP`` such that ``P + dP`` is the polynomial represented by the
-    repaired strong block minimal bases pencil."""
-    return (_perturbed_polynomial(L, dL11, dR_eps, dR_eta, force=False)
-            - recover_polynomial(L))
-
-
-def _perturbed_polynomial(L: BlockKroneckerPencil, dL11: Pencil,
-                          dR_eps: MatrixPolynomial, dR_eta: MatrixPolynomial,
-                          force: bool) -> MatrixPolynomial:
-    """``P + dP`` of :func:`assemble_step3`, after its preconditions."""
+                   dR_eps: MatrixPolynomial, dR_eta: MatrixPolynomial,
+                   force: bool = False) -> MatrixPolynomial:
+    """``P + dP``: the polynomial represented by the repaired strong block
+    minimal bases pencil.  Raises :class:`PreconditionError` when a
+    ``||dR|| >= 1/sqrt(2)``; ``force`` lifts that precondition."""
     for name, dR in (("dR_eps", dR_eps), ("dR_eta", dR_eta)):
         if dR.frobenius_norm() >= 1.0 / np.sqrt(2.0) and not force:
             raise PreconditionError(
@@ -588,7 +581,7 @@ def run_pipeline(L: BlockKroneckerPencil, dL: Pencil, force: bool = False,
     dR_eps, res_eps = solve_step2(step1.dLt21, L.eps, L.n, force=force)
     dR_eta, res_eta = solve_step2(
         step1.dLt12.transpose(), L.eta, L.m, force=force)
-    P_plus_dP = _perturbed_polynomial(L, step1.dL11, dR_eps, dR_eta, force)
+    P_plus_dP = assemble_step3(L, step1.dL11, dR_eps, dR_eta, force=force)
     dP = P_plus_dP - P
     if not np.all(np.isfinite(dP.coeff_stack)):
         # with Step 1 bypassed (eps or eta 0) no iterate sees dL_11

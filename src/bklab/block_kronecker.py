@@ -21,7 +21,7 @@ import numpy as np
 from .errors import GradeError, PlacementError, ShapeError
 from .matpoly import (MatrixPolynomial, Pencil, build_Lambda, build_V_inverse,
                       kron_constant, multiply, pair_norm, vstack,
-                      _json_count, _json_fields, _matrix_from_json,
+                      _frobenius, _json_count, _json_fields, _matrix_from_json,
                       _matrix_to_json)
 from .tolerances import _require_finite
 
@@ -156,32 +156,31 @@ def from_polynomial(P: MatrixPolynomial, eps: int, eta: int,
         raise PlacementError("frobenius2 requires eps = 0 and eta = d - 1")
 
     shape = ((eta + 1) * m, (eps + 1) * n)
-    M0 = np.zeros(shape, dtype=complex)
-    M1 = np.zeros(shape, dtype=complex)
-    if placement.tag == "frobenius1":
-        M1[:, :n] = P.coeff(d)
-        for j in range(1, eps + 2):
-            M0[:, (j - 1) * n:j * n] = P.coeff(d - j)
-    elif placement.tag == "frobenius2":
-        M1[:m, :] = P.coeff(d)
-        for i in range(1, eta + 2):
-            M0[(i - 1) * m:i * m, :] = P.coeff(d - i)
-    elif placement.tag == "hook":
+    if placement.tag == "custom":
+        M0 = np.array(placement.M0, dtype=complex)
+        M1 = np.array(placement.M1, dtype=complex)
+        if M0.shape != shape or M1.shape != shape:
+            raise ShapeError(f"custom blocks must have shape {shape}")
+    else:
         # First block row carries P_{d-1} .. P_{d-eps-1}; the last block
         # column continues with P_{d-eps-2} .. P_0; P_d rides on lambda.
+        # At eta = 0 this is frobenius1's block row, at eps = 0
+        # frobenius2's block column.
+        M0 = np.zeros(shape, dtype=complex)
+        M1 = np.zeros(shape, dtype=complex)
         M1[:m, :n] = P.coeff(d)
         for j in range(1, eps + 2):
             M0[:m, (j - 1) * n:j * n] = P.coeff(d - j)
         for i in range(2, eta + 2):
             M0[(i - 1) * m:i * m, eps * n:(eps + 1) * n] = P.coeff(d - eps - i)
-    else:
-        M0 = np.array(placement.M0, dtype=complex)
-        M1 = np.array(placement.M1, dtype=complex)
-        if M0.shape != shape or M1.shape != shape:
-            raise ShapeError(f"custom blocks must have shape {shape}")
     pencil = BlockKroneckerPencil(M0, M1, eps, eta, m, n)
     residuals = validate_placement(pencil, P)
-    if not np.max(residuals) <= 1e-12 * max(1.0, P.frobenius_norm()):
+    with np.errstate(over="ignore"):
+        tol = 1e-12 * max(1.0, P.frobenius_norm())
+    if tol == np.inf:  # an entry beyond about 1e154 overflows the squares
+        scale = np.abs(P.coeff_stack).max()
+        tol = 1e-12 * scale * _frobenius(P.coeff_stack / scale)
+    if not np.max(residuals) <= tol:
         raise PlacementError(
             f"antidiagonal sums do not reproduce the polynomial "
             f"(max residual {np.max(residuals):.3e})")

@@ -140,7 +140,10 @@ class SingularValuePrediction:
     label: str
     predicted: float
     numeric: float
-    gap: float
+
+    @property
+    def gap(self) -> float:
+        return abs(self.predicted - self.numeric)
 
     def to_json(self) -> dict:
         return {
@@ -245,50 +248,41 @@ def constants_sweep(max_eps: int = 4, max_eta: int = 4, max_m: int = 2,
                 for n in range(1, max_n + 1):
                     T = build_T(eps, eta, m, n)
                     smin = float(np.linalg.svd(T, compute_uv=False)[-1])
-                    pred = sigma_min_T_closed(eps, eta)
                     rows.append(SingularValuePrediction(
                         f"sigma_min_T[eps={eps},eta={eta},m={m},n={n}]",
-                        pred, smin, abs(pred - smin)))
+                        sigma_min_T_closed(eps, eta), smin))
             W = build_W(eps, eta)
             smax = float(np.linalg.svd(W, compute_uv=False)[0])
             predW = sigma_max_W_closed(eps, eta)
             rows.append(SingularValuePrediction(
-                f"sigma_max_W[eps={eps},eta={eta}]", predW, smax, abs(predW - smax)))
+                f"sigma_max_W[eps={eps},eta={eta}]", predW, smax))
             rows.append(SingularValuePrediction(
                 f"identity_T_vs_W[eps={eps},eta={eta}]",
-                sigma_min_T_closed(eps, eta), sigma_min_from_W(eps, eta),
-                abs(sigma_min_T_closed(eps, eta) - sigma_min_from_W(eps, eta))))
+                sigma_min_T_closed(eps, eta), sigma_min_from_W(eps, eta)))
             ok = verify_W_direct_sum(max(eps, eta), min(eps, eta))
             rows.append(SingularValuePrediction(
-                f"W_direct_sum[eps={eps},eta={eta}]", 1.0, 1.0 if ok else 0.0,
-                0.0 if ok else 1.0))
+                f"W_direct_sum[eps={eps},eta={eta}]", 1.0, 1.0 if ok else 0.0))
     for eps in range(1, max_eps + 1):
         for n in range(1, max_n + 1):
             cc = sigma_min_convolution_L(eps, n, tol=np.inf)
             rows.append(SingularValuePrediction(
                 f"sigma_min_convL_low[eps={eps},n={n}]",
-                cc.closed_form, cc.numeric_lower,
-                abs(cc.closed_form - cc.numeric_lower)))
+                cc.closed_form, cc.numeric_lower))
             rows.append(SingularValuePrediction(
                 f"sigma_min_convL_up[eps={eps},n={n}]",
-                cc.closed_form, cc.numeric_upper_index,
-                abs(cc.closed_form - cc.numeric_upper_index)))
+                cc.closed_form, cc.numeric_upper_index))
             rows.append(SingularValuePrediction(
-                f"sigma_min_convLambda_c0[eps={eps},n={n}]", 1.0, cc.lambda_c0,
-                abs(1.0 - cc.lambda_c0)))
+                f"sigma_min_convLambda_c0[eps={eps},n={n}]", 1.0, cc.lambda_c0))
             rows.append(SingularValuePrediction(
-                f"sigma_min_convLambda_c1[eps={eps},n={n}]", 1.0, cc.lambda_c1,
-                abs(1.0 - cc.lambda_c1)))
+                f"sigma_min_convLambda_c1[eps={eps},n={n}]", 1.0, cc.lambda_c1))
             rows.append(SingularValuePrediction(
                 f"convL_multiset[eps={eps},n={n}]", 1.0,
-                1.0 if cc.multiset_ok else 0.0, 0.0 if cc.multiset_ok else 1.0))
+                1.0 if cc.multiset_ok else 0.0))
     for k in range(1, max(max_eps, max_eta) + 2):
         numM = np.sort(np.linalg.svd(M_matrix(k), compute_uv=False))
         gapM = float(np.max(np.abs(numM - M_singular_values(k))))
-        rows.append(SingularValuePrediction(
-            f"M_spectrum[k={k}]", 0.0, gapM, gapM))
+        rows.append(SingularValuePrediction(f"M_spectrum[k={k}]", 0.0, gapM))
         numG = np.sort(np.linalg.svd(G_matrix(k), compute_uv=False))
         gapG = float(np.max(np.abs(numG - G_singular_values(k))))
-        rows.append(SingularValuePrediction(
-            f"G_spectrum[k={k}]", 0.0, gapG, gapG))
+        rows.append(SingularValuePrediction(f"G_spectrum[k={k}]", 0.0, gapG))
     return rows

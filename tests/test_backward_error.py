@@ -399,7 +399,7 @@ def test_step3_zero_perturbations_give_zero():
         bk, Pencil.from_parts(np.zeros(((bk.eta + 1) * bk.m, (bk.eps + 1) * bk.n)),
                               np.zeros(((bk.eta + 1) * bk.m, (bk.eps + 1) * bk.n))),
         zeros((bk.eps + 1) * bk.n, bk.n, grade=bk.eps),
-        zeros((bk.eta + 1) * bk.m, bk.m, grade=bk.eta))
+        zeros((bk.eta + 1) * bk.m, bk.m, grade=bk.eta)) - recover_polynomial(bk)
     assert dP.frobenius_norm() == 0.0
 
 
@@ -422,7 +422,7 @@ def test_step3_norm_bound_nondegenerate():
         s_eta = rng.uniform(1e-3, 0.999) / np.sqrt(2.0)
         dR_eps = _random_dR((eps + 1) * n, n, eps, s_eps, rng)
         dR_eta = _random_dR((eta + 1) * m, m, eta, s_eta, rng)
-        dP = assemble_step3(bk, dL11, dR_eps, dR_eta)
+        dP = assemble_step3(bk, dL11, dR_eps, dR_eta) - recover_polynomial(bk)
         cap = np.sqrt(d) * (5.0 * dL11.frobenius_norm()
                             + 4.0 * bk.one_one_norm() * max(s_eps, s_eta))
         assert dP.frobenius_norm() <= cap * (1 + 1e-12)
@@ -440,7 +440,7 @@ def test_step3_norm_bound_degenerate():
         s_eps = rng.uniform(1e-3, 0.999) / np.sqrt(2.0)
         dR_eps = _random_dR((eps + 1) * n, n, eps, s_eps, rng)
         dR_eta = zeros(m, m, grade=0)
-        dP = assemble_step3(bk, dL11, dR_eps, dR_eta)
+        dP = assemble_step3(bk, dL11, dR_eps, dR_eta) - recover_polynomial(bk)
         cap = 3.0 * dL11.frobenius_norm() \
             + np.sqrt(2.0) * bk.one_one_norm() * dR_eps.frobenius_norm()
         assert dP.frobenius_norm() <= cap * (1 + 1e-12)
@@ -454,6 +454,25 @@ def test_step3_refuses_large_dR():
     dL11 = random_pencil_perturbation(((bk.eta + 1) * bk.m, (bk.eps + 1) * bk.n), 0.0, rng)
     with pytest.raises(PreconditionError):
         assemble_step3(bk, dL11, big, small)
+
+
+def test_step3_force_lifts_the_dR_precondition():
+    # forced, Step 3 still returns the product (Lambda_eta + dR_eta)^T
+    # (M + dL_11) (Lambda_eps + dR_eps), which is P + dP
+    rng = trial_rng(83, 1)
+    bk = _random_block_kronecker(rng, 1, 2, 2, 1)
+    dR_eps = _random_dR((bk.eps + 1) * bk.n, bk.n, bk.eps, 1.0, rng)
+    dR_eta = _random_dR((bk.eta + 1) * bk.m, bk.m, bk.eta, 0.1, rng)
+    dL11 = random_pencil_perturbation(bk.one_one_block().shape, 0.1, rng)
+    with pytest.raises(PreconditionError, match="dR_eps"):
+        assemble_step3(bk, dL11, dR_eps, dR_eta)
+    forced = assemble_step3(bk, dL11, dR_eps, dR_eta, force=True)
+    left = (build_Lambda(bk.eta, bk.m) + dR_eta).transpose()
+    right = build_Lambda(bk.eps, bk.n) + dR_eps
+    want = multiply(multiply(left, bk.one_one_block() + dL11), right)
+    assert forced.grade == bk.grade
+    np.testing.assert_allclose(forced.coeff_stack, want.coeff_stack,
+                               rtol=0, atol=1e-12)
 
 
 # ----------------------------------------------------------------- pipeline
@@ -622,6 +641,30 @@ def test_pipeline_recovers_and_splits_once(monkeypatch):
     assert report.step1.dL11.coeff_stack.tobytes() == d11.tobytes()
 
 
+def test_pipeline_runs_the_public_step3_once(monkeypatch):
+    # Step 3 is assemble_step3, called once through its module name; dP is
+    # its P + dP minus P, bit for bit, also when the steps run by hand
+    returned = []
+    step3 = backward_error.assemble_step3
+
+    def counted(*args, **kwargs):
+        returned.append(step3(*args, **kwargs))
+        return returned[-1]
+
+    monkeypatch.setattr(backward_error, "assemble_step3", counted)
+    for L, dL in _be_style_cases():
+        returned.clear()
+        report = run_pipeline(L, dL)
+        assert len(returned) == 1
+        P = recover_polynomial(L)
+        assert report.dP.coeff_stack.tobytes() == (returned[0] - P).coeff_stack.tobytes()
+        step1 = solve_step1(L, dL)
+        dR_eps, _ = solve_step2(step1.dLt21, L.eps, L.n)
+        dR_eta, _ = solve_step2(step1.dLt12.transpose(), L.eta, L.m)
+        by_hand = step3(L, step1.dL11, dR_eps, dR_eta) - P
+        assert report.dP.coeff_stack.tobytes() == by_hand.coeff_stack.tobytes()
+
+
 def test_cached_scalar_pseudoinverses_are_read_only():
     for pinv in (_T_scalar_pinv(2, 3), _S_scalar_pinv(3)):
         with pytest.raises(ValueError):
@@ -726,7 +769,8 @@ def test_degenerate_path_equals_manual_steps():
     d11, _, d21, _ = _blocks(dL, bk)
     dR_eps, _ = solve_step2(Pencil(d21), bk.eps, bk.n)
     dP = assemble_step3(bk, Pencil(d11), dR_eps,
-                        zeros((bk.eta + 1) * bk.m, bk.m, grade=0))
+                        zeros((bk.eta + 1) * bk.m, bk.m, grade=0)
+                        ) - recover_polynomial(bk)
     assert np.all(report.dP.coeff_stack == dP.coeff_stack)
 
 
@@ -877,6 +921,26 @@ def test_fallback_compares_the_infinite_partitions(monkeypatch):
     assert len(seen) == 2 and seen[0].right == seen[1].right
     assert seen[0].left == seen[1].left
     assert report.shift_consistent is False
+    assert report.eigen_consistent is True
+
+
+def test_fallback_reads_an_index_below_the_shift_as_inconsistent(monkeypatch):
+    # a right minimal index below eps cannot be shifted back: the check
+    # falls back (the certificate needs no minimal indices) and reads the
+    # EigenstructureShiftError as inconsistent shifts, not as a failure
+    staircase = backward_error.staircase_eigenstructure
+
+    def index_below_eps(pencil):
+        es = staircase(pencil)
+        es.right = sorted(es.right + [0])
+        return es
+
+    monkeypatch.setattr(backward_error, "staircase_eigenstructure",
+                        index_below_eps)
+    L, dL = _be_style_cases()[0]
+    assert L.eps > 0
+    report = run_pipeline(L, dL)
+    assert report.eigen_checked and report.shift_consistent is False
     assert report.eigen_consistent is True
 
 

@@ -149,6 +149,43 @@ def test_frobenius2_on_quadratic():
     assert_allclose(bk.M0, np.vstack([np.diag([1.0, 1.0]), np.diag([2.0, 2.0])]))
 
 
+def test_frobenius_placements_are_the_hook_at_the_one_sided_splits():
+    # frobenius1 is the hook at (d-1, 0) and frobenius2 at (0, d-1), bit for
+    # bit, and both are the textbook block row and block column
+    for trial in range(60):
+        rng = trial_rng(96, trial)
+        d, m, n = (int(rng.integers(1, hi)) for hi in (8, 4, 4))
+        P = random_polynomial(m, n, d, rng)
+        falling = [P.coeff(k) for k in range(d - 1, -1, -1)]
+        for tag, eps, eta, stack in (("frobenius1", d - 1, 0, np.hstack),
+                                     ("frobenius2", 0, d - 1, np.vstack)):
+            frob = from_polynomial(P, eps, eta, tag)
+            hook = from_polynomial(P, eps, eta, "hook")
+            assert frob.M0.tobytes() == hook.M0.tobytes()
+            assert frob.M1.tobytes() == hook.M1.tobytes()
+            lead = [P.coeff(d)] + [np.zeros((m, n))] * (d - 1)
+            assert np.array_equal(frob.M0, stack(falling))
+            assert np.array_equal(frob.M1, stack(lead))
+
+
+def test_placement_tolerance_is_finite_when_the_norm_of_P_overflows():
+    # ||P||_F squares 1e160 past the float range, yet the tolerance stays
+    # 1e-12 ||P||_F = 1e148: a residual of 1e150 is refused, one of 1e100
+    # under 1e200 (tolerance 1e188) is not, and numpy does not warn
+    for top, offset, refused in ((1e160, 1e150, True), (1e200, 1e100, False)):
+        P = MatrixPolynomial([[[top]], [[1.0]], [[1.0]]])
+        builtin = from_polynomial(P, 1, 0, "frobenius1")
+        M0 = np.array(builtin.M0)
+        M0[0, 0] += offset
+        custom = PlacementSpec("custom", M0, builtin.M1)
+        if refused:
+            with pytest.raises(PlacementError, match="do not reproduce"):
+                from_polynomial(P, 1, 0, custom)
+        else:
+            assert np.max(validate_placement(
+                from_polynomial(P, 1, 0, custom), P)) == offset
+
+
 def test_hook_block_content_grade5():
     rng = np.random.default_rng(44)
     P = random_polynomial(2, 2, 5, rng, norm=None)

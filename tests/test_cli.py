@@ -35,6 +35,40 @@ def test_linearize_scalar_quadratic(scalar_quadratic, tmp_path, capsys):
     assert "max residual" in capsys.readouterr().err
 
 
+def test_linearize_custom_accepts_the_hook_pencil_and_refuses_a_moved_entry(
+        tmp_path, capsys):
+    poly, hook = tmp_path / "p.json", tmp_path / "hook.json"
+    custom, moved = tmp_path / "custom.json", tmp_path / "moved.json"
+    write_json(poly, random_polynomial(2, 2, 3, trial_rng(95, 0)).to_json())
+    args = ["linearize", str(poly), "--epsilon", "1", "--eta", "1"]
+    assert main(args + ["--out", str(hook)]) == 0
+    assert main(args + ["--placement", "custom", "--custom", str(hook),
+                        "--out", str(custom)]) == 0
+    assert custom.read_text() == hook.read_text()
+    # M0's (0, 0) entry moved to (0, 1), inside the block of P_2
+    blob = json.loads(hook.read_text())
+    blob["M0"][0][1], blob["M0"][0][0] = blob["M0"][0][0], [0.0, 0.0]
+    write_json(moved, blob)
+    capsys.readouterr()
+    assert main(args + ["--placement", "custom", "--custom", str(moved)]) == 3
+    out = capsys.readouterr()
+    assert out.out == "" and "do not reproduce" in out.err
+
+
+def test_linearize_a_polynomial_whose_norm_overflows(tmp_path, capsys):
+    # ||P||_F overflows while its entries do not: the placement is checked
+    # against a finite tolerance and numpy does not warn
+    poly = tmp_path / "p.json"
+    write_json(poly, MatrixPolynomial([[[1e200]], [[1.0]], [[1.0]]]).to_json())
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["linearize", str(poly), "--epsilon", "1", "--eta", "0",
+                     "--placement", "frobenius1"]) == 0
+    assert [str(w.message) for w in caught] == []
+    assert json.loads(capsys.readouterr().out)["M0"] == [
+        [[1.0, 0.0], [1e200, 0.0]]]
+
+
 def test_linearize_grade_mismatch_exits_2(scalar_quadratic):
     assert main(["linearize", str(scalar_quadratic), "--epsilon", "2",
                  "--eta", "0"]) == 2
@@ -260,6 +294,23 @@ def test_backward_error_admissible_error_fails_and_exits_3(tmp_path, monkeypatch
     blob = json.loads(out.read_text())
     assert blob["summary"]["failed"] == 2
     assert [row["reason"] for row in blob["trials"]] == ["stalled", "stalled"]
+
+
+def test_backward_error_ratio_over_bound_fails_and_exits_3(tmp_path,
+                                                         monkeypatch):
+    from bklab import backward_error
+
+    monkeypatch.setattr(backward_error, "bound_nondegenerate",
+                        lambda *args: 0.0)
+    out = tmp_path / "r.json"
+    assert main(["backward-error", "--trials", "2", "--no-eigen-check",
+                 "--out", str(out)]) == 3
+    blob = json.loads(out.read_text())
+    assert blob["summary"]["failed"] == 2
+    for row in blob["trials"]:
+        assert row["status"] == "failed" and row["admissible"]
+        assert row["bound_label"] == "nondegenerate" and row["ratio"] > 0
+        assert row["reason"] == f"ratio {row['ratio']:.3e} > bound 0.000e+00"
 
 
 def test_constants_ok(tmp_path):
