@@ -45,7 +45,7 @@ from .matpoly import (CACHE_SIZE, MatrixPolynomial, Pencil, _frobenius,
                       _stack_product, build_L, build_Lambda, convolution,
                       pair_norm)
 from .spectral_constants import build_T, sigma_min_T_closed
-from .tolerances import EPS, _svd, pseudoinverse
+from .tolerances import EPS, _require_finite, _svd, pseudoinverse
 
 SQRT2M1 = np.sqrt(2.0) - 1.0
 MAX_ITER = 200
@@ -192,8 +192,10 @@ def solve_step1(L: BlockKroneckerPencil, dL: Pencil,
     2 theta / delta``, and the map contracts there when
     ``4 theta omega < delta^2``.  Raises :class:`ConvergenceError` when the
     iteration diverges or hits ``MAX_ITER``; ``force`` only lifts the
-    solvability precondition.
+    solvability precondition.  A non-finite ``dL`` raises
+    :class:`ShapeError`.
     """
+    _require_finite(dL.coeff_stack)
     if dL.shape != L.shape:
         raise ShapeError(
             f"perturbation shape {dL.shape} does not match pencil {L.shape}")
@@ -301,8 +303,10 @@ def solve_step2(dLt21: Pencil, eps: int, n: int, force: bool = False):
     the iteration diverges or hits ``MAX_ITER``; ``force`` only lifts the
     radius precondition.
 
-    The eta side reuses this routine on the transposed (1,2) block.
+    The eta side reuses this routine on the transposed (1,2) block.  A
+    non-finite ``dLt21`` raises :class:`ShapeError`.
     """
+    _require_finite(dLt21.coeff_stack)
     if dLt21.shape != (eps * n, (eps + 1) * n):
         raise ShapeError(
             f"expected shape {(eps * n, (eps + 1) * n)}, got {dLt21.shape}")
@@ -537,9 +541,9 @@ def run_pipeline(L: BlockKroneckerPencil, dL: Pencil, force: bool = False,
                  eigen_tol: float = 1e-6) -> BackwardErrorReport:
     """Run Steps 1-3 and evaluate the applicable bound.
 
-    The pipeline refuses a ``P`` of zero norm, and perturbations outside the
-    guaranteed radius unless ``force`` is set, in which case the report is
-    marked as unguaranteed.
+    The pipeline refuses a non-finite ``dL`` (:class:`ShapeError`), a ``P``
+    of zero norm, and perturbations outside the guaranteed radius unless
+    ``force`` is set, in which case the report is marked as unguaranteed.
     With ``check_eigen`` the staircase of ``L + dL`` is computed, and its
     eigenvalues are certified as eigenvalues of ``P + dP`` by
     :func:`_certify_eigenvalues`: one batched SVD of ``P + dP`` at every
@@ -556,6 +560,7 @@ def run_pipeline(L: BlockKroneckerPencil, dL: Pencil, force: bool = False,
     eigenvalues for ``P + dP``.  Disagreement is flagged in the report
     rather than fatal, since the problem is ill-posed.
     """
+    _require_finite(dL.coeff_stack)
     d = L.grade
     P = recover_polynomial(L)
     norm_P = P.frobenius_norm()

@@ -104,11 +104,6 @@ class BlockKroneckerPencil:
             self._one_one_norm = pair_norm(self.M0, self.M1)
         return self._one_one_norm
 
-    def block(self, which: str, i: int, j: int) -> np.ndarray:
-        """``m x n`` block ``(i, j)`` (one-based) of ``M0`` or ``M1``."""
-        M = self.M0 if which == "M0" else self.M1
-        return M[(i - 1) * self.m:i * self.m, (j - 1) * self.n:j * self.n]
-
     def to_json(self) -> dict:
         return {
             "epsilon": self.eps,
@@ -175,11 +170,7 @@ def from_polynomial(P: MatrixPolynomial, eps: int, eta: int,
             M0[(i - 1) * m:i * m, eps * n:(eps + 1) * n] = P.coeff(d - eps - i)
     pencil = BlockKroneckerPencil(M0, M1, eps, eta, m, n)
     residuals = validate_placement(pencil, P)
-    with np.errstate(over="ignore"):
-        tol = 1e-12 * max(1.0, P.frobenius_norm())
-    if tol == np.inf:  # an entry beyond about 1e154 overflows the squares
-        scale = np.abs(P.coeff_stack).max()
-        tol = 1e-12 * scale * _frobenius(P.coeff_stack / scale)
+    tol = 1e-12 * max(1.0, _scaled_frobenius(P.coeff_stack))
     if not np.max(residuals) <= tol:
         raise PlacementError(
             f"antidiagonal sums do not reproduce the polynomial "
@@ -187,17 +178,30 @@ def from_polynomial(P: MatrixPolynomial, eps: int, eta: int,
     return pencil
 
 
+def _scaled_frobenius(X: np.ndarray) -> float:
+    """``||X||_F``; where the plain sum of squares overflows (an entry beyond
+    about 1e154), ``s ||X / s||_F`` with ``s = max|X_ij|``, which is inf
+    only when the norm itself is beyond the float range."""
+    with np.errstate(over="ignore"):
+        norm = _frobenius(X)
+        if norm == np.inf and (s := np.abs(X).max()) < np.inf:
+            norm = float(s * _frobenius(X / s))
+    return norm
+
+
 def validate_placement(L: BlockKroneckerPencil, P: MatrixPolynomial) -> np.ndarray:
     """Per-coefficient residuals of the antidiagonal sum condition: entry
     ``k`` is the Frobenius distance between the ``k``-th coefficient of the
-    represented polynomial and ``P_k``.  A residual that overflows or is NaN
-    raises :class:`PlacementError`."""
+    represented polynomial and ``P_k``.  A residual beyond the float range
+    or NaN raises :class:`PlacementError`."""
     if P.grade != L.grade:
         raise GradeError(
             f"pencil represents grade {L.grade}, polynomial has {P.grade}")
     with np.errstate(over="ignore", invalid="ignore"):
-        residuals = np.linalg.norm(
-            recover_polynomial(L).coeff_stack - P.coeff_stack, axis=(1, 2))
+        diff = recover_polynomial(L).coeff_stack - P.coeff_stack
+        residuals = np.linalg.norm(diff, axis=(1, 2))
+    for k in np.flatnonzero(residuals == np.inf):
+        residuals[k] = _scaled_frobenius(diff[k])
     if not np.isfinite(residuals).all():
         raise PlacementError("antidiagonal sum residual overflows or is NaN "
                              f"(max residual {np.max(residuals):.3e})")

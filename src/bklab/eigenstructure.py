@@ -23,7 +23,7 @@ and a tolerance-free answer does not exist.  Non-finite input raises
 from __future__ import annotations
 
 import ctypes
-import sys
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -32,8 +32,7 @@ from numpy.linalg import _umath_linalg
 
 from .errors import (ConvergenceError, EigenstructureShiftError,
                      InconclusiveError, ShapeError)
-from .matpoly import (CACHE_SIZE, MatrixPolynomial, _json_count,
-                      _json_fields, as_pencil, convolution)
+from .matpoly import CACHE_SIZE, MatrixPolynomial, as_pencil, convolution
 from .tolerances import (EPS, RankDecision, _decide_rank, _require_finite,
                          _svd, numerical_rank, svd_with_rank)
 
@@ -56,54 +55,15 @@ class Eigenstructure:
         return any(d.is_borderline() for d in self.rank_log)
 
     def to_json(self) -> dict:
-        grouped: list[list[float]] = []
-        for lam in self.finite:
-            for entry in grouped:
-                if entry[0] == lam.real and entry[1] == lam.imag:
-                    entry[2] += 1
-                    break
-            else:
-                grouped.append([float(lam.real), float(lam.imag), 1])
+        # equal keys (-0.0 and 0.0 among them) share the first one's entry
+        grouped = Counter((float(lam.real), float(lam.imag)) for lam in self.finite)
         return {
-            "finite": [[re, im, int(mult)] for re, im, mult in grouped],
+            "finite": [[re, im, mult] for (re, im), mult in grouped.items()],
             "infinite": [int(k) for k in self.infinite],
             "right": [int(k) for k in self.right],
             "left": [int(k) for k in self.left],
             "rank_log": [d.to_json() for d in self.rank_log],
         }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "Eigenstructure":
-        """The structure of :meth:`to_json` without its rank log; a missing
-        list is empty, and any other value, a non-finite ``re`` or ``im``
-        among them, raises :class:`ShapeError`."""
-        _json_fields(obj, "an eigenstructure")
-        parts = {key: obj.get(key, [])
-                 for key in ("finite", "infinite", "right", "left")}
-        for key, values in parts.items():
-            if not isinstance(values, list):
-                raise ShapeError(f"{key!r} must be a list, got "
-                                 f"{type(values).__name__}")
-            for v in values:
-                name = f"an entry of {key!r}"
-                if key == "finite":
-                    if not (isinstance(v, list) and len(v) == 3 and all(
-                            type(x) in (int, float) for x in v[:2])):
-                        raise ShapeError("'finite' entries must be [re, im, "
-                                         f"multiplicity], got {v!r:.40}")
-                    # also refuses an integer beyond the float range
-                    if not all(abs(x) <= sys.float_info.max for x in v[:2]):
-                        raise ShapeError("a 'finite' entry has a non-finite "
-                                         f"(inf or NaN) re or im: {v!r:.40}")
-                    v, name = v[2], "a multiplicity in 'finite'"
-                _json_count(v, name)
-        return cls(
-            finite=[complex(re, im) for re, im, mult in parts["finite"]
-                    for _ in range(mult)],
-            infinite=list(parts["infinite"]),
-            right=list(parts["right"]),
-            left=list(parts["left"]),
-        )
 
 
 def chordal_distance(a, b):

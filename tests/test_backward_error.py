@@ -544,7 +544,7 @@ def test_forced_step1_divergence_raises():
     # not read inf <= inf as convergence.
     config = ExperimentConfig(seed=0, m=(3, 3), n=(3, 3), d=(5, 5),
                               magnitude=10.0, force=True)
-    L, dL, _ = generate_trial(config, 0)
+    L, dL = generate_trial(config, 0)
     with np.errstate(all="ignore"), pytest.raises(ConvergenceError,
                                                   match="non-finite"):
         solve_step1(L, dL, force=True)
@@ -557,7 +557,7 @@ def test_capped_fixed_point_states_step_and_ratio(trial, slow):
     # about x0.90 per sweep, trial 3 grows, and the message tells them apart
     config = ExperimentConfig(seed=0, m=(3, 3), n=(3, 3), d=(5, 5),
                               magnitude=3.0, placement="frobenius1", force=True)
-    L, dL, _ = generate_trial(config, trial)
+    L, dL = generate_trial(config, trial)
     with pytest.raises(ConvergenceError) as info:
         run_pipeline(L, dL, force=True)
     message = str(info.value)
@@ -576,15 +576,20 @@ def test_capped_fixed_point_states_step_and_ratio(trial, slow):
                          [("hook", 2, 2), ("frobenius1", 4, 0)])
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_non_finite_perturbation_raises_a_typed_error(placement, eps, eta, bad):
-    # a forced run either reports finite numbers or raises a BkLabError;
-    # with Step 1 bypassed the bad entry of dL_11 first shows in dP
+    # a forced run either reports finite numbers or raises a BkLabError; a
+    # bad entry of dL_11 or of the last row and column (the (2,2) block of
+    # the hook, whose NaN would read theta > 0 as false and skip Step 1) is
+    # refused before any step, with the eigen check or without it
     L = from_polynomial(random_polynomial(3, 3, 5, trial_rng(0, 0)), eps, eta,
                         placement)
     dL = random_pencil_perturbation(L.shape, 1e-6, trial_rng(0, 1))
-    stack = dL.coeff_stack.copy()
-    stack[0, 0, 0] = bad
-    with np.errstate(all="ignore"), pytest.raises(BkLabError):
-        run_pipeline(L, Pencil(stack), force=True)
+    for where in ((0, 0, 0), (1, -1, -1)):
+        stack = dL.coeff_stack.copy()
+        stack[where] = bad
+        for check_eigen in (True, False):
+            with pytest.raises(ShapeError, match="non-finite"):
+                run_pipeline(L, Pencil(stack), force=True,
+                             check_eigen=check_eigen)
 
 
 def test_nan_eigenvalue_marks_the_eigen_check_inconsistent(monkeypatch):
@@ -797,7 +802,7 @@ def test_reports_are_strict_json():
     # forced far outside the radius: the gauge is unsolvable
     config = ExperimentConfig(seed=0, m=(3, 3), n=(3, 3), d=(5, 5),
                               magnitude=1.0, force=True)
-    L, dL, _ = generate_trial(config, 0)
+    L, dL = generate_trial(config, 0)
     forced = run_pipeline(L, dL, force=True).to_json()
     json.dumps(forced, allow_nan=False)
     assert forced["step1"]["gauge"]["solvable"] is False

@@ -170,9 +170,11 @@ def test_frobenius_placements_are_the_hook_at_the_one_sided_splits():
 
 def test_placement_tolerance_is_finite_when_the_norm_of_P_overflows():
     # ||P||_F squares 1e160 past the float range, yet the tolerance stays
-    # 1e-12 ||P||_F = 1e148: a residual of 1e150 is refused, one of 1e100
-    # under 1e200 (tolerance 1e188) is not, and numpy does not warn
-    for top, offset, refused in ((1e160, 1e150, True), (1e200, 1e100, False)):
+    # 1e-12 ||P||_F = 1e148: a residual of 1e150 is refused, ones of 1e100
+    # and 1e160 under 1e200 (tolerance 1e188) are not, though the squares
+    # of the second overflow too, and numpy does not warn
+    for top, offset, refused in ((1e160, 1e150, True), (1e200, 1e100, False),
+                                 (1e200, 1e160, False)):
         P = MatrixPolynomial([[[top]], [[1.0]], [[1.0]]])
         builtin = from_polynomial(P, 1, 0, "frobenius1")
         M0 = np.array(builtin.M0)
@@ -190,11 +192,12 @@ def test_hook_block_content_grade5():
     rng = np.random.default_rng(44)
     P = random_polynomial(2, 2, 5, rng, norm=None)
     bk = from_polynomial(P, 2, 2, "hook")
-    assert_allclose(bk.block("M1", 1, 1), P.coeff(5))
+    # 2 x 2 block (i, j), one-based, is M[2i-2:2i, 2j-2:2j]
+    assert_allclose(bk.M1[0:2, 0:2], P.coeff(5))
     for j, k in ((1, 4), (2, 3), (3, 2)):
-        assert_allclose(bk.block("M0", 1, j), P.coeff(k))
-    assert_allclose(bk.block("M0", 2, 3), P.coeff(1))
-    assert_allclose(bk.block("M0", 3, 3), P.coeff(0))
+        assert_allclose(bk.M0[0:2, 2 * j - 2:2 * j], P.coeff(k))
+    assert_allclose(bk.M0[2:4, 4:6], P.coeff(1))
+    assert_allclose(bk.M0[4:6, 4:6], P.coeff(0))
     assert np.max(validate_placement(bk, P)) == 0.0
 
 

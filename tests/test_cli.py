@@ -183,6 +183,8 @@ def test_eig_on_a_constant_polynomial_refuses_the_split_with_exit_2(tmp_path, ca
     (["--d", "4:3"], ["d", "empty"]),
     (["--trials", "-1"], ["trials", "nonnegative"]),
     (["--mag=-1e-8"], ["magnitude", "nonnegative"]),
+    # eta = d - 1 - eps = -3: from_polynomial refuses the split
+    (["--epsilon", "5", "--d", "3"], ["eps = 5", "eta = -3"]),
 ])
 def test_backward_error_refuses_a_bad_range_with_exit_2(tmp_path, capsys,
                                                         flags, names):
@@ -450,6 +452,27 @@ def test_check_refuses_an_overflowing_residual_with_exit_3(tmp_path, capsys):
         assert main(["check", str(poly), str(pencil)]) == 3
     out = capsys.readouterr()
     assert out.out == "" and "residual overflows" in out.err
+    assert [str(w.message) for w in caught] == []
+
+
+def test_check_reports_a_finite_residual_whose_squares_overflow(tmp_path,
+                                                               capsys):
+    # the residual 1e160 squares past the float range, yet it is finite:
+    # check prints it as JSON, exits 3 only because it exceeds --tol, and
+    # numpy does not warn
+    P = MatrixPolynomial([[[1e200]], [[1.0]], [[1.0]]])
+    blob = from_polynomial(P, 1, 0, "frobenius1").to_json()
+    blob["M0"][0][0][0] += 1e160
+    poly, pencil = tmp_path / "p.json", tmp_path / "bk.json"
+    write_json(poly, P.to_json())
+    write_json(pencil, blob)
+    capsys.readouterr()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["check", str(poly), str(pencil)]) == 3
+    out = capsys.readouterr()
+    assert json.loads(out.out)["max_residual"] == 1e160
+    assert "exceeds" in out.err and "overflows" not in out.err
     assert [str(w.message) for w in caught] == []
 
 

@@ -65,7 +65,7 @@ def test_split_for_placement():
 def test_generated_trials_respect_grade_invariant():
     config = ExperimentConfig(seed=5, trials=4, d=(2, 5))
     for index in range(config.trials):
-        L, dL, _ = generate_trial(config, index)
+        L, dL = generate_trial(config, index)
         assert L.eps + L.eta + 1 == L.grade
         assert dL.shape == L.shape
 
@@ -96,7 +96,7 @@ def test_config_refuses_empty_and_nonpositive_ranges(fields, error, names):
 def test_config_accepts_the_smallest_sizes_and_no_trials():
     config = ExperimentConfig(trials=0, m=(1, 1), n=(1, 3), d=(1, 1))
     assert run_backward_error_batch(config)["summary"]["trials"] == 0
-    L, _, _ = generate_trial(ExperimentConfig(m=(1, 1), n=(1, 1), d=(1, 1)), 0)
+    L, _ = generate_trial(ExperimentConfig(m=(1, 1), n=(1, 1), d=(1, 1)), 0)
     assert (L.m, L.n, L.grade) == (1, 1, 1)
 
 

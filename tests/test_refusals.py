@@ -1,16 +1,23 @@
 """Typed refusals: each entry feeds one bad input to one public function and
-names the error, and the words of the message, that it must raise."""
+names the error, and the words of the message, that it must raise.  The
+edge returns: each entry feeds a degenerate but valid input and checks the
+value it returns."""
 
 import re
 
 import numpy as np
 import pytest
 
-from bklab import (GradeError, MatrixPolynomial, Pencil, PlacementError,
-                   PreconditionError, ShapeError, from_polynomial,
-                   generalized_eigenvalues, solve_step1, solve_step2,
+from bklab import (BlockKroneckerPencil, G_singular_values, GradeError,
+                   M_singular_values, MatrixPolynomial, Pencil, PlacementError,
+                   PlacementSpec, PreconditionError, ShapeError, build_L,
+                   build_Lambda, build_V, build_V_inverse, build_W,
+                   convolution, from_polynomial, generalized_eigenvalues,
+                   lift_right_null_vector, sigma_max_W_closed,
+                   sigma_min_convolution_L, solve_step1, solve_step2,
                    validate_placement)
-from bklab.experiments import random_polynomial, trial_rng
+from bklab.experiments import (random_polynomial, random_singular_polynomial,
+                               trial_rng)
 
 
 def _polynomial(d=3, m=2, n=2):
@@ -56,6 +63,73 @@ REFUSALS = {
         ShapeError, "singular pencil",
         lambda: generalized_eigenvalues(
             MatrixPolynomial([np.zeros((2, 2)), np.diag([1.0, 0.0])]))),
+    "step1_non_finite": (
+        ShapeError, "non-finite",
+        lambda: solve_step1(_hook(), Pencil(np.full((2, 6, 6), np.nan)))),
+    "step2_non_finite": (
+        ShapeError, "non-finite",
+        lambda: solve_step2(Pencil(np.full((2, 2, 4), np.inf)), 1, 2)),
+    "placement_tag": (PlacementError, "unknown placement tag 'nope'",
+                      lambda: PlacementSpec("nope")),
+    "custom_placement_without_blocks": (
+        PlacementError, "custom placement requires M0 and M1",
+        lambda: PlacementSpec("custom")),
+    "pencil_m_0": (
+        ShapeError, "m, n >= 1",
+        lambda: BlockKroneckerPencil(np.zeros((0, 2)), np.zeros((0, 2)),
+                                     1, 0, 0, 1)),
+    "pencil_eps_negative": (
+        ShapeError, "need eps, eta >= 0",
+        lambda: BlockKroneckerPencil(np.zeros((1, 0)), np.zeros((1, 0)),
+                                     -1, 0, 1, 1)),
+    "custom_block_shape": (
+        ShapeError, "custom blocks must have shape (4, 4)",
+        lambda: from_polynomial(_polynomial(), 1, 1, PlacementSpec(
+            "custom", np.zeros((3, 3)), np.zeros((3, 3))))),
+    "lift_h_not_a_column": (
+        ShapeError, "h must be 2 x 1, got (2, 2)",
+        lambda: lift_right_null_vector(_hook(), _polynomial(1))),
+    "singular_polynomial_rank": (
+        ShapeError, "rank must be below min(m, n)",
+        lambda: random_singular_polynomial(2, 3, 3, 2, trial_rng(97, 1))),
+    "M_singular_values_0": (ShapeError, "k must be at least 1",
+                            lambda: M_singular_values(0)),
+    "G_singular_values_0": (ShapeError, "k must be at least 1",
+                            lambda: G_singular_values(0)),
+    "build_W_0": (ShapeError, "eps and eta must be at least 1",
+                  lambda: build_W(0, 1)),
+    "sigma_max_W_0": (ShapeError, "eps and eta must be at least 1",
+                      lambda: sigma_max_W_closed(0, 1)),
+    "sigma_min_convolution_L_0": (ShapeError, "eps must be at least 1",
+                                  lambda: sigma_min_convolution_L(0)),
+    "singular_polynomial_grade": (
+        GradeError, "needs grade at least 2",
+        lambda: random_singular_polynomial(3, 3, 1, 1, trial_rng(97, 1))),
+    "polynomial_grade_negative": (
+        GradeError, "grade must be nonnegative",
+        lambda: MatrixPolynomial([np.zeros((1, 1))], grade=-1)),
+    "build_L_negative": (GradeError, "k must be nonnegative",
+                         lambda: build_L(-1)),
+    "build_Lambda_negative": (GradeError, "k must be nonnegative",
+                              lambda: build_Lambda(-1)),
+    "build_V_negative": (GradeError, "k must be nonnegative",
+                         lambda: build_V(-1)),
+    "build_V_inverse_negative": (GradeError, "k must be nonnegative",
+                                 lambda: build_V_inverse(-1)),
+    "convolution_negative": (GradeError, "j must be nonnegative",
+                             lambda: convolution(_polynomial(), -1)),
+}
+
+
+def _coeff_above_the_grade():
+    zero = _polynomial().coeff(4)
+    return zero.shape == (2, 2) and not zero.any() and not zero.flags.writeable
+
+
+EDGE_RETURNS = {
+    "eigenvalues_of_an_empty_pencil": lambda: generalized_eigenvalues(
+        Pencil(np.zeros((2, 0, 0)))) == ([], 0),
+    "coeff_above_the_grade": _coeff_above_the_grade,
 }
 
 
@@ -64,3 +138,8 @@ def test_each_bad_input_raises_its_typed_error(case):
     error, words, call = REFUSALS[case]
     with pytest.raises(error, match=re.escape(words)):
         call()
+
+
+@pytest.mark.parametrize("case", sorted(EDGE_RETURNS))
+def test_each_edge_input_returns_its_documented_value(case):
+    assert EDGE_RETURNS[case]()
