@@ -347,6 +347,50 @@ def assemble_step3(L: BlockKroneckerPencil, dL11: Pencil,
 
 # -- eigenvalue certificate --------------------------------------------------
 
+def _unit(v: np.ndarray) -> np.ndarray:
+    """The columns of the stack ``v`` scaled to unit 2-norm, through their
+    largest entry first so that no square overflows; a column with an inf
+    entry becomes NaN."""
+    v = v / np.abs(v).max(axis=1, keepdims=True)
+    return v / np.linalg.norm(v, axis=1, keepdims=True)
+
+
+def _smallest_pairs(values: np.ndarray, scale: np.ndarray):
+    """``(sigma, x, y)`` for each matrix ``A`` of the square stack
+    ``values``, by one step of inverse iteration on ``A^H A`` from a fixed
+    start vector ``b``: ``y = A^{-H} b / ||A^{-H} b||``, ``x = A^{-1} y /
+    ||A^{-1} y||`` and ``sigma = ||A x||``, two batched LU solves and no
+    singular vectors.  In exact arithmetic ``A x`` is parallel to ``y``.
+    Whatever the roundoff in ``x``, ``sigma`` is the residual of a unit
+    vector, so it bounds ``sigma_min(A)`` from above.
+
+    A zero pivot (an ``A`` exactly singular in floating point) fails the
+    whole batch; the solves are then taken again with every ``A`` shifted
+    by ``EPS * scale`` times the identity, as inverse iteration perturbs a
+    zero pivot, and ``sigma`` is still read from the unshifted ``A``.
+    ``None`` when those solves meet a zero pivot too, or when a solve
+    overflows.
+    """
+    count, n, _ = values.shape
+    # unit entries in distinct phases: b is orthogonal to no coordinate
+    # vector and to no difference of two, null vectors that structured
+    # matrices tend to have
+    b = np.broadcast_to(np.exp(1j * np.arange(n))[:, None], (count, n, 1))
+    for shift in (0.0, EPS):
+        M = values + shift * scale[:, None, None] * np.eye(n) if shift else values
+        try:
+            with np.errstate(all="ignore"):
+                y = _unit(np.linalg.solve(M.conj().transpose(0, 2, 1), b))
+                x = _unit(np.linalg.solve(M, y))
+                sigma = np.linalg.norm(values @ x, axis=(1, 2))
+        except np.linalg.LinAlgError:
+            continue
+        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+            return None
+        return sigma, x[..., 0], y[..., 0]
+    return None
+
+
 def _certify_eigenvalues(Q: MatrixPolynomial, structure: Eigenstructure,
                          tol: float):
     """Certify the eigenvalues of ``structure`` as eigenvalues of ``Q``.
@@ -354,24 +398,31 @@ def _certify_eigenvalues(Q: MatrixPolynomial, structure: Eigenstructure,
     Each eigenvalue is the point ``(alpha, beta)``, ``|alpha|^2 + |beta|^2 =
     1``, with ``(1, 0)`` for the infinite ones, and ``Q`` is evaluated there
     in homogeneous form, ``Q(alpha, beta) = sum_k alpha^k beta^(d-k) Q_k``,
-    in one product of the weights with the coefficient stack.  With ``r``
-    the normal rank of ``Q`` and ``(sigma_r, x, y)`` the ``r``-th singular
-    triplet of ``Q(alpha, beta)`` from one batched SVD, the backward error
-    is ``sigma_r / (||Q||_F ||(alpha^k beta^(d-k))_k||_2)`` (Tisseur, LAA 309
-    (2000)) and the first-order chordal distance to an eigenvalue of ``Q``
-    is ``sigma_r / |y^H (conj(beta) dQ/dalpha - conj(alpha) dQ/dbeta) x|``
-    (Dedieu and Tisseur, LAA 358 (2003)).
+    in one product of the weights with the coefficient stack.  When
+    ``structure`` has no minimal indices and ``Q`` is square of full normal
+    rank, :func:`_smallest_pairs` takes one step of inverse iteration at
+    every point: a unit vector ``x``, its residual ``sigma = ||Q(alpha,
+    beta) x||`` and a unit left vector ``y``.  The backward error ``sigma /
+    (||Q||_F ||(alpha^k beta^(d-k))_k||_2)`` is that of the computed
+    eigenpair, which bounds the eigenvalue's backward error (Tisseur, LAA
+    309 (2000)) from above.  The first-order chordal distance to an
+    eigenvalue of ``Q`` is ``sigma / |y^H (conj(beta) dQ/dalpha -
+    conj(alpha) dQ/dbeta) x|`` (Dedieu and Tisseur, LAA 358 (2003)).  In
+    every other case (minimal indices, a singular or rectangular ``Q``, or
+    solves that give no finite pair) ``sigma`` is the ``r``-th singular
+    value of ``Q(alpha, beta)`` from one values-only batched SVD, with
+    ``r`` the normal rank, and the eigenvalues are not certified.
 
     Returns ``(eta, distance)``: the largest backward error, ``None`` when
     it is not finite, and the largest distance over the finite eigenvalues,
-    ``None`` unless the eigenvalues are certified.  They are when
-    ``structure`` has no minimal indices, ``Q`` is square of full normal
-    rank, every finite eigenvalue lies more than ``2 tol`` from every other
-    eigenvalue and from infinity, and every distance is at most ``tol``.
-    Then the discs of radius ``tol`` around the finite eigenvalues are
-    disjoint and each holds its own finite eigenvalue of ``Q``: the
-    one-to-one pairing a chordal match of the two spectra looks for.  The
-    infinite eigenvalues are covered by their backward error alone.
+    ``None`` unless the eigenvalues are certified.  They are when the
+    inverse iteration gave its pairs, every finite eigenvalue lies more
+    than ``2 tol`` from every other eigenvalue and from infinity, and every
+    distance is at most ``tol``.  Then the discs of radius ``tol`` around
+    the finite eigenvalues are disjoint and each holds its own finite
+    eigenvalue of ``Q``: the one-to-one pairing a chordal match of the two
+    spectra looks for.  The infinite eigenvalues are covered by their
+    backward error alone.
     """
     finite = np.array(structure.finite, dtype=complex)
     beta = 1.0 / np.hypot(np.abs(finite), 1.0)
@@ -396,15 +447,20 @@ def _certify_eigenvalues(Q: MatrixPolynomial, structure: Eigenstructure,
     tangent = beta[:, None] * d_alpha - alpha.conj()[:, None] * d_beta
     values = (np.vstack([weights, tangent])
               @ Q.coeff_stack.reshape(d + 1, -1)).reshape(-1, Q.rows, Q.cols)
-    try:
-        s, U, V = _svd(values[:points])
-    except ShapeError:  # a non-finite evaluation
-        return None, None
-    sigma = s[:, rank - 1]
-    eta = float(np.max(sigma / (Q.frobenius_norm()
-                                * np.linalg.norm(weights, axis=1))))
+    scale = Q.frobenius_norm() * np.linalg.norm(weights, axis=1)
+    pairs = None
+    if not (structure.right or structure.left) and rank == Q.rows == Q.cols:
+        pairs = _smallest_pairs(values[:points], scale)
+    if pairs is not None:
+        sigma, x, y = pairs
+    else:
+        try:
+            sigma = _svd(values[:points], vectors=False)[:, rank - 1]
+        except ShapeError:  # a non-finite evaluation
+            return None, None
+    eta = float(np.max(sigma / scale))
     eta = eta if np.isfinite(eta) else None
-    if structure.right or structure.left or not rank == Q.rows == Q.cols:
+    if pairs is None:
         return eta, None
     count = finite.size
     if count:
@@ -412,8 +468,8 @@ def _certify_eigenvalues(Q: MatrixPolynomial, structure: Eigenstructure,
         gaps[np.arange(count), np.arange(count)] = np.inf
         if not gaps.min() > 2.0 * tol:
             return eta, None
-    x, y = V[:count, :, rank - 1], U[:count, :, rank - 1].conj()
-    slope = np.abs(np.einsum("ia,iab,ib->i", y, values[points:points + count], x))
+    slope = np.abs(np.einsum("ia,iab,ib->i", y[:count].conj(),
+                             values[points:points + count], x[:count]))
     with np.errstate(divide="ignore", invalid="ignore"):
         distance = float(np.max(sigma[:count] / slope, initial=0.0))
     if not distance <= tol:  # also when a slope vanishes
@@ -546,18 +602,21 @@ def run_pipeline(L: BlockKroneckerPencil, dL: Pencil, force: bool = False,
     ``force`` is set, in which case the report is marked as unguaranteed.
     With ``check_eigen`` the staircase of ``L + dL`` is computed, and its
     eigenvalues are certified as eigenvalues of ``P + dP`` by
-    :func:`_certify_eigenvalues`: one batched SVD of ``P + dP`` at every
-    eigenvalue, with no second linearization, staircase or QZ.  A certified
+    :func:`_certify_eigenvalues`: one step of inverse iteration, two batched
+    LU solves, with ``P + dP`` at every eigenvalue, and no singular
+    vectors, second linearization, staircase or QZ.  A certified
     check reports the largest first-order chordal distance as
     ``eigen_max_distance`` and sets ``eigen_consistent`` and
     ``shift_consistent``.  Otherwise (minimal indices, a singular
     ``P + dP``, eigenvalues closer than ``2 eigen_tol``, a distance above
-    ``eigen_tol`` or a non-finite evaluation) the complete eigenstructure of
-    a fresh hook linearization of ``P + dP`` is compared with that of
-    ``L + dL``: eigenvalues under the chordal metric, minimal indices
-    through the shifts, and the infinite elementary divisors.  Either way
-    ``eigen_backward_error`` is the largest backward error of ``L + dL``'s
-    eigenvalues for ``P + dP``.  Disagreement is flagged in the report
+    ``eigen_tol``, a non-finite evaluation or an overflowing solve) the
+    complete eigenstructure of a fresh hook linearization of ``P + dP`` is
+    compared with that of ``L + dL``: eigenvalues under the chordal metric,
+    minimal indices through the shifts, and the infinite elementary
+    divisors.  Either way ``eigen_backward_error`` bounds the largest
+    backward error of ``L + dL``'s eigenvalues for ``P + dP``: it is that
+    of the computed eigenpairs when certified, and the eigenvalues' own
+    otherwise.  Disagreement is flagged in the report
     rather than fatal, since the problem is ill-posed.
     """
     _require_finite(dL.coeff_stack)

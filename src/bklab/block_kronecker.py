@@ -59,6 +59,7 @@ class BlockKroneckerPencil:
         want = ((eta + 1) * m, (eps + 1) * n)
         if self._one_one.shape != want:
             raise ShapeError(f"M0/M1 must be {want}, got {self._one_one.shape}")
+        _require_finite(self._one_one.coeff_stack)
         self.M0, self.M1 = self._one_one.M0, self._one_one.M1
         self.eps, self.eta, self.m, self.n = eps, eta, m, n
         self._one_one_norm = None
@@ -156,6 +157,9 @@ def from_polynomial(P: MatrixPolynomial, eps: int, eta: int,
         M1 = np.array(placement.M1, dtype=complex)
         if M0.shape != shape or M1.shape != shape:
             raise ShapeError(f"custom blocks must have shape {shape}")
+        if not (np.isfinite(M0).all() and np.isfinite(M1).all()):
+            raise PlacementError(
+                "custom blocks have a non-finite entry (inf or nan)")
     else:
         # First block row carries P_{d-1} .. P_{d-eps-1}; the last block
         # column continues with P_{d-eps-2} .. P_0; P_d rides on lambda.

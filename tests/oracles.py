@@ -2,7 +2,8 @@
 dual-basis certificates, the convolution-rank predicates for perturbed
 ``L`` / ``Lambda`` blocks, and the unimodular reduction of a block Kronecker
 pencil to block anti-triangular form, the determinant of a small square
-polynomial with its roots, and the five product-norm bounds.
+polynomial with its roots, the five product-norm bounds, and the eigenvalue
+certificate read from full singular triplets.
 
 A row-reduced polynomial is a minimal basis exactly when the complete
 eigenstructure of a companion pencil carries no finite eigenvalues and no
@@ -15,12 +16,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from bklab import (BkLabError, BlockKroneckerPencil, LayoutError,
-                   MatrixPolynomial, Pencil, PreconditionError, ShapeError,
-                   build_Lambda, build_V_inverse, convolution,
+from bklab import (BkLabError, BlockKroneckerPencil, Eigenstructure,
+                   LayoutError, MatrixPolynomial, Pencil, PreconditionError,
+                   ShapeError, build_Lambda, build_V_inverse, convolution,
                    from_polynomial, identity, kron_constant, multiply,
                    numerical_rank, recover_polynomial,
                    staircase_eigenstructure)
+from bklab.eigenstructure import _normal_rank, chordal_distance
 from bklab.tolerances import _require_finite, _svd
 
 
@@ -352,3 +354,81 @@ def verify_norm_inequalities(P: MatrixPolynomial, Q: MatrixPolynomial):
         k, _ = lam_p
         e = ok(min(st, np.sqrt(k + 1.0)) * nQ)
     return (a, b, c, d, e)
+
+
+# -- eigenvalue certificate ----------------------------------------------
+
+def certify_eigenvalues_by_svd(Q: MatrixPolynomial, structure: Eigenstructure,
+                               tol: float):
+    """The reference for ``backward_error._certify_eigenvalues``: the same
+    certificate read from the ``r``-th singular triplet of a full batched
+    SVD, where the library takes one step of inverse iteration.
+
+    Each eigenvalue is the point ``(alpha, beta)``, ``|alpha|^2 + |beta|^2 =
+    1``, with ``(1, 0)`` for the infinite ones, and ``Q`` is evaluated there
+    in homogeneous form, ``Q(alpha, beta) = sum_k alpha^k beta^(d-k) Q_k``,
+    in one product of the weights with the coefficient stack.  With ``r``
+    the normal rank of ``Q`` and ``(sigma_r, x, y)`` the ``r``-th singular
+    triplet of ``Q(alpha, beta)`` from one batched SVD, the backward error
+    is ``sigma_r / (||Q||_F ||(alpha^k beta^(d-k))_k||_2)`` (Tisseur, LAA 309
+    (2000)) and the first-order chordal distance to an eigenvalue of ``Q``
+    is ``sigma_r / |y^H (conj(beta) dQ/dalpha - conj(alpha) dQ/dbeta) x|``
+    (Dedieu and Tisseur, LAA 358 (2003)).
+
+    Returns ``(eta, distance)``: the largest backward error, ``None`` when
+    it is not finite, and the largest distance over the finite eigenvalues,
+    ``None`` unless the eigenvalues are certified.  They are when
+    ``structure`` has no minimal indices, ``Q`` is square of full normal
+    rank, every finite eigenvalue lies more than ``2 tol`` from every other
+    eigenvalue and from infinity, and every distance is at most ``tol``.
+    Then the discs of radius ``tol`` around the finite eigenvalues are
+    disjoint and each holds its own finite eigenvalue of ``Q``: the
+    one-to-one pairing a chordal match of the two spectra looks for.  The
+    infinite eigenvalues are covered by their backward error alone.
+    """
+    finite = np.array(structure.finite, dtype=complex)
+    beta = 1.0 / np.hypot(np.abs(finite), 1.0)
+    alpha = finite * beta
+    if structure.infinite:
+        alpha, beta = np.append(alpha, 1.0), np.append(beta, 0.0)
+    points, d = alpha.size, Q.grade
+    rank = _normal_rank(Q)
+    if points == 0 or rank == 0:
+        return (0.0 if rank else None), None
+    # alpha^k and beta^k for k = 0 .. d, by repeated products
+    a_pow = np.ones((points, d + 1), dtype=complex)
+    b_pow = np.ones((points, d + 1), dtype=complex)
+    for j in range(1, d + 1):
+        a_pow[:, j] = a_pow[:, j - 1] * alpha
+        b_pow[:, j] = b_pow[:, j - 1] * beta
+    k, zero = np.arange(d + 1), np.zeros((points, 1))
+    weights = a_pow * b_pow[:, ::-1]
+    # the derivatives of alpha^k beta^(d-k) in alpha and in beta
+    d_alpha = k * np.hstack([zero, a_pow[:, :-1]]) * b_pow[:, ::-1]
+    d_beta = (d - k) * a_pow * np.hstack([b_pow[:, -2::-1], zero])
+    tangent = beta[:, None] * d_alpha - alpha.conj()[:, None] * d_beta
+    values = (np.vstack([weights, tangent])
+              @ Q.coeff_stack.reshape(d + 1, -1)).reshape(-1, Q.rows, Q.cols)
+    try:
+        s, U, V = _svd(values[:points])
+    except ShapeError:  # a non-finite evaluation
+        return None, None
+    sigma = s[:, rank - 1]
+    eta = float(np.max(sigma / (Q.frobenius_norm()
+                                * np.linalg.norm(weights, axis=1))))
+    eta = eta if np.isfinite(eta) else None
+    if structure.right or structure.left or not rank == Q.rows == Q.cols:
+        return eta, None
+    count = finite.size
+    if count:
+        gaps = chordal_distance(finite[:, None], np.append(finite, np.inf))
+        gaps[np.arange(count), np.arange(count)] = np.inf
+        if not gaps.min() > 2.0 * tol:
+            return eta, None
+    x, y = V[:count, :, rank - 1], U[:count, :, rank - 1].conj()
+    slope = np.abs(np.einsum("ia,iab,ib->i", y, values[points:points + count], x))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        distance = float(np.max(sigma[:count] / slope, initial=0.0))
+    if not distance <= tol:  # also when a slope vanishes
+        return eta, None
+    return eta, distance

@@ -21,7 +21,7 @@ from bklab.experiments import (ExperimentConfig, complex_gaussian,
                                generate_trial, random_pencil_perturbation,
                                random_polynomial, trial_rng)
 from bklab.tolerances import EPS
-from oracles import det_roots
+from oracles import certify_eigenvalues_by_svd, det_roots
 
 
 def _random_block_kronecker(rng, eps, eta, m, n, unit_norm=True):
@@ -982,6 +982,100 @@ def test_eigen_backward_error_is_of_the_order_of_the_unit_roundoff(seed):
         assert 0.0 < report.eigen_backward_error <= 100 * EPS
 
 
+@pytest.mark.parametrize("seed", [1, 3, 7, 4242])
+def test_certificate_agrees_with_the_full_svd_reference(seed):
+    # one step of inverse iteration against the r-th singular triplet: at
+    # roundoff both certify with eta <= 100 u; on P + dP moved by h ||P||
+    # they read the same eta and distance to first order
+    for L, dL in _be_style_cases(seed):
+        report = run_pipeline(L, dL, check_eigen=False)
+        Q = recover_polynomial(L) + report.dP
+        structure = _perturbed_structure(L, dL)
+        for certify in (_certify_eigenvalues, certify_eigenvalues_by_svd):
+            eta, distance = certify(Q, structure, 1e-6)
+            assert distance is not None and 0.0 < eta <= 100 * EPS
+        error = random_polynomial(L.m, L.n, L.grade, trial_rng(5, 1))
+        for h in (1e-8, 1e-6, 1e-5):
+            moved = Q + (h * report.norm_P) * error
+            eta, distance = _certify_eigenvalues(moved, structure, 1e-3)
+            want_eta, want_distance = certify_eigenvalues_by_svd(
+                moved, structure, 1e-3)
+            assert eta == pytest.approx(want_eta, rel=1e-4)
+            assert distance == pytest.approx(want_distance, rel=1e-2)
+
+
+def test_certificate_survives_a_zero_pivot_and_defers_on_an_overflow():
+    # no LinAlgError and no RuntimeWarning leaks (pytest turns a warning
+    # into an error).  Q(0) = Q_0 of this unrotated diagonal polynomial is
+    # exactly singular, so the first LU meets a zero pivot: the solves are
+    # taken again on Q shifted by u ||Q||_F ||w||, and the pair, read
+    # from Q itself, certifies the exact spectrum as the full SVD does.
+    rng = trial_rng(19, 0)
+    roots = [[0.0, 1.5 + 0.5j], list(2.0 * complex_gaussian(2, rng))]
+    Q = _diagonal_polynomial(roots, 2)
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.solve(Q.coeff(0), np.ones(2))
+    exact = Eigenstructure(finite=roots[0] + roots[1])
+    eta, distance = _certify_eigenvalues(Q, exact, 1e-6)
+    assert eta <= 10 * EPS and distance <= 100 * EPS
+    assert certify_eigenvalues_by_svd(Q, exact, 1e-6)[1] is not None
+    # 1e-200 from the root 0 the solves are near 1e200, whose squares
+    # overflow, yet their unit vectors are read; 1e-310 from it the second
+    # point's solve overflows, and the check defers with eta from the
+    # values-only SVD
+    assert _certify_eigenvalues(
+        Q, Eigenstructure(finite=[roots[1][0], 1e-200]), 1e-6)[1] <= 100 * EPS
+    near = Eigenstructure(finite=[roots[1][0], 1e-310])
+    with np.errstate(all="ignore"):
+        assert not np.all(np.isfinite(
+            np.linalg.solve(Q.eval(1e-310).conj().T, np.ones(2))))
+    eta, distance = _certify_eigenvalues(Q, near, 1e-6)
+    assert distance is None and eta <= 10 * EPS
+    assert eta == pytest.approx(certify_eigenvalues_by_svd(Q, near, 1e-6)[0],
+                                rel=1e-6)
+
+
+@pytest.mark.parametrize("trial", [128, 144])
+def test_certificate_certifies_acceptance_trials_with_a_singular_evaluation(
+        trial):
+    # acceptance 08's frobenius1 trials 128 (1x1) and 144 (2x2), drawn as
+    # it draws them: with numpy's bundled OpenBLAS one evaluation of P + dP
+    # at an eigenvalue of L + dL is exactly singular, so the unshifted LU
+    # meets a zero pivot.  The full SVD certified both; the shifted solves
+    # must too
+    rng = trial_rng(801, trial)
+    d = int(rng.integers(2, 5))
+    n = int(rng.integers(1, 3))
+    L = from_polynomial(random_polynomial(n, n, d, rng, norm=1.0), d - 1, 0,
+                        "frobenius1")
+    dL = random_pencil_perturbation(L.shape, 1e-8, rng)
+    report = run_pipeline(L, dL, check_eigen=False)
+    Q = recover_polynomial(L) + report.dP
+    structure = _perturbed_structure(L, dL)
+    assert certify_eigenvalues_by_svd(Q, structure, 1e-6)[1] is not None
+    eta, distance = _certify_eigenvalues(Q, structure, 1e-6)
+    assert eta <= 100 * EPS and distance <= 1e-13
+
+
+def test_certificate_defers_when_every_solve_meets_a_singular_matrix(
+        monkeypatch):
+    # the shifted solves can meet a zero pivot too: then the check defers
+    # with the values-only SVD's eta
+    rng = trial_rng(17, 1)
+    roots = [list(2.0 * complex_gaussian(2, rng)) for _ in range(2)]
+    Q = _diagonal_polynomial(roots, 2, rng)
+    exact = Eigenstructure(finite=roots[0] + roots[1])
+    want_eta, want_distance = certify_eigenvalues_by_svd(Q, exact, 1e-6)
+    assert want_distance is not None
+
+    def singular(*args):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(np.linalg, "solve", singular)
+    eta, distance = _certify_eigenvalues(Q, exact, 1e-6)
+    assert distance is None and eta == pytest.approx(want_eta, rel=1e-6)
+
+
 def test_eigen_backward_error_is_none_without_the_check():
     L, dL = _be_style_cases()[0]
     report = run_pipeline(L, dL, check_eigen=False)
@@ -1007,14 +1101,17 @@ def test_certified_distance_is_near_the_chordal_match(placement, eps, eta):
             assert 0.25 * match <= report.eigen_max_distance <= 4.0 * match
 
 
-def _diagonal_polynomial(roots, d, rng):
-    """``U diag(p_i) V`` for unitary ``U``, ``V`` and monic ``p_i`` with the
-    given roots, at grade ``d``: a row with fewer than ``d`` roots adds
-    infinite eigenvalues."""
+def _diagonal_polynomial(roots, d, rng=None):
+    """``U diag(p_i) V`` for monic ``p_i`` with the given roots, at grade
+    ``d``, with unitary ``U``, ``V`` drawn from ``rng`` (the identity
+    without one): a row with fewer than ``d`` roots adds infinite
+    eigenvalues."""
     n = len(roots)
     coeffs = np.zeros((d + 1, n, n), dtype=complex)
     for i, row in enumerate(roots):
         coeffs[:len(row) + 1, i, i] = np.poly(row)[::-1]
+    if rng is None:
+        return MatrixPolynomial(coeffs)
     U = np.linalg.qr(complex_gaussian((n, n), rng))[0]
     V = np.linalg.qr(complex_gaussian((n, n), rng))[0]
     return MatrixPolynomial(U @ coeffs @ V)

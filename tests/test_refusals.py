@@ -28,6 +28,15 @@ def _hook(eps=1, eta=1, m=2, n=2):
     return from_polynomial(_polynomial(eps + eta + 1, m, n), eps, eta, "hook")
 
 
+def _hook_with_entry(block, value):
+    # the blocks of _hook() with value in the first entry of one of them
+    L = _hook()
+    blocks = {"M0": np.array(L.M0), "M1": np.array(L.M1)}
+    blocks[block][0, 0] = value
+    return BlockKroneckerPencil(blocks["M0"], blocks["M1"], L.eps, L.eta,
+                                L.m, L.n)
+
+
 def _step1_kappa1():
     # only the (2,2) block moves: delta = sigma_min(T) = sqrt(2) > 0, but
     # theta omega / delta^2 = 10 ||M|| / 2 = 5 is not below 1/4
@@ -82,6 +91,14 @@ REFUSALS = {
         ShapeError, "need eps, eta >= 0",
         lambda: BlockKroneckerPencil(np.zeros((1, 0)), np.zeros((1, 0)),
                                      -1, 0, 1, 1)),
+    "pencil_nan_in_M0": (ShapeError, "non-finite",
+                         lambda: _hook_with_entry("M0", np.nan)),
+    "pencil_inf_in_M1": (ShapeError, "non-finite",
+                         lambda: _hook_with_entry("M1", np.inf)),
+    "custom_block_inf": (
+        PlacementError, "custom blocks have a non-finite entry",
+        lambda: from_polynomial(_polynomial(), 1, 1, PlacementSpec(
+            "custom", np.full((4, 4), np.inf), np.zeros((4, 4))))),
     "custom_block_shape": (
         ShapeError, "custom blocks must have shape (4, 4)",
         lambda: from_polynomial(_polynomial(), 1, 1, PlacementSpec(
