@@ -11,9 +11,9 @@ from .matpoly import (MatrixPolynomial, Pencil, as_pencil, build_L,
                       build_Lambda, build_V, build_V_inverse, constant,
                       convolution, identity, kron_constant, multiply,
                       pair_norm, zeros)
-from .block_kronecker import (BlockKroneckerPencil, PlacementSpec,
-                              from_polynomial, lift_right_null_vector,
-                              recover_polynomial, validate_placement)
+from .block_kronecker import (BlockKroneckerPencil, from_polynomial,
+                              lift_right_null_vector, recover_polynomial,
+                              validate_placement)
 from .eigenstructure import (Eigenstructure, chordal_distance,
                              generalized_eigenvalues, match_eigenvalues,
                              right_minimal_indices_by_convolution,

@@ -86,9 +86,12 @@ class SylvesterGauge:
 
     sigma_min_T: float
     delta_T_bound: float      # certified upper bound on ||dT||_2
-    delta: float
     theta: float
     omega: float
+
+    @property
+    def delta(self) -> float:
+        return self.sigma_min_T - self.delta_T_bound
 
     @property
     def kappa1(self) -> float:
@@ -124,7 +127,6 @@ class Step1Result:
     gauge: SylvesterGauge | None
     iterations: int
     iterate_norms: list[float]
-    kappa_sequence: list[float]
     residual: float
     dLt12: Pencil
     dLt21: Pencil
@@ -133,6 +135,17 @@ class Step1Result:
     @property
     def cd_norm(self) -> float:
         return pair_norm(self.C, self.D)
+
+    @property
+    def kappa_sequence(self) -> list[float]:
+        # the majorant kappa_{k+1} = kappa_1 (1 + kappa_k)^2, one per iteration
+        seq: list[float] = []
+        if self.gauge is not None and self.gauge.solvable:
+            kappa1 = kappa = self.gauge.kappa1
+            for _ in range(self.iterations):
+                seq.append(kappa)
+                kappa = kappa1 * (1.0 + kappa) ** 2
+        return seq
 
 
 def step1_radius(d: int, one_one_norm: float) -> float:
@@ -210,7 +223,7 @@ def solve_step1(L: BlockKroneckerPencil, dL: Pencil,
     D = np.zeros(((eps + 1) * n, eta * m), dtype=complex)
 
     if eps == 0 or eta == 0:
-        return Step1Result(C, D, None, 0, [], [], 0.0, Pencil(d12),
+        return Step1Result(C, D, None, 0, [], 0.0, Pencil(d12),
                            Pencil(d21), dL11)
 
     sigma = sigma_min_T_closed(eps, eta)
@@ -223,7 +236,6 @@ def solve_step1(L: BlockKroneckerPencil, dL: Pencil,
     gauge = SylvesterGauge(
         sigma_min_T=sigma,
         delta_T_bound=dT_bound,
-        delta=sigma - dT_bound,
         theta=_frobenius(d22),
         omega=_frobenius(M),
     )
@@ -242,13 +254,6 @@ def solve_step1(L: BlockKroneckerPencil, dL: Pencil,
     iterations, iterate_norms = 0, []
     if gauge.theta > 0:
         (C, D), iterations, iterate_norms = _fixed_point(update, (C, D), "step 1")
-    kappa_seq: list[float] = []
-    if gauge.solvable:
-        # the majorant kappa_{k+1} = kappa_1 (1 + kappa_k)^2, one per iteration
-        kappa = gauge.kappa1
-        for _ in range(iterations):
-            kappa_seq.append(kappa)
-            kappa = gauge.kappa1 * (1.0 + kappa) ** 2
 
     dLt12 = Pencil(M @ D + d12)
     dLt21 = Pencil(C @ M + d21)
@@ -260,8 +265,8 @@ def solve_step1(L: BlockKroneckerPencil, dL: Pencil,
     R[0] -= C[:, :eta * m] + D[:eps * n]
     R[1] += C[:, m:] + D[n:]
     residual = _frobenius(R)
-    return Step1Result(C, D, gauge, iterations, iterate_norms, kappa_seq,
-                       residual, dLt12, dLt21, dL11)
+    return Step1Result(C, D, gauge, iterations, iterate_norms, residual,
+                       dLt12, dLt21, dL11)
 
 
 def step2_radius(eps: int) -> float:
@@ -538,7 +543,11 @@ class BackwardErrorReport:
     eigen_consistent: bool | None = None
     shift_consistent: bool | None = None
     eigen_backward_error: float | None = None
-    forced: bool = False
+
+    @property
+    def forced(self) -> bool:
+        """Run outside the guaranteed radius, which only ``force`` allows."""
+        return not self.admissible
 
     def record(self) -> dict:
         """The trial's scalar fields as one flat mapping: the body of
@@ -667,7 +676,7 @@ def run_pipeline(L: BlockKroneckerPencil, dL: Pencil, force: bool = False,
         step2_residual_eps=res_eps, step2_residual_eta=res_eta, dP=dP,
         ratio=ratio, bound=bound, bound_label=label,
         bound_informal=bound_informal(d, L.m, L.n, norm_L, norm_dL),
-        bound_holds=bool(ratio <= bound), forced=not admissible,
+        bound_holds=bool(ratio <= bound),
     )
 
     if check_eigen:

@@ -14,8 +14,6 @@ polynomial shifted by ``eps`` (right) and ``eta`` (left).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import GradeError, PlacementError, ShapeError
@@ -25,28 +23,33 @@ from .matpoly import (MatrixPolynomial, Pencil, build_Lambda, build_V_inverse,
                       _matrix_to_json)
 from .tolerances import _require_finite
 
-PLACEMENT_TAGS = ("frobenius1", "frobenius2", "hook", "custom")
+PLACEMENTS = ("frobenius1", "frobenius2", "hook")
 
 
-@dataclass
-class PlacementSpec:
-    """Which (1,1)-block pattern to synthesize a polynomial into.
+def split_for_placement(placement: str, d: int, epsilon=None, eta=None):
+    """The ``(eps, eta)`` pair a placement uses at grade ``d``.
 
-    ``frobenius1`` needs ``eta == 0`` and ``eps == d-1``; ``frobenius2``
-    needs ``eps == 0`` and ``eta == d-1``; ``hook`` works for every split
-    with ``eps + eta + 1 == d``; ``custom`` carries explicit ``M0, M1``
-    whose antidiagonal sums are checked rather than assumed.
+    ``frobenius1`` names the split ``(d-1, 0)`` and ``frobenius2`` the split
+    ``(0, d-1)``; ``hook`` takes any split and is balanced by default.  A
+    given ``epsilon`` or ``eta`` fixes the split, the other side following
+    from ``eps + eta + 1 = d``.  A tag outside :data:`PLACEMENTS`, or a
+    Frobenius tag given another split, raises :class:`PlacementError`.
     """
-
-    tag: str
-    M0: np.ndarray | None = None
-    M1: np.ndarray | None = None
-
-    def __post_init__(self):
-        if self.tag not in PLACEMENT_TAGS:
-            raise PlacementError(f"unknown placement tag {self.tag!r}")
-        if self.tag == "custom" and (self.M0 is None or self.M1 is None):
-            raise PlacementError("custom placement requires M0 and M1")
+    if placement not in PLACEMENTS:
+        raise PlacementError(f"unknown placement tag {placement!r}")
+    if placement == "frobenius1":
+        split, rule = (d - 1, 0), "eta = 0 and eps = d - 1"
+    elif placement == "frobenius2":
+        split, rule = (0, d - 1), "eps = 0 and eta = d - 1"
+    else:
+        split, rule = (d // 2, d - 1 - d // 2), None
+    if epsilon is None and eta is None:
+        return split
+    eps = int(epsilon) if epsilon is not None else d - 1 - int(eta)
+    et = int(eta) if eta is not None else d - 1 - eps
+    if rule is not None and (eps, et) != split:
+        raise PlacementError(f"{placement} requires {rule}")
+    return eps, et
 
 
 class BlockKroneckerPencil:
@@ -134,44 +137,31 @@ class BlockKroneckerPencil:
 
 
 def from_polynomial(P: MatrixPolynomial, eps: int, eta: int,
-                    placement="hook") -> BlockKroneckerPencil:
-    """Block Kronecker pencil whose antidiagonal coefficient sums reproduce
-    the coefficients of a finite ``P`` to ``1e-12 max(1, ||P||)``."""
+                    placement: str = "hook") -> BlockKroneckerPencil:
+    """Hook pencil of a finite ``P`` at the split ``(eps, eta)``, which
+    ``placement`` must allow (:func:`split_for_placement`), whose
+    antidiagonal coefficient sums reproduce the coefficients of ``P`` to
+    ``1e-12 max(1, ||P||)``."""
     _require_finite(P.coeff_stack)
-    if isinstance(placement, str):
-        placement = PlacementSpec(placement)
     d = P.grade
     m, n = P.shape
     if eps < 0 or eta < 0:
         raise ShapeError(f"need eps, eta >= 0, got eps = {eps}, eta = {eta}")
     if eps + eta + 1 != d:
         raise GradeError(f"eps + eta + 1 = {eps + eta + 1} but the grade is {d}")
-    if placement.tag == "frobenius1" and (eta != 0 or eps != d - 1):
-        raise PlacementError("frobenius1 requires eta = 0 and eps = d - 1")
-    if placement.tag == "frobenius2" and (eps != 0 or eta != d - 1):
-        raise PlacementError("frobenius2 requires eps = 0 and eta = d - 1")
+    split_for_placement(placement, d, eps, eta)
 
+    # First block row carries P_{d-1} .. P_{d-eps-1}; the last block column
+    # continues with P_{d-eps-2} .. P_0; P_d rides on lambda.  At eta = 0
+    # this is frobenius1's block row, at eps = 0 frobenius2's block column.
     shape = ((eta + 1) * m, (eps + 1) * n)
-    if placement.tag == "custom":
-        M0 = np.array(placement.M0, dtype=complex)
-        M1 = np.array(placement.M1, dtype=complex)
-        if M0.shape != shape or M1.shape != shape:
-            raise ShapeError(f"custom blocks must have shape {shape}")
-        if not (np.isfinite(M0).all() and np.isfinite(M1).all()):
-            raise PlacementError(
-                "custom blocks have a non-finite entry (inf or nan)")
-    else:
-        # First block row carries P_{d-1} .. P_{d-eps-1}; the last block
-        # column continues with P_{d-eps-2} .. P_0; P_d rides on lambda.
-        # At eta = 0 this is frobenius1's block row, at eps = 0
-        # frobenius2's block column.
-        M0 = np.zeros(shape, dtype=complex)
-        M1 = np.zeros(shape, dtype=complex)
-        M1[:m, :n] = P.coeff(d)
-        for j in range(1, eps + 2):
-            M0[:m, (j - 1) * n:j * n] = P.coeff(d - j)
-        for i in range(2, eta + 2):
-            M0[(i - 1) * m:i * m, eps * n:(eps + 1) * n] = P.coeff(d - eps - i)
+    M0 = np.zeros(shape, dtype=complex)
+    M1 = np.zeros(shape, dtype=complex)
+    M1[:m, :n] = P.coeff(d)
+    for j in range(1, eps + 2):
+        M0[:m, (j - 1) * n:j * n] = P.coeff(d - j)
+    for i in range(2, eta + 2):
+        M0[(i - 1) * m:i * m, eps * n:(eps + 1) * n] = P.coeff(d - eps - i)
     pencil = BlockKroneckerPencil(M0, M1, eps, eta, m, n)
     residuals = validate_placement(pencil, P)
     tol = 1e-12 * max(1.0, _scaled_frobenius(P.coeff_stack))

@@ -18,15 +18,14 @@ import sys
 import numpy as np
 
 from . import __version__
-from .block_kronecker import (BlockKroneckerPencil, PlacementSpec,
+from .block_kronecker import (PLACEMENTS, BlockKroneckerPencil,
                               from_polynomial, recover_polynomial,
-                              validate_placement)
+                              split_for_placement, validate_placement)
 from .eigenstructure import (right_minimal_indices_by_convolution,
                              shift_recovery, staircase_eigenstructure)
 from .errors import BkLabError, GradeError, PlacementError, ShapeError
 from .experiments import (STATUSES, ExperimentConfig,
-                          random_pencil_perturbation, run_backward_error_batch,
-                          split_for_placement)
+                          random_pencil_perturbation, run_backward_error_batch)
 from .matpoly import MatrixPolynomial, as_pencil
 from .spectral_constants import constants_sweep
 from .tolerances import _finite_nonnegative
@@ -68,15 +67,7 @@ def _parse_range(text: str) -> tuple[int, int]:
 
 def cmd_linearize(args) -> int:
     poly = MatrixPolynomial.from_json(_load_json(args.poly))
-    placement = args.placement
-    if placement == "custom":
-        pencil_obj = BlockKroneckerPencil.from_json(_load_json(args.custom))
-        placement = PlacementSpec("custom", pencil_obj.M0, pencil_obj.M1)
-    pencil = from_polynomial(poly, args.epsilon, args.eta, placement)
-    residuals = validate_placement(pencil, poly)
-    print(f"placement {args.placement}: max residual "
-          f"{float(np.max(residuals)):.3e} over {len(residuals)} coefficients",
-          file=sys.stderr)
+    pencil = from_polynomial(poly, args.epsilon, args.eta, args.placement)
     _emit(pencil.to_json(), args.out)
     return EXIT_OK
 
@@ -206,9 +197,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("poly")
     p.add_argument("--epsilon", type=int, required=True)
     p.add_argument("--eta", type=int, required=True)
-    p.add_argument("--placement", default="hook",
-                   choices=["frobenius1", "frobenius2", "hook", "custom"])
-    p.add_argument("--custom", help="pencil JSON supplying custom M0/M1")
+    p.add_argument("--placement", default="hook", choices=PLACEMENTS)
     p.add_argument("--out")
     p.set_defaults(func=cmd_linearize)
 
@@ -218,8 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--oracle", action="store_true",
                    help="cross-check right minimal indices by convolution ranks")
     p.add_argument("--tol", type=float, default=None)
-    p.add_argument("--placement", default="hook",
-                   choices=["frobenius1", "frobenius2", "hook"])
+    p.add_argument("--placement", default="hook", choices=PLACEMENTS)
     p.add_argument("--epsilon", type=int, default=None)
     p.add_argument("--eta", type=int, default=None)
     p.add_argument("--out")
@@ -242,8 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", default="3")
     p.add_argument("--epsilon", type=int, default=None)
     p.add_argument("--eta", type=int, default=None)
-    p.add_argument("--placement", default="hook",
-                   choices=["frobenius1", "frobenius2", "hook"])
+    p.add_argument("--placement", default="hook", choices=PLACEMENTS)
     p.add_argument("--format", default="json", choices=["json", "csv"])
     p.add_argument("--force", action="store_true",
                    help="run outside the guaranteed radius (reports are "

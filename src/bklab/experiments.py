@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .backward_error import pipeline_radius, run_pipeline
-from .block_kronecker import from_polynomial
+from .block_kronecker import from_polynomial, split_for_placement
 from .errors import BkLabError, GradeError, ShapeError
 from .matpoly import MatrixPolynomial, Pencil, pair_norm
 from .tolerances import _finite_nonnegative
@@ -77,28 +77,15 @@ def random_pencil_perturbation(shape, magnitude: float, rng) -> Pencil:
     return Pencil.from_parts(scale * A, scale * B)
 
 
-def split_for_placement(placement: str, d: int, epsilon=None, eta=None):
-    """The ``(eps, eta)`` pair a placement uses at grade ``d``."""
-    if epsilon is not None or eta is not None:
-        eps = int(epsilon) if epsilon is not None else d - 1 - int(eta)
-        et = int(eta) if eta is not None else d - 1 - eps
-        return eps, et
-    if placement == "frobenius1":
-        return d - 1, 0
-    if placement == "frobenius2":
-        return 0, d - 1
-    # balanced hook split
-    eps = d // 2
-    return eps, d - 1 - eps
-
-
 @dataclass
 class ExperimentConfig:
     """Batch study parameters.  Size fields are inclusive ``(lo, hi)``
     ranges with ``1 <= lo <= hi``; every generated trial satisfies
     ``eps + eta + 1 == d``.  An empty or nonpositive range of ``m`` or ``n``
     and a negative ``trials`` raise :class:`ShapeError`, one of ``d``
-    :class:`GradeError`."""
+    :class:`GradeError`, and a ``placement`` outside
+    :data:`~bklab.block_kronecker.PLACEMENTS` or a Frobenius tag given
+    another split :class:`PlacementError`."""
 
     seed: int = 0
     trials: int = 10
@@ -128,6 +115,10 @@ class ExperimentConfig:
                 raise GradeError(
                     f"epsilon + eta + 1 = {want} conflicts with d range {self.d}")
             self.d = (want, want)
+        # both sides of a split are affine in d, so a given epsilon or eta
+        # meets a Frobenius split over the range when it does at both ends
+        for d in self.d:
+            split_for_placement(self.placement, d, self.epsilon, self.eta)
 
     def to_json(self) -> dict:
         return {

@@ -4,10 +4,10 @@ from numpy.testing import assert_allclose
 
 from bklab import block_kronecker
 from bklab import (BlockKroneckerPencil, GradeError, LayoutError,
-                   MatrixPolynomial, PlacementError, PlacementSpec,
-                   ShapeError, build_L, build_Lambda, constant,
-                   from_polynomial, lift_right_null_vector, multiply,
-                   recover_polynomial, validate_placement)
+                   MatrixPolynomial, PlacementError, ShapeError, build_L,
+                   build_Lambda, constant, from_polynomial,
+                   lift_right_null_vector, multiply, recover_polynomial,
+                   validate_placement)
 from bklab.experiments import complex_gaussian, random_polynomial, trial_rng
 from oracles import anti_triangularize
 
@@ -169,23 +169,27 @@ def test_frobenius_placements_are_the_hook_at_the_one_sided_splits():
 
 
 def test_placement_tolerance_is_finite_when_the_norm_of_P_overflows():
-    # ||P||_F squares 1e160 past the float range, yet the tolerance stays
-    # 1e-12 ||P||_F = 1e148: a residual of 1e150 is refused, ones of 1e100
-    # and 1e160 under 1e200 (tolerance 1e188) are not, though the squares
-    # of the second overflow too, and numpy does not warn
-    for top, offset, refused in ((1e160, 1e150, True), (1e200, 1e100, False),
-                                 (1e200, 1e160, False)):
+    # every split of the hook and both Frobenius tags reproduce P exactly
+    # from ||P|| = 1e-300 to 1e300, where the squares of ||P||_F overflow
+    # but the tolerance 1e-12 ||P||_F stays finite, and numpy does not warn
+    d = 4
+    unit = random_polynomial(2, 3, d, trial_rng(96, 60))
+    splits = [("hook", eps, d - 1 - eps) for eps in range(d)]
+    splits += [("frobenius1", d - 1, 0), ("frobenius2", 0, d - 1)]
+    for norm in (1e-300, 1.0, 1e150, 1e300):
+        P = norm * unit
+        for tag, eps, eta in splits:
+            L = from_polynomial(P, eps, eta, tag)
+            assert np.max(validate_placement(L, P)) == 0.0
+    # a residual of 1e150 under 1e160, and of 1e100 and 1e160 under 1e200,
+    # is read as it is, though the squares of all but one overflow
+    for top, offset in ((1e160, 1e150), (1e200, 1e100), (1e200, 1e160)):
         P = MatrixPolynomial([[[top]], [[1.0]], [[1.0]]])
         builtin = from_polynomial(P, 1, 0, "frobenius1")
         M0 = np.array(builtin.M0)
         M0[0, 0] += offset
-        custom = PlacementSpec("custom", M0, builtin.M1)
-        if refused:
-            with pytest.raises(PlacementError, match="do not reproduce"):
-                from_polynomial(P, 1, 0, custom)
-        else:
-            assert np.max(validate_placement(
-                from_polynomial(P, 1, 0, custom), P)) == offset
+        moved = BlockKroneckerPencil(M0, builtin.M1, 1, 0, 1, 1)
+        assert np.max(validate_placement(moved, P)) == offset
 
 
 def test_hook_block_content_grade5():
@@ -224,25 +228,41 @@ def test_frobenius_placement_constraints():
 
 
 def test_custom_placement_validated():
+    # a (1,1) block of one's own is a BlockKroneckerPencil that
+    # validate_placement checks: the hook's P_1 halved over both blocks of
+    # lambda^1 reproduces P exactly, and the entry of P_2 moved from the
+    # block of lambda^2 to an empty one of lambda^1 shows at those two
+    # coefficients only
     rng = np.random.default_rng(48)
     P = random_polynomial(1, 1, 3, rng)
-    good = from_polynomial(P, 1, 1, "hook")
-    custom = PlacementSpec("custom", good.M0, good.M1)
-    assert from_polynomial(P, 1, 1, custom) is not None
-    bad = PlacementSpec("custom", good.M0 + 1.0, good.M1)
-    with pytest.raises(PlacementError):
-        from_polynomial(P, 1, 1, bad)
+    hook = from_polynomial(P, 1, 1, "hook")
+    halved = np.array(hook.M0)
+    halved[0, 1] = halved[1, 0] = hook.M0[0, 1] / 2
+    good = BlockKroneckerPencil(halved, hook.M1, 1, 1, 1, 1)
+    assert not np.array_equal(good.M0, hook.M0)
+    assert np.max(validate_placement(good, P)) == 0.0
+    moved = np.array(hook.M0)
+    moved[1, 0], moved[0, 0] = moved[0, 0], 0.0
+    res = validate_placement(BlockKroneckerPencil(moved, hook.M1, 1, 1, 1, 1),
+                             P)
+    lead = abs(P.coeff(2)[0, 0])
+    assert res.tolist() == [0.0, lead, lead, 0.0]
 
 
 def test_custom_placement_with_a_nan_entry_is_refused():
-    # a NaN residual fails the placement check like a large one
+    # a custom block with a NaN entry is refused when the pencil is built,
+    # and one whose antidiagonal sum overflows when it is validated
     rng = np.random.default_rng(48)
     P = random_polynomial(1, 1, 3, rng)
     good = from_polynomial(P, 1, 1, "hook")
     M0 = np.array(good.M0)
     M0[0, 0] = np.nan
-    with np.errstate(invalid="ignore"), pytest.raises(PlacementError, match="nan"):
-        from_polynomial(P, 1, 1, PlacementSpec("custom", M0, good.M1))
+    with pytest.raises(ShapeError, match="non-finite"):
+        BlockKroneckerPencil(M0, good.M1, 1, 1, 1, 1)
+    M0[0, 0] = M0[1, 1] = 1.5e308
+    with pytest.raises(PlacementError, match="overflows"):
+        validate_placement(BlockKroneckerPencil(M0, 1.5e308 * np.ones((2, 2)),
+                                                1, 1, 1, 1), P)
 
 
 def test_validate_placement_localizes_corruption():

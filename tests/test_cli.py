@@ -32,27 +32,28 @@ def test_linearize_scalar_quadratic(scalar_quadratic, tmp_path, capsys):
     # M = [lambda - 3, 2]
     assert blob["M0"] == [[[-3.0, 0.0], [2.0, 0.0]]]
     assert blob["M1"] == [[[1.0, 0.0], [0.0, 0.0]]]
-    assert "max residual" in capsys.readouterr().err
+    assert capsys.readouterr().err == ""
 
 
-def test_linearize_custom_accepts_the_hook_pencil_and_refuses_a_moved_entry(
+def test_check_accepts_the_hook_pencil_and_refuses_a_moved_entry(
         tmp_path, capsys):
+    # a pencil file with a (1,1) block of one's own is checked by `check`
     poly, hook = tmp_path / "p.json", tmp_path / "hook.json"
-    custom, moved = tmp_path / "custom.json", tmp_path / "moved.json"
+    moved = tmp_path / "moved.json"
     write_json(poly, random_polynomial(2, 2, 3, trial_rng(95, 0)).to_json())
-    args = ["linearize", str(poly), "--epsilon", "1", "--eta", "1"]
-    assert main(args + ["--out", str(hook)]) == 0
-    assert main(args + ["--placement", "custom", "--custom", str(hook),
-                        "--out", str(custom)]) == 0
-    assert custom.read_text() == hook.read_text()
+    assert main(["linearize", str(poly), "--epsilon", "1", "--eta", "1",
+                 "--out", str(hook)]) == 0
+    assert main(["check", str(poly), str(hook)]) == 0
+    assert json.loads(capsys.readouterr().out)["max_residual"] == 0.0
     # M0's (0, 0) entry moved to (0, 1), inside the block of P_2
     blob = json.loads(hook.read_text())
     blob["M0"][0][1], blob["M0"][0][0] = blob["M0"][0][0], [0.0, 0.0]
     write_json(moved, blob)
-    capsys.readouterr()
-    assert main(args + ["--placement", "custom", "--custom", str(moved)]) == 3
+    assert main(["check", str(poly), str(moved)]) == 3
     out = capsys.readouterr()
-    assert out.out == "" and "do not reproduce" in out.err
+    residuals = json.loads(out.out)["residuals"]
+    assert residuals[0] == residuals[1] == residuals[3] == 0.0
+    assert residuals[2] > 0.0 and "exceeds" in out.err
 
 
 def test_linearize_a_polynomial_whose_norm_overflows(tmp_path, capsys):
@@ -375,9 +376,6 @@ def _bad_file_commands(bad, good_poly, good_bk):
     """Every CLI command that reads a file, with ``bad`` in one place."""
     return {
         "linearize": ["linearize", bad, "--epsilon", "1", "--eta", "0"],
-        "linearize_custom": ["linearize", good_poly, "--epsilon", "1",
-                             "--eta", "0", "--placement", "custom",
-                             "--custom", bad],
         "eig": ["eig", bad],
         "perturb": ["perturb", bad, "--mag", "1e-8"],
         "check_poly": ["check", bad, good_bk],
@@ -385,8 +383,8 @@ def _bad_file_commands(bad, good_poly, good_bk):
     }
 
 
-@pytest.mark.parametrize("command", ["linearize", "linearize_custom", "eig",
-                                     "perturb", "check_poly", "check_pencil"])
+@pytest.mark.parametrize("command", ["linearize", "eig", "perturb",
+                                     "check_poly", "check_pencil"])
 @pytest.mark.parametrize("kind", sorted(_bad_files()))
 def test_every_command_refuses_a_bad_file_with_exit_2(tmp_path, capsys,
                                                       scalar_quadratic,

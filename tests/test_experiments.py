@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
-from bklab import GradeError, ShapeError, from_polynomial, run_pipeline
+from bklab import (GradeError, PlacementError, ShapeError, from_polynomial,
+                   run_pipeline)
+from bklab.block_kronecker import split_for_placement
 from bklab.experiments import (ExperimentConfig, generate_trial,
                                random_pencil_perturbation, random_polynomial,
                                random_singular_polynomial,
-                               run_backward_error_batch, split_for_placement,
-                               trial_rng)
+                               run_backward_error_batch, trial_rng)
 
 
 def test_trial_rng_is_order_independent():
@@ -60,6 +61,14 @@ def test_split_for_placement():
     assert split_for_placement("frobenius2", 4) == (0, 3)
     assert split_for_placement("hook", 5) == (2, 2)
     assert split_for_placement("hook", 5, epsilon=3) == (3, 1)
+    assert split_for_placement("hook", 5, eta=0) == (4, 0)
+    # a Frobenius tag takes its own split, given or not, and no other
+    assert split_for_placement("frobenius1", 4, epsilon=3) == (3, 0)
+    assert split_for_placement("frobenius2", 4, 0, 3) == (0, 3)
+    with pytest.raises(PlacementError, match="frobenius1 requires eta = 0"):
+        split_for_placement("frobenius1", 4, eta=1)
+    with pytest.raises(PlacementError, match="unknown placement tag"):
+        split_for_placement("custom", 4)
 
 
 def test_generated_trials_respect_grade_invariant():

@@ -10,14 +10,14 @@ import pytest
 
 from bklab import (BlockKroneckerPencil, G_singular_values, GradeError,
                    M_singular_values, MatrixPolynomial, Pencil, PlacementError,
-                   PlacementSpec, PreconditionError, ShapeError, build_L,
-                   build_Lambda, build_V, build_V_inverse, build_W,
-                   convolution, from_polynomial, generalized_eigenvalues,
+                   PreconditionError, ShapeError, build_L, build_Lambda,
+                   build_V, build_V_inverse, build_W, convolution,
+                   from_polynomial, generalized_eigenvalues,
                    lift_right_null_vector, sigma_max_W_closed,
                    sigma_min_convolution_L, solve_step1, solve_step2,
                    validate_placement)
-from bklab.experiments import (random_polynomial, random_singular_polynomial,
-                               trial_rng)
+from bklab.experiments import (ExperimentConfig, random_polynomial,
+                               random_singular_polynomial, trial_rng)
 
 
 def _polynomial(d=3, m=2, n=2):
@@ -79,10 +79,18 @@ REFUSALS = {
         ShapeError, "non-finite",
         lambda: solve_step2(Pencil(np.full((2, 2, 4), np.inf)), 1, 2)),
     "placement_tag": (PlacementError, "unknown placement tag 'nope'",
-                      lambda: PlacementSpec("nope")),
-    "custom_placement_without_blocks": (
-        PlacementError, "custom placement requires M0 and M1",
-        lambda: PlacementSpec("custom")),
+                      lambda: from_polynomial(_polynomial(), 1, 1, "nope")),
+    "config_placement_tag": (
+        PlacementError, "unknown placement tag 'nope'",
+        lambda: ExperimentConfig(placement="nope", trials=0)),
+    "config_frobenius2_eta": (
+        PlacementError, "frobenius2 requires eps = 0",
+        lambda: ExperimentConfig(placement="frobenius2", eta=1, trials=0)),
+    # epsilon = 2 is frobenius1's split at d = 3 but not at d = 4
+    "config_frobenius1_epsilon_over_a_range": (
+        PlacementError, "frobenius1 requires eta = 0",
+        lambda: ExperimentConfig(placement="frobenius1", epsilon=2,
+                                 d=(3, 4), trials=0)),
     "pencil_m_0": (
         ShapeError, "m, n >= 1",
         lambda: BlockKroneckerPencil(np.zeros((0, 2)), np.zeros((0, 2)),
@@ -95,14 +103,6 @@ REFUSALS = {
                          lambda: _hook_with_entry("M0", np.nan)),
     "pencil_inf_in_M1": (ShapeError, "non-finite",
                          lambda: _hook_with_entry("M1", np.inf)),
-    "custom_block_inf": (
-        PlacementError, "custom blocks have a non-finite entry",
-        lambda: from_polynomial(_polynomial(), 1, 1, PlacementSpec(
-            "custom", np.full((4, 4), np.inf), np.zeros((4, 4))))),
-    "custom_block_shape": (
-        ShapeError, "custom blocks must have shape (4, 4)",
-        lambda: from_polynomial(_polynomial(), 1, 1, PlacementSpec(
-            "custom", np.zeros((3, 3)), np.zeros((3, 3))))),
     "lift_h_not_a_column": (
         ShapeError, "h must be 2 x 1, got (2, 2)",
         lambda: lift_right_null_vector(_hook(), _polynomial(1))),
