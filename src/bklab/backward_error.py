@@ -37,15 +37,13 @@ import numpy as np
 
 from .block_kronecker import BlockKroneckerPencil, from_polynomial, recover_polynomial
 from .eigenstructure import (Eigenstructure, _normal_rank, chordal_distance,
-                             match_eigenvalues, shift_recovery,
-                             staircase_eigenstructure)
-from .errors import (ConvergenceError, EigenstructureShiftError,
-                     PreconditionError, ShapeError)
+                             match_eigenvalues, staircase_eigenstructure)
+from .errors import ConvergenceError, PreconditionError, ShapeError
 from .matpoly import (CACHE_SIZE, MatrixPolynomial, Pencil, _frobenius,
                       _stack_product, build_L, build_Lambda, convolution,
                       pair_norm)
 from .spectral_constants import build_T, sigma_min_T_closed
-from .tolerances import EPS, _require_finite, _svd, pseudoinverse
+from .tolerances import EPS, _finite_nonnegative, _require_finite, _svd, pseudoinverse
 
 SQRT2M1 = np.sqrt(2.0) - 1.0
 MAX_ITER = 200
@@ -337,15 +335,19 @@ def assemble_step3(L: BlockKroneckerPencil, dL11: Pencil,
                    dR_eps: MatrixPolynomial, dR_eta: MatrixPolynomial,
                    force: bool = False) -> MatrixPolynomial:
     """``P + dP``: the polynomial represented by the repaired strong block
-    minimal bases pencil.  Raises :class:`PreconditionError` when a
+    minimal bases pencil.  Raises :class:`ShapeError` when ``dL11`` is not
+    of the (1,1) block's shape, and :class:`PreconditionError` when a
     ``||dR|| >= 1/sqrt(2)``; ``force`` lifts that precondition."""
+    M = L.one_one_block()
+    if dL11.shape != M.shape:
+        raise ShapeError(f"dL11 is {dL11.shape}, the (1,1) block {M.shape}")
     for name, dR in (("dR_eps", dR_eps), ("dR_eta", dR_eta)):
         if dR.frobenius_norm() >= 1.0 / np.sqrt(2.0) and not force:
             raise PreconditionError(
                 f"step 3 refused: ||{name}|| >= 1/sqrt(2)",
                 inequality=f"||{name}|| < 1/sqrt(2)")
     left = (build_Lambda(L.eta, L.m) + dR_eta).coeff_stack.transpose(0, 2, 1)
-    mid = L.one_one_block().coeff_stack + dL11.coeff_stack
+    mid = M.coeff_stack + dL11.coeff_stack
     right = (build_Lambda(L.eps, L.n) + dR_eps).coeff_stack
     return MatrixPolynomial(_stack_product(_stack_product(left, mid), right))
 
@@ -538,16 +540,20 @@ class BackwardErrorReport:
     bound_label: str
     bound_informal: float
     bound_holds: bool
-    eigen_checked: bool = False
-    eigen_max_distance: float | None = None
-    eigen_consistent: bool | None = None
-    shift_consistent: bool | None = None
-    eigen_backward_error: float | None = None
+    eigen_backward_error: float | None
+    eigen_max_distance: float | None
+    eigen_consistent: bool | None
+    shift_consistent: bool | None
 
     @property
     def forced(self) -> bool:
         """Run outside the guaranteed radius, which only ``force`` allows."""
         return not self.admissible
+
+    @property
+    def eigen_checked(self) -> bool:
+        """The eigen check ran: it always sets ``eigen_consistent``."""
+        return self.eigen_consistent is not None
 
     def record(self) -> dict:
         """The trial's scalar fields as one flat mapping: the body of
@@ -601,34 +607,52 @@ class BackwardErrorReport:
         }
 
 
+def _check_eigen(L: BlockKroneckerPencil, dL: Pencil,
+                 P_plus_dP: MatrixPolynomial, eigen_tol: float):
+    """``(eigen_backward_error, eigen_max_distance, eigen_consistent,
+    shift_consistent)`` for the staircase of ``L + dL`` against ``P + dP``.
+
+    Eigenvalues that :func:`_certify_eigenvalues` certifies are consistent
+    on both counts.  Otherwise a fresh hook linearization of ``P + dP`` at
+    the same split is reduced too.  The finite eigenvalues are matched under
+    the chordal metric, and the sorted minimal indices and infinite
+    partitions must be equal as they stand, since equal lists shift back
+    alike, with no right index below ``eps`` and no left one below ``eta``.
+    """
+    es_pert = staircase_eigenstructure(
+        Pencil(L.assemble().coeff_stack + dL.coeff_stack))
+    backward, distance = _certify_eigenvalues(P_plus_dP, es_pert, eigen_tol)
+    if distance is not None:
+        return backward, distance, True, True
+    fresh = from_polynomial(P_plus_dP, L.eps, L.eta, "hook")
+    es_fresh = staircase_eigenstructure(fresh.assemble())
+    try:
+        distance = match_eigenvalues(es_pert.finite, es_fresh.finite)
+    except ShapeError:
+        distance = None
+    shifts = bool((es_pert.right, es_pert.left, es_pert.infinite)
+                  == (es_fresh.right, es_fresh.left, es_fresh.infinite)
+                  and min(es_pert.right, default=L.eps) >= L.eps
+                  and min(es_pert.left, default=L.eta) >= L.eta)
+    return (backward, distance,
+            distance is not None and bool(distance <= eigen_tol), shifts)
+
+
 def run_pipeline(L: BlockKroneckerPencil, dL: Pencil, force: bool = False,
                  check_eigen: bool = True,
                  eigen_tol: float = 1e-6) -> BackwardErrorReport:
     """Run Steps 1-3 and evaluate the applicable bound.
 
-    The pipeline refuses a non-finite ``dL`` (:class:`ShapeError`), a ``P``
-    of zero norm, and perturbations outside the guaranteed radius unless
-    ``force`` is set, in which case the report is marked as unguaranteed.
-    With ``check_eigen`` the staircase of ``L + dL`` is computed, and its
-    eigenvalues are certified as eigenvalues of ``P + dP`` by
-    :func:`_certify_eigenvalues`: one step of inverse iteration, two batched
-    LU solves, with ``P + dP`` at every eigenvalue, and no singular
-    vectors, second linearization, staircase or QZ.  A certified
-    check reports the largest first-order chordal distance as
-    ``eigen_max_distance`` and sets ``eigen_consistent`` and
-    ``shift_consistent``.  Otherwise (minimal indices, a singular
-    ``P + dP``, eigenvalues closer than ``2 eigen_tol``, a distance above
-    ``eigen_tol``, a non-finite evaluation or an overflowing solve) the
-    complete eigenstructure of a fresh hook linearization of ``P + dP`` is
-    compared with that of ``L + dL``: eigenvalues under the chordal metric,
-    minimal indices through the shifts, and the infinite elementary
-    divisors.  Either way ``eigen_backward_error`` bounds the largest
-    backward error of ``L + dL``'s eigenvalues for ``P + dP``: it is that
-    of the computed eigenpairs when certified, and the eigenvalues' own
-    otherwise.  Disagreement is flagged in the report
-    rather than fatal, since the problem is ill-posed.
+    The pipeline refuses a non-finite ``dL``, an ``eigen_tol`` that is not
+    finite and nonnegative (both :class:`ShapeError`), a ``P`` of zero
+    norm, and perturbations outside the guaranteed radius unless ``force``
+    is set, in which case the report is marked as unguaranteed.  With
+    ``check_eigen`` the report's four eigen fields come from
+    :func:`_check_eigen`; a disagreement is flagged there rather than
+    fatal, since the problem is ill-posed.
     """
     _require_finite(dL.coeff_stack)
+    eigen_tol = _finite_nonnegative(eigen_tol, "eigen_tol")
     d = L.grade
     P = recover_polynomial(L)
     norm_P = P.frobenius_norm()
@@ -667,8 +691,11 @@ def run_pipeline(L: BlockKroneckerPencil, dL: Pencil, force: bool = False,
     else:
         bound = bound_nondegenerate(d, norm_L, norm_P, norm_M, norm_dL)
         label = "nondegenerate"
+    backward, distance, consistent, shifts = (
+        _check_eigen(L, dL, P_plus_dP, eigen_tol) if check_eigen
+        else (None,) * 4)
 
-    report = BackwardErrorReport(
+    return BackwardErrorReport(
         eps=L.eps, eta=L.eta, m=L.m, n=L.n, grade=d, degenerate=degenerate,
         norm_P=norm_P, norm_L=norm_L, norm_M=norm_M, norm_dL=norm_dL,
         radius=radius, admissible=admissible, step1=step1,
@@ -676,35 +703,7 @@ def run_pipeline(L: BlockKroneckerPencil, dL: Pencil, force: bool = False,
         step2_residual_eps=res_eps, step2_residual_eta=res_eta, dP=dP,
         ratio=ratio, bound=bound, bound_label=label,
         bound_informal=bound_informal(d, L.m, L.n, norm_L, norm_dL),
-        bound_holds=bool(ratio <= bound),
+        bound_holds=bool(ratio <= bound), eigen_backward_error=backward,
+        eigen_max_distance=distance, eigen_consistent=consistent,
+        shift_consistent=shifts,
     )
-
-    if check_eigen:
-        L_plus_dL = Pencil(L.assemble().coeff_stack + dL.coeff_stack)
-        es_pert = staircase_eigenstructure(L_plus_dL)
-        report.eigen_checked = True
-        report.eigen_backward_error, dist = _certify_eigenvalues(
-            P_plus_dP, es_pert, eigen_tol)
-        if dist is not None:
-            report.eigen_max_distance = dist
-            report.eigen_consistent = report.shift_consistent = True
-            return report
-        fresh = from_polynomial(P_plus_dP, L.eps, L.eta, "hook")
-        es_fresh = staircase_eigenstructure(fresh.assemble())
-        try:
-            dist = match_eigenvalues(es_pert.finite, es_fresh.finite)
-            report.eigen_max_distance = dist
-            report.eigen_consistent = bool(dist <= eigen_tol)
-        except ShapeError:
-            report.eigen_max_distance = None
-            report.eigen_consistent = False
-        try:
-            rec_pert = shift_recovery(es_pert, L.eps, L.eta)
-            rec_fresh = shift_recovery(es_fresh, L.eps, L.eta)
-            report.shift_consistent = bool(
-                rec_pert.right == rec_fresh.right
-                and rec_pert.left == rec_fresh.left
-                and rec_pert.infinite == rec_fresh.infinite)
-        except EigenstructureShiftError:
-            report.shift_consistent = False
-    return report

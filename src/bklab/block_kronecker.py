@@ -139,10 +139,11 @@ class BlockKroneckerPencil:
 def from_polynomial(P: MatrixPolynomial, eps: int, eta: int,
                     placement: str = "hook") -> BlockKroneckerPencil:
     """Hook pencil of a finite ``P`` at the split ``(eps, eta)``, which
-    ``placement`` must allow (:func:`split_for_placement`), whose
-    antidiagonal coefficient sums reproduce the coefficients of ``P`` to
-    ``1e-12 max(1, ||P||)``."""
-    _require_finite(P.coeff_stack)
+    ``placement`` must allow (:func:`split_for_placement`).  Each
+    coefficient of ``P`` is placed in exactly one block, so the antidiagonal
+    sums reproduce ``P`` exactly; :func:`validate_placement` checks pencils
+    built elsewhere.  A non-finite ``P`` raises :class:`ShapeError` when
+    the pencil is built."""
     d = P.grade
     m, n = P.shape
     if eps < 0 or eta < 0:
@@ -162,40 +163,28 @@ def from_polynomial(P: MatrixPolynomial, eps: int, eta: int,
         M0[:m, (j - 1) * n:j * n] = P.coeff(d - j)
     for i in range(2, eta + 2):
         M0[(i - 1) * m:i * m, eps * n:(eps + 1) * n] = P.coeff(d - eps - i)
-    pencil = BlockKroneckerPencil(M0, M1, eps, eta, m, n)
-    residuals = validate_placement(pencil, P)
-    tol = 1e-12 * max(1.0, _scaled_frobenius(P.coeff_stack))
-    if not np.max(residuals) <= tol:
-        raise PlacementError(
-            f"antidiagonal sums do not reproduce the polynomial "
-            f"(max residual {np.max(residuals):.3e})")
-    return pencil
-
-
-def _scaled_frobenius(X: np.ndarray) -> float:
-    """``||X||_F``; where the plain sum of squares overflows (an entry beyond
-    about 1e154), ``s ||X / s||_F`` with ``s = max|X_ij|``, which is inf
-    only when the norm itself is beyond the float range."""
-    with np.errstate(over="ignore"):
-        norm = _frobenius(X)
-        if norm == np.inf and (s := np.abs(X).max()) < np.inf:
-            norm = float(s * _frobenius(X / s))
-    return norm
+    return BlockKroneckerPencil(M0, M1, eps, eta, m, n)
 
 
 def validate_placement(L: BlockKroneckerPencil, P: MatrixPolynomial) -> np.ndarray:
     """Per-coefficient residuals of the antidiagonal sum condition: entry
     ``k`` is the Frobenius distance between the ``k``-th coefficient of the
-    represented polynomial and ``P_k``.  A residual beyond the float range
-    or NaN raises :class:`PlacementError`."""
+    represented polynomial and ``P_k``.  A ``P`` of another grade or shape
+    raises :class:`GradeError` or :class:`ShapeError`, and a residual beyond
+    the float range or NaN raises :class:`PlacementError`."""
     if P.grade != L.grade:
         raise GradeError(
             f"pencil represents grade {L.grade}, polynomial has {P.grade}")
+    if P.shape != (L.m, L.n):
+        raise ShapeError(f"polynomial is {P.shape}, the pencil's {(L.m, L.n)}")
     with np.errstate(over="ignore", invalid="ignore"):
         diff = recover_polynomial(L).coeff_stack - P.coeff_stack
         residuals = np.linalg.norm(diff, axis=(1, 2))
-    for k in np.flatnonzero(residuals == np.inf):
-        residuals[k] = _scaled_frobenius(diff[k])
+        # where the sum of squares overflows (an entry beyond about 1e154),
+        # s ||diff_k / s||_F with s = max |entry|: inf only beyond the range
+        for k in np.flatnonzero(residuals == np.inf):
+            if (s := np.abs(diff[k]).max()) < np.inf:
+                residuals[k] = s * _frobenius(diff[k] / s)
     if not np.isfinite(residuals).all():
         raise PlacementError("antidiagonal sum residual overflows or is NaN "
                              f"(max residual {np.max(residuals):.3e})")

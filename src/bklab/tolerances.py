@@ -119,28 +119,39 @@ def _svd(M, vectors=True):
     return s, U, np.swapaxes(Vh, -1, -2).conj()
 
 
+def _matrix(M, dtype=None) -> np.ndarray:
+    """``M`` as an array, or :class:`ShapeError` unless it is 2-d."""
+    M = np.asarray(M, dtype=dtype)
+    if M.ndim != 2:
+        raise ShapeError(f"expected a matrix, got an array of shape {M.shape}")
+    return M
+
+
 def svd_with_rank(M, tol=None, context="", log=None):
     """Full SVD of ``M`` plus a rank decision under the repo policy.
 
     Returns ``(rank, s, U, V)`` with ``U`` (m x m) and ``V`` (n x n) unitary.
     An explicit ``tol`` replaces the default tolerance.  The decision is
-    appended to ``log`` when one is given.
+    appended to ``log`` when one is given.  An ``M`` that is not 2-d or not
+    finite raises :class:`ShapeError`.
     """
+    M = _matrix(M)
     s, U, V = _svd(M)
-    rank = _decide_rank(s, np.shape(M), tol, context, log)
+    rank = _decide_rank(s, M.shape, tol, context, log)
     return rank, s, U, V
 
 
 def numerical_rank(M, tol=None, context="", log=None) -> int:
     """Rank of ``M`` under the policy of :func:`svd_with_rank`, from the
     singular values alone: no singular vectors are formed."""
-    return _decide_rank(_svd(M, vectors=False), np.shape(M), tol, context, log)
+    M = _matrix(M)
+    return _decide_rank(_svd(M, vectors=False), M.shape, tol, context, log)
 
 
 def pseudoinverse(M, tol=None, context="", log=None):
-    """Pseudoinverse of ``M`` on its numerical rank under the same policy
-    as :func:`svd_with_rank`; a non-finite ``M`` raises :class:`ShapeError`."""
-    M = np.asarray(M, dtype=complex)
+    """Pseudoinverse of ``M`` on its numerical rank under the policy, and
+    with the refusals, of :func:`svd_with_rank`."""
+    M = _matrix(M, dtype=complex)
     s, U, V = _svd(M)
     r = _decide_rank(s, M.shape, tol, context, log)
     return (V[:, :r] / s[:r]) @ U[:, :r].conj().T

@@ -613,19 +613,6 @@ def test_nan_eigenvalue_marks_the_eigen_check_inconsistent(monkeypatch):
     assert report.shift_consistent
 
 
-def test_shift_check_propagates_programming_errors(monkeypatch):
-    # only EigenstructureShiftError means inconsistent shifts; any other
-    # exception from shift_recovery is a bug and must surface.  A certified
-    # check compares no shifts, so the input is one that falls back.
-    def broken(*args, **kwargs):
-        raise RuntimeError("broken shift recovery")
-
-    monkeypatch.setattr(backward_error, "shift_recovery", broken)
-    bk, dL = _double_eigenvalue_case()
-    with pytest.raises(RuntimeError, match="broken shift recovery"):
-        run_pipeline(bk, dL)
-
-
 def test_pipeline_recovers_and_splits_once(monkeypatch):
     # run_pipeline reuses its P for Step 3 and Step 1's (1,1) block of dL
     calls = []
@@ -930,23 +917,34 @@ def test_fallback_compares_the_infinite_partitions(monkeypatch):
 
 
 def test_fallback_reads_an_index_below_the_shift_as_inconsistent(monkeypatch):
-    # a right minimal index below eps cannot be shifted back: the check
-    # falls back (the certificate needs no minimal indices) and reads the
-    # EigenstructureShiftError as inconsistent shifts, not as a failure
+    # a right minimal index below eps, or a left one below eta, cannot be
+    # shifted back: the fallback reads it as inconsistent shifts, not as a
+    # failure, both when the two staircases read it alike and when only the
+    # fresh pencil's does.  The certificate is made to defer, as it does on
+    # any minimal index of L + dL.
     staircase = backward_error.staircase_eigenstructure
-
-    def index_below_eps(pencil):
-        es = staircase(pencil)
-        es.right = sorted(es.right + [0])
-        return es
-
-    monkeypatch.setattr(backward_error, "staircase_eigenstructure",
-                        index_below_eps)
+    certify = backward_error._certify_eigenvalues
+    monkeypatch.setattr(backward_error, "_certify_eigenvalues",
+                        lambda Q, es, tol: (certify(Q, es, tol)[0], None))
     L, dL = _be_style_cases()[0]
-    assert L.eps > 0
-    report = run_pipeline(L, dL)
-    assert report.eigen_checked and report.shift_consistent is False
-    assert report.eigen_consistent is True
+    assert L.eps > 0 and L.eta > 0
+    for side, readers in (("right", (0, 1)), ("left", (0, 1)),
+                          ("right", (1,))):
+        seen = []
+
+        def index_below_the_shift(pencil):
+            es = staircase(pencil)
+            if len(seen) in readers:
+                setattr(es, side, sorted(getattr(es, side) + [0]))
+            seen.append(es)
+            return es
+
+        monkeypatch.setattr(backward_error, "staircase_eigenstructure",
+                            index_below_the_shift)
+        report = run_pipeline(L, dL)
+        assert len(seen) == 2, side
+        assert report.eigen_checked and report.shift_consistent is False
+        assert report.eigen_consistent is True
 
 
 def test_certificate_refuses_a_wrong_polynomial():

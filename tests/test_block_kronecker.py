@@ -170,8 +170,8 @@ def test_frobenius_placements_are_the_hook_at_the_one_sided_splits():
 
 def test_placement_tolerance_is_finite_when_the_norm_of_P_overflows():
     # every split of the hook and both Frobenius tags reproduce P exactly
-    # from ||P|| = 1e-300 to 1e300, where the squares of ||P||_F overflow
-    # but the tolerance 1e-12 ||P||_F stays finite, and numpy does not warn
+    # from ||P|| = 1e-300 to 1e300, where the squares of ||P||_F overflow,
+    # and numpy does not warn
     d = 4
     unit = random_polynomial(2, 3, d, trial_rng(96, 60))
     splits = [("hook", eps, d - 1 - eps) for eps in range(d)]
@@ -190,6 +190,24 @@ def test_placement_tolerance_is_finite_when_the_norm_of_P_overflows():
         M0[0, 0] += offset
         moved = BlockKroneckerPencil(M0, builtin.M1, 1, 0, 1, 1)
         assert np.max(validate_placement(moved, P)) == offset
+
+
+def test_from_polynomial_builds_without_recovering_the_polynomial(monkeypatch):
+    # each coefficient sits in one block, so the sums are exact by
+    # construction: the pencil is built without validate_placement or
+    # recover_polynomial, and checked against P afterwards
+    def refused(*args, **kwargs):
+        raise AssertionError("from_polynomial re-validated its pencil")
+
+    P = random_polynomial(3, 2, 5, trial_rng(96, 61))
+    with monkeypatch.context() as patch:
+        for name in ("validate_placement", "recover_polynomial"):
+            patch.setattr(block_kronecker, name, refused)
+        pencils = [from_polynomial(P, eps, 4 - eps, "hook") for eps in range(5)]
+        pencils += [from_polynomial(P, 4, 0, "frobenius1"),
+                    from_polynomial(P, 0, 4, "frobenius2")]
+    for L in pencils:
+        assert np.max(validate_placement(L, P)) == 0.0
 
 
 def test_hook_block_content_grade5():

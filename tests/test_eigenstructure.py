@@ -523,6 +523,37 @@ def test_convolution_scan_cap_raises():
         right_minimal_indices_by_convolution(build_L(4), j_max=2)
 
 
+def test_normal_rank_probes_fixed_points_without_a_generator(monkeypatch):
+    # the three points are the first complex draws of the generator seeded
+    # 2718281828, bit for bit, and no generator is built per call
+    rng = np.random.default_rng(2718281828)
+    drawn = [complex(rng.standard_normal(), rng.standard_normal())
+             for _ in range(3)]
+    cases = [(random_polynomial(4, 4, 7, trial_rng(62, 0)), 4),
+             (random_singular_polynomial(4, 6, 4, 3, trial_rng(62, 1)), 3),
+             (MatrixPolynomial([np.zeros((2, 3))] * 3), 0)]
+    # the (1,1) entry of diag(lambda, 0) is the point itself, and its rank
+    # of 1 never stops the probe early
+    probe = MatrixPolynomial([np.zeros((2, 2)), np.diag([1.0, 0.0])])
+    points = []
+    rank = bklab.eigenstructure.numerical_rank
+
+    def recording_rank(M, tol=None):
+        points.append(M[0, 0])
+        return rank(M, tol=tol)
+
+    def no_generator(*args, **kwargs):
+        raise AssertionError("a random generator was built")
+
+    monkeypatch.setattr(np.random, "default_rng", no_generator)
+    assert [bklab.eigenstructure._normal_rank(Q) for Q, _ in cases] == [
+        r for _, r in cases]
+    monkeypatch.setattr(bklab.eigenstructure, "numerical_rank", recording_rank)
+    assert bklab.eigenstructure._normal_rank(probe) == 1
+    assert [(z.real.hex(), z.imag.hex()) for z in points] == [
+        (z.real.hex(), z.imag.hex()) for z in drawn]
+
+
 # ------------------------------------------------------------------- shift
 
 def test_shift_identity():

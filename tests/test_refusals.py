@@ -10,14 +10,16 @@ import pytest
 
 from bklab import (BlockKroneckerPencil, G_singular_values, GradeError,
                    M_singular_values, MatrixPolynomial, Pencil, PlacementError,
-                   PreconditionError, ShapeError, build_L, build_Lambda,
-                   build_V, build_V_inverse, build_W, convolution,
-                   from_polynomial, generalized_eigenvalues,
-                   lift_right_null_vector, sigma_max_W_closed,
-                   sigma_min_convolution_L, solve_step1, solve_step2,
-                   validate_placement)
-from bklab.experiments import (ExperimentConfig, random_polynomial,
-                               random_singular_polynomial, trial_rng)
+                   PreconditionError, ShapeError, assemble_step3, build_L,
+                   build_Lambda, build_V, build_V_inverse, build_W,
+                   convolution, from_polynomial, generalized_eigenvalues,
+                   lift_right_null_vector, numerical_rank, pseudoinverse,
+                   run_pipeline, sigma_max_W_closed, sigma_min_convolution_L,
+                   solve_step1, solve_step2, validate_placement)
+from bklab.experiments import (ExperimentConfig, random_pencil_perturbation,
+                               random_polynomial, random_singular_polynomial,
+                               trial_rng)
+from bklab.tolerances import svd_with_rank
 
 
 def _polynomial(d=3, m=2, n=2):
@@ -35,6 +37,20 @@ def _hook_with_entry(block, value):
     blocks[block][0, 0] = value
     return BlockKroneckerPencil(blocks["M0"], blocks["M1"], L.eps, L.eta,
                                 L.m, L.n)
+
+
+def _pipeline_with_eigen_tol(eigen_tol):
+    L = _hook()
+    dL = random_pencil_perturbation(L.shape, 1e-8, trial_rng(97, 2))
+    return run_pipeline(L, dL, eigen_tol=eigen_tol)
+
+
+def _step3_with_a_1x1_dL11():
+    # the (1,1) block of _hook() is 4 x 4, and a 1 x 1 dL11 would broadcast;
+    # at eps = eta = 1 and m = n = 2 both dR are 4 x 2 of grade 1
+    L = _hook()
+    dR_eps = MatrixPolynomial(np.zeros((2, 4, 2)), grade=1)
+    return assemble_step3(L, Pencil(np.ones((2, 1, 1))), dR_eps, dR_eps)
 
 
 def _step1_kappa1():
@@ -135,6 +151,35 @@ REFUSALS = {
                                  lambda: build_V_inverse(-1)),
     "convolution_negative": (GradeError, "j must be nonnegative",
                              lambda: convolution(_polynomial(), -1)),
+    "pipeline_eigen_tol_nan": (
+        ShapeError, "eigen_tol must be nonnegative and finite, got nan",
+        lambda: _pipeline_with_eigen_tol(np.nan)),
+    "pipeline_eigen_tol_negative": (
+        ShapeError, "eigen_tol must be nonnegative and finite, got -1.0",
+        lambda: _pipeline_with_eigen_tol(-1.0)),
+    "pipeline_eigen_tol_inf": (
+        ShapeError, "eigen_tol must be nonnegative and finite, got inf",
+        lambda: _pipeline_with_eigen_tol(np.inf)),
+    "step3_dL11_shape": (ShapeError, "dL11 is (1, 1), the (1,1) block (4, 4)",
+                         _step3_with_a_1x1_dL11),
+    "validate_placement_shape": (
+        ShapeError, "polynomial is (3, 2), the pencil's (2, 2)",
+        lambda: validate_placement(_hook(), _polynomial(3, 3, 2))),
+    "validate_placement_1x1": (
+        ShapeError, "polynomial is (1, 1), the pencil's (2, 2)",
+        lambda: validate_placement(_hook(), _polynomial(3, 1, 1))),
+    "numerical_rank_1d": (ShapeError, "expected a matrix",
+                          lambda: numerical_rank(np.ones(3))),
+    "numerical_rank_stack": (ShapeError, "expected a matrix",
+                             lambda: numerical_rank(np.ones((2, 3, 3)))),
+    "svd_with_rank_1d": (ShapeError, "expected a matrix",
+                         lambda: svd_with_rank(np.ones(3))),
+    "svd_with_rank_stack": (ShapeError, "expected a matrix",
+                            lambda: svd_with_rank(np.ones((2, 3, 3)))),
+    "pseudoinverse_1d": (ShapeError, "expected a matrix",
+                         lambda: pseudoinverse(np.ones(3))),
+    "pseudoinverse_stack": (ShapeError, "expected a matrix",
+                            lambda: pseudoinverse(np.ones((2, 3, 3)))),
 }
 
 
