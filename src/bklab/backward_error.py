@@ -36,8 +36,9 @@ from functools import lru_cache
 import numpy as np
 
 from .block_kronecker import BlockKroneckerPencil, from_polynomial, recover_polynomial
-from .eigenstructure import (Eigenstructure, _normal_rank, chordal_distance,
-                             match_eigenvalues, staircase_eigenstructure)
+from .eigenstructure import (Eigenstructure, _conjugated_core, _normal_rank,
+                             chordal_distance, match_eigenvalues,
+                             staircase_eigenstructure)
 from .errors import ConvergenceError, PreconditionError, ShapeError
 from .matpoly import (CACHE_SIZE, MatrixPolynomial, Pencil, _frobenius,
                       _stack_product, build_L, build_Lambda, convolution,
@@ -399,7 +400,7 @@ def _smallest_pairs(values: np.ndarray, scale: np.ndarray):
 
 
 def _certify_eigenvalues(Q: MatrixPolynomial, structure: Eigenstructure,
-                         tol: float):
+                         tol: float, rank: int | None = None):
     """Certify the eigenvalues of ``structure`` as eigenvalues of ``Q``.
 
     Each eigenvalue is the point ``(alpha, beta)``, ``|alpha|^2 + |beta|^2 =
@@ -418,7 +419,8 @@ def _certify_eigenvalues(Q: MatrixPolynomial, structure: Eigenstructure,
     every other case (minimal indices, a singular or rectangular ``Q``, or
     solves that give no finite pair) ``sigma`` is the ``r``-th singular
     value of ``Q(alpha, beta)`` from one values-only batched SVD, with
-    ``r`` the normal rank, and the eigenvalues are not certified.
+    ``r`` the normal rank (``rank``, or ``_normal_rank(Q)`` when it is not
+    given), and the eigenvalues are not certified.
 
     Returns ``(eta, distance)``: the largest backward error, ``None`` when
     it is not finite, and the largest distance over the finite eigenvalues,
@@ -437,7 +439,7 @@ def _certify_eigenvalues(Q: MatrixPolynomial, structure: Eigenstructure,
     if structure.infinite:
         alpha, beta = np.append(alpha, 1.0), np.append(beta, 0.0)
     points, d = alpha.size, Q.grade
-    rank = _normal_rank(Q)
+    rank = _normal_rank(Q) if rank is None else rank
     if points == 0 or rank == 0:
         return (0.0 if rank else None), None
     # alpha^k and beta^k for k = 0 .. d, by repeated products
@@ -610,18 +612,36 @@ class BackwardErrorReport:
 def _check_eigen(L: BlockKroneckerPencil, dL: Pencil,
                  P_plus_dP: MatrixPolynomial, eigen_tol: float):
     """``(eigen_backward_error, eigen_max_distance, eigen_consistent,
-    shift_consistent)`` for the staircase of ``L + dL`` against ``P + dP``.
+    shift_consistent)`` for the eigenvalues of ``L + dL`` against ``P + dP``.
 
-    Eigenvalues that :func:`_certify_eigenvalues` certifies are consistent
-    on both counts.  Otherwise a fresh hook linearization of ``P + dP`` at
-    the same split is reduced too.  The finite eigenvalues are matched under
-    the chordal metric, and the sorted minimal indices and infinite
-    partitions must be equal as they stand, since equal lists shift back
-    alike, with no right index below ``eps`` and no left one below ``eta``.
+    When ``P + dP`` is square of full normal rank (``L + dL`` is then square
+    too), QZ runs on ``L + dL`` first, in the staircase's orientation, which
+    gives bit for bit the eigenvalues the staircase reads when it finds
+    ``B`` of full rank.  If QZ reads no eigenvalue as infinite and
+    :func:`_certify_eigenvalues` certifies them, they are consistent on
+    both counts; an infinite one is never certified this way, since its
+    backward error alone would pass a singular ``L + dL``.  Otherwise the
+    staircase of ``L + dL`` is certified in the same way, and failing that
+    a fresh hook linearization of ``P + dP`` at the same split is reduced
+    too.  The finite eigenvalues are matched under the chordal metric, and
+    the sorted minimal indices and infinite partitions must be equal as
+    they stand, since equal lists shift back alike, with no right index
+    below ``eps`` and no left one below ``eta``.  The normal rank of
+    ``P + dP`` is computed once and shared by every certificate.
     """
-    es_pert = staircase_eigenstructure(
-        Pencil(L.assemble().coeff_stack + dL.coeff_stack))
-    backward, distance = _certify_eigenvalues(P_plus_dP, es_pert, eigen_tol)
+    L_plus_dL = Pencil(L.assemble().coeff_stack + dL.coeff_stack)
+    _require_finite(L_plus_dL.coeff_stack)
+    rank = _normal_rank(P_plus_dP)
+    if rank == P_plus_dP.rows == P_plus_dP.cols:
+        core = _conjugated_core(L_plus_dL.M0.conj().T, L_plus_dL.M1.conj().T)
+        if not core.infinite:
+            backward, distance = _certify_eigenvalues(P_plus_dP, core,
+                                                      eigen_tol, rank)
+            if distance is not None:
+                return backward, distance, True, True
+    es_pert = staircase_eigenstructure(L_plus_dL)
+    backward, distance = _certify_eigenvalues(P_plus_dP, es_pert, eigen_tol,
+                                              rank)
     if distance is not None:
         return backward, distance, True, True
     fresh = from_polynomial(P_plus_dP, L.eps, L.eta, "hook")
@@ -648,7 +668,9 @@ def run_pipeline(L: BlockKroneckerPencil, dL: Pencil, force: bool = False,
     norm, and perturbations outside the guaranteed radius unless ``force``
     is set, in which case the report is marked as unguaranteed.  With
     ``check_eigen`` the report's four eigen fields come from
-    :func:`_check_eigen`; a disagreement is flagged there rather than
+    :func:`_check_eigen`, which certifies one QZ of ``L + dL`` when ``P +
+    dP`` is square of full normal rank and runs the staircase only when
+    that does not certify; a disagreement is flagged there rather than
     fatal, since the problem is ill-posed.
     """
     _require_finite(dL.coeff_stack)

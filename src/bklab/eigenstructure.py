@@ -212,6 +212,23 @@ def _qz(A, B):
     return finite, list(zip(np.abs(beta[infinite]), threshold[infinite]))
 
 
+def _conjugated_core(A_h, B_h) -> Eigenstructure:
+    """Eigenvalues of a square pencil ``A + lambda*B`` handed in as ``(A^H,
+    B^H)``, the orientation in which the staircase leaves its core: QZ of
+    ``A^H + lambda*B^H``, whose spectrum is the conjugate one, with each
+    finite eigenvalue conjugated back.  An eigenvalue of negligible ``beta``
+    (see :func:`_qz`) is a degree-1 divisor at infinity with a
+    ``core:qz-beta`` log entry."""
+    finite, negligible = _qz(A_h, B_h)
+    return Eigenstructure(
+        finite=[lam.conjugate() for lam in finite],
+        infinite=[1] * len(negligible),
+        rank_log=[RankDecision("core:qz-beta", (1, 1), np.array([beta]), 0,
+                               float(threshold))
+                  for beta, threshold in negligible],
+    )
+
+
 def generalized_eigenvalues(pencil):
     """Finite eigenvalue list and infinite eigenvalue count of a regular pencil.
 
@@ -292,12 +309,12 @@ def staircase_eigenstructure(pencil, tol=None) -> Eigenstructure:
     # a full-rank square B's vectors go unread; a wide or tall B's are read
     svd_B = ((_svd(B, vectors=False), None, None) if B.shape[0] == B.shape[1]
              else _svd(B))
-    # the larger spectral norm of the two coefficients, zero when empty
-    scale = float(max(_svd(A, vectors=False).max(initial=0.0),
-                      svd_B[0].max(initial=0.0)))
     if tol is None:
         # max(dim)^3 * eps * scale: the cubic factor absorbs the error the
-        # successive deflation stages accumulate and amplify.
+        # successive deflation stages accumulate and amplify.  The scale is
+        # the larger spectral norm of the two coefficients, zero when empty.
+        scale = float(max(_svd(A, vectors=False).max(initial=0.0),
+                          svd_B[0].max(initial=0.0)))
         dim = max(A.shape[0], A.shape[1], 1)
         threshold = dim ** 3 * EPS * scale if scale > 0.0 else 0.0
     else:
@@ -314,29 +331,20 @@ def staircase_eigenstructure(pencil, tol=None) -> Eigenstructure:
     # second pass reports came from a near-threshold decision.
     infinite.extend(leftover)
 
-    finite: list[complex] = []
     if A2h.shape[0] != A2h.shape[1]:
         raise ShapeError(
             f"staircase core is not square ({A2h.shape}); inconsistent rank "
             "decisions, try an explicit tolerance")
-    if A2h.shape[0] > 0:
-        core_finite, negligible = _qz(A2h, B2h)
-        # The core pass ran on the conjugate transpose, which conjugates the
-        # spectrum.
-        finite = [lam.conjugate() for lam in core_finite]
-        for beta, threshold in negligible:
-            # The staircase certified the core's leading coefficient as full
-            # rank, so this is a borderline artifact; keep it as a degree-1
-            # divisor at infinity and leave a log entry.
-            log.append(RankDecision("core:qz-beta", (1, 1), np.array([beta]),
-                                    0, float(threshold)))
-            infinite.append(1)
+    # The staircase certified the core's leading coefficient as full rank,
+    # so an infinite eigenvalue of its QZ is a borderline artifact.
+    core = (_conjugated_core(A2h, B2h) if A2h.shape[0] > 0
+            else Eigenstructure())
     return Eigenstructure(
-        finite=finite,
-        infinite=sorted(infinite),
+        finite=core.finite,
+        infinite=sorted(infinite + core.infinite),
         right=sorted(right),
         left=sorted(left),
-        rank_log=log,
+        rank_log=log + core.rank_log,
     )
 
 

@@ -17,9 +17,11 @@ from bklab import (BkLabError, BlockKroneckerPencil, ConvergenceError,
                    step1_radius, step2_radius, zeros)
 from bklab.backward_error import (SQRT2M1, _S_pinv, _S_scalar_pinv, _T_pinv,
                                   _T_scalar_pinv, _certify_eigenvalues)
+from bklab.eigenstructure import _normal_rank
 from bklab.experiments import (ExperimentConfig, complex_gaussian,
                                generate_trial, random_pencil_perturbation,
-                               random_polynomial, trial_rng)
+                               random_polynomial, random_singular_polynomial,
+                               trial_rng)
 from bklab.tolerances import EPS
 from oracles import certify_eigenvalues_by_svd, det_roots
 
@@ -594,19 +596,23 @@ def test_non_finite_perturbation_raises_a_typed_error(placement, eps, eta, bad):
 
 def test_nan_eigenvalue_marks_the_eigen_check_inconsistent(monkeypatch):
     # a NaN among the computed eigenvalues is reported as a failed check
-    # with no distance, not matched into a plausible number
-    staircase = backward_error.staircase_eigenstructure
+    # with no distance, not matched into a plausible number; it enters
+    # through QZ, so the QZ run first, the staircase of L + dL and that of
+    # the fresh linearization all read it
+    qz = eigenstructure._qz
+    calls = []
 
-    def nan_first(pencil):
-        es = staircase(pencil)
-        es.finite[0] = complex(np.nan, 0.0)
-        return es
+    def nan_first(A, B):
+        calls.append(A.shape)
+        finite, infinite = qz(A, B)
+        return [complex(np.nan, 0.0)] + finite[1:], infinite
 
-    monkeypatch.setattr(backward_error, "staircase_eigenstructure", nan_first)
+    monkeypatch.setattr(eigenstructure, "_qz", nan_first)
     rng = trial_rng(84, 0)
     bk = _random_block_kronecker(rng, 1, 1, 2, 2)
     dL = random_pencil_perturbation(bk.shape, 1e-8, rng)
     report = run_pipeline(bk, dL)
+    assert len(calls) == 3
     assert report.eigen_checked
     assert report.eigen_consistent is False
     assert report.eigen_max_distance is None
@@ -860,25 +866,22 @@ def _count_qz(monkeypatch):
     return calls
 
 
-def test_certified_eigen_check_runs_one_staircase_and_one_qz(monkeypatch):
-    calls = _count_qz(monkeypatch)
-    stairs = []
-    staircase = backward_error.staircase_eigenstructure
-
-    def counted(pencil):
-        stairs.append(pencil.shape)
-        return staircase(pencil)
-
+def _refuse(what):
     def refuse(*args, **kwargs):
-        raise AssertionError("fresh linearization built")
+        raise AssertionError(f"{what} called")
+    return refuse
 
-    monkeypatch.setattr(backward_error, "staircase_eigenstructure", counted)
-    monkeypatch.setattr(backward_error, "from_polynomial", refuse)
+
+def test_certified_eigen_check_runs_one_qz_and_no_staircase(monkeypatch):
+    calls = _count_qz(monkeypatch)
+    monkeypatch.setattr(backward_error, "staircase_eigenstructure",
+                        _refuse("staircase_eigenstructure"))
+    monkeypatch.setattr(backward_error, "from_polynomial",
+                        _refuse("from_polynomial"))
     for L, dL in _be_style_cases():
         calls.clear()
-        stairs.clear()
         report = run_pipeline(L, dL)
-        assert calls == [L.shape] and stairs == [L.shape]
+        assert calls == [L.shape]
         assert report.eigen_consistent is True and report.shift_consistent is True
         assert 0.0 < report.eigen_max_distance <= 1e-6
 
@@ -887,11 +890,90 @@ def test_double_eigenvalue_falls_back_to_the_second_qz(monkeypatch):
     calls = _count_qz(monkeypatch)
     L, dL = _double_eigenvalue_case()
     report = run_pipeline(L, dL)
-    assert len(calls) == 2
+    # the QZ run first, whose certificate defers on the cluster, then the
+    # staircase of L + dL and that of the fresh linearization
+    assert len(calls) == 3
     assert report.eigen_consistent is True and report.shift_consistent is True
     # the fallback's distance is the chordal match, as it was before
     assert report.eigen_max_distance == _chordal_match(L, dL, report)
     assert 0.0 <= report.eigen_backward_error <= 100 * EPS
+
+
+def _recorded(monkeypatch, name):
+    """Replace ``backward_error.<name>`` by a wrapper that keeps what it
+    returns; the list of those results."""
+    results = []
+    function = getattr(backward_error, name)
+
+    def recorded(*args, **kwargs):
+        results.append(function(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(backward_error, name, recorded)
+    return results
+
+
+@pytest.mark.parametrize("seed", [1, 3, 7, 4242])
+def test_deferred_qz_first_certificate_reports_as_before(monkeypatch, seed):
+    # with the certificate of the QZ run first made to defer, the staircase
+    # of L + dL and its own certificate decide, as they decide whenever the
+    # QZ run defers; the report is the same, byte for byte
+    want = [json.dumps(run_pipeline(L, dL).to_json())
+            for L, dL in _be_style_cases(seed)]
+    cores = _recorded(monkeypatch, "_conjugated_core")
+    stairs = _recorded(monkeypatch, "staircase_eigenstructure")
+    certify = backward_error._certify_eigenvalues
+
+    def defer_on_the_core(Q, structure, *args):
+        eta, distance = certify(Q, structure, *args)
+        return eta, (None if any(structure is c for c in cores) else distance)
+
+    monkeypatch.setattr(backward_error, "_certify_eigenvalues",
+                        defer_on_the_core)
+    got = [json.dumps(run_pipeline(L, dL).to_json())
+           for L, dL in _be_style_cases(seed)]
+    assert len(cores) == len(stairs) == 2
+    assert got == want
+
+
+@pytest.mark.parametrize("magnitude", [0.0, 1e-12])
+def test_singular_leading_coefficient_defers_to_the_staircase(monkeypatch,
+                                                              magnitude):
+    # a 3 x 3 grade-3 polynomial whose leading coefficient has rank 1, so L's
+    # leading coefficient has a null space: QZ reads an infinite eigenvalue
+    # of L + dL, which the QZ run first never certifies; the staircase reads
+    # the null space, and its infinite partition is what the certificate
+    # covers
+    rng = trial_rng(64, 0)
+    stack = random_polynomial(3, 3, 3, rng).coeff_stack.copy()
+    stack[-1] = 0.3 * rng.standard_normal((3, 1)) @ rng.standard_normal((1, 3))
+    L = from_polynomial(MatrixPolynomial(stack), 1, 1, "hook")
+    dL = random_pencil_perturbation(L.shape, magnitude * pipeline_radius(L),
+                                    trial_rng(64, 1))
+    cores = _recorded(monkeypatch, "_conjugated_core")
+    stairs = _recorded(monkeypatch, "staircase_eigenstructure")
+    report = run_pipeline(L, dL)
+    assert len(cores) == 1 and cores[0].infinite
+    assert len(stairs) == 1 and stairs[0].infinite == [1, 1]
+    assert any(d.context == "right:stage1:B" and d.rank < L.shape[1]
+               for d in stairs[0].rank_log)
+    assert report.eigen_consistent is True and report.shift_consistent is True
+    assert 0.0 < report.eigen_max_distance <= 1e-6
+
+
+def test_singular_square_polynomial_runs_no_qz_first(monkeypatch):
+    # P + dP of normal rank 2 < 3: the gate reads the normal rank the
+    # certificates share, and the staircase runs at once
+    monkeypatch.setattr(backward_error, "_conjugated_core",
+                        _refuse("_conjugated_core"))
+    stairs = _recorded(monkeypatch, "staircase_eigenstructure")
+    L = from_polynomial(random_singular_polynomial(3, 3, 3, 2,
+                                                   trial_rng(65, 0)),
+                        1, 1, "hook")
+    report = run_pipeline(L, Pencil(np.zeros((2,) + L.shape)))
+    assert _normal_rank(recover_polynomial(L) + report.dP) == 2
+    assert len(stairs) == 2 and stairs[0].infinite
+    assert report.eigen_consistent is True and report.shift_consistent is True
 
 
 def test_fallback_compares_the_infinite_partitions(monkeypatch):
@@ -925,7 +1007,7 @@ def test_fallback_reads_an_index_below_the_shift_as_inconsistent(monkeypatch):
     staircase = backward_error.staircase_eigenstructure
     certify = backward_error._certify_eigenvalues
     monkeypatch.setattr(backward_error, "_certify_eigenvalues",
-                        lambda Q, es, tol: (certify(Q, es, tol)[0], None))
+                        lambda *args: (certify(*args)[0], None))
     L, dL = _be_style_cases()[0]
     assert L.eps > 0 and L.eta > 0
     for side, readers in (("right", (0, 1)), ("left", (0, 1)),

@@ -203,6 +203,21 @@ def test_square_regular_pencil_forms_no_singular_vectors(monkeypatch, case):
     assert es.finite == fresh.finite
 
 
+@pytest.mark.parametrize("case", ["hook", "be_sylvester"])
+def test_explicit_tolerance_takes_no_norm_of_A(monkeypatch, case):
+    # ||A||_2 only scales the default threshold, so an explicit tol takes
+    # the values of B alone; at the default's own threshold the answer is
+    # the default's, bit for bit
+    pencil = _square_regular_pencils()[case]
+    default, calls, _ = _lapack_svds(
+        monkeypatch, lambda: staircase_eigenstructure(pencil))
+    tol = default.rank_log[0].tolerance
+    es, tol_calls, vectors = _lapack_svds(
+        monkeypatch, lambda: staircase_eigenstructure(pencil, tol=tol))
+    assert (calls, tol_calls, vectors) == (2, 1, [])
+    assert es.to_json() == default.to_json()
+
+
 def _square_singular_B_pencils():
     rng = trial_rng(63, 0)
     nilpotent = np.zeros((3, 3))
