@@ -8,8 +8,7 @@ from .errors import (BkLabError, ConvergenceError, EigenstructureShiftError,
                      GradeError, InconclusiveError, LayoutError,
                      PlacementError, PreconditionError, ShapeError)
 from .matpoly import (MatrixPolynomial, Pencil, as_pencil, build_L,
-                      build_Lambda, build_V, build_V_inverse, constant,
-                      convolution, identity, kron_constant, multiply,
+                      build_Lambda, constant, convolution, identity, multiply,
                       pair_norm, zeros)
 from .block_kronecker import (BlockKroneckerPencil, from_polynomial,
                               lift_right_null_vector, recover_polynomial,

@@ -1,5 +1,5 @@
 """Construction, validation and recovery of block Kronecker pencils, and
-the lift of right null vectors.
+the lift of right null vectors by a block recurrence.
 
 An ``(eps, n, eta, m)``-block Kronecker pencil consists of an arbitrary
 ``(eta+1)m x (eps+1)n`` pencil ``M0 + lambda*M1`` in the (1,1) block, the
@@ -9,7 +9,8 @@ antidiagonal, and a zero (2,2) block.  It represents the polynomial
     ``(Lambda_eta^T (x) I_m) (M0 + lambda*M1) (Lambda_eps (x) I_n)``
 
 of grade ``eps + eta + 1``, and its minimal indices are those of the
-polynomial shifted by ``eps`` (right) and ``eta`` (left).
+polynomial shifted by ``eps`` (right) and ``eta`` (left).  No structural
+block is formed as a Kronecker product, nor is any completion of ``L_k``.
 """
 
 from __future__ import annotations
@@ -17,10 +18,10 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import GradeError, PlacementError, ShapeError
-from .matpoly import (MatrixPolynomial, Pencil, build_Lambda, build_V_inverse,
-                      kron_constant, multiply, pair_norm, vstack,
-                      _frobenius, _json_count, _json_fields, _matrix_from_json,
-                      _matrix_to_json)
+from .matpoly import (MatrixPolynomial, Pencil, build_Lambda, multiply,
+                      pair_norm, _frobenius, _json_count, _json_fields,
+                      _matrix_from_json, _matrix_to_json, _pad,
+                      _stack_product)
 from .tolerances import _require_finite
 
 PLACEMENTS = ("frobenius1", "frobenius2", "hook")
@@ -214,17 +215,18 @@ def recover_polynomial(L: BlockKroneckerPencil) -> MatrixPolynomial:
 
 def lift_right_null_vector(L: BlockKroneckerPencil,
                            h: MatrixPolynomial) -> MatrixPolynomial:
-    """Lift a right null vector of the represented polynomial to one of the
-    pencil.
-
-    With ``Q`` the represented polynomial and ``Q h = 0``, the lift is
-    ``z = [(Lambda_eps (x) I_n) h ; -N2hat M (Lambda_eps (x) I_n) h]`` where
-    ``N2hat`` is read off the leading block columns of the inverse completion
-    on the eta side.  The degree shifts by exactly ``eps``:
-    ``deg z = eps + deg h``.  Needs ``||Q h|| <= 1e-10 max(1, ||Q|| ||h||)``.
-    """
+    """Lift a right null vector ``h`` of the represented polynomial ``Q`` to
+    one of the pencil: ``z = [top ; -N2hat M top]`` with ``top =
+    (Lambda_eps (x) I_n) h`` (De Teran, Dopico and Van Dooren, SIMAX 36
+    (2015)).  Column ``j`` of ``V_eta^{-1}`` holds ``-lambda^(j-i)`` in rows
+    ``i <= j``, so with ``w = M top`` in row blocks ``w_0 .. w_eta``, block
+    ``j < eta`` of ``-N2hat w`` is ``b_j = lambda b_{j-1} + w_j``, ``b_0 =
+    w_0``.  ``deg z = eps + deg h``, and ``z`` is declared at grade ``eps +
+    eta + h.grade``.  A non-finite ``h``, or one with ``||Q h|| > 1e-10
+    max(1, ||Q|| ||h||)``, raises :class:`ShapeError`."""
     if h.cols != 1 or h.rows != L.n:
         raise ShapeError(f"h must be {L.n} x 1, got {h.shape}")
+    _require_finite(h.coeff_stack)
     Q = recover_polynomial(L)
     residual = multiply(Q, h).frobenius_norm()
     scale = max(1.0, Q.frobenius_norm() * h.frobenius_norm())
@@ -234,7 +236,11 @@ def lift_right_null_vector(L: BlockKroneckerPencil,
     top = multiply(build_Lambda(L.eps, L.n), h)
     if L.eta == 0:
         return top
-    v_inv = kron_constant(build_V_inverse(L.eta), np.eye(L.m))
-    n2hat = v_inv.submatrix(range((L.eta + 1) * L.m), range(L.eta * L.m)).transpose()
-    bottom = -1.0 * multiply(n2hat, multiply(L.one_one_block(), top))
-    return vstack([top, bottom])
+    # w = M top in row blocks w_0 .. w_eta; b[:, j] is b_j
+    w = _stack_product(L.one_one_block().coeff_stack, top.coeff_stack)
+    b = np.zeros((top.grade + L.eta + 1, L.eta, L.m, 1), dtype=complex)
+    b[:len(w)] = w.reshape(len(w), L.eta + 1, L.m, 1)[:, :L.eta]
+    for j in range(1, L.eta):
+        b[1:, j] += b[:-1, j - 1]
+    return MatrixPolynomial(np.concatenate(
+        [_pad(top.coeff_stack, len(b) - 1), b.reshape(len(b), -1, 1)], axis=1))

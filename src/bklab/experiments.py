@@ -31,10 +31,12 @@ def complex_gaussian(shape, rng) -> np.ndarray:
 def random_polynomial(m: int, n: int, d: int, rng,
                       norm: float | None = 1.0) -> MatrixPolynomial:
     """I.i.d. standard complex Gaussian coefficients, optionally scaled to a
-    prescribed Frobenius norm."""
+    prescribed Frobenius norm; a negative, infinite or NaN ``norm`` raises
+    :class:`ShapeError`."""
     coeffs = [complex_gaussian((m, n), rng) for _ in range(d + 1)]
     P = MatrixPolynomial(coeffs, grade=d)
     if norm is not None:
+        _finite_nonnegative(norm, "norm")
         scale = P.frobenius_norm()
         if scale == 0.0:
             raise ShapeError(

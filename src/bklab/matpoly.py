@@ -7,7 +7,10 @@ construction and marked read-only.
 
 Real input is embedded into the complex field so a single code path serves
 both; the Frobenius norm of a polynomial does not depend on the declared
-grade, only on the nonzero coefficients.
+grade, only on the nonzero coefficients.  The structural builders are
+``L_k`` and ``Lambda_k`` with their ``(x) I_p`` lifts, written as shifted
+identities; the completions ``V_k`` of ``L_k`` and their inverses are
+oracles of the tests.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import GradeError, ShapeError
+from .tolerances import _finite_nonnegative
 
 # index tuples whose structural constants (L_k (x) I_p, Lambda_k (x) I_p, the
 # scalar pseudoinverses of Steps 1 and 2, the QZ workspace of an order) stay
@@ -89,7 +93,9 @@ class MatrixPolynomial:
 
         ``tol`` treats coefficients with Frobenius norm at most ``tol`` as
         zero, which is needed for polynomials assembled in floating point.
+        A NaN, negative or infinite ``tol`` raises :class:`ShapeError`.
         """
+        tol = _finite_nonnegative(tol, "tol")
         for k in range(self.grade, -1, -1):
             if _frobenius(self._c[k]) > tol:
                 return k
@@ -143,9 +149,6 @@ class MatrixPolynomial:
 
     def transpose(self) -> "MatrixPolynomial":
         return MatrixPolynomial(self._c.transpose(0, 2, 1), grade=self.grade)
-
-    def submatrix(self, rows, cols) -> "MatrixPolynomial":
-        return MatrixPolynomial([c[np.ix_(rows, cols)] for c in self._c], grade=self.grade)
 
     def allclose(self, other: "MatrixPolynomial", atol: float = 0.0) -> bool:
         if self.shape != other.shape:
@@ -310,40 +313,6 @@ def build_Lambda(k: int, blocks: int = 1) -> MatrixPolynomial:
     return MatrixPolynomial(coeffs.reshape(k + 1, (k + 1) * blocks, blocks), grade=k)
 
 
-def build_V(k: int) -> MatrixPolynomial:
-    """Unimodular completion of ``L_k`` by the last coordinate row."""
-    if k < 0:
-        raise GradeError("k must be nonnegative")
-    L = build_L(k)
-    last = np.zeros((1, k + 1), dtype=complex)
-    last[0, k] = 1.0
-    c0 = np.vstack([L.M0, last])
-    c1 = np.vstack([L.M1, np.zeros((1, k + 1))])
-    return MatrixPolynomial([c0, c1], grade=1)
-
-
-def build_V_inverse(k: int) -> MatrixPolynomial:
-    """Explicit polynomial inverse of :func:`build_V`; its last column is the
-    ``Lambda_k`` column, so ``V_k * V_k^{-1} == I`` exactly as polynomials."""
-    if k < 0:
-        raise GradeError("k must be nonnegative")
-    coeffs = [np.zeros((k + 1, k + 1), dtype=complex) for _ in range(max(k, 1))]
-    if k == 0:
-        coeffs[0][0, 0] = 1.0
-        return MatrixPolynomial(coeffs, grade=0)
-    for i in range(k):
-        for j in range(i, k):
-            coeffs[j - i][i, j] = -1.0
-    lam = build_Lambda(k)
-    out = []
-    for power in range(k + 1):
-        c = coeffs[power] if power < k else np.zeros((k + 1, k + 1), dtype=complex)
-        c = np.array(c)
-        c[:, k] = lam.coeff(power)[:, 0]
-        out.append(c)
-    return MatrixPolynomial(out, grade=k)
-
-
 # -- operations -------------------------------------------------------------
 
 def _frobenius(a: np.ndarray) -> float:
@@ -385,18 +354,6 @@ def _stack_product(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
     for i, Pi in enumerate(P):
         out[i:i + Q.shape[0]] += Pi @ Q
     return out
-
-
-def vstack(polys) -> MatrixPolynomial:
-    polys = list(polys)
-    d = max(p.grade for p in polys)
-    return MatrixPolynomial(np.concatenate([_pad(p.coeff_stack, d) for p in polys], 1))
-
-
-def kron_constant(P: MatrixPolynomial, A) -> MatrixPolynomial:
-    """Coefficient-wise Kronecker product ``P(lambda) (x) A``."""
-    A = np.asarray(A, dtype=complex)
-    return MatrixPolynomial([np.kron(c, A) for c in P.coeff_stack], grade=P.grade)
 
 
 def convolution(Q: MatrixPolynomial, j: int) -> np.ndarray:

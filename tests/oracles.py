@@ -1,9 +1,11 @@
-"""Structural oracles that only the tests call: minimal-basis and
-dual-basis certificates, the convolution-rank predicates for perturbed
-``L`` / ``Lambda`` blocks, and the unimodular reduction of a block Kronecker
-pencil to block anti-triangular form, the determinant of a small square
-polynomial with its roots, the five product-norm bounds, and the eigenvalue
-certificate read from full singular triplets.
+"""Structural oracles that only the tests call: the unimodular completions
+``V_k`` of ``L_k`` with their inverses and the coefficient-wise Kronecker
+product, minimal-basis and dual-basis certificates, the convolution-rank
+predicates for perturbed ``L`` / ``Lambda`` blocks, the unimodular
+reduction of a block Kronecker pencil to block anti-triangular form, the
+right-null-vector lift through the inverse completion, the determinant of a
+small square polynomial with its roots, the five product-norm bounds, and
+the eigenvalue certificate read from full singular triplets.
 
 A row-reduced polynomial is a minimal basis exactly when the complete
 eigenstructure of a companion pencil carries no finite eigenvalues and no
@@ -17,9 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from bklab import (BkLabError, BlockKroneckerPencil, Eigenstructure,
-                   LayoutError, MatrixPolynomial, Pencil, PreconditionError,
-                   ShapeError, build_Lambda, build_V_inverse, convolution,
-                   from_polynomial, identity, kron_constant, multiply,
+                   GradeError, LayoutError, MatrixPolynomial, Pencil,
+                   PreconditionError, ShapeError, build_L, build_Lambda,
+                   convolution, from_polynomial, identity, multiply,
                    numerical_rank, recover_polynomial,
                    staircase_eigenstructure)
 from bklab.eigenstructure import _normal_rank, chordal_distance
@@ -36,6 +38,74 @@ def direct_sum(P: MatrixPolynomial, Q: MatrixPolynomial) -> MatrixPolynomial:
     S[:P.grade + 1, :P.rows, :P.cols] = P.coeff_stack
     S[:Q.grade + 1, P.rows:, P.cols:] = Q.coeff_stack
     return MatrixPolynomial(S)
+
+
+def submatrix(P: MatrixPolynomial, rows, cols) -> MatrixPolynomial:
+    """The rows ``rows`` and columns ``cols`` of every coefficient of ``P``."""
+    return MatrixPolynomial([c[np.ix_(rows, cols)] for c in P.coeff_stack],
+                            grade=P.grade)
+
+
+def kron_constant(P: MatrixPolynomial, A) -> MatrixPolynomial:
+    """Coefficient-wise Kronecker product ``P(lambda) (x) A``."""
+    A = np.asarray(A, dtype=complex)
+    return MatrixPolynomial([np.kron(c, A) for c in P.coeff_stack], grade=P.grade)
+
+
+# -- unimodular completions --------------------------------------------------
+
+def build_V(k: int) -> MatrixPolynomial:
+    """Unimodular completion of ``L_k`` by the last coordinate row."""
+    if k < 0:
+        raise GradeError("k must be nonnegative")
+    L = build_L(k)
+    last = np.zeros((1, k + 1), dtype=complex)
+    last[0, k] = 1.0
+    c0 = np.vstack([L.M0, last])
+    c1 = np.vstack([L.M1, np.zeros((1, k + 1))])
+    return MatrixPolynomial([c0, c1], grade=1)
+
+
+def build_V_inverse(k: int) -> MatrixPolynomial:
+    """Explicit polynomial inverse of :func:`build_V`; its last column is the
+    ``Lambda_k`` column, so ``V_k * V_k^{-1} == I`` exactly as polynomials."""
+    if k < 0:
+        raise GradeError("k must be nonnegative")
+    coeffs = [np.zeros((k + 1, k + 1), dtype=complex) for _ in range(max(k, 1))]
+    if k == 0:
+        coeffs[0][0, 0] = 1.0
+        return MatrixPolynomial(coeffs, grade=0)
+    for i in range(k):
+        for j in range(i, k):
+            coeffs[j - i][i, j] = -1.0
+    lam = build_Lambda(k)
+    out = []
+    for power in range(k + 1):
+        c = coeffs[power] if power < k else np.zeros((k + 1, k + 1), dtype=complex)
+        c = np.array(c)
+        c[:, k] = lam.coeff(power)[:, 0]
+        out.append(c)
+    return MatrixPolynomial(out, grade=k)
+
+
+def lift_by_completion(L: BlockKroneckerPencil,
+                       h: MatrixPolynomial) -> MatrixPolynomial:
+    """The reference for ``block_kronecker.lift_right_null_vector``:
+    ``z = [top ; -N2hat M top]`` with ``top = (Lambda_eps (x) I_n) h`` and
+    ``N2hat`` read off the leading block columns of ``V_eta^{-1} (x) I_m``,
+    transposed, and applied as a polynomial product.  ``N2hat`` is declared
+    at grade ``eta``, so ``z`` is declared at ``eps + eta + h.grade + 1``
+    when ``eta > 0``, one above the library's lift; that top coefficient is
+    zero.  It does not check that ``h`` is a null vector."""
+    top = multiply(build_Lambda(L.eps, L.n), h)
+    if L.eta == 0:
+        return top
+    v_inv = kron_constant(build_V_inverse(L.eta), np.eye(L.m))
+    n2hat = submatrix(v_inv, range((L.eta + 1) * L.m),
+                      range(L.eta * L.m)).transpose()
+    bottom = -1.0 * multiply(n2hat, multiply(L.one_one_block(), top))
+    return MatrixPolynomial(np.concatenate(
+        [top.with_grade(bottom.grade).coeff_stack, bottom.coeff_stack], axis=1))
 
 
 # -- minimal bases -----------------------------------------------------------
@@ -221,8 +291,8 @@ def anti_triangularize(L: BlockKroneckerPencil) -> AntiTriangularForm:
     c_ofs = np.cumsum([0] + cols)
 
     def blk(i, j):
-        return form.submatrix(range(r_ofs[i], r_ofs[i + 1]),
-                              range(c_ofs[j], c_ofs[j + 1]))
+        return submatrix(form, range(r_ofs[i], r_ofs[i + 1]),
+                         range(c_ofs[j], c_ofs[j + 1]))
 
     scale = max(1.0, form.frobenius_norm())
     middle = blk(1, 1)
@@ -273,7 +343,7 @@ def determinant(P: MatrixPolynomial) -> np.ndarray:
         entry = np.array([P.coeff(k)[i, 0] for k in range(P.grade + 1)])
         if not np.any(entry):
             continue
-        minor = P.submatrix([r for r in range(n) if r != i], rest_cols)
+        minor = submatrix(P, [r for r in range(n) if r != i], rest_cols)
         sub = determinant(minor)
         term = np.convolve(entry, sub)
         total[:term.size] += ((-1) ** i) * term

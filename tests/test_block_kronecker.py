@@ -9,7 +9,7 @@ from bklab import (BlockKroneckerPencil, GradeError, LayoutError,
                    lift_right_null_vector, multiply, recover_polynomial,
                    validate_placement)
 from bklab.experiments import complex_gaussian, random_polynomial, trial_rng
-from oracles import anti_triangularize
+from oracles import anti_triangularize, lift_by_completion, submatrix
 
 
 def _example_grade5(rng):
@@ -414,7 +414,7 @@ def test_anti_triangularize_hook_corners():
     form = anti_triangularize(from_polynomial(P, 1, 1, "hook"))
     # identity corners are exact by the layout assertions; spot-check the
     # (1,3) block (row split eta*m, m, eps*n; column split eps*n, n, eta*m)
-    corner = form.form.submatrix(range(2), range(4, 6))
+    corner = submatrix(form.form, range(2), range(4, 6))
     assert_allclose(corner.coeff(0), np.eye(2))
     assert all(np.all(corner.coeff(k) == 0) for k in range(1, corner.grade + 1))
 
@@ -506,6 +506,45 @@ def test_lifted_basis_stays_independent():
         np.vstack([z.with_grade(grade).coeff(grade - t) for t in range(grade + 1)])
         for z in lifted])
     assert np.linalg.matrix_rank(stacked) == p
+
+
+def _lift_draw(rng, integer):
+    """Acceptance 10's draw with eta up to 3: the hook pencil of
+    P = A (L_k (x) I_p) and the null vector h = (Lambda_k (x) I_p) g, with
+    integer or complex Gaussian A and g."""
+    k, p, m = (int(rng.integers(1, 3)) for _ in range(3))
+    eps, eta = int(rng.integers(0, 4)), int(rng.integers(0, 4))
+    d = eps + eta + 1
+    if integer:
+        coeffs = [rng.integers(-3, 4, (m, k * p)).astype(complex)
+                  for _ in range(d)]
+        g = rng.integers(-3, 4, (p, 1)).astype(complex)
+        if not np.any(g):
+            g[0, 0] = 1.0
+    else:
+        coeffs = [complex_gaussian((m, k * p), rng) for _ in range(d)]
+        g = complex_gaussian((p, 1), rng)
+    P = multiply(MatrixPolynomial(coeffs, grade=d - 1), build_L(k, p))
+    return (from_polynomial(P, eps, eta, "hook"),
+            multiply(build_Lambda(k, p), constant(g)))
+
+
+@pytest.mark.parametrize("integer", [True, False], ids=["integer", "gaussian"])
+def test_lift_equals_the_completion_reference(integer):
+    # the recurrence declares z one grade below the product with N2hat,
+    # whose top coefficient is zero; on integer data every sum is exact, so
+    # the values are equal (the reference's zeros may carry a minus sign)
+    etas = set()
+    for trial in range(200):
+        bk, h = _lift_draw(trial_rng(1026, trial), integer)
+        z, ref = lift_right_null_vector(bk, h), lift_by_completion(bk, h)
+        etas.add(bk.eta)
+        assert z.grade == bk.eps + bk.eta + h.grade
+        assert ref.grade == z.grade + (bk.eta > 0)
+        assert not ref.coeff_stack[z.grade + 1:].any()
+        gap = np.linalg.norm(z.with_grade(ref.grade).coeff_stack - ref.coeff_stack)
+        assert gap <= (0.0 if integer else 1e-15 * ref.frobenius_norm())
+    assert etas == {0, 1, 2, 3}
 
 
 def test_pencil_json_round_trip_is_bit_exact():

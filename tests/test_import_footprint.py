@@ -1,11 +1,13 @@
 """Which scipy modules each entry point loads, checked in fresh interpreters
-(this process may already hold scipy), and that every module of the package
-imports its siblings at the top."""
+(this process may already hold scipy), that README's Python quickstart runs
+there without a warning, and that every module of the package imports its
+siblings at the top."""
 
 import ast
 import ctypes
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -18,16 +20,19 @@ import bklab.eigenstructure
 from bklab.experiments import random_polynomial, trial_rng
 
 SRC = Path(bklab.__file__).resolve().parents[1]
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
-def _run_fresh(code):
-    """Last line of what ``code`` prints in a fresh interpreter."""
+def _run_fresh(code, *flags):
+    """Last line of what ``code`` prints in a fresh interpreter started with
+    the options ``flags``."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(SRC)] + [p for p in [env.get("PYTHONPATH")] if p])
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True, timeout=120).stdout
-    return out.splitlines()[-1]
+    run = subprocess.run([sys.executable, *flags, "-c", code], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    return run.stdout.splitlines()[-1]
 
 
 def _scipy_modules_after(code):
@@ -35,6 +40,15 @@ def _scipy_modules_after(code):
              "print(json.dumps(sorted(m for m in sys.modules"
              " if m == 'scipy' or m.startswith('scipy.'))))\n")
     return set(json.loads(_run_fresh(probe)))
+
+
+def test_readme_quickstart_runs_without_a_warning():
+    # a public-API change that breaks the documented example fails here; the
+    # example's last line prints the report's ratio, bound and bound_holds
+    blocks = re.findall(r"^```python\n(.*?)^```$", README.read_text(),
+                        re.MULTILINE | re.DOTALL)
+    assert len(blocks) == 1
+    assert _run_fresh(blocks[0], "-W", "error").endswith("True")
 
 
 def test_import_loads_no_scipy():

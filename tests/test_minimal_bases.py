@@ -2,15 +2,16 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from bklab import (MatrixPolynomial, PreconditionError, ShapeError, build_L,
-                   build_Lambda, build_V, build_V_inverse, identity, multiply,
+from bklab import (GradeError, MatrixPolynomial, PreconditionError,
+                   ShapeError, build_L, build_Lambda, identity, multiply,
                    right_minimal_indices_by_convolution)
 from bklab.experiments import complex_gaussian, random_pencil_perturbation
 from bklab.matpoly import Pencil
-from oracles import (DegenerateRowError, are_dual_minimal_bases,
-                     check_reversal_duality, determinant, is_minimal_basis,
-                     pencil_is_kronecker_minimal,
-                     poly_is_kronecker_dual_minimal, row_degree_profile)
+from oracles import (DegenerateRowError, are_dual_minimal_bases, build_V,
+                     build_V_inverse, check_reversal_duality, determinant,
+                     is_minimal_basis, pencil_is_kronecker_minimal,
+                     poly_is_kronecker_dual_minimal, row_degree_profile,
+                     submatrix)
 
 
 # ------------------------------------------------------------ row profiles
@@ -70,7 +71,7 @@ def _minor_root_oracle(Q):
     from itertools import combinations
     m, n = Q.shape
     for cols in combinations(range(n), m):
-        coeffs = determinant(Q.submatrix(range(m), list(cols)))
+        coeffs = determinant(submatrix(Q, range(m), list(cols)))
         if np.max(np.abs(coeffs)) > 1e-12:
             trimmed = np.trim_zeros(coeffs, "b")
             if len(trimmed) <= 1:
@@ -184,6 +185,13 @@ def test_last_column_of_V_inverse_is_lambda():
     lam = build_Lambda(3)
     for power in range(4):
         assert_allclose(Vi.coeff(power)[:, 3:], lam.coeff(power))
+
+
+@pytest.mark.parametrize("builder", [build_V, build_V_inverse],
+                         ids=["build_V", "build_V_inverse"])
+def test_completion_refuses_a_negative_k(builder):
+    with pytest.raises(GradeError, match="k must be nonnegative"):
+        builder(-1)
 
 
 def test_V_is_unimodular():

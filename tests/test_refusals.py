@@ -11,11 +11,11 @@ import pytest
 from bklab import (BlockKroneckerPencil, G_singular_values, GradeError,
                    M_singular_values, MatrixPolynomial, Pencil, PlacementError,
                    PreconditionError, ShapeError, assemble_step3, build_L,
-                   build_Lambda, build_V, build_V_inverse, build_W,
-                   convolution, from_polynomial, generalized_eigenvalues,
-                   lift_right_null_vector, numerical_rank, pseudoinverse,
-                   run_pipeline, sigma_max_W_closed, sigma_min_convolution_L,
-                   solve_step1, solve_step2, validate_placement)
+                   build_Lambda, build_W, convolution, from_polynomial,
+                   generalized_eigenvalues, lift_right_null_vector,
+                   numerical_rank, pseudoinverse, run_pipeline,
+                   sigma_max_W_closed, sigma_min_convolution_L, solve_step1,
+                   solve_step2, validate_placement)
 from bklab.experiments import (ExperimentConfig, random_pencil_perturbation,
                                random_polynomial, random_singular_polynomial,
                                trial_rng)
@@ -28,6 +28,11 @@ def _polynomial(d=3, m=2, n=2):
 
 def _hook(eps=1, eta=1, m=2, n=2):
     return from_polynomial(_polynomial(eps + eta + 1, m, n), eps, eta, "hook")
+
+
+def _column(value):
+    # a 2 x 1 constant h for _hook() with value in its first entry
+    return MatrixPolynomial([[[value], [0.0]]])
 
 
 def _hook_with_entry(block, value):
@@ -122,6 +127,26 @@ REFUSALS = {
     "lift_h_not_a_column": (
         ShapeError, "h must be 2 x 1, got (2, 2)",
         lambda: lift_right_null_vector(_hook(), _polynomial(1))),
+    "lift_h_nan": (ShapeError, "non-finite",
+                   lambda: lift_right_null_vector(_hook(), _column(np.nan))),
+    "lift_h_inf": (ShapeError, "non-finite",
+                   lambda: lift_right_null_vector(_hook(), _column(np.inf))),
+    "random_polynomial_norm_nan": (
+        ShapeError, "norm must be nonnegative and finite, got nan",
+        lambda: random_polynomial(2, 2, 1, trial_rng(97, 3), norm=np.nan)),
+    "random_polynomial_norm_inf": (
+        ShapeError, "norm must be nonnegative and finite, got inf",
+        lambda: random_polynomial(2, 2, 1, trial_rng(97, 3), norm=np.inf)),
+    "random_polynomial_norm_negative": (
+        ShapeError, "norm must be nonnegative and finite, got -1.0",
+        lambda: random_polynomial(2, 2, 1, trial_rng(97, 3), norm=-1.0)),
+    "degree_tol_nan": (ShapeError, "tol must be nonnegative and finite, got nan",
+                       lambda: _polynomial().degree(tol=np.nan)),
+    "degree_tol_negative": (
+        ShapeError, "tol must be nonnegative and finite, got -1.0",
+        lambda: _polynomial().degree(tol=-1.0)),
+    "degree_tol_inf": (ShapeError, "tol must be nonnegative and finite, got inf",
+                       lambda: _polynomial().degree(tol=np.inf)),
     "singular_polynomial_rank": (
         ShapeError, "rank must be below min(m, n)",
         lambda: random_singular_polynomial(2, 3, 3, 2, trial_rng(97, 1))),
@@ -145,10 +170,6 @@ REFUSALS = {
                          lambda: build_L(-1)),
     "build_Lambda_negative": (GradeError, "k must be nonnegative",
                               lambda: build_Lambda(-1)),
-    "build_V_negative": (GradeError, "k must be nonnegative",
-                         lambda: build_V(-1)),
-    "build_V_inverse_negative": (GradeError, "k must be nonnegative",
-                                 lambda: build_V_inverse(-1)),
     "convolution_negative": (GradeError, "j must be nonnegative",
                              lambda: convolution(_polynomial(), -1)),
     "pipeline_eigen_tol_nan": (
