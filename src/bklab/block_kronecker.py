@@ -222,14 +222,18 @@ def lift_right_null_vector(L: BlockKroneckerPencil,
     ``i <= j``, so with ``w = M top`` in row blocks ``w_0 .. w_eta``, block
     ``j < eta`` of ``-N2hat w`` is ``b_j = lambda b_{j-1} + w_j``, ``b_0 =
     w_0``.  ``deg z = eps + deg h``, and ``z`` is declared at grade ``eps +
-    eta + h.grade``.  A non-finite ``h``, or one with ``||Q h|| > 1e-10
-    max(1, ||Q|| ||h||)``, raises :class:`ShapeError`."""
+    eta + h.grade``.  A non-finite ``h``, or one with ``||Q u|| > 1e-10
+    max(1, ||Q|| ||u||)`` for ``u = h / max|h_ij|``, raises
+    :class:`ShapeError`."""
     if h.cols != 1 or h.rows != L.n:
         raise ShapeError(f"h must be {L.n} x 1, got {h.shape}")
     _require_finite(h.coeff_stack)
     Q = recover_polynomial(L)
-    residual = multiply(Q, h).frobenius_norm()
-    scale = max(1.0, Q.frobenius_norm() * h.frobenius_norm())
+    # the null space does not depend on h's scale, and ||h||^2 can overflow
+    peak = np.abs(h.coeff_stack).max()
+    u = MatrixPolynomial(h.coeff_stack / peak) if peak > 0 else h
+    residual = multiply(Q, u).frobenius_norm()
+    scale = max(1.0, Q.frobenius_norm() * u.frobenius_norm())
     if residual > 1e-10 * scale:
         raise ShapeError(
             f"h is not in the right null space (residual {residual:.3e})")

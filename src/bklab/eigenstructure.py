@@ -25,7 +25,7 @@ from __future__ import annotations
 import ctypes
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 from numpy.linalg import _umath_linalg
@@ -122,16 +122,15 @@ NUMPY_ZGGEV_NAMES = ("scipy_zggev_64_", "zggev_64_")
 
 
 class _Ilp64Zggev:
-    """An ILP64 Fortran ``zggev`` called in the convention of scipy's
-    ``_flapack.zggev``: ``(a, b, compute_vl, compute_vr, lwork)`` returns
-    ``(alpha, beta, vl, vr, work, info)``, and ``lwork = -1`` is a
+    """An ILP64 Fortran ``zggev`` asked for eigenvalues only: ``(a, b,
+    lwork=...)`` returns ``(alpha, beta, work, info)``, the outputs of
+    scipy's ``zggev`` without the eigenvectors, and ``lwork = -1`` is a
     workspace query whose answer is ``work[0]``."""
 
     def __init__(self, function, library):
-        pointer = ctypes.c_void_p
         # JOBVL, JOBVR, then the 15 array and integer arguments, then the
         # lengths of the two strings, which gfortran passes last
-        function.argtypes = ([ctypes.c_char_p] * 2 + [pointer] * 15
+        function.argtypes = ([ctypes.c_char_p] * 2 + [ctypes.c_void_p] * 15
                              + [ctypes.c_size_t] * 2)
         function.restype = None
         self.function, self.library = function, library
@@ -139,7 +138,7 @@ class _Ilp64Zggev:
     def __repr__(self):
         return f"<{self.function.__name__} of {self.library}>"
 
-    def __call__(self, a, b, compute_vl, compute_vr, lwork):
+    def __call__(self, a, b, lwork):
         a = np.array(a, dtype=complex, order="F")
         b = np.array(b, dtype=complex, order="F")
         n = len(a)
@@ -147,33 +146,28 @@ class _Ilp64Zggev:
         if a.shape != (n, n) or b.shape != (n, n):
             raise ShapeError(f"zggev needs two square matrices of one order, "
                              f"got {a.shape} and {b.shape}")
-        ldvl, ldvr = (n if compute_vl else 1), (n if compute_vr else 1)
-        alpha, beta = np.empty(n, dtype=complex), np.empty(n, dtype=complex)
-        vl = np.zeros((ldvl, n), dtype=complex, order="F")
-        vr = np.zeros((ldvr, n), dtype=complex, order="F")
-        work = np.empty(max(lwork, 1), dtype=complex)
-        rwork = np.empty(max(8 * n, 1))
-        # N, LDA, LDB, LDVL, LDVR, LWORK, INFO
-        ints = np.array([n, max(n, 1), max(n, 1), ldvl, ldvr, lwork, 0],
-                        dtype=np.int64)
-        n_, lda, ldb, ldvl_, ldvr_, lwork_, info = (
-            ints.ctypes.data + 8 * k for k in range(7))
-        self.function(b"V" if compute_vl else b"N",
-                      b"V" if compute_vr else b"N", n_,
-                      a.ctypes.data, lda, b.ctypes.data, ldb,
-                      alpha.ctypes.data, beta.ctypes.data,
-                      vl.ctypes.data, ldvl_, vr.ctypes.data, ldvr_,
-                      work.ctypes.data, lwork_, rwork.ctypes.data, info, 1, 1)
-        return alpha, beta, vl, vr, work, int(ints[6])
+        # ALPHA, BETA, one entry for the VL and VR that JOBVL = JOBVR = 'N'
+        # never reference, WORK, then RWORK's 8n reals as 4n complex entries
+        work, rwork = 2 * n + 1, 2 * n + 1 + max(lwork, 1)
+        out = np.empty(rwork + 4 * n, dtype=complex)
+        # N, LDA, LDB, LDVL = LDVR, LWORK, INFO
+        ints = np.array([n, max(n, 1), max(n, 1), 1, lwork, 0], dtype=np.int64)
+        o = out.ctypes.data
+        n_, lda, ldb, ldv, lwork_, info = (ints.ctypes.data + 8 * k
+                                           for k in range(6))
+        self.function(b"N", b"N", n_, a.ctypes.data, lda, b.ctypes.data, ldb,
+                      o, o + 16 * n, o + 32 * n, ldv, o + 32 * n, ldv,
+                      o + 16 * work, lwork_, o + 16 * rwork, info, 1, 1)
+        return out[:n], out[n:2 * n], out[work:rwork], int(ints[5])
 
 
 @lru_cache(maxsize=None)
 def _zggev():
-    """The ``zggev`` that :func:`_qz` calls, in the convention of
-    ``scipy.linalg.lapack.zggev``: the one numpy's own LAPACK exports under a
-    name of ``NUMPY_ZGGEV_NAMES``, so QZ maps no second BLAS and loads no
-    scipy, or else ``scipy.linalg.lapack.zggev`` itself, imported here (MKL,
-    Accelerate and Windows builds of numpy export neither name)."""
+    """The eigenvalues-only ``zggev(a, b, lwork=...)`` QZ calls: the one
+    numpy's own LAPACK exports under a name of ``NUMPY_ZGGEV_NAMES``, so QZ
+    maps no second BLAS and loads no scipy, or else scipy's ``zggev``
+    without eigenvectors, imported here (MKL, Accelerate and Windows builds
+    of numpy export neither name)."""
     path = _umath_linalg.__file__
     # dlsym on the extension searches the libraries it links
     library = ctypes.CDLL(path)
@@ -182,59 +176,50 @@ def _zggev():
         if function is not None:
             return _Ilp64Zggev(function, path)
     from scipy.linalg.lapack import zggev
-    return zggev
+    return partial(zggev, compute_vl=0, compute_vr=0)
 
 
 @lru_cache(maxsize=CACHE_SIZE)
 def _zggev_lwork(n: int) -> int:
     """The optimal ``zggev`` workspace for order ``n`` without eigenvectors,
-    queried once per order: LAPACK sizes it from ``n`` alone."""
+    queried once per order: LAPACK sizes it from ``n`` alone, and any other
+    ``lwork`` could change its blocking and so the eigenvalues' bits."""
     z = np.zeros((n, n), dtype=complex)
-    return int(_zggev()(z, z, 0, 0, -1)[-2][0].real)
-
-
-def _qz(A, B):
-    """QZ eigenvalues of ``A + lambda*B`` in homogeneous form, split by the
-    rule ``|beta| <= 10 EPS hypot(|alpha|, |beta|)`` for an infinite one.
-
-    Returns the finite eigenvalues in QZ order and, for each infinite one,
-    the pair ``(|beta|, threshold)``; a QZ failure raises ConvergenceError.
-    """
-    # det(A + lam*B) = 0 is LAPACK's det(beta A - alpha (-B)) = 0 at (lam, 1),
-    # solved without eigenvectors by one zggev call in the workspace
-    # scipy.linalg.eig would query
-    alpha, beta, _, _, _, info = _zggev()(A, -B, 0, 0, _zggev_lwork(len(A)))
-    if info != 0:
-        raise ConvergenceError(f"QZ failed: LAPACK zggev returned info {info}")
-    threshold = 10.0 * EPS * np.hypot(np.abs(alpha), np.abs(beta))
-    infinite = np.abs(beta) <= threshold
-    finite = (alpha[~infinite] / beta[~infinite]).tolist()
-    return finite, list(zip(np.abs(beta[infinite]), threshold[infinite]))
+    return int(_zggev()(z, z, lwork=-1)[-2][0].real)
 
 
 def _conjugated_core(A_h, B_h) -> Eigenstructure:
-    """Eigenvalues of a square pencil ``A + lambda*B`` handed in as ``(A^H,
-    B^H)``, the orientation in which the staircase leaves its core: QZ of
-    ``A^H + lambda*B^H``, whose spectrum is the conjugate one, with each
-    finite eigenvalue conjugated back.  An eigenvalue of negligible ``beta``
-    (see :func:`_qz`) is a degree-1 divisor at infinity with a
-    ``core:qz-beta`` log entry."""
-    finite, negligible = _qz(A_h, B_h)
+    """bklab's one QZ: the eigenvalues of a square pencil ``A + lambda*B``
+    handed in as ``(A^H, B^H)``, the staircase core's orientation.  QZ of
+    ``A^H + lambda*B^H`` gives the conjugate spectrum, so each finite
+    eigenvalue is conjugated back; one whose ``beta`` is negligible, ``|beta|
+    <= 10 EPS hypot(|alpha|, |beta|)``, is a degree-1 divisor at infinity
+    with a ``core:qz-beta`` log entry.  QZ failure raises ConvergenceError.
+    """
+    # det(A^H + lam*B^H) = 0 is LAPACK's det(beta A^H - alpha (-B^H)) = 0 at
+    # (lam, 1), solved in the workspace scipy.linalg.eig would query
+    alpha, beta, *_, info = _zggev()(A_h, -B_h, lwork=_zggev_lwork(len(A_h)))
+    if info != 0:
+        raise ConvergenceError(f"QZ failed: LAPACK zggev returned info {info}")
+    size = np.abs(beta)
+    threshold = 10.0 * EPS * np.hypot(np.abs(alpha), size)
+    infinite = size <= threshold
     return Eigenstructure(
-        finite=[lam.conjugate() for lam in finite],
-        infinite=[1] * len(negligible),
-        rank_log=[RankDecision("core:qz-beta", (1, 1), np.array([beta]), 0,
-                               float(threshold))
-                  for beta, threshold in negligible],
+        finite=(alpha[~infinite] / beta[~infinite]).conj().tolist(),
+        infinite=[1] * int(infinite.sum()),
+        rank_log=[RankDecision("core:qz-beta", (1, 1), np.array([b]), 0,
+                               float(t))
+                  for b, t in zip(size[infinite], threshold[infinite])],
     )
 
 
 def generalized_eigenvalues(pencil):
     """Finite eigenvalue list and infinite eigenvalue count of a regular pencil.
 
-    Implemented through the QZ factorization in homogeneous form; an
-    eigenvalue is classified infinite when its ``beta`` is negligible
-    against ``(alpha, beta)``.
+    QZ through :func:`_conjugated_core` on ``(M0^H, M1^H)``, as the
+    staircase runs it, so the two agree bit for bit when the staircase finds
+    ``M1`` of full rank; an eigenvalue is infinite when its ``beta`` is
+    negligible against ``(alpha, beta)``.
     """
     pencil = as_pencil(pencil)
     _require_finite(pencil.coeff_stack)
@@ -244,8 +229,8 @@ def generalized_eigenvalues(pencil):
         raise ShapeError("singular pencil: use staircase_eigenstructure")
     if pencil.rows == 0:
         return [], 0
-    finite, infinite = _qz(pencil.M0, pencil.M1)
-    return finite, len(infinite)
+    core = _conjugated_core(pencil.M0.conj().T, pencil.M1.conj().T)
+    return core.finite, len(core.infinite)
 
 
 def _staircase_pass(A, B, svd_B, threshold, log, label):

@@ -150,13 +150,6 @@ class MatrixPolynomial:
     def transpose(self) -> "MatrixPolynomial":
         return MatrixPolynomial(self._c.transpose(0, 2, 1), grade=self.grade)
 
-    def allclose(self, other: "MatrixPolynomial", atol: float = 0.0) -> bool:
-        if self.shape != other.shape:
-            return False
-        d = max(self.grade, other.grade)
-        return all(_frobenius(a - b) <= atol
-                   for a, b in zip(_pad(self._c, d), _pad(other._c, d)))
-
     def __repr__(self) -> str:
         return f"MatrixPolynomial({self.rows}x{self.cols}, grade={self.grade})"
 

@@ -1,4 +1,5 @@
-"""Structural oracles that only the tests call: the unimodular completions
+"""Structural oracles that only the tests call: coefficientwise closeness
+of two polynomials, the unimodular completions
 ``V_k`` of ``L_k`` with their inverses and the coefficient-wise Kronecker
 product, minimal-basis and dual-basis certificates, the convolution-rank
 predicates for perturbed ``L`` / ``Lambda`` blocks, the unimodular
@@ -25,6 +26,7 @@ from bklab import (BkLabError, BlockKroneckerPencil, Eigenstructure,
                    numerical_rank, recover_polynomial,
                    staircase_eigenstructure)
 from bklab.eigenstructure import _normal_rank, chordal_distance
+from bklab.matpoly import _frobenius
 from bklab.tolerances import _require_finite, _svd
 
 
@@ -38,6 +40,17 @@ def direct_sum(P: MatrixPolynomial, Q: MatrixPolynomial) -> MatrixPolynomial:
     S[:P.grade + 1, :P.rows, :P.cols] = P.coeff_stack
     S[:Q.grade + 1, P.rows:, P.cols:] = Q.coeff_stack
     return MatrixPolynomial(S)
+
+
+def allclose(P: MatrixPolynomial, Q: MatrixPolynomial,
+             atol: float = 0.0) -> bool:
+    """Whether ``P`` and ``Q`` have one shape and, at the larger grade, every
+    coefficient of ``P - Q`` has Frobenius norm at most ``atol``."""
+    if P.shape != Q.shape:
+        return False
+    d = max(P.grade, Q.grade)
+    return all(_frobenius(a - b) <= atol for a, b in
+               zip(P.with_grade(d).coeff_stack, Q.with_grade(d).coeff_stack))
 
 
 def submatrix(P: MatrixPolynomial, rows, cols) -> MatrixPolynomial:
@@ -378,7 +391,7 @@ def _as_lambda_kron(Q: MatrixPolynomial):
     k = Q.rows // p - 1
     if k < 0 or Q.degree() != k:
         return None
-    if Q.allclose(build_Lambda(k, p).with_grade(Q.grade)):
+    if allclose(Q, build_Lambda(k, p)):
         return (k, p)
     return None
 

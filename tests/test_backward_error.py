@@ -599,15 +599,12 @@ def test_nan_eigenvalue_marks_the_eigen_check_inconsistent(monkeypatch):
     # with no distance, not matched into a plausible number; it enters
     # through QZ, so the QZ run first, the staircase of L + dL and that of
     # the fresh linearization all read it
-    qz = eigenstructure._qz
-    calls = []
+    def nan_first(out):
+        alpha = out[0].copy()
+        alpha[0] = np.nan
+        return (alpha,) + tuple(out[1:])
 
-    def nan_first(A, B):
-        calls.append(A.shape)
-        finite, infinite = qz(A, B)
-        return [complex(np.nan, 0.0)] + finite[1:], infinite
-
-    monkeypatch.setattr(eigenstructure, "_qz", nan_first)
+    calls = _count_qz(monkeypatch, nan_first)
     rng = trial_rng(84, 0)
     bk = _random_block_kronecker(rng, 1, 1, 2, 2)
     dL = random_pencil_perturbation(bk.shape, 1e-8, rng)
@@ -854,15 +851,20 @@ def _chordal_match(L, dL, report):
                              staircase_eigenstructure(fresh.assemble()).finite)
 
 
-def _count_qz(monkeypatch):
+def _count_qz(monkeypatch, change=lambda out: out):
+    """The orders of the QZ runs from now on, each one ``zggev`` call that
+    is not a workspace query; ``change`` may alter what each returns."""
     calls = []
-    qz = eigenstructure._qz
+    zggev = eigenstructure._zggev()
 
-    def counted(A, B):
-        calls.append(A.shape)
-        return qz(A, B)
+    def counted(a, b, lwork):
+        out = zggev(a, b, lwork=lwork)
+        if lwork == -1:
+            return out
+        calls.append(a.shape)
+        return change(out)
 
-    monkeypatch.setattr(eigenstructure, "_qz", counted)
+    monkeypatch.setattr(eigenstructure, "_zggev", lambda: counted)
     return calls
 
 

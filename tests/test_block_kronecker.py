@@ -9,7 +9,8 @@ from bklab import (BlockKroneckerPencil, GradeError, LayoutError,
                    lift_right_null_vector, multiply, recover_polynomial,
                    validate_placement)
 from bklab.experiments import complex_gaussian, random_polynomial, trial_rng
-from oracles import anti_triangularize, lift_by_completion, submatrix
+from oracles import (allclose, anti_triangularize, lift_by_completion,
+                     submatrix)
 
 
 def _example_grade5(rng):
@@ -50,7 +51,7 @@ def test_make_pencil_trivial_is_the_polynomial_itself():
     assert pen.shape == (2, 2)
     assert_allclose(pen.M0, M0)
     assert_allclose(pen.M1, M1)
-    assert recover_polynomial(bk).allclose(pen)
+    assert allclose(recover_polynomial(bk), pen)
 
 
 def test_make_pencil_assembles_blockwise():
@@ -405,7 +406,7 @@ def test_anti_triangularize_trivial_case():
     rng = trial_rng(52, 1)
     P = random_polynomial(2, 2, 1, rng)
     form = anti_triangularize(from_polynomial(P, 0, 0, "hook"))
-    assert form.form.allclose(P)
+    assert allclose(form.form, P)
 
 
 def test_anti_triangularize_hook_corners():
@@ -454,7 +455,7 @@ def test_lift_with_eta_zero_is_lambda_stack():
     assert z.degree() == 2 == bk.eps + h.degree()
     assert multiply(bk.assemble(), z).frobenius_norm() == 0.0
     expected = multiply(build_Lambda(1, 2), h)
-    assert z.allclose(expected.with_grade(z.grade))
+    assert allclose(z, expected)
 
 
 def _integer_singular_setup(rng, k=2, p=2, m=2, eps=1, eta=1):
@@ -489,6 +490,20 @@ def test_lift_rejects_non_null_vector():
     h = constant(np.ones((bk.n, 1)))
     with pytest.raises(ShapeError):
         lift_right_null_vector(bk, h)
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1.0, 1e160, 1e300])
+def test_lift_judges_h_at_unit_scale(scale):
+    # the residual test runs on h / max|h_ij|: ones is refused at every
+    # scale, where ||h||^2 overflowing (or a tiny h) once let it through,
+    # and a column of Lambda_1 (x) I_2, a true null vector, is lifted
+    bk, k, p = _integer_singular_setup(np.random.default_rng(0), k=1)
+    with pytest.raises(ShapeError, match="not in the right null space"):
+        lift_right_null_vector(bk, constant(scale * np.ones((bk.n, 1))))
+    null = multiply(build_Lambda(k, p), constant(np.array([[1.0], [0.0]])))
+    z = lift_right_null_vector(bk, MatrixPolynomial(scale * null.coeff_stack))
+    want = scale * lift_right_null_vector(bk, null).coeff_stack
+    assert_allclose(z.coeff_stack, want, rtol=1e-15, atol=1e-14 * scale)
 
 
 def test_lifted_basis_stays_independent():

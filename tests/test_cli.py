@@ -1,8 +1,14 @@
+import contextlib
+import io
 import json
+import os
+import tempfile
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bklab import MatrixPolynomial, build_L, from_polynomial
 from bklab.cli import main
@@ -504,3 +510,97 @@ def test_every_tol_option_refuses_a_non_finite_or_negative_value_with_exit_2(
     out = capsys.readouterr()
     assert out.out == ""
     assert out.err.startswith("error: --tol must be nonnegative and finite")
+
+
+# ------------------------------------------------- malformed-file property
+
+# what a mutation puts in place of a value: wrong types, booleans, huge
+# integers (beyond any array dimension, so a size never allocates), NaN,
+# inf and overflowing numbers, and empty, ragged and mis-nested lists
+_JUNK = st.one_of(
+    st.none(), st.booleans(), st.text(max_size=3),
+    st.sampled_from([-1, 0, 1, 2, 2 ** 63, 10 ** 30, 10 ** 400]),
+    st.sampled_from([float("nan"), float("inf"), -float("inf"), 1e308, 0.5]),
+    st.sampled_from([[], [[]], [[[]]], [1.0], [[1.0, 0.0]], [[1.0, 0.0, 0.0]],
+                     [[[1.0, 0.0]], [[1.0]]], [[[1.0, 0.0], [1.0]]], {}]))
+
+
+def _paths(node, path=()):
+    """Every position below ``node``: a key of an object or an index of a
+    list, at any depth."""
+    children = (node.items() if isinstance(node, dict)
+                else enumerate(node) if isinstance(node, list) else ())
+    for key, child in children:
+        yield path + (key,)
+        yield from _paths(child, path + (key,))
+
+
+@st.composite
+def _input_files(draw, command):
+    """``(blob, partner, split)``: ``blob`` is the file of a polynomial
+    (sizes 0..2, grade 0..3, integer entries) or of its hook pencil at
+    ``split`` (always the pencil for ``perturb``, when ``P`` has one),
+    valid or with one value replaced by junk or one key or list item
+    dropped; ``partner`` is the valid other file of the pair, which
+    ``check`` reads beside it (the scalar quadratic's pencil where ``P``
+    has none: a zero size or grade 0)."""
+    m, n = (draw(st.sampled_from([1, 2, 0])) for _ in range(2))
+    grade = draw(st.sampled_from([1, 2, 3, 0]))
+    size = (grade + 1) * m * n
+    entries = draw(st.lists(st.integers(-2, 2), min_size=size, max_size=size))
+    P = MatrixPolynomial(np.reshape(np.array(entries, dtype=complex),
+                                    (grade + 1, m, n)))
+    eps = draw(st.integers(0, max(grade - 1, 0)))
+    eta = max(grade - 1 - eps, 0)
+    if m and n and grade:
+        files = [P.to_json(), from_polynomial(P, eps, eta, "hook").to_json()]
+        pencil = command == "perturb" or draw(st.booleans())
+        blob, partner = files[::-1] if pencil else files
+    else:
+        Q = MatrixPolynomial([[[2.0]], [[-3.0]], [[1.0]]])
+        blob, partner = P.to_json(), from_polynomial(Q, 1, 0, "hook").to_json()
+    how = draw(st.sampled_from(["valid", "replace", "drop"]))
+    if how != "valid":
+        *parent, key = draw(st.sampled_from(list(_paths(blob))))
+        node = blob
+        for step in parent:
+            node = node[step]
+        if how == "replace":
+            node[key] = draw(_JUNK)
+        else:
+            del node[key]
+    return blob, partner, (eps, eta)
+
+
+def _refuse_constant(name):
+    raise AssertionError(f"stdout holds {name}, which is not JSON")
+
+
+@pytest.mark.parametrize("command", ["eig", "eig --oracle", "linearize",
+                                     "check", "perturb"])
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(data=st.data())
+def test_a_malformed_file_exits_0_2_or_3_and_never_raises(command, data):
+    # the CLI's contract at its boundary: exit 0 with strict JSON on stdout,
+    # or exit 2 or 3 with a message on stderr, whatever a file holds
+    blob, partner, (eps, eta) = data.draw(_input_files(command))
+    with tempfile.TemporaryDirectory() as tmp:
+        path, other = (os.path.join(tmp, name) for name in ("in.json",
+                                                            "other.json"))
+        for name, content in ((path, blob), (other, partner)):
+            with open(name, "w") as fh:
+                json.dump(content, fh)
+        argv = {"eig": ["eig", path], "eig --oracle": ["eig", path, "--oracle"],
+                "linearize": ["linearize", path, "--epsilon", str(eps),
+                              "--eta", str(eta)],
+                "check": (["check", path, other] if "epsilon" in partner
+                          else ["check", other, path]),
+                "perturb": ["perturb", path, "--mag", "1e-8"]}[command]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    assert code in (0, 2, 3), err.getvalue()
+    if code == 0:
+        json.loads(out.getvalue(), parse_constant=_refuse_constant)
+    else:
+        assert "error" in err.getvalue() or "exceeds" in err.getvalue()

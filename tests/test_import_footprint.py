@@ -148,21 +148,24 @@ from bklab.experiments import complex_gaussian, trial_rng
 rng = trial_rng(64, 2)
 A, B = (complex_gaussian((28, 28), rng) for _ in range(2))
 B[:, :3] = 0.0  # three eigenvalues at infinity
-bound = e._qz(A, B)
+bound = e._conjugated_core(A, B)
 loaded_before = "scipy.linalg._flapack" in sys.modules
 e.NUMPY_ZGGEV_NAMES = ("bklab_no_such_zggev_",)
 e._zggev.cache_clear()
 e._zggev_lwork.cache_clear()
-fallback = e._qz(A, B)
-assert e._zggev() is sys.modules["scipy.linalg._flapack"].zggev
-assert len(fallback[1]) == 3
-print(json.dumps([loaded_before, fallback == bound]))
+fallback = e._conjugated_core(A, B)
+zggev = e._zggev()
+assert zggev.func is sys.modules["scipy.linalg._flapack"].zggev
+assert zggev.args == () and zggev.keywords == {"compute_vl": 0,
+                                               "compute_vr": 0}
+assert len(fallback.infinite) == 3
+print(json.dumps([loaded_before, fallback.to_json() == bound.to_json()]))
 """
 
 
 def test_qz_falls_back_to_scipys_zggev_where_numpy_exports_none():
-    # the resolver, made to find no symbol, loads _flapack, and _qz gives
-    # the same alpha and beta through it
+    # the resolver, made to find no symbol, loads _flapack and binds its
+    # zggev without eigenvectors, and QZ gives the same answer through it
     loaded_before, equal = json.loads(_run_fresh(_FALLBACK_QZ))
     assert loaded_before == (not _numpy_zggev_names())
     assert equal
@@ -180,13 +183,13 @@ def test_cli_constants_loads_no_scipy():
 
 
 _BKLAB_ANSWERS = """
-from bklab.eigenstructure import _qz, match_eigenvalues
+from bklab.eigenstructure import _conjugated_core, match_eigenvalues
 from bklab.experiments import complex_gaussian, trial_rng
 rng = trial_rng(64, 1)
 A, B = (complex_gaussian((28, 28), rng) for _ in range(2))
 B[:, :3] = 0.0
 first, second = [1.0, 1.0, 2.0], [1.0 + 1e-9, 1.0 - 1e-9, 2.0]
-qz, matched = _qz(A, B), match_eigenvalues(first, second)
+core, matched = _conjugated_core(A, B), match_eigenvalues(first, second)
 """
 
 _SCIPY_ANSWERS = """
@@ -197,9 +200,10 @@ from bklab.tolerances import EPS
 alpha, beta = scipy.linalg.eig(A, -B, right=False, homogeneous_eigvals=True)
 threshold = 10.0 * EPS * np.hypot(np.abs(alpha), np.abs(beta))
 inf = np.abs(beta) <= threshold
-assert qz == ((alpha[~inf] / beta[~inf]).tolist(),
-              list(zip(np.abs(beta[inf]), threshold[inf])))
-assert len(qz[1]) == 3
+assert core.finite == (alpha[~inf] / beta[~inf]).conj().tolist()
+assert [(d.singular_values[0], d.tolerance) for d in core.rank_log] == list(
+    zip(np.abs(beta[inf]), threshold[inf]))
+assert core.infinite == [1] * 3
 cost = chordal_distance(np.asarray(first, dtype=complex)[:, None],
                         np.asarray(second, dtype=complex)[None, :])
 rows, cols = scipy.optimize.linear_sum_assignment(cost)

@@ -7,7 +7,7 @@ from bklab import (GradeError, MatrixPolynomial, Pencil, ShapeError, build_L,
                    multiply, pair_norm, zeros)
 from bklab.experiments import complex_gaussian
 from bklab.matpoly import _frobenius
-from oracles import verify_norm_inequalities
+from oracles import allclose, verify_norm_inequalities
 
 
 def random_poly(m, n, d, rng):
@@ -218,7 +218,7 @@ def test_reversal_swaps_pencil_coefficients():
 def test_reversal_is_involution():
     rng = np.random.default_rng(12)
     P = random_poly(3, 2, 4, rng)
-    assert P.reversal(6).reversal(6).allclose(P.with_grade(6))
+    assert allclose(P.reversal(6).reversal(6), P.with_grade(6))
 
 
 def test_reversal_of_lambda_column():
@@ -324,7 +324,7 @@ def test_L_times_Lambda_is_exactly_zero():
 def test_multiply_by_identity():
     rng = np.random.default_rng(15)
     P = random_poly(2, 3, 3, rng)
-    assert multiply(P, identity(3)).allclose(P)
+    assert allclose(multiply(P, identity(3)), P)
 
 
 def test_multiply_dimension_mismatch():
@@ -493,7 +493,7 @@ def test_json_round_trip():
     rng = np.random.default_rng(22)
     P = random_poly(2, 3, 2, rng)
     again = MatrixPolynomial.from_json(P.to_json())
-    assert again.allclose(P)
+    assert allclose(again, P)
     assert P.to_json()["coeffs"][0][0][0] == [P.coeff(0)[0, 0].real,
                                               P.coeff(0)[0, 0].imag]
 
