@@ -30,13 +30,14 @@ normalized data) and verifies that the achieved ratio sits below them.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .block_kronecker import BlockKroneckerPencil, from_polynomial, recover_polynomial
-from .eigenstructure import (Eigenstructure, _conjugated_core, _normal_rank,
+from .eigenstructure import (Eigenstructure, _normal_rank, _pencil_qz,
                              chordal_distance, match_eigenvalues,
                              staircase_eigenstructure)
 from .errors import ConvergenceError, PreconditionError, ShapeError
@@ -98,12 +99,12 @@ class SylvesterGauge:
 
     @property
     def solvable(self) -> bool:
-        return bool(self.delta > 0 and self.kappa1 < 0.25)
+        return self.violated_condition() is None
 
     def violated_condition(self):
-        if self.delta <= 0:
+        if not self.delta > 0:
             return "delta = sigma_min(T) - delta_T_bound > 0"
-        if self.kappa1 >= 0.25:
+        if not self.kappa1 < 0.25:
             return "theta * omega / delta^2 < 1/4"
         return None
 
@@ -515,22 +516,31 @@ def pipeline_radius(L: BlockKroneckerPencil) -> float:
     return SQRT2M1 ** 2 / d ** 2.5 / (1.0 + L.one_one_norm())
 
 
+# BackwardErrorReport.record()'s keys, each read from the attribute it names
+_RECORD_KEYS = (
+    "epsilon", "eta", "m", "n", "grade", "degenerate", "norm_P", "norm_L",
+    "norm_M", "norm_dL", "radius", "admissible", "forced", "step1_residual",
+    "step1_iterations", "dR_eps_norm", "dR_eta_norm", "step2_residual_eps",
+    "step2_residual_eta", "ratio", "bound", "bound_label", "bound_informal",
+    "bound_holds", "eigen_checked", "eigen_max_distance", "eigen_consistent",
+    "shift_consistent", "eigen_backward_error",
+)
+
+
 @dataclass
 class BackwardErrorReport:
-    """Everything the pipeline produced, including the verification results."""
+    """What the pipeline measured; its flags, its flat record and its
+    verdict are derived from those measurements."""
 
     eps: int
     eta: int
     m: int
     n: int
-    grade: int
-    degenerate: bool
     norm_P: float
     norm_L: float
     norm_M: float
     norm_dL: float
     radius: float
-    admissible: bool
     step1: Step1Result
     dR_eps_norm: float
     dR_eta_norm: float
@@ -539,13 +549,27 @@ class BackwardErrorReport:
     dP: MatrixPolynomial
     ratio: float
     bound: float
-    bound_label: str
     bound_informal: float
-    bound_holds: bool
     eigen_backward_error: float | None
     eigen_max_distance: float | None
     eigen_consistent: bool | None
     shift_consistent: bool | None
+
+    @property
+    def grade(self) -> int:
+        return self.eps + self.eta + 1
+
+    @property
+    def degenerate(self) -> bool:
+        return self.eps == 0 or self.eta == 0
+
+    @property
+    def bound_label(self) -> str:
+        return "degenerate" if self.degenerate else "nondegenerate"
+
+    @property
+    def admissible(self) -> bool:
+        return bool(self.norm_dL < self.radius)
 
     @property
     def forced(self) -> bool:
@@ -553,45 +577,36 @@ class BackwardErrorReport:
         return not self.admissible
 
     @property
+    def bound_holds(self) -> bool:
+        return bool(self.ratio <= self.bound)
+
+    @property
     def eigen_checked(self) -> bool:
         """The eigen check ran: it always sets ``eigen_consistent``."""
         return self.eigen_consistent is not None
 
+    @property
+    def verdict(self) -> tuple[str, str | None]:
+        """``(status, reason)``: ``unguaranteed`` when forced, ``failed`` on
+        an unsolvable Step 1 gauge or ``ratio > bound``, else ``passed``.  An
+        eigen mismatch is flagged in the report, not failed."""
+        if self.forced:
+            return "unguaranteed", "forced outside the guaranteed radius"
+        gauge = self.step1.gauge
+        violated = gauge.violated_condition() if gauge is not None else None
+        if violated is not None:
+            return "failed", f"step 1 gauge violates {violated}"
+        if not self.bound_holds:
+            return "failed", f"ratio {self.ratio:.3e} > bound {self.bound:.3e}"
+        return "passed", None
+
     def record(self) -> dict:
         """The trial's scalar fields as one flat mapping: the body of
         :meth:`to_json` and of a batch row."""
-        step1 = self.step1
-        return {
-            "epsilon": self.eps,
-            "eta": self.eta,
-            "m": self.m,
-            "n": self.n,
-            "grade": self.grade,
-            "degenerate": self.degenerate,
-            "norm_P": self.norm_P,
-            "norm_L": self.norm_L,
-            "norm_M": self.norm_M,
-            "norm_dL": self.norm_dL,
-            "radius": self.radius,
-            "admissible": self.admissible,
-            "forced": self.forced,
-            "step1_residual": step1.residual,
-            "step1_iterations": step1.iterations,
-            "dR_eps_norm": self.dR_eps_norm,
-            "dR_eta_norm": self.dR_eta_norm,
-            "step2_residual_eps": self.step2_residual_eps,
-            "step2_residual_eta": self.step2_residual_eta,
-            "ratio": self.ratio,
-            "bound": self.bound,
-            "bound_label": self.bound_label,
-            "bound_informal": self.bound_informal,
-            "bound_holds": self.bound_holds,
-            "eigen_checked": self.eigen_checked,
-            "eigen_max_distance": self.eigen_max_distance,
-            "eigen_consistent": self.eigen_consistent,
-            "shift_consistent": self.shift_consistent,
-            "eigen_backward_error": self.eigen_backward_error,
-        }
+        spelled = {"epsilon": self.eps, "step1_residual": self.step1.residual,
+                   "step1_iterations": self.step1.iterations}
+        return {key: spelled[key] if key in spelled else getattr(self, key)
+                for key in _RECORD_KEYS}
 
     def to_json(self) -> dict:
         step1 = self.step1
@@ -633,7 +648,7 @@ def _check_eigen(L: BlockKroneckerPencil, dL: Pencil,
     _require_finite(L_plus_dL.coeff_stack)
     rank = _normal_rank(P_plus_dP)
     if rank == P_plus_dP.rows == P_plus_dP.cols:
-        core = _conjugated_core(L_plus_dL.M0.conj().T, L_plus_dL.M1.conj().T)
+        core = _pencil_qz(L_plus_dL)
         if not core.infinite:
             backward, distance = _certify_eigenvalues(P_plus_dP, core,
                                                       eigen_tol, rank)
@@ -665,8 +680,9 @@ def run_pipeline(L: BlockKroneckerPencil, dL: Pencil, force: bool = False,
 
     The pipeline refuses a non-finite ``dL``, an ``eigen_tol`` that is not
     finite and nonnegative (both :class:`ShapeError`), a ``P`` of zero
-    norm, and perturbations outside the guaranteed radius unless ``force``
-    is set, in which case the report is marked as unguaranteed.  With
+    norm, a bound that is not finite, and perturbations outside the
+    guaranteed radius unless ``force`` is set, in which case the report is
+    marked as unguaranteed.  With
     ``check_eigen`` the report's four eigen fields come from
     :func:`_check_eigen`, which certifies one QZ of ``L + dL`` when ``P +
     dP`` is square of full normal rank and runs the staircase only when
@@ -680,21 +696,28 @@ def run_pipeline(L: BlockKroneckerPencil, dL: Pencil, force: bool = False,
     norm_P = P.frobenius_norm()
     if norm_P == 0.0:
         raise PreconditionError(
-            "pipeline refused: ||P|| is 0 (P is zero or its norm underflows), "
-            "so ||dP|| / ||P|| is undefined",
+            "pipeline refused: ||P|| is 0, so ||dP|| / ||P|| is undefined",
             inequality="||P|| > 0")
     norm_L = L.frobenius_norm()
     norm_M = L.one_one_norm()
     norm_dL = dL.frobenius_norm()
     degenerate = L.eps == 0 or L.eta == 0
     radius = pipeline_radius(L)
-    admissible = bool(norm_dL < radius)
-    if not admissible and not force:
+    if not norm_dL < radius and not force:
         label = ("||dL|| < 1/(2 d^{3/2})" if degenerate
                  else "||dL|| < (sqrt(2)-1)^2 / (d^{5/2} (1 + ||M||))")
         raise PreconditionError(
             f"pipeline refused: ||dL|| = {norm_dL:.3e} is not below the "
             f"radius {radius:.3e}", inequality=label)
+    try:
+        bound = (bound_degenerate if degenerate else bound_nondegenerate)(
+            d, norm_L, norm_P, norm_M, norm_dL)
+    except OverflowError:  # ||M||^2 beyond the float range
+        bound = math.inf
+    if not math.isfinite(bound):
+        raise PreconditionError(
+            f"pipeline refused: the bound is not finite at ||P|| = "
+            f"{norm_P:.3e}, ||M|| = {norm_M:.3e}", inequality="bound < inf")
 
     step1 = solve_step1(L, dL, force=force)
     dR_eps, res_eps = solve_step2(step1.dLt21, L.eps, L.n, force=force)
@@ -702,30 +725,22 @@ def run_pipeline(L: BlockKroneckerPencil, dL: Pencil, force: bool = False,
         step1.dLt12.transpose(), L.eta, L.m, force=force)
     P_plus_dP = assemble_step3(L, step1.dL11, dR_eps, dR_eta, force=force)
     dP = P_plus_dP - P
-    if not np.all(np.isfinite(dP.coeff_stack)):
-        # with Step 1 bypassed (eps or eta 0) no iterate sees dL_11
-        raise ConvergenceError("step 3: non-finite dP")
     ratio = dP.frobenius_norm() / norm_P
-
-    if degenerate:
-        bound = bound_degenerate(d, norm_L, norm_P, norm_M, norm_dL)
-        label = "degenerate"
-    else:
-        bound = bound_nondegenerate(d, norm_L, norm_P, norm_M, norm_dL)
-        label = "nondegenerate"
+    if not math.isfinite(ratio):
+        # a non-finite dP, or ||dP|| / ||P|| beyond the float range; with
+        # Step 1 bypassed (eps or eta 0) no iterate sees dL_11
+        raise ConvergenceError("step 3: non-finite dP or ||dP|| / ||P||")
     backward, distance, consistent, shifts = (
         _check_eigen(L, dL, P_plus_dP, eigen_tol) if check_eigen
         else (None,) * 4)
 
     return BackwardErrorReport(
-        eps=L.eps, eta=L.eta, m=L.m, n=L.n, grade=d, degenerate=degenerate,
-        norm_P=norm_P, norm_L=norm_L, norm_M=norm_M, norm_dL=norm_dL,
-        radius=radius, admissible=admissible, step1=step1,
+        eps=L.eps, eta=L.eta, m=L.m, n=L.n, norm_P=norm_P, norm_L=norm_L,
+        norm_M=norm_M, norm_dL=norm_dL, radius=radius, step1=step1,
         dR_eps_norm=dR_eps.frobenius_norm(), dR_eta_norm=dR_eta.frobenius_norm(),
         step2_residual_eps=res_eps, step2_residual_eta=res_eta, dP=dP,
-        ratio=ratio, bound=bound, bound_label=label,
+        ratio=ratio, bound=bound,
         bound_informal=bound_informal(d, L.m, L.n, norm_L, norm_dL),
-        bound_holds=bool(ratio <= bound), eigen_backward_error=backward,
-        eigen_max_distance=distance, eigen_consistent=consistent,
-        shift_consistent=shifts,
+        eigen_backward_error=backward, eigen_max_distance=distance,
+        eigen_consistent=consistent, shift_consistent=shifts,
     )

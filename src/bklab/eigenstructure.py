@@ -213,13 +213,19 @@ def _conjugated_core(A_h, B_h) -> Eigenstructure:
     )
 
 
+def _pencil_qz(pencil) -> Eigenstructure:
+    """:func:`_conjugated_core` of the square pencil ``M0 + lambda*M1``,
+    handed in as ``(M0^H, M1^H)``: the one orientation its callers use."""
+    return _conjugated_core(pencil.M0.conj().T, pencil.M1.conj().T)
+
+
 def generalized_eigenvalues(pencil):
     """Finite eigenvalue list and infinite eigenvalue count of a regular pencil.
 
-    QZ through :func:`_conjugated_core` on ``(M0^H, M1^H)``, as the
-    staircase runs it, so the two agree bit for bit when the staircase finds
-    ``M1`` of full rank; an eigenvalue is infinite when its ``beta`` is
-    negligible against ``(alpha, beta)``.
+    QZ through :func:`_pencil_qz`, in the staircase's orientation, so the
+    two agree bit for bit when the staircase finds ``M1`` of full rank; an
+    eigenvalue is infinite when its ``beta`` is negligible against
+    ``(alpha, beta)``.
     """
     pencil = as_pencil(pencil)
     _require_finite(pencil.coeff_stack)
@@ -229,7 +235,7 @@ def generalized_eigenvalues(pencil):
         raise ShapeError("singular pencil: use staircase_eigenstructure")
     if pencil.rows == 0:
         return [], 0
-    core = _conjugated_core(pencil.M0.conj().T, pencil.M1.conj().T)
+    core = _pencil_qz(pencil)
     return core.finite, len(core.infinite)
 
 

@@ -153,28 +153,17 @@ def generate_trial(config: ExperimentConfig, index: int):
 STATUSES = ("passed", "failed", "unguaranteed", "error", "skipped")
 
 
-def _judge(report) -> tuple[str, str | None]:
-    """Status and reason of a trial whose pipeline run completed."""
-    if not report.admissible:
-        return "unguaranteed", "forced outside the guaranteed radius"
-    gauge = report.step1.gauge
-    if gauge is not None and not gauge.solvable:
-        return "failed", f"step 1 gauge violates {gauge.violated_condition()}"
-    if not report.bound_holds:
-        return "failed", f"ratio {report.ratio:.3e} > bound {report.bound:.3e}"
-    return "passed", None
-
-
 def run_backward_error_batch(config: ExperimentConfig) -> dict:
     """Run the batch and return per-trial rows plus a summary.
 
-    A trial inside the guaranteed radius is ``passed`` or ``failed``; it
-    fails on ``ratio > bound``, an unsolvable Step 1 gauge or any package
-    error.  Outside the radius it is ``skipped`` unless ``config.force`` is
-    set, and then ``unguaranteed`` when it completes and ``error`` when it
-    raises.  A row is ``trial``, ``status`` and ``reason`` followed by the
-    report's :meth:`~bklab.backward_error.BackwardErrorReport.record` and
-    the bound ``margin`` and ``ratio_over_bound``; a trial without a report
+    A completed trial takes its report's
+    :attr:`~bklab.backward_error.BackwardErrorReport.verdict` as status and
+    reason.  A trial that raises is ``failed`` inside the guaranteed
+    radius; outside it, it is ``error`` when ``config.force`` is set and
+    ``skipped`` otherwise.  A row is ``trial``, ``status`` and ``reason``
+    followed by the report's
+    :meth:`~bklab.backward_error.BackwardErrorReport.record` and the bound
+    ``margin`` and ``ratio_over_bound``; a trial without a report
     carries only its sizes.
     """
     rows = []
@@ -194,7 +183,7 @@ def run_backward_error_batch(config: ExperimentConfig) -> dict:
                    "epsilon": L.eps, "eta": L.eta, "m": L.m, "n": L.n,
                    "grade": L.grade}
         else:
-            status, reason = _judge(report)
+            status, reason = report.verdict
             quotient = report.ratio / report.bound if report.bound > 0 else 0.0
             worst_quotient = max(worst_quotient, quotient)
             row = {"trial": index, "status": status, "reason": reason,

@@ -28,6 +28,9 @@ from .tolerances import _finite_nonnegative
 # cached
 CACHE_SIZE = 64
 
+# the smallest normal float: a smaller sum of squares has lost digits
+_TINY = np.finfo(float).tiny
+
 
 class MatrixPolynomial:
     """``sum_k P_k lambda^k`` with dense complex ``m x n`` coefficients."""
@@ -309,16 +312,28 @@ def build_Lambda(k: int, blocks: int = 1) -> MatrixPolynomial:
 # -- operations -------------------------------------------------------------
 
 def _frobenius(a: np.ndarray) -> float:
-    """Frobenius norm of one float64 or complex128 array, bit for bit what
-    ``np.linalg.norm(a)`` returns: the same ``ravel(order='K')`` and the
-    same BLAS dots, ``sqrt(re.dot(re) + im.dot(im))``, without the
-    wrapper's dispatch (``math.sqrt`` rounds correctly, as numpy's does).
+    """Frobenius norm of one float64 or complex128 array.  Where the sum of
+    squares is a normal float it is bit for bit what ``np.linalg.norm(a)``
+    returns: the same ``ravel(order='K')`` and the same BLAS dots,
+    ``sqrt(re.dot(re) + im.dot(im))``, without the wrapper's dispatch
+    (``np.vdot`` gives ``dot``'s bits without its overflow warning, and
+    ``math.sqrt`` rounds correctly, as numpy's does).  Where the sum
+    overflows, is subnormal or is 0 for a nonzero ``a``, it is ``s ||a /
+    s||_F`` with ``s = max |a_ij|``, inf only beyond the float range.
     Norms along axes stay on numpy, which sums them differently."""
     x = a.ravel(order="K")
     if x.dtype.kind == "c":
         re, im = x.real, x.imag
-        return math.sqrt(re.dot(re) + im.dot(im))
-    return math.sqrt(x.dot(x))
+        total = float(np.vdot(re, re)) + float(np.vdot(im, im))
+    else:
+        total = float(np.vdot(x, x))
+    if _TINY <= total < math.inf or total != total:  # in range, or NaN
+        return math.sqrt(total)
+    if not x.any():
+        return 0.0
+    # x / s has an entry of modulus 1, so its sum of squares is in range
+    s = float(np.abs(x).max())
+    return s * _frobenius(x / s) if s < math.inf else s
 
 
 def pair_norm(*arrays) -> float:
@@ -356,15 +371,16 @@ def convolution(Q: MatrixPolynomial, j: int) -> np.ndarray:
     It is the block-Toeplitz stacking of the grade-``q`` coefficients: block
     ``(r, c)`` equals ``Q_{q-(r-c)}`` when ``0 <= r-c <= q`` and the zero
     block otherwise; there are ``j+1`` block columns and ``q+j+1`` block rows
-    of block size ``m x n``.
+    of block size ``m x n``.  So block column ``c`` is the reversed
+    coefficient stack ``Q_q; ...; Q_0`` placed from block row ``c`` down.
     """
     if j < 0:
         raise GradeError("j must be nonnegative")
     q = Q.grade
     m, n = Q.shape
+    column = Q.coeff_stack[::-1].reshape((q + 1) * m, n)
     C = np.zeros(((q + j + 1) * m, (j + 1) * n), dtype=complex)
     for c in range(j + 1):
-        for r in range(c, c + q + 1):
-            C[r * m:(r + 1) * m, c * n:(c + 1) * n] = Q.coeff(q - (r - c))
+        C[c * m:(c + q + 1) * m, c * n:(c + 1) * n] = column
     return C
 

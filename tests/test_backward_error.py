@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import re
 
@@ -15,13 +16,14 @@ from bklab import (BkLabError, BlockKroneckerPencil, ConvergenceError,
                    recover_polynomial, run_pipeline, sigma_min_T_closed,
                    solve_step1, solve_step2, staircase_eigenstructure,
                    step1_radius, step2_radius, zeros)
-from bklab.backward_error import (SQRT2M1, _S_pinv, _S_scalar_pinv, _T_pinv,
-                                  _T_scalar_pinv, _certify_eigenvalues)
+from bklab.backward_error import (SQRT2M1, BackwardErrorReport, _S_pinv,
+                                  _S_scalar_pinv, _T_pinv, _T_scalar_pinv,
+                                  _certify_eigenvalues)
 from bklab.eigenstructure import _normal_rank
 from bklab.experiments import (ExperimentConfig, complex_gaussian,
                                generate_trial, random_pencil_perturbation,
                                random_polynomial, random_singular_polynomial,
-                               trial_rng)
+                               run_backward_error_batch, trial_rng)
 from bklab.tolerances import EPS
 from oracles import certify_eigenvalues_by_svd, det_roots
 
@@ -799,6 +801,120 @@ def test_reports_are_strict_json():
     assert forced["step1"]["kappa_sequence"] == []
 
 
+# the report: what the pipeline measured, and what is derived from it
+
+_DERIVED = ("grade", "degenerate", "bound_label", "admissible", "bound_holds")
+
+_RECORD_KEYS = [
+    "epsilon", "eta", "m", "n", "grade", "degenerate", "norm_P", "norm_L",
+    "norm_M", "norm_dL", "radius", "admissible", "forced", "step1_residual",
+    "step1_iterations", "dR_eps_norm", "dR_eta_norm", "step2_residual_eps",
+    "step2_residual_eta", "ratio", "bound", "bound_label", "bound_informal",
+    "bound_holds", "eigen_checked", "eigen_max_distance", "eigen_consistent",
+    "shift_consistent", "eigen_backward_error",
+]
+
+
+def test_report_stores_measurements_and_derives_its_flags():
+    names = [f.name for f in dataclasses.fields(BackwardErrorReport)]
+    assert len(names) == 22 and not set(_DERIVED) & set(names)
+    for name in _DERIVED + ("forced", "eigen_checked", "verdict"):
+        attribute = getattr(BackwardErrorReport, name)
+        assert isinstance(attribute, property) and attribute.fset is None
+
+
+def _assert_derived_as_before(report, L):
+    # each derived flag equals the expression run_pipeline used to store
+    assert report.grade == L.grade
+    assert report.degenerate == (L.eps == 0 or L.eta == 0)
+    assert report.bound_label == ("degenerate" if L.eps == 0 or L.eta == 0
+                                  else "nondegenerate")
+    assert report.admissible is bool(report.norm_dL < report.radius)
+    assert report.bound_holds is bool(report.ratio <= report.bound)
+    assert list(report.record()) == _RECORD_KEYS
+
+
+def test_derived_flags_on_the_benchmark_inputs():
+    for L, dL in _be_style_cases(3, pool=16):
+        report = run_pipeline(L, dL)
+        _assert_derived_as_before(report, L)
+        assert report.verdict == ("passed", None)
+
+
+def test_forced_batch_rows_carry_the_verdict():
+    config = ExperimentConfig(seed=0, trials=10, magnitude=3.0, force=True)
+    rows = run_backward_error_batch(config)["trials"]
+    reported = 0
+    for index, row in enumerate(rows):
+        if row["status"] == "error":
+            continue
+        reported += 1
+        L, dL = generate_trial(config, index)
+        report = run_pipeline(L, dL, force=True)
+        _assert_derived_as_before(report, L)
+        assert (row["status"], row["reason"]) == report.verdict == (
+            "unguaranteed", "forced outside the guaranteed radius")
+        assert list(row) == ["trial", "status", "reason", *_RECORD_KEYS,
+                             "margin", "ratio_over_bound"]
+    assert reported >= 1
+
+
+def test_verdict_states_each_status_and_reason():
+    rng = trial_rng(89, 0)
+    bk = _random_block_kronecker(rng, 1, 1, 1, 2)
+    report = run_pipeline(bk, random_pencil_perturbation(bk.shape, 1e-8, rng))
+    assert report.verdict == ("passed", None)
+    forced = run_pipeline(bk, random_pencil_perturbation(
+        bk.shape, 2.0 * pipeline_radius(bk), rng), force=True)
+    assert forced.verdict == ("unguaranteed",
+                              "forced outside the guaranteed radius")
+    # a report built directly: a ratio above its bound
+    over = dataclasses.replace(report, ratio=2.0 * report.bound)
+    assert over.verdict == (
+        "failed", f"ratio {over.ratio:.3e} > bound {over.bound:.3e}")
+    # and an unsolvable gauge, on either of its two conditions
+    gauge = report.step1.gauge
+    for changes, condition in (
+            ({"delta_T_bound": gauge.sigma_min_T}, "delta = sigma_min(T) - "
+             "delta_T_bound > 0"),
+            ({"theta": gauge.delta ** 2 / gauge.omega},
+             "theta * omega / delta^2 < 1/4")):
+        bad = dataclasses.replace(gauge, **changes)
+        assert not bad.solvable and bad.violated_condition() == condition
+        unsolvable = dataclasses.replace(
+            report, step1=dataclasses.replace(report.step1, gauge=bad))
+        assert unsolvable.verdict == ("failed",
+                                      f"step 1 gauge violates {condition}")
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1e-160, 1e160, 1e300])
+def test_pipeline_at_the_ends_of_the_float_range(scale):
+    # every run ends in a report of finite numbers or a typed refusal; at
+    # 1e160 and above ||M||^2 overflows, so the hook pencil's bound is not
+    # finite and the pipeline refuses it, forced or not
+    P = scale * random_polynomial(2, 2, 3, trial_rng(0, 0))
+    for eps, eta, placement in ((1, 1, "hook"), (2, 0, "frobenius1")):
+        L = from_polynomial(P, eps, eta, placement)
+        radius = pipeline_radius(L)
+        for magnitude in (0.0, 0.5 * radius, 1e-8, 1.0):
+            dL = random_pencil_perturbation(L.shape, magnitude, trial_rng(1, 0))
+            inside = magnitude < radius
+            for force in (False, True):
+                if scale > 1 and placement == "hook":
+                    with pytest.raises(PreconditionError,
+                                       match="radius|bound is not finite"):
+                        run_pipeline(L, dL, force=force)
+                    continue
+                if not (inside or force):
+                    with pytest.raises(PreconditionError, match="radius"):
+                        run_pipeline(L, dL, force=force)
+                    continue
+                report = run_pipeline(L, dL, force=force)
+                blob = json.dumps(report.to_json(), allow_nan=False)
+                assert report.verdict[0] == ("passed" if inside
+                                             else "unguaranteed"), blob
+
+
 def test_pipeline_perturbed_pencil_is_linearization_of_perturbed_poly():
     # the strict-equivalence consistency in full: eigenvalues of L + dL match
     # the det roots of P + dP
@@ -814,16 +930,19 @@ def test_pipeline_perturbed_pencil_is_linearization_of_perturbed_poly():
 
 # ------------------------------------------------------- eigen certificate
 
-def _be_style_cases(seed=3):
+def _be_style_cases(seed=3, pool=1):
     """Inputs built as the benchmark's ``be_sylvester`` (hook, 4x4, grade 7)
-    and ``be_onesided`` (frobenius1, 8x8, grade 7) workloads build theirs."""
+    and ``be_onesided`` (frobenius1, 8x8, grade 7) workloads build theirs:
+    the first ``pool`` of each (the benchmark's pool holds 16)."""
     cases = []
     for m, eps, eta, placement in ((4, 3, 3, "hook"), (8, 6, 0, "frobenius1")):
-        rng = trial_rng(seed, 0)
-        L = from_polynomial(random_polynomial(m, m, eps + eta + 1, rng), eps,
-                            eta, placement)
-        dL = random_pencil_perturbation(L.shape, 0.5 * pipeline_radius(L), rng)
-        cases.append((L, dL))
+        for index in range(pool):
+            rng = trial_rng(seed, index)
+            L = from_polynomial(random_polynomial(m, m, eps + eta + 1, rng),
+                                eps, eta, placement)
+            dL = random_pencil_perturbation(L.shape,
+                                            0.5 * pipeline_radius(L), rng)
+            cases.append((L, dL))
     return cases
 
 
@@ -922,7 +1041,7 @@ def test_deferred_qz_first_certificate_reports_as_before(monkeypatch, seed):
     # QZ run defers; the report is the same, byte for byte
     want = [json.dumps(run_pipeline(L, dL).to_json())
             for L, dL in _be_style_cases(seed)]
-    cores = _recorded(monkeypatch, "_conjugated_core")
+    cores = _recorded(monkeypatch, "_pencil_qz")
     stairs = _recorded(monkeypatch, "staircase_eigenstructure")
     certify = backward_error._certify_eigenvalues
 
@@ -952,7 +1071,7 @@ def test_singular_leading_coefficient_defers_to_the_staircase(monkeypatch,
     L = from_polynomial(MatrixPolynomial(stack), 1, 1, "hook")
     dL = random_pencil_perturbation(L.shape, magnitude * pipeline_radius(L),
                                     trial_rng(64, 1))
-    cores = _recorded(monkeypatch, "_conjugated_core")
+    cores = _recorded(monkeypatch, "_pencil_qz")
     stairs = _recorded(monkeypatch, "staircase_eigenstructure")
     report = run_pipeline(L, dL)
     assert len(cores) == 1 and cores[0].infinite
@@ -966,8 +1085,8 @@ def test_singular_leading_coefficient_defers_to_the_staircase(monkeypatch,
 def test_singular_square_polynomial_runs_no_qz_first(monkeypatch):
     # P + dP of normal rank 2 < 3: the gate reads the normal rank the
     # certificates share, and the staircase runs at once
-    monkeypatch.setattr(backward_error, "_conjugated_core",
-                        _refuse("_conjugated_core"))
+    monkeypatch.setattr(backward_error, "_pencil_qz",
+                        _refuse("_pencil_qz"))
     stairs = _recorded(monkeypatch, "staircase_eigenstructure")
     L = from_polynomial(random_singular_polynomial(3, 3, 3, 2,
                                                    trial_rng(65, 0)),

@@ -286,31 +286,82 @@ def _norm_cases():
     }
 
 
+def _numpy_in_range(a) -> bool:
+    """numpy's norm of ``a`` is accurate: its sum of squares is a normal
+    float or NaN, or ``a`` is zero."""
+    with np.errstate(over="ignore", under="ignore"):
+        total = np.sum(np.abs(a) ** 2)
+    return bool(np.finfo(float).tiny <= total < np.inf or np.isnan(total)
+                or not a.any())
+
+
+def _scaled_norm(a) -> float:
+    """``s ||a / s||_F`` with ``s = max |a_ij|``, numpy's norm taken where
+    its squares stay in range."""
+    s = np.abs(a).max(initial=0.0)
+    return float(s * np.linalg.norm(a / s)) if 0 < s < np.inf else float(s)
+
+
+def _within_ulps(got, want, ulps=4) -> bool:
+    return bool(got == want or abs(got - want) <= ulps * np.spacing(want))
+
+
 @pytest.mark.parametrize("case", sorted(_norm_cases()))
 def test_frobenius_equals_numpy_norm_bit_for_bit(case):
+    # bit for bit where numpy's squares stay in range; the scaled norm where
+    # they overflow (1e200) or turn subnormal (1e-170), with no warning
     a = _norm_cases()[case]
-    with np.errstate(over="ignore"):  # both overflow alike on 1e200
-        got, want = _frobenius(a), np.linalg.norm(a)
+    got = _frobenius(a)
     assert isinstance(got, float)
-    assert _bits(got) == _bits(want)
-    if case.startswith("huge"):
-        assert got == np.inf
+    assert _numpy_in_range(a) == (case not in ("huge", "huge_real", "tiny"))
+    if _numpy_in_range(a):
+        assert _bits(got) == _bits(np.linalg.norm(a))
+    else:
+        assert np.isfinite(got) and _within_ulps(got, _scaled_norm(a))
 
 
 def test_pair_norm_equals_numpy_hypot_reduction_bit_for_bit():
+    # bit for bit when every array is in range, and within 4 ulp of the
+    # reduction of the scaled norms otherwise (a 1e200 case times 1e150 is
+    # inf, and its norm too)
     cases = _norm_cases()
     rng = np.random.default_rng(16)
     names = sorted(cases)
+    out_of_range = 0
     for count in (1, 2, 3, 4, 6):
         for _ in range(20):
             with np.errstate(over="ignore", invalid="ignore"):
                 arrays = [cases[names[i]] * rng.choice([1.0, 1e-3, 1e150])
                           for i in rng.choice(len(names), count)]
-                want = np.hypot.reduce([np.linalg.norm(a) for a in arrays])
-                got = pair_norm(*arrays)
+            got = pair_norm(*arrays)
             assert isinstance(got, float)
-            assert _bits(got) == _bits(want), [a.shape for a in arrays]
+            if all(_numpy_in_range(a) for a in arrays):
+                with np.errstate(over="ignore", invalid="ignore"):
+                    want = np.hypot.reduce([np.linalg.norm(a) for a in arrays])
+                assert _bits(got) == _bits(want), [a.shape for a in arrays]
+            else:
+                out_of_range += 1
+                want = np.hypot.reduce([_scaled_norm(a) for a in arrays])
+                assert _within_ulps(got, want) or np.isnan([got, want]).all()
+    assert 0 < out_of_range < 100
     assert pair_norm() == np.hypot.reduce([]) == 0.0
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1e-160, 1e160, 1e300])
+def test_norms_scale_out_of_the_squares_range(scale):
+    # the squares of these entries underflow or overflow; the norms are the
+    # scaled ones, and no warning is raised (the suite makes them errors)
+    from bklab.experiments import random_polynomial, trial_rng
+    unit = random_polynomial(2, 2, 3, trial_rng(0, 0))
+    P = scale * unit
+    assert P.degree() == 3
+    assert _within_ulps(P.frobenius_norm(),
+                        scale * np.linalg.norm(P.coeff_stack / scale))
+    A, B = P.coeff_stack[0], P.coeff_stack[3]
+    assert _within_ulps(pair_norm(A, B),
+                        scale * pair_norm(A / scale, B / scale))
+    assert pair_norm(A, B) == pytest.approx(scale * pair_norm(
+        unit.coeff_stack[0], unit.coeff_stack[3]), rel=1e-15)
 
 
 # ----------------------------------------------------------------- multiply
