@@ -37,15 +37,14 @@ from functools import lru_cache
 import numpy as np
 
 from .block_kronecker import BlockKroneckerPencil, from_polynomial, recover_polynomial
-from .eigenstructure import (Eigenstructure, _normal_rank, _pencil_qz,
-                             chordal_distance, match_eigenvalues,
+from .eigenstructure import (_certified_structure, match_eigenvalues,
                              staircase_eigenstructure)
-from .errors import ConvergenceError, PreconditionError, ShapeError
+from .errors import ConvergenceError, GradeError, PreconditionError, ShapeError
 from .matpoly import (CACHE_SIZE, MatrixPolynomial, Pencil, _frobenius,
                       _stack_product, build_L, build_Lambda, convolution,
                       pair_norm)
 from .spectral_constants import build_T, sigma_min_T_closed
-from .tolerances import EPS, _finite_nonnegative, _require_finite, _svd, pseudoinverse
+from .tolerances import EPS, _finite_nonnegative, _require_finite, pseudoinverse
 
 SQRT2M1 = np.sqrt(2.0) - 1.0
 MAX_ITER = 200
@@ -61,18 +60,20 @@ def _fixed_point(update, x, step: str):
     above 1 when diverging)."""
     norms: list[float] = []
     steps: list[float] = []
-    for iterations in range(1, MAX_ITER + 1):
-        x_next = update(x)
-        steps.append(pair_norm(*(a - b for a, b in zip(x_next, x))))
-        x = x_next
-        norms.append(pair_norm(*x))
-        if not np.isfinite(norms[-1]):
-            # inf <= inf would otherwise pass the stopping rule below
-            raise ConvergenceError(
-                f"{step}: fixed point diverged: non-finite iterate at "
-                f"iteration {iterations}")
-        if steps[-1] <= 100.0 * EPS * (1.0 + norms[-1]):
-            return x, iterations, norms
+    # a diverging iterate overflows silently: the check below refuses it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for iterations in range(1, MAX_ITER + 1):
+            x_next = update(x)
+            steps.append(pair_norm(*(a - b for a, b in zip(x_next, x))))
+            x = x_next
+            norms.append(pair_norm(*x))
+            if not np.isfinite(norms[-1]):
+                # inf <= inf would otherwise pass the stopping rule below
+                raise ConvergenceError(
+                    f"{step}: fixed point diverged: non-finite iterate at "
+                    f"iteration {iterations}")
+            if steps[-1] <= 100.0 * EPS * (1.0 + norms[-1]):
+                return x, iterations, norms
     ratio = (steps[-1] / steps[-11]) ** 0.1
     raise ConvergenceError(
         f"{step}: fixed point did not meet the stopping rule in "
@@ -149,7 +150,12 @@ class Step1Result:
 
 
 def step1_radius(d: int, one_one_norm: float) -> float:
-    """Perturbation radius under which Step 1 is guaranteed to succeed."""
+    """Perturbation radius under which Step 1 is guaranteed to succeed.
+    Raises :class:`GradeError` when ``d < 1`` and :class:`ShapeError`
+    unless ``one_one_norm`` is finite and nonnegative."""
+    if d < 1:
+        raise GradeError(f"d must be at least 1, got {d}")
+    one_one_norm = _finite_nonnegative(one_one_norm, "one_one_norm")
     return (SQRT2M1 / d) ** 2 / (1.0 + one_one_norm)
 
 
@@ -270,6 +276,10 @@ def solve_step1(L: BlockKroneckerPencil, dL: Pencil,
 
 
 def step2_radius(eps: int) -> float:
+    """``1 / (2 (eps+1)^{3/2})``; a negative ``eps`` raises
+    :class:`ShapeError`."""
+    if eps < 0:
+        raise ShapeError(f"eps must be nonnegative, got {eps}")
     return 1.0 / (2.0 * (eps + 1) ** 1.5)
 
 
@@ -352,139 +362,6 @@ def assemble_step3(L: BlockKroneckerPencil, dL11: Pencil,
     mid = M.coeff_stack + dL11.coeff_stack
     right = (build_Lambda(L.eps, L.n) + dR_eps).coeff_stack
     return MatrixPolynomial(_stack_product(_stack_product(left, mid), right))
-
-
-# -- eigenvalue certificate --------------------------------------------------
-
-def _unit(v: np.ndarray) -> np.ndarray:
-    """The columns of the stack ``v`` scaled to unit 2-norm, through their
-    largest entry first so that no square overflows; a column with an inf
-    entry becomes NaN."""
-    v = v / np.abs(v).max(axis=1, keepdims=True)
-    return v / np.linalg.norm(v, axis=1, keepdims=True)
-
-
-def _smallest_pairs(values: np.ndarray, scale: np.ndarray):
-    """``(sigma, x, y)`` for each matrix ``A`` of the square stack
-    ``values``, by one step of inverse iteration on ``A^H A`` from a fixed
-    start vector ``b``: ``y = A^{-H} b / ||A^{-H} b||``, ``x = A^{-1} y /
-    ||A^{-1} y||`` and ``sigma = ||A x||``, two batched LU solves and no
-    singular vectors.  In exact arithmetic ``A x`` is parallel to ``y``.
-    Whatever the roundoff in ``x``, ``sigma`` is the residual of a unit
-    vector, so it bounds ``sigma_min(A)`` from above.
-
-    A zero pivot (an ``A`` exactly singular in floating point) fails the
-    whole batch; the solves are then taken again with every ``A`` shifted
-    by ``EPS * scale`` times the identity, as inverse iteration perturbs a
-    zero pivot, and ``sigma`` is still read from the unshifted ``A``.
-    ``None`` when those solves meet a zero pivot too, or when a solve
-    overflows.
-    """
-    count, n, _ = values.shape
-    # unit entries in distinct phases: b is orthogonal to no coordinate
-    # vector and to no difference of two, null vectors that structured
-    # matrices tend to have
-    b = np.broadcast_to(np.exp(1j * np.arange(n))[:, None], (count, n, 1))
-    for shift in (0.0, EPS):
-        M = values + shift * scale[:, None, None] * np.eye(n) if shift else values
-        try:
-            with np.errstate(all="ignore"):
-                y = _unit(np.linalg.solve(M.conj().transpose(0, 2, 1), b))
-                x = _unit(np.linalg.solve(M, y))
-                sigma = np.linalg.norm(values @ x, axis=(1, 2))
-        except np.linalg.LinAlgError:
-            continue
-        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
-            return None
-        return sigma, x[..., 0], y[..., 0]
-    return None
-
-
-def _certify_eigenvalues(Q: MatrixPolynomial, structure: Eigenstructure,
-                         tol: float, rank: int | None = None):
-    """Certify the eigenvalues of ``structure`` as eigenvalues of ``Q``.
-
-    Each eigenvalue is the point ``(alpha, beta)``, ``|alpha|^2 + |beta|^2 =
-    1``, with ``(1, 0)`` for the infinite ones, and ``Q`` is evaluated there
-    in homogeneous form, ``Q(alpha, beta) = sum_k alpha^k beta^(d-k) Q_k``,
-    in one product of the weights with the coefficient stack.  When
-    ``structure`` has no minimal indices and ``Q`` is square of full normal
-    rank, :func:`_smallest_pairs` takes one step of inverse iteration at
-    every point: a unit vector ``x``, its residual ``sigma = ||Q(alpha,
-    beta) x||`` and a unit left vector ``y``.  The backward error ``sigma /
-    (||Q||_F ||(alpha^k beta^(d-k))_k||_2)`` is that of the computed
-    eigenpair, which bounds the eigenvalue's backward error (Tisseur, LAA
-    309 (2000)) from above.  The first-order chordal distance to an
-    eigenvalue of ``Q`` is ``sigma / |y^H (conj(beta) dQ/dalpha -
-    conj(alpha) dQ/dbeta) x|`` (Dedieu and Tisseur, LAA 358 (2003)).  In
-    every other case (minimal indices, a singular or rectangular ``Q``, or
-    solves that give no finite pair) ``sigma`` is the ``r``-th singular
-    value of ``Q(alpha, beta)`` from one values-only batched SVD, with
-    ``r`` the normal rank (``rank``, or ``_normal_rank(Q)`` when it is not
-    given), and the eigenvalues are not certified.
-
-    Returns ``(eta, distance)``: the largest backward error, ``None`` when
-    it is not finite, and the largest distance over the finite eigenvalues,
-    ``None`` unless the eigenvalues are certified.  They are when the
-    inverse iteration gave its pairs, every finite eigenvalue lies more
-    than ``2 tol`` from every other eigenvalue and from infinity, and every
-    distance is at most ``tol``.  Then the discs of radius ``tol`` around
-    the finite eigenvalues are disjoint and each holds its own finite
-    eigenvalue of ``Q``: the one-to-one pairing a chordal match of the two
-    spectra looks for.  The infinite eigenvalues are covered by their
-    backward error alone.
-    """
-    finite = np.array(structure.finite, dtype=complex)
-    beta = 1.0 / np.hypot(np.abs(finite), 1.0)
-    alpha = finite * beta
-    if structure.infinite:
-        alpha, beta = np.append(alpha, 1.0), np.append(beta, 0.0)
-    points, d = alpha.size, Q.grade
-    rank = _normal_rank(Q) if rank is None else rank
-    if points == 0 or rank == 0:
-        return (0.0 if rank else None), None
-    # alpha^k and beta^k for k = 0 .. d, by repeated products
-    a_pow = np.ones((points, d + 1), dtype=complex)
-    b_pow = np.ones((points, d + 1), dtype=complex)
-    for j in range(1, d + 1):
-        a_pow[:, j] = a_pow[:, j - 1] * alpha
-        b_pow[:, j] = b_pow[:, j - 1] * beta
-    k, zero = np.arange(d + 1), np.zeros((points, 1))
-    weights = a_pow * b_pow[:, ::-1]
-    # the derivatives of alpha^k beta^(d-k) in alpha and in beta
-    d_alpha = k * np.hstack([zero, a_pow[:, :-1]]) * b_pow[:, ::-1]
-    d_beta = (d - k) * a_pow * np.hstack([b_pow[:, -2::-1], zero])
-    tangent = beta[:, None] * d_alpha - alpha.conj()[:, None] * d_beta
-    values = (np.vstack([weights, tangent])
-              @ Q.coeff_stack.reshape(d + 1, -1)).reshape(-1, Q.rows, Q.cols)
-    scale = Q.frobenius_norm() * np.linalg.norm(weights, axis=1)
-    pairs = None
-    if not (structure.right or structure.left) and rank == Q.rows == Q.cols:
-        pairs = _smallest_pairs(values[:points], scale)
-    if pairs is not None:
-        sigma, x, y = pairs
-    else:
-        try:
-            sigma = _svd(values[:points], vectors=False)[:, rank - 1]
-        except ShapeError:  # a non-finite evaluation
-            return None, None
-    eta = float(np.max(sigma / scale))
-    eta = eta if np.isfinite(eta) else None
-    if pairs is None:
-        return eta, None
-    count = finite.size
-    if count:
-        gaps = chordal_distance(finite[:, None], np.append(finite, np.inf))
-        gaps[np.arange(count), np.arange(count)] = np.inf
-        if not gaps.min() > 2.0 * tol:
-            return eta, None
-    slope = np.abs(np.einsum("ia,iab,ib->i", y[:count].conj(),
-                             values[points:points + count], x[:count]))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        distance = float(np.max(sigma[:count] / slope, initial=0.0))
-    if not distance <= tol:  # also when a slope vanishes
-        return eta, None
-    return eta, distance
 
 
 # -- bounds ------------------------------------------------------------------
@@ -629,34 +506,18 @@ def _check_eigen(L: BlockKroneckerPencil, dL: Pencil,
     """``(eigen_backward_error, eigen_max_distance, eigen_consistent,
     shift_consistent)`` for the eigenvalues of ``L + dL`` against ``P + dP``.
 
-    When ``P + dP`` is square of full normal rank (``L + dL`` is then square
-    too), QZ runs on ``L + dL`` first, in the staircase's orientation, which
-    gives bit for bit the eigenvalues the staircase reads when it finds
-    ``B`` of full rank.  If QZ reads no eigenvalue as infinite and
-    :func:`_certify_eigenvalues` certifies them, they are consistent on
-    both counts; an infinite one is never certified this way, since its
-    backward error alone would pass a singular ``L + dL``.  Otherwise the
-    staircase of ``L + dL`` is certified in the same way, and failing that
-    a fresh hook linearization of ``P + dP`` at the same split is reduced
-    too.  The finite eigenvalues are matched under the chordal metric, and
-    the sorted minimal indices and infinite partitions must be equal as
-    they stand, since equal lists shift back alike, with no right index
-    below ``eps`` and no left one below ``eta``.  The normal rank of
-    ``P + dP`` is computed once and shared by every certificate.
+    :func:`~bklab.eigenstructure._certified_structure` solves and
+    certifies ``L + dL``; certified, it is consistent on both counts.
+    Otherwise a fresh hook linearization of ``P + dP`` at the same split is
+    reduced too: the finite eigenvalues are matched under the chordal
+    metric, and the sorted minimal indices and infinite partitions must be
+    equal as they stand, with no right index below ``eps`` and no left one
+    below ``eta``.
     """
     L_plus_dL = Pencil(L.assemble().coeff_stack + dL.coeff_stack)
     _require_finite(L_plus_dL.coeff_stack)
-    rank = _normal_rank(P_plus_dP)
-    if rank == P_plus_dP.rows == P_plus_dP.cols:
-        core = _pencil_qz(L_plus_dL)
-        if not core.infinite:
-            backward, distance = _certify_eigenvalues(P_plus_dP, core,
-                                                      eigen_tol, rank)
-            if distance is not None:
-                return backward, distance, True, True
-    es_pert = staircase_eigenstructure(L_plus_dL)
-    backward, distance = _certify_eigenvalues(P_plus_dP, es_pert, eigen_tol,
-                                              rank)
+    es_pert, backward, distance = _certified_structure(L_plus_dL, P_plus_dP,
+                                                       eigen_tol)
     if distance is not None:
         return backward, distance, True, True
     fresh = from_polynomial(P_plus_dP, L.eps, L.eta, "hook")

@@ -339,6 +339,156 @@ def staircase_eigenstructure(pencil, tol=None) -> Eigenstructure:
     )
 
 
+def _unit(v: np.ndarray) -> np.ndarray:
+    """The columns of the stack ``v`` scaled to unit 2-norm, through their
+    largest entry first so that no square overflows; a column with an inf
+    entry becomes NaN."""
+    v = v / np.abs(v).max(axis=1, keepdims=True)
+    return v / np.linalg.norm(v, axis=1, keepdims=True)
+
+
+def _smallest_pairs(values: np.ndarray, scale: np.ndarray):
+    """``(sigma, x, y)`` for each matrix ``A`` of the square stack
+    ``values``, by one step of inverse iteration on ``A^H A`` from a fixed
+    start vector ``b``: ``y = A^{-H} b / ||A^{-H} b||``, ``x = A^{-1} y /
+    ||A^{-1} y||`` and ``sigma = ||A x||``, two batched LU solves and no
+    singular vectors.  In exact arithmetic ``A x`` is parallel to ``y``.
+    Whatever the roundoff in ``x``, ``sigma`` is the residual of a unit
+    vector, so it bounds ``sigma_min(A)`` from above.
+
+    A zero pivot (an ``A`` exactly singular in floating point) fails the
+    whole batch; the solves are then taken again with every ``A`` shifted
+    by ``EPS * scale`` times the identity, as inverse iteration perturbs a
+    zero pivot, and ``sigma`` is still read from the unshifted ``A``.
+    ``None`` when those solves meet a zero pivot too, or when a solve
+    overflows.
+    """
+    count, n, _ = values.shape
+    # unit entries in distinct phases: b is orthogonal to no coordinate
+    # vector and to no difference of two, null vectors that structured
+    # matrices tend to have
+    b = np.broadcast_to(np.exp(1j * np.arange(n))[:, None], (count, n, 1))
+    for shift in (0.0, EPS):
+        M = values + shift * scale[:, None, None] * np.eye(n) if shift else values
+        try:
+            with np.errstate(all="ignore"):
+                y = _unit(np.linalg.solve(M.conj().transpose(0, 2, 1), b))
+                x = _unit(np.linalg.solve(M, y))
+                sigma = np.linalg.norm(values @ x, axis=(1, 2))
+        except np.linalg.LinAlgError:
+            continue
+        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+            return None
+        return sigma, x[..., 0], y[..., 0]
+    return None
+
+
+def _certify_eigenvalues(Q: MatrixPolynomial, structure: Eigenstructure,
+                         tol: float, rank: int | None = None):
+    """Certify the eigenvalues of ``structure`` as eigenvalues of ``Q``.
+
+    Each eigenvalue is the point ``(alpha, beta)``, ``|alpha|^2 + |beta|^2 =
+    1``, with ``(1, 0)`` for the infinite ones, and ``Q`` is evaluated there
+    in homogeneous form, ``Q(alpha, beta) = sum_k alpha^k beta^(d-k) Q_k``,
+    in one product of the weights with the coefficient stack.  When
+    ``structure`` has no minimal indices and ``Q`` is square of full normal
+    rank, :func:`_smallest_pairs` takes one step of inverse iteration at
+    every point: a unit vector ``x``, its residual ``sigma = ||Q(alpha,
+    beta) x||`` and a unit left vector ``y``.  The backward error ``sigma /
+    (||Q||_F ||(alpha^k beta^(d-k))_k||_2)`` is that of the computed
+    eigenpair, which bounds the eigenvalue's backward error (Tisseur, LAA
+    309 (2000)) from above.  The first-order chordal distance to an
+    eigenvalue of ``Q`` is ``sigma / |y^H (conj(beta) dQ/dalpha -
+    conj(alpha) dQ/dbeta) x|`` (Dedieu and Tisseur, LAA 358 (2003)).  In
+    every other case (minimal indices, a singular or rectangular ``Q``, or
+    solves that give no finite pair) ``sigma`` is the ``r``-th singular
+    value of ``Q(alpha, beta)`` from one values-only batched SVD, with
+    ``r`` the normal rank (``rank``, or ``_normal_rank(Q)`` when it is not
+    given), and the eigenvalues are not certified.
+
+    Returns ``(eta, distance)``: the largest backward error, ``None`` when
+    it is not finite, and the largest distance over the finite eigenvalues,
+    ``None`` unless the eigenvalues are certified.  They are when the
+    inverse iteration gave its pairs, every finite eigenvalue lies more
+    than ``2 tol`` from every other eigenvalue and from infinity, and every
+    distance is at most ``tol``.  Then the discs of radius ``tol`` around
+    the finite eigenvalues are disjoint and each holds its own finite
+    eigenvalue of ``Q``: the one-to-one pairing a chordal match of the two
+    spectra looks for.  The infinite eigenvalues are covered by their
+    backward error alone.
+    """
+    finite = np.array(structure.finite, dtype=complex)
+    beta = 1.0 / np.hypot(np.abs(finite), 1.0)
+    alpha = finite * beta
+    if structure.infinite:
+        alpha, beta = np.append(alpha, 1.0), np.append(beta, 0.0)
+    points, d = alpha.size, Q.grade
+    rank = _normal_rank(Q) if rank is None else rank
+    if points == 0 or rank == 0:
+        return (0.0 if rank else None), None
+    # alpha^k and beta^k for k = 0 .. d, by repeated products
+    a_pow = np.ones((points, d + 1), dtype=complex)
+    b_pow = np.ones((points, d + 1), dtype=complex)
+    for j in range(1, d + 1):
+        a_pow[:, j] = a_pow[:, j - 1] * alpha
+        b_pow[:, j] = b_pow[:, j - 1] * beta
+    k, zero = np.arange(d + 1), np.zeros((points, 1))
+    weights = a_pow * b_pow[:, ::-1]
+    # the derivatives of alpha^k beta^(d-k) in alpha and in beta
+    d_alpha = k * np.hstack([zero, a_pow[:, :-1]]) * b_pow[:, ::-1]
+    d_beta = (d - k) * a_pow * np.hstack([b_pow[:, -2::-1], zero])
+    tangent = beta[:, None] * d_alpha - alpha.conj()[:, None] * d_beta
+    values = (np.vstack([weights, tangent])
+              @ Q.coeff_stack.reshape(d + 1, -1)).reshape(-1, Q.rows, Q.cols)
+    scale = Q.frobenius_norm() * np.linalg.norm(weights, axis=1)
+    pairs = None
+    if not (structure.right or structure.left) and rank == Q.rows == Q.cols:
+        pairs = _smallest_pairs(values[:points], scale)
+    if pairs is not None:
+        sigma, x, y = pairs
+    else:
+        try:
+            sigma = _svd(values[:points], vectors=False)[:, rank - 1]
+        except ShapeError:  # a non-finite evaluation
+            return None, None
+    eta = float(np.max(sigma / scale))
+    eta = eta if np.isfinite(eta) else None
+    if pairs is None:
+        return eta, None
+    count = finite.size
+    if count:
+        gaps = chordal_distance(finite[:, None], np.append(finite, np.inf))
+        gaps[np.arange(count), np.arange(count)] = np.inf
+        if not gaps.min() > 2.0 * tol:
+            return eta, None
+    slope = np.abs(np.einsum("ia,iab,ib->i", y[:count].conj(),
+                             values[points:points + count], x[:count]))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        distance = float(np.max(sigma[:count] / slope, initial=0.0))
+    if not distance <= tol:  # also when a slope vanishes
+        return eta, None
+    return eta, distance
+
+
+def _certified_structure(pencil, Q: MatrixPolynomial, tol: float):
+    """``(structure, eta, distance)``: the eigenstructure of ``pencil``, a
+    linearization of ``Q``, and :func:`_certify_eigenvalues` of it against
+    ``Q``.  When ``Q`` is square of full normal rank, QZ's answer, bit for
+    bit the staircase's when it finds ``M1`` of full rank, stands if it
+    reads no infinite eigenvalue (whose backward error alone would pass a
+    singular ``pencil``) and is certified; otherwise the staircase's does,
+    with ``distance`` ``None`` unless certified."""
+    rank = _normal_rank(Q)
+    if rank == Q.rows == Q.cols:
+        core = _pencil_qz(pencil)
+        if not core.infinite:
+            eta, distance = _certify_eigenvalues(Q, core, tol, rank)
+            if distance is not None:
+                return core, eta, distance
+    structure = staircase_eigenstructure(pencil)
+    return (structure, *_certify_eigenvalues(Q, structure, tol, rank))
+
+
 def right_minimal_indices_by_convolution(Q: MatrixPolynomial, j_max=None,
                                          tol=None) -> list[int]:
     """Right minimal indices of a matrix polynomial from the nullities of its

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import LayoutError, ShapeError
+from .errors import GradeError, LayoutError, ShapeError
 from .matpoly import build_L, build_Lambda, convolution
 
 
@@ -99,7 +99,10 @@ def sigma_min_T_closed(eps: int, eta: int) -> float:
 
 
 def sigma_min_T_lower_bound(d: int) -> float:
-    """The simple grade-only bound ``2 sqrt(2) / d``."""
+    """The simple grade-only bound ``2 sqrt(2) / d``; ``d < 1`` raises
+    :class:`GradeError`."""
+    if d < 1:
+        raise GradeError(f"d must be at least 1, got {d}")
     return 2.0 * np.sqrt(2.0) / d
 
 
@@ -184,6 +187,8 @@ def sigma_min_convolution_L(eps: int, n: int = 1, tol: float = 1e-10) -> Convolu
     """
     if eps < 1:
         raise ShapeError("eps must be at least 1")
+    if n < 1:
+        raise ShapeError("n must be at least 1")
     closed = 2.0 * np.sin(np.pi / (4 * eps + 2))
     L = build_L(eps, n)
     s_low = np.linalg.svd(convolution(L, eps - 1), compute_uv=False)

@@ -443,7 +443,7 @@ def verify_norm_inequalities(P: MatrixPolynomial, Q: MatrixPolynomial):
 
 def certify_eigenvalues_by_svd(Q: MatrixPolynomial, structure: Eigenstructure,
                                tol: float):
-    """The reference for ``backward_error._certify_eigenvalues``: the same
+    """The reference for ``eigenstructure._certify_eigenvalues``: the same
     certificate read from the ``r``-th singular triplet of a full batched
     SVD, where the library takes one step of inverse iteration.
 

@@ -17,9 +17,8 @@ from bklab import (BkLabError, BlockKroneckerPencil, ConvergenceError,
                    solve_step1, solve_step2, staircase_eigenstructure,
                    step1_radius, step2_radius, zeros)
 from bklab.backward_error import (SQRT2M1, BackwardErrorReport, _S_pinv,
-                                  _S_scalar_pinv, _T_pinv, _T_scalar_pinv,
-                                  _certify_eigenvalues)
-from bklab.eigenstructure import _normal_rank
+                                  _S_scalar_pinv, _T_pinv, _T_scalar_pinv)
+from bklab.eigenstructure import _certify_eigenvalues, _normal_rank
 from bklab.experiments import (ExperimentConfig, complex_gaussian,
                                generate_trial, random_pencil_perturbation,
                                random_polynomial, random_singular_polynomial,
@@ -549,8 +548,7 @@ def test_forced_step1_divergence_raises():
     config = ExperimentConfig(seed=0, m=(3, 3), n=(3, 3), d=(5, 5),
                               magnitude=10.0, force=True)
     L, dL = generate_trial(config, 0)
-    with np.errstate(all="ignore"), pytest.raises(ConvergenceError,
-                                                  match="non-finite"):
+    with pytest.raises(ConvergenceError, match="non-finite"):
         solve_step1(L, dL, force=True)
 
 
@@ -995,8 +993,9 @@ def _refuse(what):
 
 def test_certified_eigen_check_runs_one_qz_and_no_staircase(monkeypatch):
     calls = _count_qz(monkeypatch)
-    monkeypatch.setattr(backward_error, "staircase_eigenstructure",
-                        _refuse("staircase_eigenstructure"))
+    for module in (eigenstructure, backward_error):
+        monkeypatch.setattr(module, "staircase_eigenstructure",
+                            _refuse("staircase_eigenstructure"))
     monkeypatch.setattr(backward_error, "from_polynomial",
                         _refuse("from_polynomial"))
     for L, dL in _be_style_cases():
@@ -1020,17 +1019,18 @@ def test_double_eigenvalue_falls_back_to_the_second_qz(monkeypatch):
     assert 0.0 <= report.eigen_backward_error <= 100 * EPS
 
 
-def _recorded(monkeypatch, name):
-    """Replace ``backward_error.<name>`` by a wrapper that keeps what it
-    returns; the list of those results."""
+def _recorded(monkeypatch, name, module=eigenstructure):
+    """Replace ``module.<name>`` by a wrapper that keeps what it returns;
+    the list of those results.  In ``eigenstructure`` it is what the eigen
+    check's head calls, in ``backward_error`` what its fallback calls."""
     results = []
-    function = getattr(backward_error, name)
+    function = getattr(module, name)
 
     def recorded(*args, **kwargs):
         results.append(function(*args, **kwargs))
         return results[-1]
 
-    monkeypatch.setattr(backward_error, name, recorded)
+    monkeypatch.setattr(module, name, recorded)
     return results
 
 
@@ -1043,39 +1043,49 @@ def test_deferred_qz_first_certificate_reports_as_before(monkeypatch, seed):
             for L, dL in _be_style_cases(seed)]
     cores = _recorded(monkeypatch, "_pencil_qz")
     stairs = _recorded(monkeypatch, "staircase_eigenstructure")
-    certify = backward_error._certify_eigenvalues
+    fallback = _recorded(monkeypatch, "staircase_eigenstructure",
+                         backward_error)
+    certify = eigenstructure._certify_eigenvalues
 
     def defer_on_the_core(Q, structure, *args):
         eta, distance = certify(Q, structure, *args)
         return eta, (None if any(structure is c for c in cores) else distance)
 
-    monkeypatch.setattr(backward_error, "_certify_eigenvalues",
+    monkeypatch.setattr(eigenstructure, "_certify_eigenvalues",
                         defer_on_the_core)
     got = [json.dumps(run_pipeline(L, dL).to_json())
            for L, dL in _be_style_cases(seed)]
-    assert len(cores) == len(stairs) == 2
+    assert len(cores) == len(stairs) == 2 and fallback == []
     assert got == want
+
+
+def _singular_leading_coefficient_case(magnitude):
+    """A 3 x 3 grade-3 polynomial whose leading coefficient has rank 1, and
+    ``dL`` of norm ``magnitude`` times the radius."""
+    rng = trial_rng(64, 0)
+    stack = random_polynomial(3, 3, 3, rng).coeff_stack.copy()
+    stack[-1] = 0.3 * rng.standard_normal((3, 1)) @ rng.standard_normal((1, 3))
+    L = from_polynomial(MatrixPolynomial(stack), 1, 1, "hook")
+    return L, random_pencil_perturbation(
+        L.shape, magnitude * pipeline_radius(L), trial_rng(64, 1))
 
 
 @pytest.mark.parametrize("magnitude", [0.0, 1e-12])
 def test_singular_leading_coefficient_defers_to_the_staircase(monkeypatch,
                                                               magnitude):
-    # a 3 x 3 grade-3 polynomial whose leading coefficient has rank 1, so L's
-    # leading coefficient has a null space: QZ reads an infinite eigenvalue
-    # of L + dL, which the QZ run first never certifies; the staircase reads
-    # the null space, and its infinite partition is what the certificate
-    # covers
-    rng = trial_rng(64, 0)
-    stack = random_polynomial(3, 3, 3, rng).coeff_stack.copy()
-    stack[-1] = 0.3 * rng.standard_normal((3, 1)) @ rng.standard_normal((1, 3))
-    L = from_polynomial(MatrixPolynomial(stack), 1, 1, "hook")
-    dL = random_pencil_perturbation(L.shape, magnitude * pipeline_radius(L),
-                                    trial_rng(64, 1))
+    # L's leading coefficient has a null space: QZ reads an infinite
+    # eigenvalue of L + dL, which the QZ run first never certifies; the
+    # staircase reads the null space, and its infinite partition is what the
+    # certificate covers
+    L, dL = _singular_leading_coefficient_case(magnitude)
     cores = _recorded(monkeypatch, "_pencil_qz")
     stairs = _recorded(monkeypatch, "staircase_eigenstructure")
+    fallback = _recorded(monkeypatch, "staircase_eigenstructure",
+                         backward_error)
     report = run_pipeline(L, dL)
     assert len(cores) == 1 and cores[0].infinite
     assert len(stairs) == 1 and stairs[0].infinite == [1, 1]
+    assert fallback == []
     assert any(d.context == "right:stage1:B" and d.rank < L.shape[1]
                for d in stairs[0].rank_log)
     assert report.eigen_consistent is True and report.shift_consistent is True
@@ -1085,21 +1095,98 @@ def test_singular_leading_coefficient_defers_to_the_staircase(monkeypatch,
 def test_singular_square_polynomial_runs_no_qz_first(monkeypatch):
     # P + dP of normal rank 2 < 3: the gate reads the normal rank the
     # certificates share, and the staircase runs at once
-    monkeypatch.setattr(backward_error, "_pencil_qz",
+    monkeypatch.setattr(eigenstructure, "_pencil_qz",
                         _refuse("_pencil_qz"))
     stairs = _recorded(monkeypatch, "staircase_eigenstructure")
+    fallback = _recorded(monkeypatch, "staircase_eigenstructure",
+                         backward_error)
     L = from_polynomial(random_singular_polynomial(3, 3, 3, 2,
                                                    trial_rng(65, 0)),
                         1, 1, "hook")
     report = run_pipeline(L, Pencil(np.zeros((2,) + L.shape)))
     assert _normal_rank(recover_polynomial(L) + report.dP) == 2
-    assert len(stairs) == 2 and stairs[0].infinite
+    assert len(stairs) == len(fallback) == 1 and stairs[0].infinite
     assert report.eigen_consistent is True and report.shift_consistent is True
+
+
+def test_backward_error_binds_no_eigen_solver_internals():
+    # the solve of L + dL and its certificate live in eigenstructure
+    for name in ("_normal_rank", "_pencil_qz", "_svd", "chordal_distance",
+                 "_certify_eigenvalues", "_smallest_pairs"):
+        assert not hasattr(backward_error, name), name
+    assert backward_error._certified_structure is \
+        eigenstructure._certified_structure
+
+
+def _head_inputs(L, dL):
+    """``(L + dL, P + dP)``: what the eigen check hands its head."""
+    report = run_pipeline(L, dL, check_eigen=False)
+    return (Pencil(L.assemble().coeff_stack + dL.coeff_stack),
+            recover_polynomial(L) + report.dP)
+
+
+def test_certified_structure_stands_on_a_certified_qz(monkeypatch):
+    L, dL = _be_style_cases()[0]
+    pencil, Q = _head_inputs(L, dL)
+    monkeypatch.setattr(eigenstructure, "staircase_eigenstructure",
+                        _refuse("staircase_eigenstructure"))
+    cores = _recorded(monkeypatch, "_pencil_qz")
+    structure, eta, distance = eigenstructure._certified_structure(
+        pencil, Q, 1e-6)
+    assert len(cores) == 1 and structure is cores[0]
+    assert 0.0 < eta <= 100 * EPS and 0.0 < distance <= 1e-6
+
+
+def test_certified_structure_certifies_the_staircase(monkeypatch):
+    pencil, Q = _head_inputs(*_singular_leading_coefficient_case(0.0))
+    cores = _recorded(monkeypatch, "_pencil_qz")
+    stairs = _recorded(monkeypatch, "staircase_eigenstructure")
+    structure, eta, distance = eigenstructure._certified_structure(
+        pencil, Q, 1e-6)
+    assert len(cores) == 1 and cores[0].infinite
+    assert len(stairs) == 1 and structure is stairs[0]
+    assert structure.infinite == [1, 1]
+    assert 0.0 < eta <= 100 * EPS and 0.0 < distance <= 1e-6
+
+
+def test_certified_structure_reads_eta_of_a_rectangular_pencil_by_svd(
+        monkeypatch):
+    # diag(lambda - z, 1) R for a random 2 x 3 R of grade 2: a rectangular
+    # P with the eigenvalue z, which dL = 0 keeps.  No QZ and no inverse
+    # iteration run; eta is sigma_2 from one values-only SVD of the stack of
+    # evaluations, and the minimal indices leave it uncertified.
+    z = 0.5 - 0.25j
+    P = MatrixPolynomial([np.diag([-z, 1.0]), np.diag([1.0, 0.0])]) @ \
+        random_polynomial(2, 3, 2, trial_rng(66, 0))
+    L = from_polynomial(P, 1, 1, "hook")
+    pencil, Q = _head_inputs(L, Pencil(np.zeros((2,) + L.shape)))
+    monkeypatch.setattr(eigenstructure, "_pencil_qz", _refuse("_pencil_qz"))
+    monkeypatch.setattr(eigenstructure, "_smallest_pairs",
+                        _refuse("_smallest_pairs"))
+    svd, stacks = eigenstructure._svd, []
+
+    def recorded_svd(M, vectors=True):
+        if np.ndim(M) == 3:
+            stacks.append((M.shape, vectors))
+        return svd(M, vectors)
+
+    monkeypatch.setattr(eigenstructure, "_svd", recorded_svd)
+    stairs = _recorded(monkeypatch, "staircase_eigenstructure")
+    structure, eta, distance = eigenstructure._certified_structure(
+        pencil, Q, 1e-6)
+    assert len(stairs) == 1 and structure is stairs[0]
+    assert structure.right and len(structure.finite) == 1
+    assert abs(structure.finite[0] - z) <= 1e-12
+    points = len(structure.finite) + len(structure.infinite)
+    assert stacks == [((points, 2, 3), False)]
+    assert distance is None and 0.0 < eta <= 100 * EPS
+    assert eta == pytest.approx(
+        certify_eigenvalues_by_svd(Q, structure, 1e-6)[0], rel=1e-6)
 
 
 def test_fallback_compares_the_infinite_partitions(monkeypatch):
     # two infinite partitions with the same minimal indices no longer pass
-    staircase = backward_error.staircase_eigenstructure
+    staircase = eigenstructure.staircase_eigenstructure
     seen = []
 
     def fresh_reads_one_more_divisor(pencil):
@@ -1109,8 +1196,9 @@ def test_fallback_compares_the_infinite_partitions(monkeypatch):
             es.infinite = sorted(es.infinite + [1])
         return es
 
-    monkeypatch.setattr(backward_error, "staircase_eigenstructure",
-                        fresh_reads_one_more_divisor)
+    for module in (eigenstructure, backward_error):
+        monkeypatch.setattr(module, "staircase_eigenstructure",
+                            fresh_reads_one_more_divisor)
     L, dL = _double_eigenvalue_case()
     report = run_pipeline(L, dL)
     assert len(seen) == 2 and seen[0].right == seen[1].right
@@ -1125,9 +1213,9 @@ def test_fallback_reads_an_index_below_the_shift_as_inconsistent(monkeypatch):
     # failure, both when the two staircases read it alike and when only the
     # fresh pencil's does.  The certificate is made to defer, as it does on
     # any minimal index of L + dL.
-    staircase = backward_error.staircase_eigenstructure
-    certify = backward_error._certify_eigenvalues
-    monkeypatch.setattr(backward_error, "_certify_eigenvalues",
+    staircase = eigenstructure.staircase_eigenstructure
+    certify = eigenstructure._certify_eigenvalues
+    monkeypatch.setattr(eigenstructure, "_certify_eigenvalues",
                         lambda *args: (certify(*args)[0], None))
     L, dL = _be_style_cases()[0]
     assert L.eps > 0 and L.eta > 0
@@ -1142,8 +1230,9 @@ def test_fallback_reads_an_index_below_the_shift_as_inconsistent(monkeypatch):
             seen.append(es)
             return es
 
-        monkeypatch.setattr(backward_error, "staircase_eigenstructure",
-                            index_below_the_shift)
+        for module in (eigenstructure, backward_error):
+            monkeypatch.setattr(module, "staircase_eigenstructure",
+                                index_below_the_shift)
         report = run_pipeline(L, dL)
         assert len(seen) == 2, side
         assert report.eigen_checked and report.shift_consistent is False

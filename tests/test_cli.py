@@ -291,6 +291,20 @@ def test_backward_error_forced_divergence_is_an_error(tmp_path):
         assert "ratio" not in row
 
 
+def test_backward_error_diverging_step1_warns_nothing(capsys):
+    # Step 1's iterates overflow in every trial: the typed refusal is the
+    # row's reason, and no RuntimeWarning reaches stderr (the suite's filter
+    # would raise it)
+    assert main(["backward-error", "--trials", "3", "--mag", "10", "--force",
+                 "--m", "3", "--n", "3", "--d", "5"]) == 0
+    out = capsys.readouterr()
+    assert out.err == ""
+    rows = json.loads(out.out)["trials"]
+    assert [row["status"] for row in rows] == ["error"] * 3
+    assert all(row["reason"].startswith("step 1: fixed point diverged")
+               for row in rows)
+
+
 def test_backward_error_admissible_error_fails_and_exits_3(tmp_path, monkeypatch):
     from bklab import ConvergenceError, experiments
 

@@ -14,8 +14,9 @@ from bklab import (BlockKroneckerPencil, G_singular_values, GradeError,
                    build_Lambda, build_W, convolution, from_polynomial,
                    generalized_eigenvalues, lift_right_null_vector,
                    numerical_rank, pseudoinverse, run_pipeline,
-                   sigma_max_W_closed, sigma_min_convolution_L, solve_step1,
-                   solve_step2, validate_placement)
+                   sigma_max_W_closed, sigma_min_convolution_L,
+                   sigma_min_T_lower_bound, solve_step1, solve_step2,
+                   step1_radius, step2_radius, validate_placement)
 from bklab.experiments import (ExperimentConfig, random_pencil_perturbation,
                                random_polynomial, random_singular_polynomial,
                                trial_rng)
@@ -160,6 +161,27 @@ REFUSALS = {
                       lambda: sigma_max_W_closed(0, 1)),
     "sigma_min_convolution_L_0": (ShapeError, "eps must be at least 1",
                                   lambda: sigma_min_convolution_L(0)),
+    "sigma_min_convolution_L_n_0": (ShapeError, "n must be at least 1",
+                                    lambda: sigma_min_convolution_L(1, 0)),
+    "sigma_min_T_lower_bound_0": (GradeError, "d must be at least 1, got 0",
+                                  lambda: sigma_min_T_lower_bound(0)),
+    "step1_radius_d_0": (GradeError, "d must be at least 1, got 0",
+                         lambda: step1_radius(0, 1.0)),
+    "step1_radius_d_negative": (GradeError, "d must be at least 1, got -1",
+                                lambda: step1_radius(-1, 1.0)),
+    "step1_radius_norm_negative": (
+        ShapeError, "one_one_norm must be nonnegative and finite, got -1.0",
+        lambda: step1_radius(1, -1.0)),
+    "step1_radius_norm_nan": (
+        ShapeError, "one_one_norm must be nonnegative and finite, got nan",
+        lambda: step1_radius(1, np.nan)),
+    "step1_radius_norm_inf": (
+        ShapeError, "one_one_norm must be nonnegative and finite, got inf",
+        lambda: step1_radius(1, np.inf)),
+    "step2_radius_minus_1": (ShapeError, "eps must be nonnegative, got -1",
+                             lambda: step2_radius(-1)),
+    "step2_radius_minus_2": (ShapeError, "eps must be nonnegative, got -2",
+                             lambda: step2_radius(-2)),
     "singular_polynomial_grade": (
         GradeError, "needs grade at least 2",
         lambda: random_singular_polynomial(3, 3, 1, 1, trial_rng(97, 1))),
