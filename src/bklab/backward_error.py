@@ -37,8 +37,8 @@ from functools import lru_cache
 import numpy as np
 
 from .block_kronecker import BlockKroneckerPencil, from_polynomial, recover_polynomial
-from .eigenstructure import (_certified_structure, match_eigenvalues,
-                             staircase_eigenstructure)
+from .eigenstructure import (_certified_structure, _start_pencil_qz,
+                             match_eigenvalues, staircase_eigenstructure)
 from .errors import ConvergenceError, GradeError, PreconditionError, ShapeError
 from .matpoly import (CACHE_SIZE, MatrixPolynomial, Pencil, _frobenius,
                       _stack_product, build_L, build_Lambda, convolution,
@@ -501,23 +501,24 @@ class BackwardErrorReport:
         }
 
 
-def _check_eigen(L: BlockKroneckerPencil, dL: Pencil,
-                 P_plus_dP: MatrixPolynomial, eigen_tol: float):
+def _check_eigen(L: BlockKroneckerPencil, L_plus_dL: Pencil,
+                 P_plus_dP: MatrixPolynomial, eigen_tol: float, qz=None):
     """``(eigen_backward_error, eigen_max_distance, eigen_consistent,
     shift_consistent)`` for the eigenvalues of ``L + dL`` against ``P + dP``.
 
     :func:`~bklab.eigenstructure._certified_structure` solves and
-    certifies ``L + dL``; certified, it is consistent on both counts.
+    certifies ``L + dL``, reading ``qz``, the QZ of ``L + dL`` when
+    :func:`~bklab.eigenstructure._start_pencil_qz` started it; certified,
+    it is consistent on both counts.
     Otherwise a fresh hook linearization of ``P + dP`` at the same split is
     reduced too: the finite eigenvalues are matched under the chordal
     metric, and the sorted minimal indices and infinite partitions must be
     equal as they stand, with no right index below ``eps`` and no left one
     below ``eta``.
     """
-    L_plus_dL = Pencil(L.assemble().coeff_stack + dL.coeff_stack)
     _require_finite(L_plus_dL.coeff_stack)
     es_pert, backward, distance = _certified_structure(L_plus_dL, P_plus_dP,
-                                                       eigen_tol)
+                                                       eigen_tol, qz)
     if distance is not None:
         return backward, distance, True, True
     fresh = from_polynomial(P_plus_dP, L.eps, L.eta, "hook")
@@ -580,20 +581,29 @@ def run_pipeline(L: BlockKroneckerPencil, dL: Pencil, force: bool = False,
             f"pipeline refused: the bound is not finite at ||P|| = "
             f"{norm_P:.3e}, ||M|| = {norm_M:.3e}", inequality="bound < inf")
 
-    step1 = solve_step1(L, dL, force=force)
-    dR_eps, res_eps = solve_step2(step1.dLt21, L.eps, L.n, force=force)
-    dR_eta, res_eta = solve_step2(
-        step1.dLt12.transpose(), L.eta, L.m, force=force)
-    P_plus_dP = assemble_step3(L, step1.dL11, dR_eps, dR_eta, force=force)
-    dP = P_plus_dP - P
-    ratio = dP.frobenius_norm() / norm_P
-    if not math.isfinite(ratio):
-        # a non-finite dP, or ||dP|| / ||P|| beyond the float range; with
-        # Step 1 bypassed (eps or eta 0) no iterate sees dL_11
-        raise ConvergenceError("step 3: non-finite dP or ||dP|| / ||P||")
-    backward, distance, consistent, shifts = (
-        _check_eigen(L, dL, P_plus_dP, eigen_tol) if check_eigen
-        else (None,) * 4)
+    # QZ reads only L + dL: started now on the worker thread, it overlaps
+    # Steps 1-3, and is waited for before the call returns, however it ends
+    L_plus_dL = (Pencil(L.assemble().coeff_stack + dL.coeff_stack)
+                 if check_eigen else None)
+    qz = _start_pencil_qz(L_plus_dL) if check_eigen else None
+    try:
+        step1 = solve_step1(L, dL, force=force)
+        dR_eps, res_eps = solve_step2(step1.dLt21, L.eps, L.n, force=force)
+        dR_eta, res_eta = solve_step2(
+            step1.dLt12.transpose(), L.eta, L.m, force=force)
+        P_plus_dP = assemble_step3(L, step1.dL11, dR_eps, dR_eta, force=force)
+        dP = P_plus_dP - P
+        ratio = dP.frobenius_norm() / norm_P
+        if not math.isfinite(ratio):
+            # a non-finite dP, or ||dP|| / ||P|| beyond the float range; with
+            # Step 1 bypassed (eps or eta 0) no iterate sees dL_11
+            raise ConvergenceError("step 3: non-finite dP or ||dP|| / ||P||")
+        backward, distance, consistent, shifts = (
+            _check_eigen(L, L_plus_dL, P_plus_dP, eigen_tol, qz)
+            if check_eigen else (None,) * 4)
+    finally:
+        if qz is not None:
+            qz.done.wait()
 
     return BackwardErrorReport(
         eps=L.eps, eta=L.eta, m=L.m, n=L.n, norm_P=norm_P, norm_L=norm_L,

@@ -18,11 +18,18 @@ would misread that noise as structure.  Every decision is logged so
 borderline outcomes are diagnosable; the problem is intrinsically ill-posed
 and a tolerance-free answer does not exist.  Non-finite input raises
 :class:`ShapeError` before any LAPACK call.
+
+One daemon thread, ``bklab-qz``, started on first use and again in a forked
+child, can run a QZ while the caller goes on: it makes the ``zggev`` call
+and nothing else, so every numpy floating-point operation stays on the
+caller's thread.
 """
 
 from __future__ import annotations
 
 import ctypes
+import os
+import threading
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
@@ -125,7 +132,10 @@ class _Ilp64Zggev:
     """An ILP64 Fortran ``zggev`` asked for eigenvalues only: ``(a, b,
     lwork=...)`` returns ``(alpha, beta, work, info)``, the outputs of
     scipy's ``zggev`` without the eigenvectors, and ``lwork = -1`` is a
-    workspace query whose answer is ``work[0]``."""
+    workspace query whose answer is ``work[0]``.  LAPACK overwrites ``a``
+    and ``b`` when they are writeable Fortran-ordered complex arrays, as
+    scipy's does with ``overwrite_a = overwrite_b = 1``; any other operand
+    is copied first."""
 
     def __init__(self, function, library):
         # JOBVL, JOBVR, then the 15 array and integer arguments, then the
@@ -139,8 +149,8 @@ class _Ilp64Zggev:
         return f"<{self.function.__name__} of {self.library}>"
 
     def __call__(self, a, b, lwork):
-        a = np.array(a, dtype=complex, order="F")
-        b = np.array(b, dtype=complex, order="F")
+        a = np.require(a, complex, ["F", "W"])
+        b = np.require(b, complex, ["F", "W"])
         n = len(a)
         # LAPACK reads n x n from each pointer
         if a.shape != (n, n) or b.shape != (n, n):
@@ -152,9 +162,8 @@ class _Ilp64Zggev:
         out = np.empty(rwork + 4 * n, dtype=complex)
         # N, LDA, LDB, LDVL = LDVR, LWORK, INFO
         ints = np.array([n, max(n, 1), max(n, 1), 1, lwork, 0], dtype=np.int64)
-        o = out.ctypes.data
-        n_, lda, ldb, ldv, lwork_, info = (ints.ctypes.data + 8 * k
-                                           for k in range(6))
+        o, i = out.ctypes.data, ints.ctypes.data
+        n_, lda, ldb, ldv, lwork_, info = (i + 8 * k for k in range(6))
         self.function(b"N", b"N", n_, a.ctypes.data, lda, b.ctypes.data, ldb,
                       o, o + 16 * n, o + 32 * n, ldv, o + 32 * n, ldv,
                       o + 16 * work, lwork_, o + 16 * rwork, info, 1, 1)
@@ -197,8 +206,27 @@ def _conjugated_core(A_h, B_h) -> Eigenstructure:
     with a ``core:qz-beta`` log entry.  QZ failure raises ConvergenceError.
     """
     # det(A^H + lam*B^H) = 0 is LAPACK's det(beta A^H - alpha (-B^H)) = 0 at
-    # (lam, 1), solved in the workspace scipy.linalg.eig would query
-    alpha, beta, *_, info = _zggev()(A_h, -B_h, lwork=_zggev_lwork(len(A_h)))
+    # (lam, 1), solved in the workspace scipy.linalg.eig would query; both
+    # operands are new arrays, which LAPACK overwrites
+    call = _qz_call(np.array(A_h, dtype=complex, order="F"),
+                    np.negative(B_h, dtype=complex, order="F"))
+    return _read_qz(call())
+
+
+def _qz_call(a, b):
+    """The eigenvalues-only ``zggev`` of ``(a, b)`` in the workspace of
+    their order, bound but not yet made: called, it returns the binding's
+    outputs, ``alpha`` and ``beta`` first and ``info`` last, and may
+    overwrite ``a`` and ``b``.  The binding and the workspace are resolved
+    on the calling thread."""
+    return partial(_zggev(), a, b, lwork=_zggev_lwork(len(a)))
+
+
+def _read_qz(outputs) -> Eigenstructure:
+    """The eigenstructure of a square pencil ``A + lambda*B`` from the
+    outputs of a :func:`_qz_call` on ``(A^H, -B^H)``, as
+    :func:`_conjugated_core` reads them."""
+    alpha, beta, *_, info = outputs
     if info != 0:
         raise ConvergenceError(f"QZ failed: LAPACK zggev returned info {info}")
     size = np.abs(beta)
@@ -213,10 +241,124 @@ def _conjugated_core(A_h, B_h) -> Eigenstructure:
     )
 
 
-def _pencil_qz(pencil) -> Eigenstructure:
+def _pencil_operands(pencil):
+    """``(M0^H, -M1^H)`` for the square pencil ``M0 + lambda*M1``: new
+    Fortran-ordered arrays, the operands of :func:`_qz_call`."""
+    a, b = pencil.M0.conj().T, pencil.M1.conj().T
+    return a, np.negative(b, out=b)
+
+
+def _pencil_qz(pencil, job=None) -> Eigenstructure:
     """:func:`_conjugated_core` of the square pencil ``M0 + lambda*M1``,
-    handed in as ``(M0^H, M1^H)``: the one orientation its callers use."""
-    return _conjugated_core(pencil.M0.conj().T, pencil.M1.conj().T)
+    handed in as ``(M0^H, M1^H)``: the one orientation its callers use.
+    ``job`` is this QZ when :func:`_start_pencil_qz` has handed it to the
+    worker thread: its outcome is read here, on the calling thread."""
+    if job is None:
+        return _read_qz(_qz_call(*_pencil_operands(pencil))())
+    return _read_qz(job.result())
+
+
+# run_pipeline hands the QZ of L + dL to the worker thread from this order
+# on; below it, waking the thread costs about what the overlap saves (the
+# measurements are in README, "The eigen check")
+QZ_THREAD_MIN_ORDER = 32
+
+
+class _QZJob:
+    """One :func:`_qz_call` made on the worker thread: ``started`` is set
+    just before the call, ``done`` once it has returned or raised."""
+
+    def __init__(self, call):
+        self.call, self.outcome = call, None
+        self.started, self.done = threading.Event(), threading.Event()
+
+    def result(self):
+        """What the call returned; what it raised is raised here."""
+        self.done.wait()
+        value, error = self.outcome
+        if error is not None:
+            raise error
+        return value
+
+
+class _QZThread:
+    """The daemon thread ``bklab-qz`` of one process and its one-job slot.
+    ``idle`` is held from a job's submission until its call returns, so at
+    most one job is ever queued."""
+
+    def __init__(self):
+        self.pid = os.getpid()
+        self.slot = threading.Condition(threading.Lock())
+        self.idle = threading.Lock()
+        self.job = None
+        threading.Thread(target=self._serve, name="bklab-qz",
+                         daemon=True).start()
+
+    def submit(self, call) -> _QZJob | None:
+        """Hand ``call`` over and return once the thread is about to make
+        it, or ``None`` while another job is in flight.  The wait lets the
+        thread take the GIL at once: asked for while the caller computes,
+        the GIL would change hands only after ``sys.getswitchinterval()``.
+        """
+        if not self.idle.acquire(blocking=False):
+            return None
+        job = _QZJob(call)
+        with self.slot:
+            self.job = job
+            self.slot.notify()
+        job.started.wait()
+        return job
+
+    def _serve(self):
+        while True:
+            with self.slot:
+                while self.job is None:
+                    self.slot.wait()
+                job, self.job = self.job, None
+            job.started.set()
+            try:
+                job.outcome = job.call(), None
+            except BaseException as error:
+                job.outcome = None, error
+            self.idle.release()
+            job.done.set()
+
+
+_qz_thread: _QZThread | None = None
+_QZ_THREAD_START = threading.Lock()
+
+
+def _running_qz_thread() -> _QZThread:
+    """This process's worker thread, started on first use, and again in a
+    forked child, which inherits the parent's object but not its thread."""
+    global _qz_thread
+    with _QZ_THREAD_START:
+        if _qz_thread is None or _qz_thread.pid != os.getpid():
+            _qz_thread = _QZThread()
+        return _qz_thread
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity outside Linux
+        return os.cpu_count() or 1
+
+
+def _start_pencil_qz(pencil) -> _QZJob | None:
+    """Start :func:`_pencil_qz` of ``pencil`` on the worker thread when that
+    pays: ``pencil`` is square, finite and of order ``QZ_THREAD_MIN_ORDER``
+    or more, and the process may run on two CPUs or more.  ``None``
+    otherwise, or while another job is in flight; the caller then runs QZ
+    inline if it needs it."""
+    if (pencil.rows != pencil.cols or pencil.rows < QZ_THREAD_MIN_ORDER
+            or _usable_cpus() < 2):
+        return None
+    try:
+        _require_finite(pencil.coeff_stack)
+    except ShapeError:
+        return None
+    return _running_qz_thread().submit(_qz_call(*_pencil_operands(pencil)))
 
 
 def generalized_eigenvalues(pencil):
@@ -470,17 +612,20 @@ def _certify_eigenvalues(Q: MatrixPolynomial, structure: Eigenstructure,
     return eta, distance
 
 
-def _certified_structure(pencil, Q: MatrixPolynomial, tol: float):
+def _certified_structure(pencil, Q: MatrixPolynomial, tol: float, qz=None):
     """``(structure, eta, distance)``: the eigenstructure of ``pencil``, a
     linearization of ``Q``, and :func:`_certify_eigenvalues` of it against
     ``Q``.  When ``Q`` is square of full normal rank, QZ's answer, bit for
     bit the staircase's when it finds ``M1`` of full rank, stands if it
     reads no infinite eigenvalue (whose backward error alone would pass a
     singular ``pencil``) and is certified; otherwise the staircase's does,
-    with ``distance`` ``None`` unless certified."""
+    with ``distance`` ``None`` unless certified.  ``qz`` is the QZ of
+    ``pencil`` if :func:`_start_pencil_qz` started it; only that first
+    path reads it, so it is dropped, failed or not, when ``Q`` is
+    singular or rectangular."""
     rank = _normal_rank(Q)
     if rank == Q.rows == Q.cols:
-        core = _pencil_qz(pencil)
+        core = _pencil_qz(pencil, qz)
         if not core.infinite:
             eta, distance = _certify_eigenvalues(Q, core, tol, rank)
             if distance is not None:

@@ -1,9 +1,17 @@
 import dataclasses
 import json
+import multiprocessing
+import os
 import re
+import sys
+import threading
+import time
+import warnings
+from functools import partial
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from bklab import (BkLabError, BlockKroneckerPencil, ConvergenceError,
                    Eigenstructure, MatrixPolynomial, Pencil, PreconditionError,
@@ -1116,6 +1124,224 @@ def test_backward_error_binds_no_eigen_solver_internals():
         assert not hasattr(backward_error, name), name
     assert backward_error._certified_structure is \
         eigenstructure._certified_structure
+
+
+def _qz_on_the_worker(monkeypatch, on=True):
+    """Hand the QZ of every ``L + dL`` to the worker thread, as on a host of
+    two CPUs, or none (``on`` false): the crossover lowered to 1 or raised
+    beyond every order."""
+    monkeypatch.setattr(eigenstructure, "QZ_THREAD_MIN_ORDER",
+                        1 if on else sys.maxsize)
+    monkeypatch.setattr(eigenstructure, "_usable_cpus", lambda: 2)
+
+
+def _started_jobs(monkeypatch):
+    """What ``run_pipeline`` starts from now on: a worker job, or ``None``
+    where QZ is left inline."""
+    jobs, start = [], backward_error._start_pencil_qz
+
+    def recorded(pencil):
+        jobs.append(start(pencil))
+        return jobs[-1]
+
+    monkeypatch.setattr(backward_error, "_start_pencil_qz", recorded)
+    return jobs
+
+
+def _qz_threads(monkeypatch, change=lambda out: out):
+    """The names of the threads that make the QZ calls from now on, each
+    one ``zggev`` call that is not a workspace query; ``change`` may alter
+    what each returns."""
+    threads = []
+
+    def named(out):
+        threads.append(threading.current_thread().name)
+        return change(out)
+
+    _count_qz(monkeypatch, named)
+    return threads
+
+
+def _reports(cases):
+    return [json.dumps(run_pipeline(L, dL).to_json()) for L, dL in cases]
+
+
+def _assert_worker_reports_equal_inline_ones(monkeypatch, cases):
+    _qz_on_the_worker(monkeypatch, on=False)
+    inline = _reports(cases)
+    _qz_on_the_worker(monkeypatch)
+    jobs = _started_jobs(monkeypatch)
+    assert _reports(cases) == inline
+    assert len(jobs) == len(cases)
+    assert all(job is not None and job.done.is_set() for job in jobs)
+
+
+@pytest.mark.parametrize("seed", [1, 3, 7, 4242])
+def test_worker_qz_reports_equal_inline_ones_byte_for_byte(monkeypatch,
+                                                           seed):
+    # the same LAPACK call on the same operands, on another thread
+    _assert_worker_reports_equal_inline_ones(
+        monkeypatch, _be_style_cases(seed, pool=16))
+
+
+def _acceptance_08_cases():
+    """The 200 inputs of acceptance 08, drawn as it draws them."""
+    cases = ([("hook", 1, 1)] * 50 + [("hook", 2, 1)] * 25
+             + [("hook", 1, 2)] * 25 + [("frobenius1", None, None)] * 50
+             + [("frobenius2", None, None)] * 50)
+    inputs = []
+    for trial, (tag, eps, eta) in enumerate(cases):
+        rng = trial_rng(801, trial)
+        if tag == "hook":
+            d = eps + eta + 1
+        else:
+            d = int(rng.integers(2, 5))
+            eps, eta = (d - 1, 0) if tag == "frobenius1" else (0, d - 1)
+        n = int(rng.integers(1, 3))
+        L = from_polynomial(random_polynomial(n, n, d, rng, norm=1.0), eps,
+                            eta, tag)
+        inputs.append((L, random_pencil_perturbation(L.shape, 1e-8, rng)))
+    return inputs
+
+
+def test_worker_qz_reports_equal_inline_ones_on_acceptance_08_inputs(
+        monkeypatch):
+    _assert_worker_reports_equal_inline_ones(monkeypatch,
+                                             _acceptance_08_cases())
+
+
+def test_scipys_zggev_gives_equal_reports_on_the_worker(monkeypatch):
+    # scipy's f2py binding may keep the GIL through the call: nothing then
+    # overlaps, and the answer is the same
+    scipys = partial(scipy.linalg.lapack.zggev, compute_vl=0, compute_vr=0)
+    monkeypatch.setattr(eigenstructure, "_zggev", lambda: scipys)
+    eigenstructure._zggev_lwork.cache_clear()
+    try:
+        threads = _qz_threads(monkeypatch)
+        _assert_worker_reports_equal_inline_ones(
+            monkeypatch, _be_style_cases(3, pool=4))
+        assert threads == ["MainThread"] * 8 + ["bklab-qz"] * 8
+    finally:
+        eigenstructure._zggev_lwork.cache_clear()
+
+
+def test_worker_qz_failure_raises_the_inline_error(monkeypatch):
+    L, dL = _be_style_cases()[1]
+    threads = _qz_threads(monkeypatch, lambda out: out[:-1] + (1,))
+    errors = []
+    for on in (False, True):
+        _qz_on_the_worker(monkeypatch, on)
+        with pytest.raises(ConvergenceError) as raised:
+            run_pipeline(L, dL)
+        errors.append(str(raised.value))
+    assert errors == ["QZ failed: LAPACK zggev returned info 1"] * 2
+    assert threads == ["MainThread", "bklab-qz"]
+
+
+def test_singular_square_polynomial_drops_the_workers_qz(monkeypatch):
+    # P + dP of normal rank 2 < 3: the QZ the worker ran is never read, so
+    # its failure raises nothing, and the staircase and the fallback decide
+    L = from_polynomial(random_singular_polynomial(3, 3, 3, 2,
+                                                   trial_rng(65, 0)),
+                        1, 1, "hook")
+    dL = Pencil(np.zeros((2,) + L.shape))
+    want = json.dumps(run_pipeline(L, dL).to_json())
+    _qz_on_the_worker(monkeypatch)
+    threads = _qz_threads(monkeypatch, lambda out: (
+        out[:-1] + (1,) if threading.current_thread().name == "bklab-qz"
+        else out))
+    stairs = _recorded(monkeypatch, "staircase_eigenstructure")
+    fallback = _recorded(monkeypatch, "staircase_eigenstructure",
+                         backward_error)
+    jobs = _started_jobs(monkeypatch)
+    assert json.dumps(run_pipeline(L, dL).to_json()) == want
+    assert len(jobs) == 1 and jobs[0].done.is_set()
+    # the worker's dropped QZ may end after the staircase's own QZ calls
+    assert threads.count("bklab-qz") == 1 and len(threads) > 1
+    assert len(stairs) == len(fallback) == 1
+
+
+def _refused_runs():
+    L = _be_style_cases()[1][0]
+    huge = from_polynomial(1e300 * random_polynomial(2, 2, 3, trial_rng(0, 0)),
+                           1, 1, "hook")
+    zero = from_polynomial(MatrixPolynomial(np.zeros((4, 2, 2)), grade=3),
+                           1, 1, "hook")
+    return {
+        "outside_radius": (L, random_pencil_perturbation(
+            L.shape, 2.0 * pipeline_radius(L), trial_rng(3, 1)), False,
+            "radius"),
+        "zero_P": (zero, Pencil(np.zeros((2,) + zero.shape)), False,
+                   r"\|\|P\|\| is 0"),
+        "infinite_bound": (huge, Pencil(np.zeros((2,) + huge.shape)), True,
+                           "bound is not finite"),
+    }
+
+
+@pytest.mark.parametrize("case", ["outside_radius", "zero_P",
+                                  "infinite_bound"])
+def test_refused_runs_start_no_qz(monkeypatch, case):
+    _qz_on_the_worker(monkeypatch)
+    monkeypatch.setattr(backward_error, "_start_pencil_qz",
+                        _refuse("_start_pencil_qz"))
+    L, dL, force, message = _refused_runs()[case]
+    with pytest.raises(PreconditionError, match=message):
+        run_pipeline(L, dL, force=force)
+
+
+def test_no_qz_job_outlives_run_pipeline(monkeypatch):
+    # the worker's QZ takes 50 ms more; run_pipeline waits for it whether it
+    # returns or raises, and leaves the worker free
+    _qz_on_the_worker(monkeypatch)
+    _qz_threads(monkeypatch, lambda out: time.sleep(0.05) or out)
+    jobs = _started_jobs(monkeypatch)
+    L, dL = _be_style_cases()[1]
+    run_pipeline(L, dL)
+    assert jobs[-1].done.is_set()
+
+    def failing(*args, **kwargs):
+        raise ConvergenceError("step 2: made to fail")
+
+    monkeypatch.setattr(backward_error, "solve_step2", failing)
+    with pytest.raises(ConvergenceError, match="made to fail"):
+        run_pipeline(L, dL)
+    assert len(jobs) == 2 and jobs[-1].done.is_set()
+    worker = eigenstructure._qz_thread
+    assert worker.job is None and not worker.idle.locked()
+
+
+def _pipeline_in_child(connection, L, dL):
+    report = json.dumps(run_pipeline(L, dL).to_json())
+    worker = eigenstructure._qz_thread
+    connection.send((report, worker.pid, [
+        t.name for t in threading.enumerate() if t.name == "bklab-qz"]))
+
+
+def test_forked_child_runs_the_pipeline_on_a_worker_of_its_own(monkeypatch):
+    _qz_on_the_worker(monkeypatch)
+    L, dL = _be_style_cases()[1]
+    want = json.dumps(run_pipeline(L, dL).to_json())
+    parent = eigenstructure._qz_thread
+    assert parent.pid == os.getpid()
+    context = multiprocessing.get_context("fork")
+    receive, send = context.Pipe(duplex=False)
+    child = context.Process(target=_pipeline_in_child, args=(send, L, dL))
+    with warnings.catch_warnings():
+        # Python 3.12 on warns that a process with threads forks
+        warnings.simplefilter("ignore", DeprecationWarning)
+        child.start()
+    try:
+        assert receive.poll(60), "the forked child did not finish in 60 s"
+        report, pid, workers = receive.recv()
+    finally:
+        child.join(60)
+        if child.is_alive():
+            child.kill()
+            child.join()
+    assert child.exitcode == 0
+    assert report == want
+    assert pid == child.pid and workers == ["bklab-qz"]
+    assert eigenstructure._qz_thread is parent
 
 
 def _head_inputs(L, dL):

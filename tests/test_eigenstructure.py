@@ -1,4 +1,6 @@
 import json
+import threading
+import time
 from functools import partial
 
 import numpy as np
@@ -426,6 +428,129 @@ def test_bound_zggev_returns_what_scipys_returns():
     if isinstance(bound, bklab.eigenstructure._Ilp64Zggev):
         with pytest.raises(TypeError):  # the binding has no eigenvector flag
             bound(A, B, 1, 1, lwork)
+
+
+def test_ilp64_zggev_overwrites_only_writeable_fortran_operands():
+    bound = bklab.eigenstructure._zggev()
+    if not isinstance(bound, bklab.eigenstructure._Ilp64Zggev):
+        pytest.skip("numpy's LAPACK exports no ILP64 zggev: QZ takes scipy's")
+    rng = trial_rng(97, 4)
+    A, B = complex_gaussian((6, 6), rng), complex_gaussian((6, 6), rng)
+    lwork = bklab.eigenstructure._zggev_lwork(6)
+    kept = [A.copy(), np.asfortranarray(B)]
+    kept[1].setflags(write=False)
+    want = bound(A.copy(), B.copy(), lwork=lwork)
+    # a C-ordered and a read-only operand are copied first
+    got = bound(*kept, lwork=lwork)
+    assert np.array_equal(kept[0], A) and np.array_equal(kept[1], B)
+    a, b = np.asfortranarray(A), np.asfortranarray(B)
+    # writeable Fortran-ordered operands are LAPACK's own: QZ leaves its
+    # Schur forms there
+    again = bound(a, b, lwork=lwork)
+    assert not np.array_equal(a, A) and not np.array_equal(b, B)
+    for out in (got, again):
+        assert out[0].tobytes() == want[0].tobytes()
+        assert out[1].tobytes() == want[1].tobytes()
+
+
+def _worker_cases():
+    rng = trial_rng(97, 5)
+    square = Pencil(complex_gaussian((2, 6, 6), rng))
+    infinite = square.coeff_stack.copy()
+    infinite[1, 2, 3] = np.inf
+    return {"square": square, "small": Pencil(square.coeff_stack[:, :5, :5]),
+            "wide": Pencil(complex_gaussian((2, 6, 7), rng)),
+            "non_finite": Pencil(infinite)}
+
+
+def _worker_from_order(monkeypatch, order, cpus=2):
+    """QZ goes to the worker from ``order`` on, as on a host of ``cpus``."""
+    monkeypatch.setattr(bklab.eigenstructure, "QZ_THREAD_MIN_ORDER", order)
+    monkeypatch.setattr(bklab.eigenstructure, "_usable_cpus", lambda: cpus)
+
+
+def _zggev_threads(monkeypatch, before=lambda: None):
+    """The names of the threads that make the ``zggev`` calls from now on,
+    workspace queries left out; ``before`` runs ahead of each call."""
+    zggev = bklab.eigenstructure._zggev()
+    threads = []
+
+    def spy(a, b, lwork):
+        if lwork != -1:
+            threads.append(threading.current_thread().name)
+            before()
+        return zggev(a, b, lwork=lwork)
+
+    _substitute_zggev(monkeypatch, spy)
+    return threads
+
+
+def test_qz_goes_to_the_worker_only_when_it_pays(monkeypatch):
+    _worker_from_order(monkeypatch, 6)
+    cases = _worker_cases()
+    threads = _zggev_threads(monkeypatch)
+    for name in ("small", "wide", "non_finite"):
+        assert bklab.eigenstructure._start_pencil_qz(cases[name]) is None
+    _worker_from_order(monkeypatch, 6, cpus=1)
+    assert bklab.eigenstructure._start_pencil_qz(cases["square"]) is None
+    assert threads == []
+    _worker_from_order(monkeypatch, 6)
+    job = bklab.eigenstructure._start_pencil_qz(cases["square"])
+    assert job is not None and job.started.is_set()
+    on_worker = bklab.eigenstructure._pencil_qz(cases["square"], job)
+    inline = bklab.eigenstructure._pencil_qz(cases["square"])
+    assert threads == ["bklab-qz", "MainThread"]
+    assert on_worker.finite == inline.finite and len(on_worker.finite) == 6
+
+
+def test_only_the_zggev_call_runs_on_the_worker(monkeypatch):
+    # the beta test, the conjugation and the log are read on the caller's
+    # thread, so no numpy floating-point operation runs on the worker
+    _worker_from_order(monkeypatch, 6)
+    threads = _zggev_threads(monkeypatch)
+    read, readers = bklab.eigenstructure._read_qz, []
+
+    def recorded(outputs):
+        readers.append(threading.current_thread().name)
+        return read(outputs)
+
+    monkeypatch.setattr(bklab.eigenstructure, "_read_qz", recorded)
+    square = _worker_cases()["square"]
+    job = bklab.eigenstructure._start_pencil_qz(square)
+    bklab.eigenstructure._pencil_qz(square, job)
+    assert threads == ["bklab-qz"] and readers == ["MainThread"]
+
+
+def test_worker_takes_one_job_at_a_time(monkeypatch):
+    _worker_from_order(monkeypatch, 6)
+    threads = _zggev_threads(monkeypatch, before=lambda: time.sleep(0.2))
+    square = _worker_cases()["square"]
+    first = bklab.eigenstructure._start_pencil_qz(square)
+    # the first job is under way: a second caller runs its QZ inline
+    assert bklab.eigenstructure._start_pencil_qz(square) is None
+    first.result()
+    second = bklab.eigenstructure._start_pencil_qz(square)
+    assert second is not None
+    second.result()
+    assert threads == ["bklab-qz"] * 2
+    workers = [t for t in threading.enumerate() if t.name == "bklab-qz"]
+    assert len(workers) == 1 and workers[0].daemon
+
+
+def test_worker_raises_what_the_binding_raised_on_the_callers_thread(
+        monkeypatch):
+    _worker_from_order(monkeypatch, 6)
+
+    def refuse(a, b, lwork):
+        raise ShapeError(f"refused on {threading.current_thread().name}")
+
+    _substitute_zggev(monkeypatch, refuse)
+    monkeypatch.setattr(bklab.eigenstructure, "_zggev_lwork", lambda n: 8)
+    square = _worker_cases()["square"]
+    for _ in range(2):  # and the worker is free again
+        job = bklab.eigenstructure._start_pencil_qz(square)
+        with pytest.raises(ShapeError, match="refused on bklab-qz"):
+            bklab.eigenstructure._pencil_qz(square, job)
 
 
 NON_FINITE = [np.inf, -np.inf, np.nan, complex(0.0, np.inf)]

@@ -223,6 +223,37 @@ def test_answers_equal_scipys_in_either_import_order(bklab_first):
     assert _run_fresh(code) == "equal"
 
 
+_THREADS = """
+import json, threading
+import bklab
+after_import = [t.name for t in threading.enumerate()]
+from bklab import from_polynomial, pipeline_radius, run_pipeline
+from bklab.eigenstructure import _usable_cpus
+from bklab.experiments import (random_pencil_perturbation,
+                               random_polynomial, trial_rng)
+def workers(m, eps, eta, placement, runs):
+    for index in range(runs):
+        rng = trial_rng(3, index)
+        L = from_polynomial(random_polynomial(m, m, 7, rng), eps, eta,
+                            placement)
+        run_pipeline(L, random_pencil_perturbation(
+            L.shape, 0.5 * pipeline_radius(L), rng))
+    return [t.daemon for t in threading.enumerate() if t.name == "bklab-qz"]
+print(json.dumps([after_import, workers(4, 3, 3, "hook", 2),
+                  workers(8, 6, 0, "frobenius1", 3), _usable_cpus()]))
+"""
+
+
+def test_import_starts_no_thread_and_the_eigen_check_at_most_one():
+    # the worker thread starts on the first QZ at or above the crossover,
+    # where the process may run on two CPUs: be_onesided's order 56, not
+    # be_sylvester's 28
+    after_import, order_28, order_56, cpus = json.loads(_run_fresh(_THREADS))
+    assert after_import == ["MainThread"]
+    assert order_28 == []
+    assert order_56 == ([True] if cpus >= 2 else [])
+
+
 def _deferred_package_imports(tree, stem):
     """``stem.function`` for every function in ``tree`` whose body imports a
     ``bklab`` module, by relative or absolute name."""
