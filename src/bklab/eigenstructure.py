@@ -19,10 +19,10 @@ borderline outcomes are diagnosable; the problem is intrinsically ill-posed
 and a tolerance-free answer does not exist.  Non-finite input raises
 :class:`ShapeError` before any LAPACK call.
 
-One daemon thread, ``bklab-qz``, started on first use and again in a forked
-child, can run a QZ while the caller goes on: it makes the ``zggev`` call
-and nothing else, so every numpy floating-point operation stays on the
-caller's thread.
+One daemon thread, ``bklab-qz``, started on first use, and on first use
+again in a forked child, can run a QZ while the caller goes on: it makes
+the ``zggev`` call and nothing else, so every numpy floating-point
+operation stays on the caller's thread.
 """
 
 from __future__ import annotations
@@ -259,9 +259,9 @@ def _pencil_qz(pencil, job=None) -> Eigenstructure:
 
 
 # run_pipeline hands the QZ of L + dL to the worker thread from this order
-# on; below it, waking the thread costs about what the overlap saves (the
-# measurements are in README, "The eigen check")
-QZ_THREAD_MIN_ORDER = 32
+# on: at 21 the thread breaks even, below it the hand-off costs more than
+# the overlap saves (the measurements are in README, "The eigen check")
+QZ_THREAD_MIN_ORDER = 21
 
 
 class _QZJob:
@@ -282,14 +282,14 @@ class _QZJob:
 
 
 class _QZThread:
-    """The daemon thread ``bklab-qz`` of one process and its one-job slot.
-    ``idle`` is held from a job's submission until its call returns, so at
-    most one job is ever queued."""
+    """The daemon thread ``bklab-qz`` and its one-job slot.  ``idle`` is
+    held from a job's submission until its call returns, so at most one job
+    is ever in flight; ``handed`` is released once for each job handed
+    over."""
 
     def __init__(self):
-        self.pid = os.getpid()
-        self.slot = threading.Condition(threading.Lock())
-        self.idle = threading.Lock()
+        self.idle, self.handed = threading.Lock(), threading.Lock()
+        self.handed.acquire()
         self.job = None
         threading.Thread(target=self._serve, name="bklab-qz",
                          daemon=True).start()
@@ -302,19 +302,15 @@ class _QZThread:
         """
         if not self.idle.acquire(blocking=False):
             return None
-        job = _QZJob(call)
-        with self.slot:
-            self.job = job
-            self.slot.notify()
+        self.job = job = _QZJob(call)
+        self.handed.release()
         job.started.wait()
         return job
 
     def _serve(self):
         while True:
-            with self.slot:
-                while self.job is None:
-                    self.slot.wait()
-                job, self.job = self.job, None
+            self.handed.acquire()
+            job, self.job = self.job, None
             job.started.set()
             try:
                 job.outcome = job.call(), None
@@ -329,13 +325,24 @@ _QZ_THREAD_START = threading.Lock()
 
 
 def _running_qz_thread() -> _QZThread:
-    """This process's worker thread, started on first use, and again in a
-    forked child, which inherits the parent's object but not its thread."""
+    """This process's worker thread, started on first use."""
     global _qz_thread
     with _QZ_THREAD_START:
-        if _qz_thread is None or _qz_thread.pid != os.getpid():
+        if _qz_thread is None:
             _qz_thread = _QZThread()
         return _qz_thread
+
+
+def _forget_qz_thread():
+    """In a forked child, which has the parent's worker object but not its
+    thread, and a copy of the start lock that another of the parent's
+    threads may have held at the fork: a fresh start."""
+    global _qz_thread, _QZ_THREAD_START
+    _qz_thread, _QZ_THREAD_START = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):  # no fork on Windows
+    os.register_at_fork(after_in_child=_forget_qz_thread)
 
 
 def _usable_cpus() -> int:

@@ -1,7 +1,6 @@
 import dataclasses
 import json
 import multiprocessing
-import os
 import re
 import sys
 import threading
@@ -1312,17 +1311,14 @@ def test_no_qz_job_outlives_run_pipeline(monkeypatch):
 
 def _pipeline_in_child(connection, L, dL):
     report = json.dumps(run_pipeline(L, dL).to_json())
-    worker = eigenstructure._qz_thread
-    connection.send((report, worker.pid, [
+    connection.send((report, [
         t.name for t in threading.enumerate() if t.name == "bklab-qz"]))
 
 
-def test_forked_child_runs_the_pipeline_on_a_worker_of_its_own(monkeypatch):
-    _qz_on_the_worker(monkeypatch)
-    L, dL = _be_style_cases()[1]
-    want = json.dumps(run_pipeline(L, dL).to_json())
-    parent = eigenstructure._qz_thread
-    assert parent.pid == os.getpid()
+def _pipeline_in_forked_child(L, dL):
+    """``(report, names)``: the JSON report of ``run_pipeline(L, dL)`` in a
+    child of ``multiprocessing``'s ``fork`` context, and the names of its
+    worker threads after the call; it must finish within 60 s."""
     context = multiprocessing.get_context("fork")
     receive, send = context.Pipe(duplex=False)
     child = context.Process(target=_pipeline_in_child, args=(send, L, dL))
@@ -1332,16 +1328,54 @@ def test_forked_child_runs_the_pipeline_on_a_worker_of_its_own(monkeypatch):
         child.start()
     try:
         assert receive.poll(60), "the forked child did not finish in 60 s"
-        report, pid, workers = receive.recv()
+        outcome = receive.recv()
     finally:
         child.join(60)
         if child.is_alive():
             child.kill()
             child.join()
     assert child.exitcode == 0
-    assert report == want
-    assert pid == child.pid and workers == ["bklab-qz"]
+    return outcome
+
+
+def test_forked_child_runs_the_pipeline_on_a_worker_of_its_own(monkeypatch):
+    _qz_on_the_worker(monkeypatch)
+    L, dL = _be_style_cases()[1]
+    want = json.dumps(run_pipeline(L, dL).to_json())
+    parent = eigenstructure._qz_thread
+    assert parent is not None
+    # the child has the parent's worker object but not its thread
+    assert _pipeline_in_forked_child(L, dL) == (want, ["bklab-qz"])
     assert eigenstructure._qz_thread is parent
+
+
+def _hold(lock, held, release):
+    with lock:
+        held.set()
+        release.wait()
+
+
+@pytest.mark.parametrize("started", [False, True])
+def test_forked_child_starts_a_worker_while_a_parent_thread_holds_the_lock(
+        monkeypatch, started):
+    # another thread of the parent holds the start lock at the fork, as a
+    # caller starting the worker would: the child's copy of the lock stays
+    # locked for ever, so the child must start with a fresh one
+    _qz_on_the_worker(monkeypatch)
+    L, dL = _be_style_cases()[1]
+    want = json.dumps(run_pipeline(L, dL).to_json())
+    if not started:
+        monkeypatch.setattr(eigenstructure, "_qz_thread", None)
+    held, release = threading.Event(), threading.Event()
+    holder = threading.Thread(target=_hold, args=(
+        eigenstructure._QZ_THREAD_START, held, release))
+    holder.start()
+    try:
+        held.wait()
+        assert _pipeline_in_forked_child(L, dL) == (want, ["bklab-qz"])
+    finally:
+        release.set()
+        holder.join()
 
 
 def _head_inputs(L, dL):

@@ -239,7 +239,7 @@ def workers(m, eps, eta, placement, runs):
         run_pipeline(L, random_pencil_perturbation(
             L.shape, 0.5 * pipeline_radius(L), rng))
     return [t.daemon for t in threading.enumerate() if t.name == "bklab-qz"]
-print(json.dumps([after_import, workers(4, 3, 3, "hook", 2),
+print(json.dumps([after_import, workers(2, 3, 3, "hook", 2),
                   workers(8, 6, 0, "frobenius1", 3), _usable_cpus()]))
 """
 
@@ -247,10 +247,10 @@ print(json.dumps([after_import, workers(4, 3, 3, "hook", 2),
 def test_import_starts_no_thread_and_the_eigen_check_at_most_one():
     # the worker thread starts on the first QZ at or above the crossover,
     # where the process may run on two CPUs: be_onesided's order 56, not
-    # be_sylvester's 28
-    after_import, order_28, order_56, cpus = json.loads(_run_fresh(_THREADS))
+    # order 14
+    after_import, order_14, order_56, cpus = json.loads(_run_fresh(_THREADS))
     assert after_import == ["MainThread"]
-    assert order_28 == []
+    assert order_14 == []
     assert order_56 == ([True] if cpus >= 2 else [])
 
 
