@@ -37,8 +37,8 @@ from functools import lru_cache
 import numpy as np
 
 from .block_kronecker import BlockKroneckerPencil, from_polynomial, recover_polynomial
-from .eigenstructure import (_certified_structure, _start_pencil_qz,
-                             match_eigenvalues, staircase_eigenstructure)
+from .eigenstructure import (_QZ, _certified_structure, match_eigenvalues,
+                             staircase_eigenstructure)
 from .errors import ConvergenceError, GradeError, PreconditionError, ShapeError
 from .matpoly import (CACHE_SIZE, MatrixPolynomial, Pencil, _frobenius,
                       _stack_product, build_L, build_Lambda, convolution,
@@ -502,14 +502,15 @@ class BackwardErrorReport:
 
 
 def _check_eigen(L: BlockKroneckerPencil, L_plus_dL: Pencil,
-                 P_plus_dP: MatrixPolynomial, eigen_tol: float, qz=None):
+                 P_plus_dP: MatrixPolynomial, eigen_tol: float, qz):
     """``(eigen_backward_error, eigen_max_distance, eigen_consistent,
     shift_consistent)`` for the eigenvalues of ``L + dL`` against ``P + dP``.
 
     :func:`~bklab.eigenstructure._certified_structure` solves and
-    certifies ``L + dL``, reading ``qz``, the QZ of ``L + dL`` when
-    :func:`~bklab.eigenstructure._start_pencil_qz` started it; certified,
-    it is consistent on both counts.
+    certifies ``L + dL``, reading ``qz``, the
+    :class:`~bklab.eigenstructure._QZ` of ``L + dL`` that ``run_pipeline``
+    built (``None`` for a rectangular ``L``); certified, it is consistent on
+    both counts.
     Otherwise a fresh hook linearization of ``P + dP`` at the same split is
     reduced too: the finite eigenvalues are matched under the chordal
     metric, and the sorted minimal indices and infinite partitions must be
@@ -581,11 +582,15 @@ def run_pipeline(L: BlockKroneckerPencil, dL: Pencil, force: bool = False,
             f"pipeline refused: the bound is not finite at ||P|| = "
             f"{norm_P:.3e}, ||M|| = {norm_M:.3e}", inequality="bound < inf")
 
-    # QZ reads only L + dL: started now on the worker thread, it overlaps
-    # Steps 1-3, and is waited for before the call returns, however it ends
-    L_plus_dL = (Pencil(L.assemble().coeff_stack + dL.coeff_stack)
-                 if check_eigen else None)
-    qz = _start_pencil_qz(L_plus_dL) if check_eigen else None
+    # QZ reads only L + dL, and is read only when P + dP, so L + dL, is
+    # square: built now and started on bklab-qz when that pays, it overlaps
+    # Steps 1-3, and it is waited for before the call returns, however it ends
+    L_plus_dL = qz = None
+    if check_eigen:
+        L_plus_dL = Pencil(L.assemble().coeff_stack + dL.coeff_stack)
+        if L_plus_dL.rows == L_plus_dL.cols:
+            qz = _QZ(L_plus_dL.M0.conj().T, L_plus_dL.M1.conj().T)
+            qz.start()
     try:
         step1 = solve_step1(L, dL, force=force)
         dR_eps, res_eps = solve_step2(step1.dLt21, L.eps, L.n, force=force)
@@ -603,7 +608,7 @@ def run_pipeline(L: BlockKroneckerPencil, dL: Pencil, force: bool = False,
             if check_eigen else (None,) * 4)
     finally:
         if qz is not None:
-            qz.done.wait()
+            qz.wait()
 
     return BackwardErrorReport(
         eps=L.eps, eta=L.eta, m=L.m, n=L.n, norm_P=norm_P, norm_L=norm_L,

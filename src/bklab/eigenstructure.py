@@ -19,10 +19,12 @@ borderline outcomes are diagnosable; the problem is intrinsically ill-posed
 and a tolerance-free answer does not exist.  Non-finite input raises
 :class:`ShapeError` before any LAPACK call.
 
-One daemon thread, ``bklab-qz``, started on first use, and on first use
-again in a forked child, can run a QZ while the caller goes on: it makes
-the ``zggev`` call and nothing else, so every numpy floating-point
-operation stays on the caller's thread.
+Every QZ is one :class:`_QZ`: an eigenvalues-only ``zggev``, built and read
+on the caller's thread.  Its ``start`` may hand the call to one daemon
+thread, ``bklab-qz``, started on first use, and on first use again in a
+forked child, while the caller goes on; the thread makes the ``zggev``
+call and nothing else, so every numpy floating-point operation stays on
+the caller's thread.
 """
 
 from __future__ import annotations
@@ -197,95 +199,97 @@ def _zggev_lwork(n: int) -> int:
     return int(_zggev()(z, z, lwork=-1)[-2][0].real)
 
 
-def _conjugated_core(A_h, B_h) -> Eigenstructure:
-    """bklab's one QZ: the eigenvalues of a square pencil ``A + lambda*B``
-    handed in as ``(A^H, B^H)``, the staircase core's orientation.  QZ of
-    ``A^H + lambda*B^H`` gives the conjugate spectrum, so each finite
-    eigenvalue is conjugated back; one whose ``beta`` is negligible, ``|beta|
-    <= 10 EPS hypot(|alpha|, |beta|)``, is a degree-1 divisor at infinity
-    with a ``core:qz-beta`` log entry.  QZ failure raises ConvergenceError.
-    """
-    # det(A^H + lam*B^H) = 0 is LAPACK's det(beta A^H - alpha (-B^H)) = 0 at
-    # (lam, 1), solved in the workspace scipy.linalg.eig would query; both
-    # operands are new arrays, which LAPACK overwrites
-    call = _qz_call(np.array(A_h, dtype=complex, order="F"),
-                    np.negative(B_h, dtype=complex, order="F"))
-    return _read_qz(call())
-
-
-def _qz_call(a, b):
-    """The eigenvalues-only ``zggev`` of ``(a, b)`` in the workspace of
-    their order, bound but not yet made: called, it returns the binding's
-    outputs, ``alpha`` and ``beta`` first and ``info`` last, and may
-    overwrite ``a`` and ``b``.  The binding and the workspace are resolved
-    on the calling thread."""
-    return partial(_zggev(), a, b, lwork=_zggev_lwork(len(a)))
-
-
-def _read_qz(outputs) -> Eigenstructure:
-    """The eigenstructure of a square pencil ``A + lambda*B`` from the
-    outputs of a :func:`_qz_call` on ``(A^H, -B^H)``, as
-    :func:`_conjugated_core` reads them."""
-    alpha, beta, *_, info = outputs
-    if info != 0:
-        raise ConvergenceError(f"QZ failed: LAPACK zggev returned info {info}")
-    size = np.abs(beta)
-    threshold = 10.0 * EPS * np.hypot(np.abs(alpha), size)
-    infinite = size <= threshold
-    return Eigenstructure(
-        finite=(alpha[~infinite] / beta[~infinite]).conj().tolist(),
-        infinite=[1] * int(infinite.sum()),
-        rank_log=[RankDecision("core:qz-beta", (1, 1), np.array([b]), 0,
-                               float(t))
-                  for b, t in zip(size[infinite], threshold[infinite])],
-    )
-
-
-def _pencil_operands(pencil):
-    """``(M0^H, -M1^H)`` for the square pencil ``M0 + lambda*M1``: new
-    Fortran-ordered arrays, the operands of :func:`_qz_call`."""
-    a, b = pencil.M0.conj().T, pencil.M1.conj().T
-    return a, np.negative(b, out=b)
-
-
-def _pencil_qz(pencil, job=None) -> Eigenstructure:
-    """:func:`_conjugated_core` of the square pencil ``M0 + lambda*M1``,
-    handed in as ``(M0^H, M1^H)``: the one orientation its callers use.
-    ``job`` is this QZ when :func:`_start_pencil_qz` has handed it to the
-    worker thread: its outcome is read here, on the calling thread."""
-    if job is None:
-        return _read_qz(_qz_call(*_pencil_operands(pencil))())
-    return _read_qz(job.result())
-
-
-# run_pipeline hands the QZ of L + dL to the worker thread from this order
-# on: at 21 the thread breaks even, below it the hand-off costs more than
-# the overlap saves (the measurements are in README, "The eigen check")
+# run_pipeline hands the QZ of L + dL to bklab-qz from this order on: at 21
+# the thread breaks even, below it the hand-off costs more than the overlap
+# saves (the measurements are in README, "The eigen check")
 QZ_THREAD_MIN_ORDER = 21
 
 
-class _QZJob:
-    """One :func:`_qz_call` made on the worker thread: ``started`` is set
-    just before the call, ``done`` once it has returned or raised."""
+class _QZ:
+    """bklab's one QZ: an eigenvalues-only ``zggev`` of a square pencil ``A
+    + lambda*B`` handed in as ``(A^H, B^H)``, the staircase core's
+    orientation.  QZ of ``A^H + lambda*B^H`` gives the conjugate spectrum,
+    so :meth:`structure` conjugates each finite eigenvalue back; one whose
+    ``beta`` is negligible, ``|beta| <= 10 EPS hypot(|alpha|, |beta|)``, is
+    a degree-1 divisor at infinity with a ``core:qz-beta`` log entry.
 
-    def __init__(self, call):
-        self.call, self.outcome = call, None
+    It is built on the caller's thread, which also resolves the binding and
+    the workspace.  :meth:`start` may hand the call to the daemon thread
+    ``bklab-qz``; :meth:`structure` makes it inline if it was not handed
+    over, and reads its outputs on the caller's thread either way.
+    """
+
+    def __init__(self, A_h, B_h):
+        # det(A^H + lam*B^H) = 0 is LAPACK's det(beta A^H - alpha (-B^H)) = 0
+        # at (lam, 1), solved in the workspace scipy.linalg.eig would query;
+        # both operands are new arrays, which LAPACK overwrites
+        self.a = np.array(A_h, dtype=complex, order="F")
+        self.b = np.negative(B_h, dtype=complex, order="F")
+        self.zggev, self.lwork = _zggev(), _zggev_lwork(len(self.a))
+        # (outputs, exception) once made; done is an Event once handed over
+        self.outcome = self.started = self.done = None
+
+    def run(self):
+        """Make the call, keeping what it returns or raises."""
+        try:
+            self.outcome = self.zggev(self.a, self.b, lwork=self.lwork), None
+        except BaseException as error:
+            self.outcome = None, error
+
+    def start(self):
+        """Hand the call to ``bklab-qz`` when that pays, and return once the
+        thread is about to make it: the order is ``QZ_THREAD_MIN_ORDER`` or
+        more, the operands are finite, the process may run on two CPUs or
+        more, and no other call is in flight.  The wait lets the thread
+        take the GIL at once: asked for while the caller computes, the GIL
+        would change hands only after ``sys.getswitchinterval()``."""
+        if (len(self.a) < QZ_THREAD_MIN_ORDER or _usable_cpus() < 2
+                or not np.isfinite(self.a).all()
+                or not np.isfinite(self.b).all()):
+            return
+        thread = _running_qz_thread()
+        if not thread.idle.acquire(blocking=False):
+            return
         self.started, self.done = threading.Event(), threading.Event()
+        thread.job = self
+        thread.handed.release()
+        self.started.wait()
 
-    def result(self):
-        """What the call returned; what it raised is raised here."""
-        self.done.wait()
-        value, error = self.outcome
+    def wait(self):
+        """Return once a call handed to ``bklab-qz`` has been made."""
+        if self.done is not None:
+            self.done.wait()
+
+    def structure(self) -> Eigenstructure:
+        """The eigenstructure of ``A + lambda*B``.  What the binding raised
+        is raised here, and QZ failure raises ConvergenceError."""
+        if self.done is None:  # not handed over
+            self.run()
+        self.wait()
+        outputs, error = self.outcome
         if error is not None:
             raise error
-        return value
+        alpha, beta, *_, info = outputs
+        if info != 0:
+            raise ConvergenceError(
+                f"QZ failed: LAPACK zggev returned info {info}")
+        size = np.abs(beta)
+        threshold = 10.0 * EPS * np.hypot(np.abs(alpha), size)
+        infinite = size <= threshold
+        return Eigenstructure(
+            finite=(alpha[~infinite] / beta[~infinite]).conj().tolist(),
+            infinite=[1] * int(infinite.sum()),
+            rank_log=[RankDecision("core:qz-beta", (1, 1), np.array([b]), 0,
+                                   float(t))
+                      for b, t in zip(size[infinite], threshold[infinite])],
+        )
 
 
 class _QZThread:
     """The daemon thread ``bklab-qz`` and its one-job slot.  ``idle`` is
-    held from a job's submission until its call returns, so at most one job
-    is ever in flight; ``handed`` is released once for each job handed
-    over."""
+    held from a :meth:`_QZ.start` that hands a call over until the call
+    returns, so at most one is ever in flight; ``handed`` is released once
+    for each call handed over, which waits in ``job``."""
 
     def __init__(self):
         self.idle, self.handed = threading.Lock(), threading.Lock()
@@ -294,30 +298,14 @@ class _QZThread:
         threading.Thread(target=self._serve, name="bklab-qz",
                          daemon=True).start()
 
-    def submit(self, call) -> _QZJob | None:
-        """Hand ``call`` over and return once the thread is about to make
-        it, or ``None`` while another job is in flight.  The wait lets the
-        thread take the GIL at once: asked for while the caller computes,
-        the GIL would change hands only after ``sys.getswitchinterval()``.
-        """
-        if not self.idle.acquire(blocking=False):
-            return None
-        self.job = job = _QZJob(call)
-        self.handed.release()
-        job.started.wait()
-        return job
-
     def _serve(self):
         while True:
             self.handed.acquire()
-            job, self.job = self.job, None
-            job.started.set()
-            try:
-                job.outcome = job.call(), None
-            except BaseException as error:
-                job.outcome = None, error
+            qz, self.job = self.job, None
+            qz.started.set()
+            qz.run()
             self.idle.release()
-            job.done.set()
+            qz.done.set()
 
 
 _qz_thread: _QZThread | None = None
@@ -325,7 +313,7 @@ _QZ_THREAD_START = threading.Lock()
 
 
 def _running_qz_thread() -> _QZThread:
-    """This process's worker thread, started on first use."""
+    """This process's ``bklab-qz``, started on first use."""
     global _qz_thread
     with _QZ_THREAD_START:
         if _qz_thread is None:
@@ -334,7 +322,7 @@ def _running_qz_thread() -> _QZThread:
 
 
 def _forget_qz_thread():
-    """In a forked child, which has the parent's worker object but not its
+    """In a forked child, which has the parent's thread object but not its
     thread, and a copy of the start lock that another of the parent's
     threads may have held at the fork: a fresh start."""
     global _qz_thread, _QZ_THREAD_START
@@ -352,26 +340,10 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _start_pencil_qz(pencil) -> _QZJob | None:
-    """Start :func:`_pencil_qz` of ``pencil`` on the worker thread when that
-    pays: ``pencil`` is square, finite and of order ``QZ_THREAD_MIN_ORDER``
-    or more, and the process may run on two CPUs or more.  ``None``
-    otherwise, or while another job is in flight; the caller then runs QZ
-    inline if it needs it."""
-    if (pencil.rows != pencil.cols or pencil.rows < QZ_THREAD_MIN_ORDER
-            or _usable_cpus() < 2):
-        return None
-    try:
-        _require_finite(pencil.coeff_stack)
-    except ShapeError:
-        return None
-    return _running_qz_thread().submit(_qz_call(*_pencil_operands(pencil)))
-
-
 def generalized_eigenvalues(pencil):
     """Finite eigenvalue list and infinite eigenvalue count of a regular pencil.
 
-    QZ through :func:`_pencil_qz`, in the staircase's orientation, so the
+    :class:`_QZ` of ``(M0^H, M1^H)``, the staircase's orientation, so the
     two agree bit for bit when the staircase finds ``M1`` of full rank; an
     eigenvalue is infinite when its ``beta`` is negligible against
     ``(alpha, beta)``.
@@ -384,7 +356,7 @@ def generalized_eigenvalues(pencil):
         raise ShapeError("singular pencil: use staircase_eigenstructure")
     if pencil.rows == 0:
         return [], 0
-    core = _pencil_qz(pencil)
+    core = _QZ(pencil.M0.conj().T, pencil.M1.conj().T).structure()
     return core.finite, len(core.infinite)
 
 
@@ -477,8 +449,7 @@ def staircase_eigenstructure(pencil, tol=None) -> Eigenstructure:
             "decisions, try an explicit tolerance")
     # The staircase certified the core's leading coefficient as full rank,
     # so an infinite eigenvalue of its QZ is a borderline artifact.
-    core = (_conjugated_core(A2h, B2h) if A2h.shape[0] > 0
-            else Eigenstructure())
+    core = _QZ(A2h, B2h).structure() if A2h.shape[0] > 0 else Eigenstructure()
     return Eigenstructure(
         finite=core.finite,
         infinite=sorted(infinite + core.infinite),
@@ -533,7 +504,7 @@ def _smallest_pairs(values: np.ndarray, scale: np.ndarray):
 
 
 def _certify_eigenvalues(Q: MatrixPolynomial, structure: Eigenstructure,
-                         tol: float, rank: int | None = None):
+                         tol: float, rank: int):
     """Certify the eigenvalues of ``structure`` as eigenvalues of ``Q``.
 
     Each eigenvalue is the point ``(alpha, beta)``, ``|alpha|^2 + |beta|^2 =
@@ -552,8 +523,8 @@ def _certify_eigenvalues(Q: MatrixPolynomial, structure: Eigenstructure,
     every other case (minimal indices, a singular or rectangular ``Q``, or
     solves that give no finite pair) ``sigma`` is the ``r``-th singular
     value of ``Q(alpha, beta)`` from one values-only batched SVD, with
-    ``r`` the normal rank (``rank``, or ``_normal_rank(Q)`` when it is not
-    given), and the eigenvalues are not certified.
+    ``r = rank``, the normal rank of ``Q``, and the eigenvalues are not
+    certified.
 
     Returns ``(eta, distance)``: the largest backward error, ``None`` when
     it is not finite, and the largest distance over the finite eigenvalues,
@@ -572,7 +543,6 @@ def _certify_eigenvalues(Q: MatrixPolynomial, structure: Eigenstructure,
     if structure.infinite:
         alpha, beta = np.append(alpha, 1.0), np.append(beta, 0.0)
     points, d = alpha.size, Q.grade
-    rank = _normal_rank(Q) if rank is None else rank
     if points == 0 or rank == 0:
         return (0.0 if rank else None), None
     # alpha^k and beta^k for k = 0 .. d, by repeated products
@@ -619,20 +589,20 @@ def _certify_eigenvalues(Q: MatrixPolynomial, structure: Eigenstructure,
     return eta, distance
 
 
-def _certified_structure(pencil, Q: MatrixPolynomial, tol: float, qz=None):
+def _certified_structure(pencil, Q: MatrixPolynomial, tol: float, qz):
     """``(structure, eta, distance)``: the eigenstructure of ``pencil``, a
     linearization of ``Q``, and :func:`_certify_eigenvalues` of it against
     ``Q``.  When ``Q`` is square of full normal rank, QZ's answer, bit for
     bit the staircase's when it finds ``M1`` of full rank, stands if it
     reads no infinite eigenvalue (whose backward error alone would pass a
     singular ``pencil``) and is certified; otherwise the staircase's does,
-    with ``distance`` ``None`` unless certified.  ``qz`` is the QZ of
-    ``pencil`` if :func:`_start_pencil_qz` started it; only that first
-    path reads it, so it is dropped, failed or not, when ``Q`` is
-    singular or rectangular."""
+    with ``distance`` ``None`` unless certified.  ``qz`` is the
+    :class:`_QZ` of ``pencil``, started or not, and ``None`` will do when
+    ``Q`` is rectangular: only the first path reads it, so it is dropped,
+    failed or not, when ``Q`` is singular or rectangular."""
     rank = _normal_rank(Q)
     if rank == Q.rows == Q.cols:
-        core = _pencil_qz(pencil, qz)
+        core = qz.structure()
         if not core.infinite:
             eta, distance = _certify_eigenvalues(Q, core, tol, rank)
             if distance is not None:

@@ -1041,6 +1041,36 @@ def _recorded(monkeypatch, name, module=eigenstructure):
     return results
 
 
+class _ReadQZ(eigenstructure._QZ):
+    """A ``_QZ`` that keeps what its ``structure()`` returns in ``read``."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.read = []
+
+    def structure(self):
+        self.read.append(super().structure())
+        return self.read[-1]
+
+
+def _qz_of(pencil):
+    """The ``_ReadQZ`` of a square pencil, as ``run_pipeline`` builds it."""
+    return _ReadQZ(pencil.M0.conj().T, pencil.M1.conj().T)
+
+
+def _built_qz(monkeypatch):
+    """The ``_ReadQZ`` objects ``run_pipeline`` builds from now on: the QZ
+    of each square ``L + dL``, which only the eigen check's head reads."""
+    built = []
+
+    def build(*args):
+        built.append(_ReadQZ(*args))
+        return built[-1]
+
+    monkeypatch.setattr(backward_error, "_QZ", build)
+    return built
+
+
 @pytest.mark.parametrize("seed", [1, 3, 7, 4242])
 def test_deferred_qz_first_certificate_reports_as_before(monkeypatch, seed):
     # with the certificate of the QZ run first made to defer, the staircase
@@ -1048,7 +1078,7 @@ def test_deferred_qz_first_certificate_reports_as_before(monkeypatch, seed):
     # QZ run defers; the report is the same, byte for byte
     want = [json.dumps(run_pipeline(L, dL).to_json())
             for L, dL in _be_style_cases(seed)]
-    cores = _recorded(monkeypatch, "_pencil_qz")
+    built = _built_qz(monkeypatch)
     stairs = _recorded(monkeypatch, "staircase_eigenstructure")
     fallback = _recorded(monkeypatch, "staircase_eigenstructure",
                          backward_error)
@@ -1056,13 +1086,15 @@ def test_deferred_qz_first_certificate_reports_as_before(monkeypatch, seed):
 
     def defer_on_the_core(Q, structure, *args):
         eta, distance = certify(Q, structure, *args)
-        return eta, (None if any(structure is c for c in cores) else distance)
+        return eta, (None if any(structure is core for qz in built
+                                 for core in qz.read) else distance)
 
     monkeypatch.setattr(eigenstructure, "_certify_eigenvalues",
                         defer_on_the_core)
     got = [json.dumps(run_pipeline(L, dL).to_json())
            for L, dL in _be_style_cases(seed)]
-    assert len(cores) == len(stairs) == 2 and fallback == []
+    assert [len(qz.read) for qz in built] == [1, 1]
+    assert len(stairs) == 2 and fallback == []
     assert got == want
 
 
@@ -1085,12 +1117,13 @@ def test_singular_leading_coefficient_defers_to_the_staircase(monkeypatch,
     # staircase reads the null space, and its infinite partition is what the
     # certificate covers
     L, dL = _singular_leading_coefficient_case(magnitude)
-    cores = _recorded(monkeypatch, "_pencil_qz")
+    built = _built_qz(monkeypatch)
     stairs = _recorded(monkeypatch, "staircase_eigenstructure")
     fallback = _recorded(monkeypatch, "staircase_eigenstructure",
                          backward_error)
     report = run_pipeline(L, dL)
-    assert len(cores) == 1 and cores[0].infinite
+    assert len(built) == 1 and len(built[0].read) == 1
+    assert built[0].read[0].infinite
     assert len(stairs) == 1 and stairs[0].infinite == [1, 1]
     assert fallback == []
     assert any(d.context == "right:stage1:B" and d.rank < L.shape[1]
@@ -1102,8 +1135,7 @@ def test_singular_leading_coefficient_defers_to_the_staircase(monkeypatch,
 def test_singular_square_polynomial_runs_no_qz_first(monkeypatch):
     # P + dP of normal rank 2 < 3: the gate reads the normal rank the
     # certificates share, and the staircase runs at once
-    monkeypatch.setattr(eigenstructure, "_pencil_qz",
-                        _refuse("_pencil_qz"))
+    built = _built_qz(monkeypatch)
     stairs = _recorded(monkeypatch, "staircase_eigenstructure")
     fallback = _recorded(monkeypatch, "staircase_eigenstructure",
                          backward_error)
@@ -1112,17 +1144,19 @@ def test_singular_square_polynomial_runs_no_qz_first(monkeypatch):
                         1, 1, "hook")
     report = run_pipeline(L, Pencil(np.zeros((2,) + L.shape)))
     assert _normal_rank(recover_polynomial(L) + report.dP) == 2
+    assert len(built) == 1 and built[0].read == []
     assert len(stairs) == len(fallback) == 1 and stairs[0].infinite
     assert report.eigen_consistent is True and report.shift_consistent is True
 
 
 def test_backward_error_binds_no_eigen_solver_internals():
     # the solve of L + dL and its certificate live in eigenstructure
-    for name in ("_normal_rank", "_pencil_qz", "_svd", "chordal_distance",
+    for name in ("_normal_rank", "_zggev", "_svd", "chordal_distance",
                  "_certify_eigenvalues", "_smallest_pairs"):
         assert not hasattr(backward_error, name), name
     assert backward_error._certified_structure is \
         eigenstructure._certified_structure
+    assert backward_error._QZ is eigenstructure._QZ
 
 
 def _qz_on_the_worker(monkeypatch, on=True):
@@ -1132,19 +1166,6 @@ def _qz_on_the_worker(monkeypatch, on=True):
     monkeypatch.setattr(eigenstructure, "QZ_THREAD_MIN_ORDER",
                         1 if on else sys.maxsize)
     monkeypatch.setattr(eigenstructure, "_usable_cpus", lambda: 2)
-
-
-def _started_jobs(monkeypatch):
-    """What ``run_pipeline`` starts from now on: a worker job, or ``None``
-    where QZ is left inline."""
-    jobs, start = [], backward_error._start_pencil_qz
-
-    def recorded(pencil):
-        jobs.append(start(pencil))
-        return jobs[-1]
-
-    monkeypatch.setattr(backward_error, "_start_pencil_qz", recorded)
-    return jobs
 
 
 def _qz_threads(monkeypatch, change=lambda out: out):
@@ -1169,10 +1190,11 @@ def _assert_worker_reports_equal_inline_ones(monkeypatch, cases):
     _qz_on_the_worker(monkeypatch, on=False)
     inline = _reports(cases)
     _qz_on_the_worker(monkeypatch)
-    jobs = _started_jobs(monkeypatch)
+    built = _built_qz(monkeypatch)
     assert _reports(cases) == inline
-    assert len(jobs) == len(cases)
-    assert all(job is not None and job.done.is_set() for job in jobs)
+    assert len(built) == len(cases)
+    # each handed to the worker, and made before run_pipeline returned
+    assert all(qz.done is not None and qz.done.is_set() for qz in built)
 
 
 @pytest.mark.parametrize("seed", [1, 3, 7, 4242])
@@ -1252,9 +1274,10 @@ def test_singular_square_polynomial_drops_the_workers_qz(monkeypatch):
     stairs = _recorded(monkeypatch, "staircase_eigenstructure")
     fallback = _recorded(monkeypatch, "staircase_eigenstructure",
                          backward_error)
-    jobs = _started_jobs(monkeypatch)
+    built = _built_qz(monkeypatch)
     assert json.dumps(run_pipeline(L, dL).to_json()) == want
-    assert len(jobs) == 1 and jobs[0].done.is_set()
+    assert len(built) == 1 and built[0].done.is_set()
+    assert built[0].read == []
     # the worker's dropped QZ may end after the staircase's own QZ calls
     assert threads.count("bklab-qz") == 1 and len(threads) > 1
     assert len(stairs) == len(fallback) == 1
@@ -1281,8 +1304,7 @@ def _refused_runs():
                                   "infinite_bound"])
 def test_refused_runs_start_no_qz(monkeypatch, case):
     _qz_on_the_worker(monkeypatch)
-    monkeypatch.setattr(backward_error, "_start_pencil_qz",
-                        _refuse("_start_pencil_qz"))
+    monkeypatch.setattr(backward_error, "_QZ", _refuse("_QZ"))
     L, dL, force, message = _refused_runs()[case]
     with pytest.raises(PreconditionError, match=message):
         run_pipeline(L, dL, force=force)
@@ -1293,10 +1315,10 @@ def test_no_qz_job_outlives_run_pipeline(monkeypatch):
     # returns or raises, and leaves the worker free
     _qz_on_the_worker(monkeypatch)
     _qz_threads(monkeypatch, lambda out: time.sleep(0.05) or out)
-    jobs = _started_jobs(monkeypatch)
+    built = _built_qz(monkeypatch)
     L, dL = _be_style_cases()[1]
     run_pipeline(L, dL)
-    assert jobs[-1].done.is_set()
+    assert built[-1].done.is_set()
 
     def failing(*args, **kwargs):
         raise ConvergenceError("step 2: made to fail")
@@ -1304,7 +1326,7 @@ def test_no_qz_job_outlives_run_pipeline(monkeypatch):
     monkeypatch.setattr(backward_error, "solve_step2", failing)
     with pytest.raises(ConvergenceError, match="made to fail"):
         run_pipeline(L, dL)
-    assert len(jobs) == 2 and jobs[-1].done.is_set()
+    assert len(built) == 2 and built[-1].done.is_set()
     worker = eigenstructure._qz_thread
     assert worker.job is None and not worker.idle.locked()
 
@@ -1390,20 +1412,20 @@ def test_certified_structure_stands_on_a_certified_qz(monkeypatch):
     pencil, Q = _head_inputs(L, dL)
     monkeypatch.setattr(eigenstructure, "staircase_eigenstructure",
                         _refuse("staircase_eigenstructure"))
-    cores = _recorded(monkeypatch, "_pencil_qz")
+    qz = _qz_of(pencil)
     structure, eta, distance = eigenstructure._certified_structure(
-        pencil, Q, 1e-6)
-    assert len(cores) == 1 and structure is cores[0]
+        pencil, Q, 1e-6, qz)
+    assert len(qz.read) == 1 and structure is qz.read[0]
     assert 0.0 < eta <= 100 * EPS and 0.0 < distance <= 1e-6
 
 
 def test_certified_structure_certifies_the_staircase(monkeypatch):
     pencil, Q = _head_inputs(*_singular_leading_coefficient_case(0.0))
-    cores = _recorded(monkeypatch, "_pencil_qz")
+    qz = _qz_of(pencil)
     stairs = _recorded(monkeypatch, "staircase_eigenstructure")
     structure, eta, distance = eigenstructure._certified_structure(
-        pencil, Q, 1e-6)
-    assert len(cores) == 1 and cores[0].infinite
+        pencil, Q, 1e-6, qz)
+    assert len(qz.read) == 1 and qz.read[0].infinite
     assert len(stairs) == 1 and structure is stairs[0]
     assert structure.infinite == [1, 1]
     assert 0.0 < eta <= 100 * EPS and 0.0 < distance <= 1e-6
@@ -1412,15 +1434,15 @@ def test_certified_structure_certifies_the_staircase(monkeypatch):
 def test_certified_structure_reads_eta_of_a_rectangular_pencil_by_svd(
         monkeypatch):
     # diag(lambda - z, 1) R for a random 2 x 3 R of grade 2: a rectangular
-    # P with the eigenvalue z, which dL = 0 keeps.  No QZ and no inverse
-    # iteration run; eta is sigma_2 from one values-only SVD of the stack of
-    # evaluations, and the minimal indices leave it uncertified.
+    # P with the eigenvalue z, which dL = 0 keeps.  No QZ of the pencil is
+    # read (run_pipeline builds none for a rectangular L) and no inverse
+    # iteration runs; eta is sigma_2 from one values-only SVD of the stack
+    # of evaluations, and the minimal indices leave it uncertified.
     z = 0.5 - 0.25j
     P = MatrixPolynomial([np.diag([-z, 1.0]), np.diag([1.0, 0.0])]) @ \
         random_polynomial(2, 3, 2, trial_rng(66, 0))
     L = from_polynomial(P, 1, 1, "hook")
     pencil, Q = _head_inputs(L, Pencil(np.zeros((2,) + L.shape)))
-    monkeypatch.setattr(eigenstructure, "_pencil_qz", _refuse("_pencil_qz"))
     monkeypatch.setattr(eigenstructure, "_smallest_pairs",
                         _refuse("_smallest_pairs"))
     svd, stacks = eigenstructure._svd, []
@@ -1433,7 +1455,7 @@ def test_certified_structure_reads_eta_of_a_rectangular_pencil_by_svd(
     monkeypatch.setattr(eigenstructure, "_svd", recorded_svd)
     stairs = _recorded(monkeypatch, "staircase_eigenstructure")
     structure, eta, distance = eigenstructure._certified_structure(
-        pencil, Q, 1e-6)
+        pencil, Q, 1e-6, None)
     assert len(stairs) == 1 and structure is stairs[0]
     assert structure.right and len(structure.finite) == 1
     assert abs(structure.finite[0] - z) <= 1e-12
@@ -1509,19 +1531,21 @@ def test_certificate_refuses_a_wrong_polynomial():
         report = run_pipeline(L, dL, check_eigen=False)
         Q = recover_polynomial(L) + report.dP
         structure = _perturbed_structure(L, dL)
-        eta, distance = _certify_eigenvalues(Q, structure, 1e-6)
+        eta, distance = _certify_eigenvalues(Q, structure, 1e-6,
+                                             _normal_rank(Q))
         assert distance is not None and distance <= 1e-13
         error = random_polynomial(L.m, L.n, L.grade, trial_rng(5, 1))
         for h in (1e-6, 1e-5):
             wrong = Q + (h * report.norm_P) * error
             # a tolerance of 1e-3 reads the distance without refusing it
+            rank = _normal_rank(wrong)
             wrong_eta, wrong_distance = _certify_eigenvalues(wrong, structure,
-                                                             1e-3)
+                                                             1e-3, rank)
             assert 0.01 * h <= wrong_eta <= h
             assert 0.1 * h <= wrong_distance <= 10.0 * h
             if h == 1e-5:
-                assert _certify_eigenvalues(wrong, structure, 1e-6) == (
-                    wrong_eta, None)
+                assert _certify_eigenvalues(wrong, structure, 1e-6,
+                                            rank) == (wrong_eta, None)
 
 
 @pytest.mark.parametrize("seed", [1, 3, 7, 4242])
@@ -1541,13 +1565,15 @@ def test_certificate_agrees_with_the_full_svd_reference(seed):
         report = run_pipeline(L, dL, check_eigen=False)
         Q = recover_polynomial(L) + report.dP
         structure = _perturbed_structure(L, dL)
-        for certify in (_certify_eigenvalues, certify_eigenvalues_by_svd):
+        for certify in (partial(_certify_eigenvalues, rank=_normal_rank(Q)),
+                        certify_eigenvalues_by_svd):
             eta, distance = certify(Q, structure, 1e-6)
             assert distance is not None and 0.0 < eta <= 100 * EPS
         error = random_polynomial(L.m, L.n, L.grade, trial_rng(5, 1))
         for h in (1e-8, 1e-6, 1e-5):
             moved = Q + (h * report.norm_P) * error
-            eta, distance = _certify_eigenvalues(moved, structure, 1e-3)
+            eta, distance = _certify_eigenvalues(moved, structure, 1e-3,
+                                                 _normal_rank(moved))
             want_eta, want_distance = certify_eigenvalues_by_svd(
                 moved, structure, 1e-3)
             assert eta == pytest.approx(want_eta, rel=1e-4)
@@ -1566,7 +1592,8 @@ def test_certificate_survives_a_zero_pivot_and_defers_on_an_overflow():
     with pytest.raises(np.linalg.LinAlgError):
         np.linalg.solve(Q.coeff(0), np.ones(2))
     exact = Eigenstructure(finite=roots[0] + roots[1])
-    eta, distance = _certify_eigenvalues(Q, exact, 1e-6)
+    rank = _normal_rank(Q)
+    eta, distance = _certify_eigenvalues(Q, exact, 1e-6, rank)
     assert eta <= 10 * EPS and distance <= 100 * EPS
     assert certify_eigenvalues_by_svd(Q, exact, 1e-6)[1] is not None
     # 1e-200 from the root 0 the solves are near 1e200, whose squares
@@ -1574,12 +1601,13 @@ def test_certificate_survives_a_zero_pivot_and_defers_on_an_overflow():
     # point's solve overflows, and the check defers with eta from the
     # values-only SVD
     assert _certify_eigenvalues(
-        Q, Eigenstructure(finite=[roots[1][0], 1e-200]), 1e-6)[1] <= 100 * EPS
+        Q, Eigenstructure(finite=[roots[1][0], 1e-200]), 1e-6,
+        rank)[1] <= 100 * EPS
     near = Eigenstructure(finite=[roots[1][0], 1e-310])
     with np.errstate(all="ignore"):
         assert not np.all(np.isfinite(
             np.linalg.solve(Q.eval(1e-310).conj().T, np.ones(2))))
-    eta, distance = _certify_eigenvalues(Q, near, 1e-6)
+    eta, distance = _certify_eigenvalues(Q, near, 1e-6, rank)
     assert distance is None and eta <= 10 * EPS
     assert eta == pytest.approx(certify_eigenvalues_by_svd(Q, near, 1e-6)[0],
                                 rel=1e-6)
@@ -1603,7 +1631,7 @@ def test_certificate_certifies_acceptance_trials_with_a_singular_evaluation(
     Q = recover_polynomial(L) + report.dP
     structure = _perturbed_structure(L, dL)
     assert certify_eigenvalues_by_svd(Q, structure, 1e-6)[1] is not None
-    eta, distance = _certify_eigenvalues(Q, structure, 1e-6)
+    eta, distance = _certify_eigenvalues(Q, structure, 1e-6, _normal_rank(Q))
     assert eta <= 100 * EPS and distance <= 1e-13
 
 
@@ -1621,8 +1649,9 @@ def test_certificate_defers_when_every_solve_meets_a_singular_matrix(
     def singular(*args):
         raise np.linalg.LinAlgError("Singular matrix")
 
+    rank = _normal_rank(Q)
     monkeypatch.setattr(np.linalg, "solve", singular)
-    eta, distance = _certify_eigenvalues(Q, exact, 1e-6)
+    eta, distance = _certify_eigenvalues(Q, exact, 1e-6, rank)
     assert distance is None and eta == pytest.approx(want_eta, rel=1e-6)
 
 
@@ -1672,9 +1701,9 @@ def test_certificate_reads_known_eigenvalues():
     roots = [list(2.0 * complex_gaussian(3, rng)) for _ in range(2)]
     roots.append(list(2.0 * complex_gaussian(2, rng)))  # one infinite eigenvalue
     Q = _diagonal_polynomial(roots, 3, rng)
-    exact = np.concatenate(roots)
+    exact, rank = np.concatenate(roots), _normal_rank(Q)
     eta, distance = _certify_eigenvalues(
-        Q, Eigenstructure(finite=list(exact), infinite=[1]), 1e-6)
+        Q, Eigenstructure(finite=list(exact), infinite=[1]), 1e-6, rank)
     assert eta <= 10 * EPS and distance <= 100 * EPS
     # displaced by a known chordal distance h, each point reads h to first
     # order
@@ -1682,7 +1711,8 @@ def test_certificate_reads_known_eigenvalues():
         moved = exact + h * np.exp(2j * np.pi * rng.uniform(size=exact.size))
         want = chordal_distance(moved, exact)
         for z, w in zip(moved, want):
-            _, got = _certify_eigenvalues(Q, Eigenstructure(finite=[z]), 1e-3)
+            _, got = _certify_eigenvalues(Q, Eigenstructure(finite=[z]), 1e-3,
+                                          rank)
             assert got == pytest.approx(w, rel=10 * h)
 
 
@@ -1690,8 +1720,9 @@ def test_certificate_defers_when_it_cannot_decide():
     rng = trial_rng(18, 0)
     roots = [list(2.0 * complex_gaussian(2, rng)) for _ in range(2)]
     Q = _diagonal_polynomial(roots, 2, rng)
-    exact = list(np.concatenate(roots))
-    assert _certify_eigenvalues(Q, Eigenstructure(finite=exact), 1e-6)[1] is not None
+    exact, rank = list(np.concatenate(roots)), _normal_rank(Q)
+    assert _certify_eigenvalues(Q, Eigenstructure(finite=exact), 1e-6,
+                                rank)[1] is not None
     # minimal indices, a double eigenvalue, an eigenvalue near infinity, a
     # distance above the tolerance and a non-finite evaluation
     for structure, tol in [
@@ -1700,17 +1731,20 @@ def test_certificate_defers_when_it_cannot_decide():
             (Eigenstructure(finite=exact[1:] + [1e7]), 1e-6),
             (Eigenstructure(finite=[exact[0] + 1e-3] + exact[1:]), 1e-6),
             (Eigenstructure(finite=[complex(np.nan, 0.0)] + exact[1:]), 1e-6)]:
-        assert _certify_eigenvalues(Q, structure, tol)[1] is None
+        assert _certify_eigenvalues(Q, structure, tol, rank)[1] is None
     # a singular Q: its normal rank 1 is below its size, and sigma_1 gives
     # the backward errors of the roots of its one nonzero entry
     U, V = (np.linalg.qr(complex_gaussian((2, 2), rng))[0] for _ in range(2))
     coeffs = np.zeros((3, 2, 2), dtype=complex)
     coeffs[:, 0, 0] = np.poly(roots[0])[::-1]
     singular = MatrixPolynomial(U @ coeffs @ V)
+    rank = _normal_rank(singular)
+    assert rank == 1
     eta, distance = _certify_eigenvalues(
-        singular, Eigenstructure(finite=roots[0]), 1e-6)
+        singular, Eigenstructure(finite=roots[0]), 1e-6, rank)
     assert distance is None and eta <= 10 * EPS
     # off the roots sigma_1 stays away from 0, where sigma_2 vanishes
     off = [z + 0.1 for z in roots[0]]
-    eta, _ = _certify_eigenvalues(singular, Eigenstructure(finite=off), 1e-6)
+    eta, _ = _certify_eigenvalues(singular, Eigenstructure(finite=off), 1e-6,
+                                  rank)
     assert eta > 1e-3

@@ -252,7 +252,7 @@ def test_square_pencil_with_singular_B_forms_its_vectors_once(monkeypatch, case)
 
 
 def _scipy_qz(A_h, B_h):
-    """The QZ split of ``_conjugated_core`` on top of ``scipy.linalg.eig``:
+    """The QZ split of ``_QZ(A_h, B_h)`` on top of ``scipy.linalg.eig``:
     the finite eigenvalues and the ``(|beta|, threshold)`` of each
     infinite one."""
     alpha, beta = scipy.linalg.eig(A_h, -B_h, right=False,
@@ -264,7 +264,7 @@ def _scipy_qz(A_h, B_h):
 
 
 def _qz_split(core):
-    """The finite eigenvalues of a ``_conjugated_core`` result and the
+    """The finite eigenvalues of a ``_QZ`` structure and the
     ``(|beta|, threshold)`` its log holds for each infinite one."""
     assert core.infinite == [1] * len(core.rank_log)
     assert all(d.context == "core:qz-beta" and d.rank == 0
@@ -287,10 +287,10 @@ def _qz_cases():
 @pytest.mark.parametrize("case", ["n1", "n28", "n56", "singular_B",
                                   "negligible_beta"])
 def test_qz_equals_scipy_eig_bit_for_bit(case):
-    from bklab.eigenstructure import _conjugated_core
+    from bklab.eigenstructure import _QZ
 
     A_h, B_h = _qz_cases()[case]
-    finite, infinite = _qz_split(_conjugated_core(A_h, B_h))
+    finite, infinite = _qz_split(_QZ(A_h, B_h).structure())
     assert (finite, infinite) == _scipy_qz(A_h, B_h)
     assert len(infinite) == {"singular_B": 5, "negligible_beta": 1}.get(case, 0)
 
@@ -337,7 +337,7 @@ def test_qz_makes_one_zggev_call_with_the_queried_workspace(monkeypatch):
     for n, queries in ((1, 1), (5, 1), (28, 1), (5, 0), (28, 0), (1, 0)):
         A, B = complex_gaussian((n, n), rng), complex_gaussian((n, n), rng)
         calls.clear()
-        bklab.eigenstructure._conjugated_core(A, B)
+        bklab.eigenstructure._QZ(A, B).structure()
         assert [lwork == -1 for _, lwork, _, _ in calls] == [True] * queries + [False]
         size, lwork, alpha, beta = calls[-1]
         # the two-call form: query, then solve in the optimal workspace
@@ -459,8 +459,19 @@ def _worker_cases():
     infinite = square.coeff_stack.copy()
     infinite[1, 2, 3] = np.inf
     return {"square": square, "small": Pencil(square.coeff_stack[:, :5, :5]),
-            "wide": Pencil(complex_gaussian((2, 6, 7), rng)),
             "non_finite": Pencil(infinite)}
+
+
+def _qz(pencil):
+    """The ``_QZ`` of a square pencil, as ``run_pipeline`` builds it."""
+    return bklab.eigenstructure._QZ(pencil.M0.conj().T, pencil.M1.conj().T)
+
+
+def _started(pencil):
+    """``_qz(pencil)`` after its ``start()``."""
+    qz = _qz(pencil)
+    qz.start()
+    return qz
 
 
 def _worker_from_order(monkeypatch, order, cpus=2):
@@ -485,53 +496,74 @@ def _zggev_threads(monkeypatch, before=lambda: None):
     return threads
 
 
+def _no_qz(*args):
+    raise AssertionError("a QZ was built")
+
+
 def test_qz_goes_to_the_worker_only_when_it_pays(monkeypatch):
+    import bklab.backward_error as backward_error
+
     _worker_from_order(monkeypatch, 6)
+    # a rectangular L + dL, whose P + dP never reads QZ, builds none
+    L = from_polynomial(random_polynomial(2, 3, 3, trial_rng(97, 6)), 1, 1,
+                        "hook")
+    with monkeypatch.context() as patch:
+        patch.setattr(backward_error, "_QZ", _no_qz)
+        report = backward_error.run_pipeline(
+            L, Pencil(np.zeros((2,) + L.shape)))
+    assert report.eigen_checked
     cases = _worker_cases()
     threads = _zggev_threads(monkeypatch)
-    for name in ("small", "wide", "non_finite"):
-        assert bklab.eigenstructure._start_pencil_qz(cases[name]) is None
+    for name in ("small", "non_finite"):
+        assert _started(cases[name]).done is None
     _worker_from_order(monkeypatch, 6, cpus=1)
-    assert bklab.eigenstructure._start_pencil_qz(cases["square"]) is None
+    assert _started(cases["square"]).done is None
     assert threads == []
     _worker_from_order(monkeypatch, 6)
-    job = bklab.eigenstructure._start_pencil_qz(cases["square"])
-    assert job is not None and job.started.is_set()
-    on_worker = bklab.eigenstructure._pencil_qz(cases["square"], job)
-    inline = bklab.eigenstructure._pencil_qz(cases["square"])
+    on_worker, inline = _started(cases["square"]), _qz(cases["square"])
+    assert on_worker.started.is_set() and inline.done is None
+    on_worker, inline = on_worker.structure(), inline.structure()
     assert threads == ["bklab-qz", "MainThread"]
     assert on_worker.finite == inline.finite and len(on_worker.finite) == 6
 
 
 def test_only_the_zggev_call_runs_on_the_worker(monkeypatch):
     # the beta test, the conjugation and the log are read on the caller's
-    # thread, so no numpy floating-point operation runs on the worker
+    # thread, so no numpy floating-point operation runs on the worker: the
+    # worker makes the call in run(), and the reading builds the structure
     _worker_from_order(monkeypatch, 6)
     threads = _zggev_threads(monkeypatch)
-    read, readers = bklab.eigenstructure._read_qz, []
+    runners, readers = [], []
+    run = bklab.eigenstructure._QZ.run
+    structure = bklab.eigenstructure.Eigenstructure
 
-    def recorded(outputs):
+    def recorded_run(qz):
+        runners.append(threading.current_thread().name)
+        run(qz)
+
+    def recorded_structure(*args, **kwargs):
         readers.append(threading.current_thread().name)
-        return read(outputs)
+        return structure(*args, **kwargs)
 
-    monkeypatch.setattr(bklab.eigenstructure, "_read_qz", recorded)
-    square = _worker_cases()["square"]
-    job = bklab.eigenstructure._start_pencil_qz(square)
-    bklab.eigenstructure._pencil_qz(square, job)
-    assert threads == ["bklab-qz"] and readers == ["MainThread"]
+    monkeypatch.setattr(bklab.eigenstructure._QZ, "run", recorded_run)
+    monkeypatch.setattr(bklab.eigenstructure, "Eigenstructure",
+                        recorded_structure)
+    _started(_worker_cases()["square"]).structure()
+    assert threads == runners == ["bklab-qz"] and readers == ["MainThread"]
 
 
 def test_worker_takes_one_job_at_a_time(monkeypatch):
     _worker_from_order(monkeypatch, 6)
     threads = _zggev_threads(monkeypatch, before=lambda: time.sleep(0.2))
     square = _worker_cases()["square"]
-    first = bklab.eigenstructure._start_pencil_qz(square)
-    # the first job is under way: a second caller runs its QZ inline
-    assert bklab.eigenstructure._start_pencil_qz(square) is None
-    first.result()
-    second = bklab.eigenstructure._start_pencil_qz(square)
-    assert second is not None
-    second.result()
+    first = _started(square)
+    assert first.done is not None
+    # the first call is under way: a second caller keeps its QZ inline
+    assert _started(square).done is None
+    first.wait()
+    second = _started(square)
+    assert second.done is not None
+    second.wait()
     assert threads == ["bklab-qz"] * 2
     workers = [t for t in threading.enumerate() if t.name == "bklab-qz"]
     assert len(workers) == 1 and workers[0].daemon
@@ -548,9 +580,9 @@ def test_worker_raises_what_the_binding_raised_on_the_callers_thread(
     monkeypatch.setattr(bklab.eigenstructure, "_zggev_lwork", lambda n: 8)
     square = _worker_cases()["square"]
     for _ in range(2):  # and the worker is free again
-        job = bklab.eigenstructure._start_pencil_qz(square)
+        qz = _started(square)
         with pytest.raises(ShapeError, match="refused on bklab-qz"):
-            bklab.eigenstructure._pencil_qz(square, job)
+            qz.structure()
 
 
 NON_FINITE = [np.inf, -np.inf, np.nan, complex(0.0, np.inf)]

@@ -148,12 +148,12 @@ from bklab.experiments import complex_gaussian, trial_rng
 rng = trial_rng(64, 2)
 A, B = (complex_gaussian((28, 28), rng) for _ in range(2))
 B[:, :3] = 0.0  # three eigenvalues at infinity
-bound = e._conjugated_core(A, B)
+bound = e._QZ(A, B).structure()
 loaded_before = "scipy.linalg._flapack" in sys.modules
 e.NUMPY_ZGGEV_NAMES = ("bklab_no_such_zggev_",)
 e._zggev.cache_clear()
 e._zggev_lwork.cache_clear()
-fallback = e._conjugated_core(A, B)
+fallback = e._QZ(A, B).structure()
 zggev = e._zggev()
 assert zggev.func is sys.modules["scipy.linalg._flapack"].zggev
 assert zggev.args == () and zggev.keywords == {"compute_vl": 0,
@@ -183,13 +183,13 @@ def test_cli_constants_loads_no_scipy():
 
 
 _BKLAB_ANSWERS = """
-from bklab.eigenstructure import _conjugated_core, match_eigenvalues
+from bklab.eigenstructure import _QZ, match_eigenvalues
 from bklab.experiments import complex_gaussian, trial_rng
 rng = trial_rng(64, 1)
 A, B = (complex_gaussian((28, 28), rng) for _ in range(2))
 B[:, :3] = 0.0
 first, second = [1.0, 1.0, 2.0], [1.0 + 1e-9, 1.0 - 1e-9, 2.0]
-core, matched = _conjugated_core(A, B), match_eigenvalues(first, second)
+core, matched = _QZ(A, B).structure(), match_eigenvalues(first, second)
 """
 
 _SCIPY_ANSWERS = """
