@@ -247,8 +247,7 @@ def solve_step1(L: BlockKroneckerPencil, dL: Pencil,
     )
     if not gauge.solvable and not force:
         raise PreconditionError(
-            f"step 1 refused: violated {gauge.violated_condition()}",
-            inequality=gauge.violated_condition() or "")
+            f"step 1 refused: violated {gauge.violated_condition()}")
 
     def update(x):
         C, D = x
@@ -329,8 +328,7 @@ def solve_step2(dLt21: Pencil, eps: int, n: int, force: bool = False):
     if norm >= step2_radius(eps) and not force:
         raise PreconditionError(
             f"step 2 refused: ||dLtilde_21|| = {norm:.3e} is not below "
-            f"1 / (2 (eps+1)^(3/2)) = {step2_radius(eps):.3e}",
-            inequality="||dLtilde_21|| < 1/(2 (eps+1)^{3/2})")
+            f"1 / (2 (eps+1)^(3/2)) = {step2_radius(eps):.3e}")
     lam = build_Lambda(eps, n).coeff_stack
     A = dLt21.coeff_stack
 
@@ -355,9 +353,7 @@ def assemble_step3(L: BlockKroneckerPencil, dL11: Pencil,
         raise ShapeError(f"dL11 is {dL11.shape}, the (1,1) block {M.shape}")
     for name, dR in (("dR_eps", dR_eps), ("dR_eta", dR_eta)):
         if dR.frobenius_norm() >= 1.0 / np.sqrt(2.0) and not force:
-            raise PreconditionError(
-                f"step 3 refused: ||{name}|| >= 1/sqrt(2)",
-                inequality=f"||{name}|| < 1/sqrt(2)")
+            raise PreconditionError(f"step 3 refused: ||{name}|| >= 1/sqrt(2)")
     left = (build_Lambda(L.eta, L.m) + dR_eta).coeff_stack.transpose(0, 2, 1)
     mid = M.coeff_stack + dL11.coeff_stack
     right = (build_Lambda(L.eps, L.n) + dR_eps).coeff_stack
@@ -368,9 +364,21 @@ def assemble_step3(L: BlockKroneckerPencil, dL11: Pencil,
 
 def bound_nondegenerate(d: int, norm_L: float, norm_P: float, norm_M: float,
                         norm_dL: float) -> float:
-    """Ratio bound ``14 d^{5/2} (||L||/||P||) (1+||M||+||M||^2) (||dL||/||L||)``."""
-    return (14.0 * d ** 2.5 * (norm_L / norm_P)
-            * (1.0 + norm_M + norm_M ** 2) * (norm_dL / norm_L))
+    """Ratio bound ``14 d^{5/2} (||L||/||P||) (1+||M||+||M||^2) (||dL||/||L||)``.
+
+    Where that product leaves the float range, the same bound is evaluated
+    as ``14 d^{5/2} ((||dL|| ||M|| / ||P||) (1 + ||M||) + ||dL|| / ||P||)``:
+    inside the pipeline's radius ``||dL|| ||M|| < 1``, so it stays finite
+    while ``||M|| / ||P||`` does."""
+    try:
+        bound = (14.0 * d ** 2.5 * (norm_L / norm_P)
+                 * (1.0 + norm_M + norm_M ** 2) * (norm_dL / norm_L))
+    except OverflowError:  # ||M||^2 beyond the float range
+        bound = math.inf
+    if math.isfinite(bound):
+        return bound
+    return 14.0 * d ** 2.5 * (norm_dL * norm_M / norm_P * (1.0 + norm_M)
+                              + norm_dL / norm_P)
 
 
 def bound_degenerate(d: int, norm_L: float, norm_P: float, norm_M: float,
@@ -559,28 +567,22 @@ def run_pipeline(L: BlockKroneckerPencil, dL: Pencil, force: bool = False,
     norm_P = P.frobenius_norm()
     if norm_P == 0.0:
         raise PreconditionError(
-            "pipeline refused: ||P|| is 0, so ||dP|| / ||P|| is undefined",
-            inequality="||P|| > 0")
+            "pipeline refused: ||P|| is 0, so ||dP|| / ||P|| is undefined")
     norm_L = L.frobenius_norm()
     norm_M = L.one_one_norm()
     norm_dL = dL.frobenius_norm()
     degenerate = L.eps == 0 or L.eta == 0
     radius = pipeline_radius(L)
     if not norm_dL < radius and not force:
-        label = ("||dL|| < 1/(2 d^{3/2})" if degenerate
-                 else "||dL|| < (sqrt(2)-1)^2 / (d^{5/2} (1 + ||M||))")
         raise PreconditionError(
             f"pipeline refused: ||dL|| = {norm_dL:.3e} is not below the "
-            f"radius {radius:.3e}", inequality=label)
-    try:
-        bound = (bound_degenerate if degenerate else bound_nondegenerate)(
-            d, norm_L, norm_P, norm_M, norm_dL)
-    except OverflowError:  # ||M||^2 beyond the float range
-        bound = math.inf
+            f"radius {radius:.3e}")
+    bound = (bound_degenerate if degenerate else bound_nondegenerate)(
+        d, norm_L, norm_P, norm_M, norm_dL)
     if not math.isfinite(bound):
         raise PreconditionError(
             f"pipeline refused: the bound is not finite at ||P|| = "
-            f"{norm_P:.3e}, ||M|| = {norm_M:.3e}", inequality="bound < inf")
+            f"{norm_P:.3e}, ||M|| = {norm_M:.3e}")
 
     # QZ reads only L + dL, and is read only when P + dP, so L + dL, is
     # square: built now and started on bklab-qz when that pays, it overlaps

@@ -19,15 +19,8 @@ class PlacementError(BkLabError):
 
 
 class PreconditionError(BkLabError):
-    """A norm radius required by one of the perturbation results is violated.
-
-    The ``inequality`` attribute names the violated condition so callers can
-    report exactly which hypothesis failed.
-    """
-
-    def __init__(self, message, inequality=""):
-        super().__init__(message)
-        self.inequality = inequality
+    """A norm radius or hypothesis of the perturbation results is violated;
+    the message names the violated condition."""
 
 
 class ConvergenceError(BkLabError):

@@ -221,12 +221,10 @@ def check_reversal_duality(K: MatrixPolynomial, N: MatrixPolynomial) -> bool:
     prof_K = row_degree_profile(K)
     prof_N = row_degree_profile(N)
     if prof_K.constant_degree is None or prof_N.constant_degree is None:
-        raise PreconditionError("reversal duality needs constant row degrees",
-                                inequality="constant row degrees")
+        raise PreconditionError("reversal duality needs constant row degrees")
     cert = are_dual_minimal_bases(K, N)
     if not cert.accepted:
-        raise PreconditionError("the input pair is not an accepted dual pair",
-                                inequality="dual minimal bases certificate")
+        raise PreconditionError("the input pair is not an accepted dual pair")
     K_rev = K.with_grade(prof_K.constant_degree).reversal()
     N_rev = N.with_grade(prof_N.constant_degree).reversal()
     return are_dual_minimal_bases(K_rev, N_rev).accepted

@@ -273,7 +273,7 @@ def test_step1_refuses_outside_radius():
     dL = random_pencil_perturbation(bk.shape, 5.0, rng)
     with pytest.raises(PreconditionError) as err:
         solve_step1(bk, dL)
-    assert "delta" in err.value.inequality or "theta" in err.value.inequality
+    assert "delta" in str(err.value) or "theta" in str(err.value)
 
 
 def test_step1_degenerate_pass_through():
@@ -895,8 +895,9 @@ def test_verdict_states_each_status_and_reason():
 @pytest.mark.parametrize("scale", [1e-300, 1e-160, 1e160, 1e300])
 def test_pipeline_at_the_ends_of_the_float_range(scale):
     # every run ends in a report of finite numbers or a typed refusal; at
-    # 1e160 and above ||M||^2 overflows, so the hook pencil's bound is not
-    # finite and the pipeline refuses it, forced or not
+    # 1e160 and above ||M||^2 overflows, and the hook pencil's bound is
+    # still finite inside the radius of about 1e-162 (or 1e-302), while a
+    # run forced far beyond it diverges in Step 1
     P = scale * random_polynomial(2, 2, 3, trial_rng(0, 0))
     for eps, eta, placement in ((1, 1, "hook"), (2, 0, "frobenius1")):
         L = from_polynomial(P, eps, eta, placement)
@@ -905,9 +906,9 @@ def test_pipeline_at_the_ends_of_the_float_range(scale):
             dL = random_pencil_perturbation(L.shape, magnitude, trial_rng(1, 0))
             inside = magnitude < radius
             for force in (False, True):
-                if scale > 1 and placement == "hook":
-                    with pytest.raises(PreconditionError,
-                                       match="radius|bound is not finite"):
+                if not inside and force and scale > 1 and placement == "hook":
+                    with pytest.raises(ConvergenceError,
+                                       match="step 1: fixed point diverged"):
                         run_pipeline(L, dL, force=force)
                     continue
                 if not (inside or force):
@@ -918,6 +919,37 @@ def test_pipeline_at_the_ends_of_the_float_range(scale):
                 blob = json.dumps(report.to_json(), allow_nan=False)
                 assert report.verdict[0] == ("passed" if inside
                                              else "unguaranteed"), blob
+
+
+@pytest.mark.parametrize("half", [0.0, 0.5])
+@pytest.mark.parametrize("scale", [1e-160, 1.0, 1e160])
+def test_hook_bound_is_finite_where_the_norm_of_M_squared_overflows(scale,
+                                                                    half):
+    # at 1e160, 1 + ||M|| + ||M||^2 overflows, but the bound inside the
+    # radius does not
+    P = scale * random_polynomial(2, 2, 3, trial_rng(0, 0))
+    L = from_polynomial(P, 1, 1, "hook")
+    dL = random_pencil_perturbation(L.shape, half * pipeline_radius(L),
+                                    trial_rng(0, 1))
+    report = run_pipeline(L, dL, check_eigen=False)
+    assert np.isfinite(report.ratio) and np.isfinite(report.bound)
+    assert report.ratio <= report.bound
+    assert report.verdict == ("passed", None)
+
+
+def test_bound_nondegenerate_changes_its_order_only_beyond_the_float_range():
+    rng = np.random.default_rng(0)
+    for _ in range(200):
+        d = int(rng.integers(2, 10))
+        norm_L, norm_P, norm_M, norm_dL = 10.0 ** rng.uniform(-5, 5, 4)
+        want = (14.0 * d ** 2.5 * (norm_L / norm_P)
+                * (1.0 + norm_M + norm_M ** 2) * (norm_dL / norm_L))
+        assert bound_nondegenerate(d, norm_L, norm_P, norm_M, norm_dL) == want
+    assert bound_nondegenerate(3, 2.0, 1e160, 1e160, 0.0) == 0.0
+    # (1 + ||M|| + ||M||^2) ||dL|| / ||P|| is about ||dL|| ||M|| = 1e-3 here
+    assert bound_nondegenerate(3, 2.0, 1e160, 1e160, 1e-163) == pytest.approx(
+        14.0 * 3 ** 2.5 * 1e-3, rel=1e-12)
+    assert bound_nondegenerate(3, 2.0, 1e-200, 1e160, 1e-163) == np.inf
 
 
 def test_pipeline_perturbed_pencil_is_linearization_of_perturbed_poly():
@@ -1285,8 +1317,8 @@ def test_singular_square_polynomial_drops_the_workers_qz(monkeypatch):
 
 def _refused_runs():
     L = _be_style_cases()[1][0]
-    huge = from_polynomial(1e300 * random_polynomial(2, 2, 3, trial_rng(0, 0)),
-                           1, 1, "hook")
+    one_sided = from_polynomial(random_polynomial(2, 2, 3, trial_rng(0, 0)),
+                                2, 0, "frobenius1")
     zero = from_polynomial(MatrixPolynomial(np.zeros((4, 2, 2)), grade=3),
                            1, 1, "hook")
     return {
@@ -1295,8 +1327,9 @@ def _refused_runs():
             "radius"),
         "zero_P": (zero, Pencil(np.zeros((2,) + zero.shape)), False,
                    r"\|\|P\|\| is 0"),
-        "infinite_bound": (huge, Pencil(np.zeros((2,) + huge.shape)), True,
-                           "bound is not finite"),
+        "infinite_bound": (one_sided,
+                           Pencil(np.full((2,) + one_sided.shape, 1e308)),
+                           True, "bound is not finite"),
     }
 
 

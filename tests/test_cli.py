@@ -181,6 +181,18 @@ def test_eig_on_a_constant_polynomial_refuses_the_split_with_exit_2(tmp_path, ca
     assert "broadcast" not in out.err and "Traceback" not in out.err
 
 
+def test_eig_exits_3_on_a_structure_below_the_shift(tmp_path, capsys):
+    # at --tol 10 the staircase reads every right index of L as 0, below the
+    # hook split's eps = 1: an EigenstructureShiftError, the generic
+    # BkLabError exit
+    path = tmp_path / "q.json"
+    write_json(path, random_polynomial(2, 2, 3, trial_rng(0, 0)).to_json())
+    assert main(["eig", str(path), "--tol", "10"]) == 3
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == "error: right minimal index 0 is below the shift 1\n"
+
+
 @pytest.mark.parametrize("flags,names", [
     (["--m", "0"], ["m", "at least 1"]),
     (["--m", "-1"], ["m", "at least 1"]),

@@ -68,6 +68,40 @@ def _step1_kappa1():
     return solve_step1(L, Pencil(stack))
 
 
+def _step1_delta():
+    # the (1,2) block moves by 10, so its bound on ||dT||_2 passes
+    # sigma_min(T) = sqrt(2)
+    L = _hook(1, 1, 1, 1)
+    stack = np.zeros((2,) + L.shape)
+    stack[0, 0, -1] = 10.0
+    return solve_step1(L, Pencil(stack))
+
+
+def _step3_with_a_large_dR_eps():
+    L = _hook()
+    dR_eps = MatrixPolynomial(np.ones((2, 4, 2)), grade=1)
+    return assemble_step3(L, Pencil(np.zeros((2, 4, 4))), dR_eps,
+                          MatrixPolynomial(np.zeros((2, 4, 2)), grade=1))
+
+
+def _pipeline_of_a_zero_polynomial():
+    L = from_polynomial(MatrixPolynomial(np.zeros((4, 2, 2)), grade=3), 1, 1,
+                        "hook")
+    return run_pipeline(L, Pencil(np.zeros((2,) + L.shape)))
+
+
+def _pipeline_outside_the_radius():
+    L = _hook()
+    return run_pipeline(L, random_pencil_perturbation(L.shape, 1.0,
+                                                      trial_rng(97, 2)))
+
+
+def _forced_pipeline_with_an_infinite_bound():
+    # ||dL|| overflows, so the one-sided bound does
+    L = from_polynomial(_polynomial(), 2, 0, "frobenius1")
+    return run_pipeline(L, Pencil(np.full((2,) + L.shape, 1e308)), force=True)
+
+
 REFUSALS = {
     "step1_shape": (ShapeError, "does not match pencil",
                     lambda: solve_step1(_hook(), Pencil(np.zeros((2, 4, 4))))),
@@ -75,6 +109,32 @@ REFUSALS = {
                     lambda: solve_step2(Pencil(np.zeros((2, 3, 3))), 1, 2)),
     "step1_kappa1": (PreconditionError, "theta * omega / delta^2 < 1/4",
                      _step1_kappa1),
+    "step1_delta": (
+        PreconditionError,
+        "step 1 refused: violated delta = sigma_min(T) - delta_T_bound > 0",
+        _step1_delta),
+    "step2_radius": (
+        PreconditionError,
+        "step 2 refused: ||dLtilde_21|| = 4.000e+00 is not below "
+        "1 / (2 (eps+1)^(3/2)) = 1.768e-01",
+        lambda: solve_step2(Pencil(np.ones((2, 2, 4))), 1, 2)),
+    "step3_dR_eps": (PreconditionError,
+                     "step 3 refused: ||dR_eps|| >= 1/sqrt(2)",
+                     _step3_with_a_large_dR_eps),
+    "pipeline_zero_P": (
+        PreconditionError,
+        "pipeline refused: ||P|| is 0, so ||dP|| / ||P|| is undefined",
+        _pipeline_of_a_zero_polynomial),
+    "pipeline_radius": (
+        PreconditionError,
+        "pipeline refused: ||dL|| = 1.000e+00 is not below the radius "
+        "5.503e-03",
+        _pipeline_outside_the_radius),
+    "pipeline_infinite_bound": (
+        PreconditionError,
+        "pipeline refused: the bound is not finite at ||P|| = 1.000e+00, "
+        "||M|| = 1.000e+00",
+        _forced_pipeline_with_an_infinite_bound),
     "frobenius1_hook_split": (
         PlacementError, "frobenius1 requires eta = 0",
         lambda: from_polynomial(_polynomial(), 1, 1, "frobenius1")),
