@@ -384,8 +384,15 @@ def bound_nondegenerate(d: int, norm_L: float, norm_P: float, norm_M: float,
 def bound_degenerate(d: int, norm_L: float, norm_P: float, norm_M: float,
                      norm_dL: float) -> float:
     """Ratio bound ``2 d (||L||/||P||) (1+||M||) (||dL||/||L||)`` for
-    one-sided pencils."""
-    return 2.0 * d * (norm_L / norm_P) * (1.0 + norm_M) * (norm_dL / norm_L)
+    one-sided pencils.
+
+    Where that product is not finite, as ``||L|| / ||P||`` beyond the float
+    range times a zero ``||dL||`` is not, the same bound is evaluated as
+    ``2 d (1 + ||M||) ||dL|| / ||P||``."""
+    bound = 2.0 * d * (norm_L / norm_P) * (1.0 + norm_M) * (norm_dL / norm_L)
+    if math.isfinite(bound):
+        return bound
+    return 2.0 * d * (1.0 + norm_M) * (norm_dL / norm_P)
 
 
 def bound_informal(d: int, m: int, n: int, norm_L: float, norm_dL: float) -> float:

@@ -19,8 +19,8 @@ import numpy as np
 
 from .errors import GradeError, PlacementError, ShapeError
 from .matpoly import (MatrixPolynomial, Pencil, build_Lambda, multiply,
-                      pair_norm, _frobenius, _json_count, _json_fields,
-                      _matrix_from_json, _matrix_to_json, _pad,
+                      pair_norm, _divide, _frobenius, _json_count,
+                      _json_fields, _matrix_from_json, _matrix_to_json, _pad,
                       _stack_product)
 from .tolerances import _require_finite
 
@@ -181,11 +181,8 @@ def validate_placement(L: BlockKroneckerPencil, P: MatrixPolynomial) -> np.ndarr
     with np.errstate(over="ignore", invalid="ignore"):
         diff = recover_polynomial(L).coeff_stack - P.coeff_stack
         residuals = np.linalg.norm(diff, axis=(1, 2))
-        # where the sum of squares overflows (an entry beyond about 1e154),
-        # s ||diff_k / s||_F with s = max |entry|: inf only beyond the range
-        for k in np.flatnonzero(residuals == np.inf):
-            if (s := np.abs(diff[k]).max()) < np.inf:
-                residuals[k] = s * _frobenius(diff[k] / s)
+    for k in np.flatnonzero(residuals == np.inf):  # _frobenius rescues these
+        residuals[k] = _frobenius(diff[k])
     if not np.isfinite(residuals).all():
         raise PlacementError("antidiagonal sum residual overflows or is NaN "
                              f"(max residual {np.max(residuals):.3e})")
@@ -231,7 +228,7 @@ def lift_right_null_vector(L: BlockKroneckerPencil,
     Q = recover_polynomial(L)
     # the null space does not depend on h's scale, and ||h||^2 can overflow
     peak = np.abs(h.coeff_stack).max()
-    u = MatrixPolynomial(h.coeff_stack / peak) if peak > 0 else h
+    u = MatrixPolynomial(_divide(h.coeff_stack, peak)) if peak > 0 else h
     residual = multiply(Q, u).frobenius_norm()
     scale = max(1.0, Q.frobenius_norm() * u.frobenius_norm())
     if residual > 1e-10 * scale:

@@ -41,7 +41,8 @@ from numpy.linalg import _umath_linalg
 
 from .errors import (ConvergenceError, EigenstructureShiftError,
                      InconclusiveError, ShapeError)
-from .matpoly import CACHE_SIZE, MatrixPolynomial, as_pencil, convolution
+from .matpoly import (CACHE_SIZE, _TINY, MatrixPolynomial, _divide,
+                      as_pencil, convolution)
 from .tolerances import (EPS, RankDecision, _decide_rank, _require_finite,
                          _svd, numerical_rank, svd_with_rank)
 
@@ -276,8 +277,12 @@ class _QZ:
         size = np.abs(beta)
         threshold = 10.0 * EPS * np.hypot(np.abs(alpha), size)
         infinite = size <= threshold
+        alpha, beta = alpha[~infinite], beta[~infinite]
+        if np.any(size[~infinite] < _TINY):  # 1 / beta would overflow
+            peak = np.maximum(np.abs(alpha), size[~infinite])
+            alpha, beta = _divide(alpha, peak), _divide(beta, peak)
         return Eigenstructure(
-            finite=(alpha[~infinite] / beta[~infinite]).conj().tolist(),
+            finite=(alpha / beta).conj().tolist(),
             infinite=[1] * int(infinite.sum()),
             rank_log=[RankDecision("core:qz-beta", (1, 1), np.array([b]), 0,
                                    float(t))
@@ -463,7 +468,7 @@ def _unit(v: np.ndarray) -> np.ndarray:
     """The columns of the stack ``v`` scaled to unit 2-norm, through their
     largest entry first so that no square overflows; a column with an inf
     entry becomes NaN."""
-    v = v / np.abs(v).max(axis=1, keepdims=True)
+    v = _divide(v, np.abs(v).max(axis=1, keepdims=True))
     return v / np.linalg.norm(v, axis=1, keepdims=True)
 
 

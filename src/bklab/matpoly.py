@@ -319,7 +319,8 @@ def _frobenius(a: np.ndarray) -> float:
     (``np.vdot`` gives ``dot``'s bits without its overflow warning, and
     ``math.sqrt`` rounds correctly, as numpy's does).  Where the sum
     overflows, is subnormal or is 0 for a nonzero ``a``, it is ``s ||a /
-    s||_F`` with ``s = max |a_ij|``, inf only beyond the float range.
+    s||_F`` with ``s = max |a_ij|``, inf only beyond the float range; the
+    division is :func:`_divide`'s, exact down to a subnormal ``s``.
     Norms along axes stay on numpy, which sums them differently."""
     x = a.ravel(order="K")
     if x.dtype.kind == "c":
@@ -333,7 +334,21 @@ def _frobenius(a: np.ndarray) -> float:
         return 0.0
     # x / s has an entry of modulus 1, so its sum of squares is in range
     s = float(np.abs(x).max())
-    return s * _frobenius(x / s) if s < math.inf else s
+    return s * _frobenius(_divide(x, s)) if s < math.inf else s
+
+
+def _divide(x: np.ndarray, s) -> np.ndarray:
+    """``x / s`` for a float or complex array ``x`` and a real scale ``s``
+    (nonnegative, a scalar or an array that broadcasts against ``x``), as
+    in :func:`_frobenius`'s rescue.  Bit for bit ``x / s`` unless ``x`` is
+    complex and some ``s`` is subnormal: numpy divides complex numbers by
+    Smith's method, which multiplies by ``1 / s``, and that reciprocal
+    overflows.  There the float view of ``x``, its real and imaginary parts
+    side by side, is divided, which forms no reciprocal."""
+    if x.dtype.kind != "c" or not np.any((0.0 < s) & (s < _TINY)):
+        return x / s
+    parts = x[..., None].view(np.float64) / np.expand_dims(s, -1)
+    return parts.view(complex)[..., 0]
 
 
 def pair_norm(*arrays) -> float:

@@ -25,6 +25,7 @@ import numpy as np
 
 from .errors import GradeError, LayoutError, ShapeError
 from .matpoly import build_L, build_Lambda, convolution
+from .tolerances import _svd
 
 
 def M_matrix(k: int) -> np.ndarray:
@@ -131,7 +132,7 @@ def verify_W_direct_sum(eps: int, eta: int, tol: float = 1e-12) -> bool:
     if eta > eps:
         raise ShapeError("swap the arguments: the check expects eps >= eta "
                          "(the singular values are symmetric in the pair)")
-    numeric = np.sort(np.linalg.svd(build_W(eps, eta), compute_uv=False))
+    numeric = np.sort(_svd(build_W(eps, eta), vectors=False))
     predicted = _direct_sum_multiset(eps, eta)
     if numeric.shape != predicted.shape:
         return False
@@ -191,19 +192,19 @@ def sigma_min_convolution_L(eps: int, n: int = 1, tol: float = 1e-10) -> Convolu
         raise ShapeError("n must be at least 1")
     closed = 2.0 * np.sin(np.pi / (4 * eps + 2))
     L = build_L(eps, n)
-    s_low = np.linalg.svd(convolution(L, eps - 1), compute_uv=False)
-    s_up = np.linalg.svd(convolution(L, eps), compute_uv=False)
+    s_low = _svd(convolution(L, eps - 1), vectors=False)
+    s_up = _svd(convolution(L, eps), vectors=False)
     lam = build_Lambda(eps, n).transpose()
-    s0 = np.linalg.svd(convolution(lam, 0), compute_uv=False)
-    s1 = np.linalg.svd(convolution(lam, 1), compute_uv=False)
+    s0 = _svd(convolution(lam, 0), vectors=False)
+    s1 = _svd(convolution(lam, 1), vectors=False)
 
     L1 = build_L(eps, 1)
     ms_low = []
     for k in range(1, eps + 1):
         ms_low.extend(list(M_singular_values(k)) * 2)
     ms_up = sorted(ms_low + list(G_singular_values(eps)))
-    num_low = np.sort(np.linalg.svd(convolution(L1, eps - 1), compute_uv=False))
-    num_up = np.sort(np.linalg.svd(convolution(L1, eps), compute_uv=False))
+    num_low = np.sort(_svd(convolution(L1, eps - 1), vectors=False))
+    num_up = np.sort(_svd(convolution(L1, eps), vectors=False))
     multiset_ok = bool(
         np.max(np.abs(num_low - np.sort(ms_low))) <= 1e-12
         and np.max(np.abs(num_up - np.array(ms_up))) <= 1e-12
@@ -252,12 +253,12 @@ def constants_sweep(max_eps: int = 4, max_eta: int = 4, max_m: int = 2,
             for m in range(1, max_m + 1):
                 for n in range(1, max_n + 1):
                     T = build_T(eps, eta, m, n)
-                    smin = float(np.linalg.svd(T, compute_uv=False)[-1])
+                    smin = float(_svd(T, vectors=False)[-1])
                     rows.append(SingularValuePrediction(
                         f"sigma_min_T[eps={eps},eta={eta},m={m},n={n}]",
                         sigma_min_T_closed(eps, eta), smin))
             W = build_W(eps, eta)
-            smax = float(np.linalg.svd(W, compute_uv=False)[0])
+            smax = float(_svd(W, vectors=False)[0])
             predW = sigma_max_W_closed(eps, eta)
             rows.append(SingularValuePrediction(
                 f"sigma_max_W[eps={eps},eta={eta}]", predW, smax))
@@ -284,10 +285,10 @@ def constants_sweep(max_eps: int = 4, max_eta: int = 4, max_m: int = 2,
                 f"convL_multiset[eps={eps},n={n}]", 1.0,
                 1.0 if cc.multiset_ok else 0.0))
     for k in range(1, max(max_eps, max_eta) + 2):
-        numM = np.sort(np.linalg.svd(M_matrix(k), compute_uv=False))
+        numM = np.sort(_svd(M_matrix(k), vectors=False))
         gapM = float(np.max(np.abs(numM - M_singular_values(k))))
         rows.append(SingularValuePrediction(f"M_spectrum[k={k}]", 0.0, gapM))
-        numG = np.sort(np.linalg.svd(G_matrix(k), compute_uv=False))
+        numG = np.sort(_svd(G_matrix(k), vectors=False))
         gapG = float(np.max(np.abs(numG - G_singular_values(k))))
         rows.append(SingularValuePrediction(f"G_spectrum[k={k}]", 0.0, gapG))
     return rows

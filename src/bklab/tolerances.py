@@ -1,7 +1,7 @@
 """Working precision and the repo-wide numerical rank policy.
 
-Every rank decision in the package, pseudoinverse truncations included, takes
-one SVD primitive, :func:`_svd`, and goes through one policy: count the
+Every SVD in the package is one primitive, :func:`_svd`, and every rank
+decision, pseudoinverse truncations included, takes one policy: count the
 singular values above ``max(rows, cols) * eps * sigma_max`` unless the caller
 supplies an explicit tolerance; ``eps`` is the double-precision unit
 roundoff :data:`EPS`.  A decision that only needs the rank,

@@ -952,6 +952,38 @@ def test_bound_nondegenerate_changes_its_order_only_beyond_the_float_range():
     assert bound_nondegenerate(3, 2.0, 1e-200, 1e160, 1e-163) == np.inf
 
 
+def test_bound_degenerate_changes_its_order_only_beyond_the_float_range():
+    rng = np.random.default_rng(1)
+    for _ in range(200):
+        d = int(rng.integers(2, 10))
+        norm_L, norm_P, norm_M, norm_dL = 10.0 ** rng.uniform(-5, 5, 4)
+        want = (2.0 * d * (norm_L / norm_P) * (1.0 + norm_M)
+                * (norm_dL / norm_L))
+        assert bound_degenerate(d, norm_L, norm_P, norm_M, norm_dL) == want
+    # ||L|| / ||P|| overflows: inf * 0 was NaN, and is 0
+    assert bound_degenerate(3, 2.0, 1e-310, 1e-310, 0.0) == 0.0
+    assert bound_degenerate(3, 2.0, 1e-310, 1e-310, 1e-320) == pytest.approx(
+        6.0 * 1e-320 / 1e-310, rel=1e-3)
+    assert bound_degenerate(3, 2.0, 1e-310, 1e-310, 1.0) == np.inf
+
+
+@pytest.mark.parametrize("scale", [1e-320, 1e-310])
+def test_pipeline_at_a_subnormal_scale_passes_a_zero_perturbation(scale):
+    # ||P|| once overflowed to inf at 1e-320 and made the hook radius NaN,
+    # and the one-sided bound was inf * 0 at 1e-310; both runs pass.  A
+    # nonzero dL of the radius's size puts ||dL|| / ||P|| and the bound
+    # beyond the float range, which the pipeline refuses
+    P = scale * random_polynomial(2, 2, 3, trial_rng(0, 0))
+    assert P.frobenius_norm() == pytest.approx(scale, rel=1e-3)
+    for eps, eta, placement in ((1, 1, "hook"), (2, 0, "frobenius1")):
+        L = from_polynomial(P, eps, eta, placement)
+        zero = Pencil(np.zeros((2,) + L.shape, dtype=complex))
+        report = run_pipeline(L, zero)
+        assert np.isfinite(report.radius)
+        assert (report.ratio, report.bound) == (0.0, 0.0)
+        assert report.verdict == ("passed", None)
+
+
 def test_pipeline_perturbed_pencil_is_linearization_of_perturbed_poly():
     # the strict-equivalence consistency in full: eigenvalues of L + dL match
     # the det roots of P + dP

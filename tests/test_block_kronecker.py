@@ -492,11 +492,13 @@ def test_lift_rejects_non_null_vector():
         lift_right_null_vector(bk, h)
 
 
-@pytest.mark.parametrize("scale", [1e-300, 1.0, 1e160, 1e300])
+@pytest.mark.parametrize("scale", [1e-320, 1e-310, 1e-300, 1.0, 1e160,
+                                   1e300])
 def test_lift_judges_h_at_unit_scale(scale):
     # the residual test runs on h / max|h_ij|: ones is refused at every
     # scale, where ||h||^2 overflowing (or a tiny h) once let it through,
-    # and a column of Lambda_1 (x) I_2, a true null vector, is lifted
+    # as did a subnormal h, whose division made the residual NaN; and a
+    # column of Lambda_1 (x) I_2, a true null vector, is lifted
     bk, k, p = _integer_singular_setup(np.random.default_rng(0), k=1)
     with pytest.raises(ShapeError, match="not in the right null space"):
         lift_right_null_vector(bk, constant(scale * np.ones((bk.n, 1))))

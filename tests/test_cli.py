@@ -98,6 +98,24 @@ def test_eig_on_L2_pencil_file(tmp_path, capsys):
     assert payload["polynomial_eigenstructure"]["right"] == [2]
 
 
+def test_eig_on_a_subnormal_polynomial_reads_its_unit_eigenvalues(tmp_path,
+                                                                    capsys):
+    # QZ's betas are subnormal here, and numpy's alpha / beta would form
+    # 1 / beta, overflow, warn and write Infinity for each eigenvalue
+    P = random_polynomial(2, 2, 1, trial_rng(0, 0))
+    finite = {}
+    for scale in (1.0, 1e-310):
+        path = tmp_path / f"p{scale}.json"
+        write_json(path, (scale * P).to_json())
+        assert main(["eig", str(path)]) == 0
+        out = capsys.readouterr()
+        assert out.err == ""
+        payload = json.loads(out.out, parse_constant=int)
+        finite[scale] = payload["polynomial_eigenstructure"]["finite"]
+    assert np.array(finite[1e-310]) == pytest.approx(np.array(finite[1.0]),
+                                                    abs=1e-10)
+
+
 def test_eig_on_regular_polynomial(scalar_quadratic, capsys):
     code = main(["eig", str(scalar_quadratic)])
     assert code == 0

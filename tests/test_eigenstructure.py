@@ -308,6 +308,19 @@ def test_generalized_eigenvalues_equal_the_staircases_bit_for_bit():
         assert len(es.finite) == L.rows and not es.infinite, i
 
 
+@pytest.mark.parametrize("scale, bits", [(1e-310, 44), (1e-320, 11)])
+def test_qz_reads_a_subnormal_pencil_as_the_unit_one(scale, bits):
+    # numpy's alpha / beta forms 1 / beta, which overflows at a subnormal
+    # beta, so QZ divides each pair by its largest modulus first; the
+    # eigenvalues move with the bits the scale keeps of the entries
+    P = random_polynomial(2, 2, 1, trial_rng(0, 0))
+    unit = staircase_eigenstructure(P)
+    small = staircase_eigenstructure(scale * P)
+    assert (small.right, small.left, small.infinite) == ([], [], [])
+    assert match_eigenvalues(unit.finite, small.finite) <= 2.0 ** (4 - bits)
+    assert generalized_eigenvalues(scale * P) == (small.finite, 0)
+
+
 def _substitute_zggev(monkeypatch, zggev):
     """Let QZ call ``zggev`` in place of the one bklab's resolver binds."""
     monkeypatch.setattr(bklab.eigenstructure, "_zggev", lambda: zggev)

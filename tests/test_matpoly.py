@@ -6,7 +6,7 @@ from bklab import (GradeError, MatrixPolynomial, Pencil, ShapeError, build_L,
                    build_Lambda, constant, convolution, identity, matpoly,
                    multiply, pair_norm, zeros)
 from bklab.experiments import complex_gaussian
-from bklab.matpoly import _frobenius
+from bklab.matpoly import _divide, _frobenius
 from oracles import allclose, verify_norm_inequalities
 
 
@@ -347,21 +347,50 @@ def test_pair_norm_equals_numpy_hypot_reduction_bit_for_bit():
     assert pair_norm() == np.hypot.reduce([]) == 0.0
 
 
-@pytest.mark.parametrize("scale", [1e-300, 1e-160, 1e160, 1e300])
+def significant_bits(scale) -> float:
+    """The significant bits a float of modulus ``scale`` keeps: 53 when it
+    is normal, ``log2(scale / smallest subnormal)`` below, so about 44 at
+    1e-310 and 11 at 1e-320."""
+    return min(53.0, np.log2(scale) + 1074.0)
+
+
+@pytest.mark.parametrize("scale", [1e-320, 1e-310, 1e-300, 1e-160, 1e160,
+                                   1e300])
 def test_norms_scale_out_of_the_squares_range(scale):
     # the squares of these entries underflow or overflow; the norms are the
-    # scaled ones, and no warning is raised (the suite makes them errors)
+    # scaled ones, down to a subnormal largest entry, and no warning is
+    # raised (the suite makes them errors).  The references divide the
+    # float views, which forms no reciprocal of a subnormal scale.
     from bklab.experiments import random_polynomial, trial_rng
     unit = random_polynomial(2, 2, 3, trial_rng(0, 0))
     P = scale * unit
     assert P.degree() == 3
-    assert _within_ulps(P.frobenius_norm(),
-                        scale * np.linalg.norm(P.coeff_stack / scale))
+    assert _within_ulps(P.frobenius_norm(), scale * np.linalg.norm(
+        P.coeff_stack.view(float) / scale))
     A, B = P.coeff_stack[0], P.coeff_stack[3]
-    assert _within_ulps(pair_norm(A, B),
-                        scale * pair_norm(A / scale, B / scale))
+    assert _within_ulps(pair_norm(A, B), scale * pair_norm(
+        A.view(float) / scale, B.view(float) / scale))
+    # the entries of P keep only the scale's significant bits
     assert pair_norm(A, B) == pytest.approx(scale * pair_norm(
-        unit.coeff_stack[0], unit.coeff_stack[3]), rel=1e-15)
+        unit.coeff_stack[0], unit.coeff_stack[3]),
+        rel=max(1e-15, 2.0 ** (4 - significant_bits(scale))))
+
+
+def test_divide_is_plain_division_unless_a_scale_is_subnormal():
+    # numpy's complex division multiplies by 1 / s, which overflows at a
+    # subnormal s; _divide is x / s bit for bit elsewhere, and exact there
+    x = complex_gaussian((3, 4), np.random.default_rng(18))
+    s = np.abs(x).max(axis=1, keepdims=True)
+    assert _divide(x, s).tobytes() == (x / s).tobytes()
+    assert _divide(x, 2.0).tobytes() == (x / 2.0).tobytes()
+    real = 1e-320 * x.real  # float division forms no reciprocal
+    assert _divide(real, 1e-320).tobytes() == (real / 1e-320).tobytes()
+    tiny = np.full((2, 2), 1e-320 - 1e-320j)
+    assert np.array_equal(_divide(tiny, 1e-320), np.full((2, 2), 1 - 1j))
+    s = np.array([[1e-320], [4.0]])
+    assert np.array_equal(_divide(tiny, s), [[1 - 1j] * 2, tiny[1] / 4.0])
+    # the rescue of the norm, whose squares are all 0
+    assert _frobenius(np.full((2, 2), 1e-320 + 0j)) == 2e-320
 
 
 # ----------------------------------------------------------------- multiply
