@@ -278,7 +278,8 @@ class _QZ:
         threshold = 10.0 * EPS * np.hypot(np.abs(alpha), size)
         infinite = size <= threshold
         alpha, beta = alpha[~infinite], beta[~infinite]
-        if np.any(size[~infinite] < _TINY):  # 1 / beta would overflow
+        # 1 / beta overflows; alpha / beta elsewhere keeps scipy's bits
+        if np.any(size[~infinite] < _TINY):
             peak = np.maximum(np.abs(alpha), size[~infinite])
             alpha, beta = _divide(alpha, peak), _divide(beta, peak)
         return Eigenstructure(
@@ -469,7 +470,7 @@ def _unit(v: np.ndarray) -> np.ndarray:
     largest entry first so that no square overflows; a column with an inf
     entry becomes NaN."""
     v = _divide(v, np.abs(v).max(axis=1, keepdims=True))
-    return v / np.linalg.norm(v, axis=1, keepdims=True)
+    return v / np.linalg.norm(v, axis=1, keepdims=True)  # norms are >= 1
 
 
 def _smallest_pairs(values: np.ndarray, scale: np.ndarray):

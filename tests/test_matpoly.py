@@ -370,10 +370,11 @@ def test_norms_scale_out_of_the_squares_range(scale):
     A, B = P.coeff_stack[0], P.coeff_stack[3]
     assert _within_ulps(pair_norm(A, B), scale * pair_norm(
         A.view(float) / scale, B.view(float) / scale))
-    # the entries of P keep only the scale's significant bits
+    # a subnormal P keeps only the scale's significant bits of unit's
+    bits = significant_bits(scale)
     assert pair_norm(A, B) == pytest.approx(scale * pair_norm(
         unit.coeff_stack[0], unit.coeff_stack[3]),
-        rel=max(1e-15, 2.0 ** (4 - significant_bits(scale))))
+        rel=1e-15 if bits == 53 else 2.0 ** (4 - bits))
 
 
 def test_divide_is_plain_division_unless_a_scale_is_subnormal():
