@@ -41,8 +41,8 @@ from .eigenstructure import (_QZ, _certified_structure, match_eigenvalues,
                              staircase_eigenstructure)
 from .errors import ConvergenceError, GradeError, PreconditionError, ShapeError
 from .matpoly import (CACHE_SIZE, MatrixPolynomial, Pencil, _frobenius,
-                      _stack_product, build_L, build_Lambda, convolution,
-                      pair_norm)
+                      _stack_product, as_pencil, build_L, build_Lambda,
+                      convolution, pair_norm)
 from .spectral_constants import build_T, sigma_min_T_closed
 from .tolerances import EPS, _finite_nonnegative, _require_finite, pseudoinverse
 
@@ -193,6 +193,12 @@ def _T_pinv(R: np.ndarray, eps: int, eta: int, m: int, n: int):
     return ungrid(X[:split], eps, eta + 1), ungrid(X[split:], eps + 1, eta)
 
 
+def _require_pencil_shape(dL: Pencil, L: BlockKroneckerPencil) -> None:
+    if dL.shape != L.shape:
+        raise ShapeError(
+            f"perturbation shape {dL.shape} does not match pencil {L.shape}")
+
+
 def solve_step1(L: BlockKroneckerPencil, dL: Pencil,
                 force: bool = False) -> Step1Result:
     """Solve the quadratic Sylvester-like system restoring the zero block.
@@ -211,13 +217,13 @@ def solve_step1(L: BlockKroneckerPencil, dL: Pencil,
     2 theta / delta``, and the map contracts there when
     ``4 theta omega < delta^2``.  Raises :class:`ConvergenceError` when the
     iteration diverges or hits ``MAX_ITER``; ``force`` only lifts the
-    solvability precondition.  A non-finite ``dL`` raises
-    :class:`ShapeError`.
+    solvability precondition.  ``dL`` is read as a pencil
+    (:func:`~bklab.matpoly.as_pencil`); a non-finite ``dL`` or one of
+    another shape raises :class:`ShapeError`.
     """
     _require_finite(dL.coeff_stack)
-    if dL.shape != L.shape:
-        raise ShapeError(
-            f"perturbation shape {dL.shape} does not match pencil {L.shape}")
+    dL = as_pencil(dL)
+    _require_pencil_shape(dL, L)
     eps, eta, m, n = L.eps, L.eta, L.m, L.n
     # coefficient stacks (2, rows, cols) of the four blocks of dL, as views
     r1, c1 = (eta + 1) * m, (eps + 1) * n
@@ -317,10 +323,12 @@ def solve_step2(dLt21: Pencil, eps: int, n: int, force: bool = False):
     the iteration diverges or hits ``MAX_ITER``; ``force`` only lifts the
     radius precondition.
 
-    The eta side reuses this routine on the transposed (1,2) block.  A
+    The eta side reuses this routine on the transposed (1,2) block.
+    ``dLt21`` is read as a pencil (:func:`~bklab.matpoly.as_pencil`); a
     non-finite ``dLt21`` raises :class:`ShapeError`.
     """
     _require_finite(dLt21.coeff_stack)
+    dLt21 = as_pencil(dLt21)
     if dLt21.shape != (eps * n, (eps + 1) * n):
         raise ShapeError(
             f"expected shape {(eps * n, (eps + 1) * n)}, got {dLt21.shape}")
@@ -345,10 +353,13 @@ def assemble_step3(L: BlockKroneckerPencil, dL11: Pencil,
                    dR_eps: MatrixPolynomial, dR_eta: MatrixPolynomial,
                    force: bool = False) -> MatrixPolynomial:
     """``P + dP``: the polynomial represented by the repaired strong block
-    minimal bases pencil.  Raises :class:`ShapeError` when ``dL11`` is not
-    of the (1,1) block's shape, and :class:`PreconditionError` when a
-    ``||dR|| >= 1/sqrt(2)``; ``force`` lifts that precondition."""
+    minimal bases pencil.  ``dL11`` is read as a pencil
+    (:func:`~bklab.matpoly.as_pencil`).  Raises :class:`ShapeError` when
+    ``dL11`` is not of the (1,1) block's shape, and
+    :class:`PreconditionError` when a ``||dR|| >= 1/sqrt(2)``; ``force``
+    lifts that precondition."""
     M = L.one_one_block()
+    dL11 = as_pencil(dL11)
     if dL11.shape != M.shape:
         raise ShapeError(f"dL11 is {dL11.shape}, the (1,1) block {M.shape}")
     for name, dR in (("dR_eps", dR_eps), ("dR_eta", dR_eta)):
@@ -556,11 +567,15 @@ def run_pipeline(L: BlockKroneckerPencil, dL: Pencil, force: bool = False,
                  eigen_tol: float = 1e-6) -> BackwardErrorReport:
     """Run Steps 1-3 and evaluate the applicable bound.
 
-    The pipeline refuses a non-finite ``dL``, an ``eigen_tol`` that is not
-    finite and nonnegative (both :class:`ShapeError`), a ``P`` of zero
-    norm, a bound that is not finite, and perturbations outside the
+    The pipeline refuses, in this order, a non-finite ``dL``, an
+    ``eigen_tol`` that is not finite and nonnegative (both
+    :class:`ShapeError`), a ``P`` of zero norm, perturbations outside the
     guaranteed radius unless ``force`` is set, in which case the report is
-    marked as unguaranteed.  With
+    marked as unguaranteed, a bound that is not finite, and a ``dL`` that
+    is not a pencil of ``L``'s shape: ``dL`` is read as a pencil
+    (:func:`~bklab.matpoly.as_pencil`), so a constant perturbation moves
+    ``M0`` only, one of degree above 1 raises :class:`GradeError` and one of
+    another shape :class:`ShapeError`.  With
     ``check_eigen`` the report's four eigen fields come from
     :func:`_check_eigen`, which certifies one QZ of ``L + dL`` when ``P +
     dP`` is square of full normal rank and runs the staircase only when
@@ -591,6 +606,8 @@ def run_pipeline(L: BlockKroneckerPencil, dL: Pencil, force: bool = False,
             f"pipeline refused: the bound is not finite at ||P|| = "
             f"{norm_P:.3e}, ||M|| = {norm_M:.3e}")
 
+    dL = as_pencil(dL)
+    _require_pencil_shape(dL, L)
     # QZ reads only L + dL, and is read only when P + dP, so L + dL, is
     # square: built now and started on bklab-qz when that pays, it overlaps
     # Steps 1-3, and it is waited for before the call returns, however it ends

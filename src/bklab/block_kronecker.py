@@ -34,7 +34,8 @@ def split_for_placement(placement: str, d: int, epsilon=None, eta=None):
     ``(0, d-1)``; ``hook`` takes any split and is balanced by default.  A
     given ``epsilon`` or ``eta`` fixes the split, the other side following
     from ``eps + eta + 1 = d``.  A tag outside :data:`PLACEMENTS`, or a
-    Frobenius tag given another split, raises :class:`PlacementError`.
+    Frobenius tag given another split, raises :class:`PlacementError`, and
+    a split with a negative side :class:`ShapeError`.
     """
     if placement not in PLACEMENTS:
         raise PlacementError(f"unknown placement tag {placement!r}")
@@ -44,10 +45,12 @@ def split_for_placement(placement: str, d: int, epsilon=None, eta=None):
         split, rule = (0, d - 1), "eps = 0 and eta = d - 1"
     else:
         split, rule = (d // 2, d - 1 - d // 2), None
-    if epsilon is None and eta is None:
-        return split
-    eps = int(epsilon) if epsilon is not None else d - 1 - int(eta)
-    et = int(eta) if eta is not None else d - 1 - eps
+    eps, et = split
+    if epsilon is not None or eta is not None:
+        eps = int(epsilon) if epsilon is not None else d - 1 - int(eta)
+        et = int(eta) if eta is not None else d - 1 - eps
+    if eps < 0 or et < 0:
+        raise ShapeError(f"need eps, eta >= 0, got eps = {eps}, eta = {et}")
     if rule is not None and (eps, et) != split:
         raise PlacementError(f"{placement} requires {rule}")
     return eps, et
@@ -147,8 +150,6 @@ def from_polynomial(P: MatrixPolynomial, eps: int, eta: int,
     the pencil is built."""
     d = P.grade
     m, n = P.shape
-    if eps < 0 or eta < 0:
-        raise ShapeError(f"need eps, eta >= 0, got eps = {eps}, eta = {eta}")
     if eps + eta + 1 != d:
         raise GradeError(f"eps + eta + 1 = {eps + eta + 1} but the grade is {d}")
     split_for_placement(placement, d, eps, eta)

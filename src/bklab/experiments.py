@@ -83,9 +83,10 @@ def random_pencil_perturbation(shape, magnitude: float, rng) -> Pencil:
 class ExperimentConfig:
     """Batch study parameters.  Size fields are inclusive ``(lo, hi)``
     ranges with ``1 <= lo <= hi``; every generated trial satisfies
-    ``eps + eta + 1 == d``.  An empty or nonpositive range of ``m`` or ``n``
-    and a negative ``trials`` raise :class:`ShapeError`, one of ``d``
-    :class:`GradeError`, and a ``placement`` outside
+    ``eps + eta + 1 == d``.  An empty or nonpositive range of ``m`` or ``n``,
+    a negative ``trials`` and an ``epsilon`` or ``eta`` that leaves the
+    other side of the split negative raise :class:`ShapeError`, one of
+    ``d`` :class:`GradeError`, and a ``placement`` outside
     :data:`~bklab.block_kronecker.PLACEMENTS` or a Frobenius tag given
     another split :class:`PlacementError`."""
 
@@ -118,7 +119,8 @@ class ExperimentConfig:
                     f"epsilon + eta + 1 = {want} conflicts with d range {self.d}")
             self.d = (want, want)
         # both sides of a split are affine in d, so a given epsilon or eta
-        # meets a Frobenius split over the range when it does at both ends
+        # is nonnegative on both sides, and meets a Frobenius split, over the
+        # range when it does at both ends
         for d in self.d:
             split_for_placement(self.placement, d, self.epsilon, self.eta)
 

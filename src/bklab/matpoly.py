@@ -205,6 +205,9 @@ class Pencil(MatrixPolynomial):
     def M1(self) -> np.ndarray:
         return self._c[1]
 
+    def transpose(self) -> "Pencil":
+        return Pencil(self._c.transpose(0, 2, 1))
+
 
 def as_pencil(P: MatrixPolynomial) -> Pencil:
     """View a grade-1 polynomial (or a constant) as a pencil; a pencil is

@@ -10,9 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bklab import MatrixPolynomial, build_L, from_polynomial
+from bklab import (BlockKroneckerPencil, MatrixPolynomial, build_L,
+                   from_polynomial, generalized_eigenvalues)
 from bklab.cli import main
-from bklab.experiments import random_polynomial, trial_rng
+from bklab.experiments import (random_polynomial, random_singular_polynomial,
+                               trial_rng)
 
 
 def write_json(path, payload):
@@ -141,7 +143,6 @@ def test_eig_oracle_flag_on_singular_polynomial(tmp_path, capsys):
 
 
 def test_eig_oracle_on_random_product_polynomial(tmp_path, capsys):
-    from bklab.experiments import random_singular_polynomial
     rng = trial_rng(93, 0)
     P = random_singular_polynomial(2, 3, 2, 1, rng)
     path = tmp_path / "prod.json"
@@ -150,6 +151,45 @@ def test_eig_oracle_on_random_product_polynomial(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["oracle_agrees"]
     assert payload["polynomial_eigenstructure"]["right"] == payload["oracle_right"]
+
+
+def test_a_singular_polynomial_through_linearize_check_and_eig(tmp_path,
+                                                              capsys):
+    # a 4x6 grade-4 polynomial of normal rank 3: check accepts its hook
+    # pencil and exits 3 on one M0 entry moved, and the oracle agrees with
+    # the staircase on the polynomial and on the pencil file
+    poly, bk = tmp_path / "p.json", tmp_path / "bk.json"
+    moved = tmp_path / "moved.json"
+    write_json(poly, random_singular_polynomial(4, 6, 4, 3,
+                                                trial_rng(0, 0)).to_json())
+    assert main(["linearize", str(poly), "--epsilon", "2", "--eta", "1",
+                 "--out", str(bk)]) == 0
+    assert main(["check", str(poly), str(bk)]) == 0
+    blob = json.loads(bk.read_text())
+    blob["M0"][0][1], blob["M0"][0][0] = blob["M0"][0][0], [0.0, 0.0]
+    write_json(moved, blob)
+    assert main(["check", str(poly), str(moved)]) == 3
+    capsys.readouterr()
+    for path in (poly, bk):
+        assert main(["eig", str(path), "--oracle"]) == 0
+        assert json.loads(capsys.readouterr().out)["oracle_agrees"]
+
+
+def test_eig_of_a_linearized_polynomial_is_generalized_eigenvalues_bit_for_bit(
+        tmp_path, capsys):
+    # eig and generalized_eigenvalues run the one QZ in one orientation on
+    # the pencil linearize writes
+    poly, bk = tmp_path / "q.json", tmp_path / "qbk.json"
+    write_json(poly, random_polynomial(3, 3, 4, trial_rng(0, 1)).to_json())
+    assert main(["linearize", str(poly), "--epsilon", "2", "--eta", "1",
+                 "--out", str(bk)]) == 0
+    assert main(["eig", str(bk)]) == 0
+    structure = json.loads(capsys.readouterr().out)["pencil_eigenstructure"]
+    finite, infinite = generalized_eigenvalues(
+        BlockKroneckerPencil.from_json(json.loads(bk.read_text())).assemble())
+    assert infinite == 0 and not structure["infinite"]
+    assert json.dumps(structure["finite"]) == json.dumps(
+        [[z.real, z.imag, 1] for z in finite])
 
 
 def test_eig_block_kronecker_file(tmp_path, capsys):
@@ -220,8 +260,10 @@ def test_eig_exits_3_on_a_structure_below_the_shift(tmp_path, capsys):
     (["--d", "4:3"], ["d", "empty"]),
     (["--trials", "-1"], ["trials", "nonnegative"]),
     (["--mag=-1e-8"], ["magnitude", "nonnegative"]),
-    # eta = d - 1 - eps = -3: from_polynomial refuses the split
+    # eta = d - 1 - eps = -3: the config refuses the split, so a batch of
+    # no trials does too
     (["--epsilon", "5", "--d", "3"], ["eps = 5", "eta = -3"]),
+    (["--trials", "0", "--epsilon", "5", "--d", "3"], ["eps = 5", "eta = -3"]),
 ])
 def test_backward_error_refuses_a_bad_range_with_exit_2(tmp_path, capsys,
                                                         flags, names):
@@ -321,18 +363,52 @@ def test_backward_error_forced_divergence_is_an_error(tmp_path):
         assert "ratio" not in row
 
 
+def _batch_rows(capsys, *flags):
+    """The trial rows of a ``backward-error`` batch that exits 0 with an
+    empty stderr, read as strict JSON: ``parse_constant=int`` raises on NaN
+    and Infinity."""
+    assert main(["backward-error", *flags]) == 0
+    out = capsys.readouterr()
+    assert out.err == ""
+    return json.loads(out.out, parse_constant=int)["trials"]
+
+
 def test_backward_error_diverging_step1_warns_nothing(capsys):
     # Step 1's iterates overflow in every trial: the typed refusal is the
     # row's reason, and no RuntimeWarning reaches stderr (the suite's filter
     # would raise it)
-    assert main(["backward-error", "--trials", "3", "--mag", "10", "--force",
-                 "--m", "3", "--n", "3", "--d", "5"]) == 0
-    out = capsys.readouterr()
-    assert out.err == ""
-    rows = json.loads(out.out)["trials"]
+    rows = _batch_rows(capsys, "--trials", "3", "--mag", "10", "--force",
+                       "--m", "3", "--n", "3", "--d", "5")
     assert [row["status"] for row in rows] == ["error"] * 3
     assert all(row["reason"].startswith("step 1: fixed point diverged")
                for row in rows)
+
+
+def test_a_forced_batch_far_outside_the_radius_reads_as_strict_json(capsys):
+    # every trial unguaranteed, or an error where a step hits its sweep cap
+    rows = _batch_rows(capsys, "--trials", "4", "--mag", "3", "--force")
+    assert len(rows) == 4
+    assert all(row["status"] in ("unguaranteed", "error") for row in rows)
+
+
+@pytest.mark.parametrize("flags, certified", [
+    # one QZ of L + dL and no staircase
+    (["--m", "3", "--n", "3", "--d", "4"], True),
+    # the fallback's second staircase, whose verdicts the batch status does
+    # not read
+    (["--m", "2", "--n", "3", "--d", "3"], False),
+    # be_onesided's 8x8 grade-7 pencils, whose QZ may run on bklab-qz
+    (["--m", "8", "--n", "8", "--d", "7", "--placement", "frobenius1"], True),
+], ids=["square", "rectangular", "frobenius1_order_56"])
+def test_a_batch_sets_both_eigen_verdicts(capsys, flags, certified):
+    rows = _batch_rows(capsys, "--trials", "2", *flags)
+    assert len(rows) == 2
+    for row in rows:
+        assert (row["eigen_checked"] and row["eigen_consistent"]
+                and row["shift_consistent"])
+        if certified:
+            assert row["eigen_max_distance"] is not None
+            assert row["eigen_backward_error"] < 1e-12
 
 
 def test_backward_error_admissible_error_fails_and_exits_3(tmp_path, monkeypatch):

@@ -1,7 +1,8 @@
 """Which scipy modules each entry point loads, checked in fresh interpreters
 (this process may already hold scipy), that README's Python quickstart runs
-there without a warning, and that every module of the package imports its
-siblings at the top."""
+there without a warning, that every module of the package imports its
+siblings at the top, and that ``bklab.__all__`` is the package's public
+names."""
 
 import ast
 import ctypes
@@ -286,3 +287,17 @@ def test_no_module_defers_an_import_of_another():
     for path in sorted(Path(bklab.__file__).parent.glob("*.py")):
         hits |= _deferred_package_imports(ast.parse(path.read_text()), path.stem)
     assert hits == set()
+
+
+def test_star_import_binds_exactly_the_names_the_package_imports():
+    # __all__ lists the names __init__ imports from its modules, in order:
+    # no submodule, none left out, and each one bound
+    tree = ast.parse(Path(bklab.__file__).read_text())
+    imported = [alias.asname or alias.name for node in tree.body
+                if isinstance(node, ast.ImportFrom) for alias in node.names]
+    assert bklab.__all__ == imported
+    namespace = {}
+    exec("from bklab import *", namespace)
+    del namespace["__builtins__"]
+    assert sorted(namespace) == sorted(imported)
+    assert all(namespace[name] is getattr(bklab, name) for name in imported)

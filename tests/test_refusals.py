@@ -10,16 +10,17 @@ import pytest
 
 from bklab import (BlockKroneckerPencil, G_singular_values, GradeError,
                    M_singular_values, MatrixPolynomial, Pencil, PlacementError,
-                   PreconditionError, ShapeError, assemble_step3, build_L,
-                   build_Lambda, build_W, convolution, from_polynomial,
-                   generalized_eigenvalues, lift_right_null_vector,
-                   numerical_rank, pseudoinverse, run_pipeline,
-                   sigma_max_W_closed, sigma_min_convolution_L,
+                   PreconditionError, ShapeError, as_pencil, assemble_step3,
+                   build_L, build_Lambda, build_W, convolution,
+                   from_polynomial, generalized_eigenvalues,
+                   lift_right_null_vector, numerical_rank, pseudoinverse,
+                   run_pipeline, sigma_max_W_closed, sigma_min_convolution_L,
                    sigma_min_T_lower_bound, solve_step1, solve_step2,
                    step1_radius, step2_radius, validate_placement)
-from bklab.experiments import (ExperimentConfig, random_pencil_perturbation,
-                               random_polynomial, random_singular_polynomial,
-                               trial_rng)
+from bklab.block_kronecker import split_for_placement
+from bklab.experiments import (ExperimentConfig, complex_gaussian,
+                               random_pencil_perturbation, random_polynomial,
+                               random_singular_polynomial, trial_rng)
 from bklab.tolerances import svd_with_rank
 
 
@@ -102,9 +103,24 @@ def _forced_pipeline_with_an_infinite_bound():
     return run_pipeline(L, Pencil(np.full((2,) + L.shape, 1e308)), force=True)
 
 
+def _pipeline_with_a_grade_2_dL():
+    # inside the radius, with a nonzero lambda^2 coefficient
+    L = _hook()
+    E = 1e-8 * complex_gaussian(L.shape, trial_rng(97, 4))
+    return run_pipeline(L, MatrixPolynomial([E, E, E]))
+
+
 REFUSALS = {
     "step1_shape": (ShapeError, "does not match pencil",
                     lambda: solve_step1(_hook(), Pencil(np.zeros((2, 4, 4))))),
+    # with the eigen check L + dL is formed, and the shape is checked first
+    "pipeline_dL_shape": (
+        ShapeError, "perturbation shape (4, 4) does not match pencil (6, 6)",
+        lambda: run_pipeline(_hook(), Pencil(np.zeros((2, 4, 4))),
+                             check_eigen=True)),
+    "pipeline_dL_grade_2": (
+        GradeError, "grade 1 is smaller than the degree of the data",
+        _pipeline_with_a_grade_2_dL),
     "step2_shape": (ShapeError, "expected shape (2, 4)",
                     lambda: solve_step2(Pencil(np.zeros((2, 3, 3))), 1, 2)),
     "step1_kappa1": (PreconditionError, "theta * omega / delta^2 < 1/4",
@@ -162,6 +178,13 @@ REFUSALS = {
         lambda: solve_step2(Pencil(np.full((2, 2, 4), np.inf)), 1, 2)),
     "placement_tag": (PlacementError, "unknown placement tag 'nope'",
                       lambda: from_polynomial(_polynomial(), 1, 1, "nope")),
+    # eta = d - 1 - eps = -3, refused before any trial is drawn
+    "hook_negative_split": (
+        ShapeError, "need eps, eta >= 0, got eps = 5, eta = -3",
+        lambda: split_for_placement("hook", 3, 5)),
+    "config_negative_split": (
+        ShapeError, "need eps, eta >= 0, got eps = 5, eta = -3",
+        lambda: ExperimentConfig(trials=0, epsilon=5, d=(3, 3))),
     "config_placement_tag": (
         PlacementError, "unknown placement tag 'nope'",
         lambda: ExperimentConfig(placement="nope", trials=0)),
@@ -291,10 +314,51 @@ def _coeff_above_the_grade():
     return zero.shape == (2, 2) and not zero.any() and not zero.flags.writeable
 
 
+def _constant_and_its_pencil(shape):
+    E = 1e-4 * complex_gaussian(shape, trial_rng(97, 5))
+    return MatrixPolynomial([E]), as_pencil(MatrixPolynomial([E]))
+
+
+def _pipeline_reads_a_constant_dL_as_its_pencil():
+    L = _hook()
+    reports = [run_pipeline(L, dL).to_json()
+               for dL in _constant_and_its_pencil(L.shape)]
+    return reports[0] == reports[1]
+
+
+def _step1_reads_a_constant_dL_as_its_pencil():
+    L = _hook()
+    results = [solve_step1(L, dL) for dL in _constant_and_its_pencil(L.shape)]
+    return all(np.array_equal(getattr(results[0], name),
+                              getattr(results[1], name))
+               for name in ("C", "D", "residual"))
+
+
+def _step2_reads_a_constant_dLt21_as_its_pencil():
+    results = [solve_step2(dLt21, 1, 2)
+               for dLt21 in _constant_and_its_pencil((2, 4))]
+    return (np.array_equal(results[0][0].coeff_stack,
+                           results[1][0].coeff_stack)
+            and results[0][1] == results[1][1])
+
+
+def _step3_reads_a_constant_dL11_as_its_pencil():
+    L = _hook()
+    dR = MatrixPolynomial(np.zeros((2, 4, 2)), grade=1)
+    results = [assemble_step3(L, dL11, dR, dR)
+               for dL11 in _constant_and_its_pencil((4, 4))]
+    return np.array_equal(results[0].coeff_stack, results[1].coeff_stack)
+
+
 EDGE_RETURNS = {
     "eigenvalues_of_an_empty_pencil": lambda: generalized_eigenvalues(
         Pencil(np.zeros((2, 0, 0)))) == ([], 0),
     "coeff_above_the_grade": _coeff_above_the_grade,
+    # a constant perturbation is the pencil that moves M0 only
+    "pipeline_constant_dL": _pipeline_reads_a_constant_dL_as_its_pencil,
+    "step1_constant_dL": _step1_reads_a_constant_dL_as_its_pencil,
+    "step2_constant_dLt21": _step2_reads_a_constant_dLt21_as_its_pencil,
+    "step3_constant_dL11": _step3_reads_a_constant_dL11_as_its_pencil,
 }
 
 
