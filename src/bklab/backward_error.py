@@ -355,20 +355,27 @@ def assemble_step3(L: BlockKroneckerPencil, dL11: Pencil,
     """``P + dP``: the polynomial represented by the repaired strong block
     minimal bases pencil.  ``dL11`` is read as a pencil
     (:func:`~bklab.matpoly.as_pencil`).  Raises :class:`ShapeError` when
-    ``dL11`` is not of the (1,1) block's shape, and
+    ``dL11`` or a ``dR`` is not of its block's or ``Lambda``'s shape,
+    :class:`GradeError` when a ``dR`` is of degree above ``Lambda``'s, and
     :class:`PreconditionError` when a ``||dR|| >= 1/sqrt(2)``; ``force``
     lifts that precondition."""
     M = L.one_one_block()
     dL11 = as_pencil(dL11)
     if dL11.shape != M.shape:
         raise ShapeError(f"dL11 is {dL11.shape}, the (1,1) block {M.shape}")
-    for name, dR in (("dR_eps", dR_eps), ("dR_eta", dR_eta)):
+    stacks = []
+    for name, dR, k, n in (("dR_eps", dR_eps, L.eps, L.n),
+                           ("dR_eta", dR_eta, L.eta, L.m)):
+        if dR.shape != ((k + 1) * n, n):
+            raise ShapeError(f"{name} is {dR.shape}, not {((k + 1) * n, n)}")
+        if np.any(dR.coeff_stack[k + 1:]):
+            raise GradeError(f"{name} is of degree {dR.degree()}, above {k}")
         if dR.frobenius_norm() >= 1.0 / np.sqrt(2.0) and not force:
             raise PreconditionError(f"step 3 refused: ||{name}|| >= 1/sqrt(2)")
-    left = (build_Lambda(L.eta, L.m) + dR_eta).coeff_stack.transpose(0, 2, 1)
-    mid = M.coeff_stack + dL11.coeff_stack
-    right = (build_Lambda(L.eps, L.n) + dR_eps).coeff_stack
-    return MatrixPolynomial(_stack_product(_stack_product(left, mid), right))
+        stacks.append((build_Lambda(k, n) + dR).coeff_stack[:k + 1])
+    right, left = stacks
+    return MatrixPolynomial(_stack_product(_stack_product(
+        left.transpose(0, 2, 1), M.coeff_stack + dL11.coeff_stack), right))
 
 
 # -- bounds ------------------------------------------------------------------
@@ -533,17 +540,13 @@ def _check_eigen(L: BlockKroneckerPencil, L_plus_dL: Pencil,
     shift_consistent)`` for the eigenvalues of ``L + dL`` against ``P + dP``.
 
     :func:`~bklab.eigenstructure._certified_structure` solves and
-    certifies ``L + dL``, reading ``qz``, the
-    :class:`~bklab.eigenstructure._QZ` of ``L + dL`` that ``run_pipeline``
-    built (``None`` for a rectangular ``L``); certified, it is consistent on
-    both counts.
-    Otherwise a fresh hook linearization of ``P + dP`` at the same split is
-    reduced too: the finite eigenvalues are matched under the chordal
-    metric, and the sorted minimal indices and infinite partitions must be
-    equal as they stand, with no right index below ``eps`` and no left one
-    below ``eta``.
+    certifies ``L + dL`` with ``qz``, its QZ if one was started; certified,
+    it is consistent on both counts.  Otherwise a fresh hook linearization of
+    ``P + dP`` at the same split is reduced too: the finite eigenvalues are
+    matched under the chordal metric, and the sorted minimal indices and
+    infinite partitions must be equal as they stand, with no right index
+    below ``eps`` and no left one below ``eta``.
     """
-    _require_finite(L_plus_dL.coeff_stack)
     es_pert, backward, distance = _certified_structure(L_plus_dL, P_plus_dP,
                                                        eigen_tol, qz)
     if distance is not None:
@@ -575,12 +578,12 @@ def run_pipeline(L: BlockKroneckerPencil, dL: Pencil, force: bool = False,
     is not a pencil of ``L``'s shape: ``dL`` is read as a pencil
     (:func:`~bklab.matpoly.as_pencil`), so a constant perturbation moves
     ``M0`` only, one of degree above 1 raises :class:`GradeError` and one of
-    another shape :class:`ShapeError`.  With
-    ``check_eigen`` the report's four eigen fields come from
-    :func:`_check_eigen`, which certifies one QZ of ``L + dL`` when ``P +
-    dP`` is square of full normal rank and runs the staircase only when
-    that does not certify; a disagreement is flagged there rather than
-    fatal, since the problem is ill-posed.
+    another shape :class:`ShapeError`; with ``check_eigen``, last, a
+    non-finite ``L + dL`` (:class:`ShapeError`).  Then the report's four
+    eigen fields come from :func:`_check_eigen`, which certifies one QZ of
+    ``L + dL`` when ``P + dP`` is square of full normal rank and runs the
+    staircase only when that does not certify; a disagreement is flagged
+    there rather than fatal, since the problem is ill-posed.
     """
     _require_finite(dL.coeff_stack)
     eigen_tol = _finite_nonnegative(eigen_tol, "eigen_tol")
@@ -608,15 +611,13 @@ def run_pipeline(L: BlockKroneckerPencil, dL: Pencil, force: bool = False,
 
     dL = as_pencil(dL)
     _require_pencil_shape(dL, L)
-    # QZ reads only L + dL, and is read only when P + dP, so L + dL, is
-    # square: built now and started on bklab-qz when that pays, it overlaps
+    # QZ reads only L + dL: started on bklab-qz when that pays, it overlaps
     # Steps 1-3, and it is waited for before the call returns, however it ends
-    L_plus_dL = qz = None
+    qz = None
     if check_eigen:
         L_plus_dL = Pencil(L.assemble().coeff_stack + dL.coeff_stack)
-        if L_plus_dL.rows == L_plus_dL.cols:
-            qz = _QZ(L_plus_dL.M0.conj().T, L_plus_dL.M1.conj().T)
-            qz.start()
+        _require_finite(L_plus_dL.coeff_stack)
+        qz = _QZ.start(L_plus_dL)
     try:
         step1 = solve_step1(L, dL, force=force)
         dR_eps, res_eps = solve_step2(step1.dLt21, L.eps, L.n, force=force)
@@ -634,7 +635,7 @@ def run_pipeline(L: BlockKroneckerPencil, dL: Pencil, force: bool = False,
             if check_eigen else (None,) * 4)
     finally:
         if qz is not None:
-            qz.wait()
+            qz.done.wait()
 
     return BackwardErrorReport(
         eps=L.eps, eta=L.eta, m=L.m, n=L.n, norm_P=norm_P, norm_L=norm_L,

@@ -19,12 +19,9 @@ borderline outcomes are diagnosable; the problem is intrinsically ill-posed
 and a tolerance-free answer does not exist.  Non-finite input raises
 :class:`ShapeError` before any LAPACK call.
 
-Every QZ is one :class:`_QZ`: an eigenvalues-only ``zggev``, built and read
-on the caller's thread.  Its ``start`` may hand the call to one daemon
-thread, ``bklab-qz``, started on first use, and on first use again in a
-forked child, while the caller goes on; the thread makes the ``zggev``
-call and nothing else, so every numpy floating-point operation stays on
-the caller's thread.
+Every QZ is one :class:`_QZ`, an eigenvalues-only ``zggev`` built and read
+on the caller's thread; :meth:`_QZ.start` may hand the call alone to the
+daemon thread ``bklab-qz`` (:class:`_QZThread`) while the caller goes on.
 """
 
 from __future__ import annotations
@@ -200,8 +197,8 @@ def _zggev_lwork(n: int) -> int:
     return int(_zggev()(z, z, lwork=-1)[-2][0].real)
 
 
-# run_pipeline hands the QZ of L + dL to bklab-qz from this order on: at 21
-# the thread breaks even, below it the hand-off costs more than the overlap
+# _QZ.start hands a QZ to bklab-qz from this order on: at 21 the thread
+# breaks even, below it the hand-off costs more than the overlap
 # saves (the measurements are in README, "The eigen check")
 QZ_THREAD_MIN_ORDER = 21
 
@@ -216,8 +213,9 @@ class _QZ:
 
     It is built on the caller's thread, which also resolves the binding and
     the workspace.  :meth:`start` may hand the call to the daemon thread
-    ``bklab-qz``; :meth:`structure` makes it inline if it was not handed
-    over, and reads its outputs on the caller's thread either way.
+    ``bklab-qz``, which sets ``done`` once it is made; :meth:`structure`
+    makes it inline if it was not handed over, and reads its outputs on the
+    caller's thread either way.
     """
 
     def __init__(self, A_h, B_h):
@@ -237,36 +235,38 @@ class _QZ:
         except BaseException as error:
             self.outcome = None, error
 
-    def start(self):
-        """Hand the call to ``bklab-qz`` when that pays, and return once the
-        thread is about to make it: the order is ``QZ_THREAD_MIN_ORDER`` or
-        more, the operands are finite, the process may run on two CPUs or
-        more, and no other call is in flight.  The wait lets the thread
-        take the GIL at once: asked for while the caller computes, the GIL
-        would change hands only after ``sys.getswitchinterval()``."""
-        if (len(self.a) < QZ_THREAD_MIN_ORDER or _usable_cpus() < 2
-                or not np.isfinite(self.a).all()
-                or not np.isfinite(self.b).all()):
-            return
+    @classmethod
+    def of(cls, pencil):
+        """The QZ of a whole square pencil, as ``(M0^H, M1^H)``."""
+        return cls(pencil.M0.conj().T, pencil.M1.conj().T)
+
+    @classmethod
+    def start(cls, pencil):
+        """``_QZ.of(pencil)``, built first so that a failed build holds no
+        thread, handed to ``bklab-qz`` once it is about to call (it then
+        takes the GIL at once, not after ``sys.getswitchinterval()``);
+        ``None`` for a pencil not square or below ``QZ_THREAD_MIN_ORDER``,
+        on one usable CPU, or with a call in flight."""
+        if (pencil.rows != pencil.cols or pencil.rows < QZ_THREAD_MIN_ORDER
+                or _usable_cpus() < 2):
+            return None
+        qz = cls.of(pencil)
         thread = _running_qz_thread()
         if not thread.idle.acquire(blocking=False):
-            return
-        self.started, self.done = threading.Event(), threading.Event()
-        thread.job = self
+            return None
+        qz.started, qz.done = threading.Event(), threading.Event()
+        thread.job = qz
         thread.handed.release()
-        self.started.wait()
-
-    def wait(self):
-        """Return once a call handed to ``bklab-qz`` has been made."""
-        if self.done is not None:
-            self.done.wait()
+        qz.started.wait()
+        return qz
 
     def structure(self) -> Eigenstructure:
         """The eigenstructure of ``A + lambda*B``.  What the binding raised
         is raised here, and QZ failure raises ConvergenceError."""
         if self.done is None:  # not handed over
             self.run()
-        self.wait()
+        else:
+            self.done.wait()
         outputs, error = self.outcome
         if error is not None:
             raise error
@@ -349,10 +349,9 @@ def _usable_cpus() -> int:
 def generalized_eigenvalues(pencil):
     """Finite eigenvalue list and infinite eigenvalue count of a regular pencil.
 
-    :class:`_QZ` of ``(M0^H, M1^H)``, the staircase's orientation, so the
-    two agree bit for bit when the staircase finds ``M1`` of full rank; an
-    eigenvalue is infinite when its ``beta`` is negligible against
-    ``(alpha, beta)``.
+    :meth:`_QZ.of` the pencil, so it agrees bit for bit with the staircase
+    when that finds ``M1`` of full rank; an eigenvalue is infinite when its
+    ``beta`` is negligible against ``(alpha, beta)``.
     """
     pencil = as_pencil(pencil)
     _require_finite(pencil.coeff_stack)
@@ -362,7 +361,7 @@ def generalized_eigenvalues(pencil):
         raise ShapeError("singular pencil: use staircase_eigenstructure")
     if pencil.rows == 0:
         return [], 0
-    core = _QZ(pencil.M0.conj().T, pencil.M1.conj().T).structure()
+    core = _QZ.of(pencil).structure()
     return core.finite, len(core.infinite)
 
 
@@ -434,7 +433,7 @@ def staircase_eigenstructure(pencil, tol=None) -> Eigenstructure:
         scale = float(max(_svd(A, vectors=False).max(initial=0.0),
                           svd_B[0].max(initial=0.0)))
         dim = max(A.shape[0], A.shape[1], 1)
-        threshold = dim ** 3 * EPS * scale if scale > 0.0 else 0.0
+        threshold = dim ** 3 * EPS * scale
     else:
         threshold = float(tol)
 
@@ -595,20 +594,19 @@ def _certify_eigenvalues(Q: MatrixPolynomial, structure: Eigenstructure,
     return eta, distance
 
 
-def _certified_structure(pencil, Q: MatrixPolynomial, tol: float, qz):
+def _certified_structure(pencil, Q: MatrixPolynomial, tol: float, qz=None):
     """``(structure, eta, distance)``: the eigenstructure of ``pencil``, a
     linearization of ``Q``, and :func:`_certify_eigenvalues` of it against
     ``Q``.  When ``Q`` is square of full normal rank, QZ's answer, bit for
     bit the staircase's when it finds ``M1`` of full rank, stands if it
     reads no infinite eigenvalue (whose backward error alone would pass a
     singular ``pencil``) and is certified; otherwise the staircase's does,
-    with ``distance`` ``None`` unless certified.  ``qz`` is the
-    :class:`_QZ` of ``pencil``, started or not, and ``None`` will do when
-    ``Q`` is rectangular: only the first path reads it, so it is dropped,
-    failed or not, when ``Q`` is singular or rectangular."""
+    with ``distance`` ``None`` unless certified.  That QZ is ``qz``, what
+    :meth:`_QZ.start` returned for ``pencil``, or else ``_QZ.of(pencil)``;
+    a started one goes unread, failed or not, when ``Q`` is not."""
     rank = _normal_rank(Q)
     if rank == Q.rows == Q.cols:
-        core = qz.structure()
+        core = (qz or _QZ.of(pencil)).structure()
         if not core.infinite:
             eta, distance = _certify_eigenvalues(Q, core, tol, rank)
             if distance is not None:

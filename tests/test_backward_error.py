@@ -1117,21 +1117,20 @@ class _ReadQZ(eigenstructure._QZ):
         return self.read[-1]
 
 
-def _qz_of(pencil):
-    """The ``_ReadQZ`` of a square pencil, as ``run_pipeline`` builds it."""
-    return _ReadQZ(pencil.M0.conj().T, pencil.M1.conj().T)
-
-
 def _built_qz(monkeypatch):
-    """The ``_ReadQZ`` objects ``run_pipeline`` builds from now on: the QZ
-    of each square ``L + dL``, which only the eigen check's head reads."""
+    """The ``_ReadQZ`` objects the eigen check builds from now on: the QZ
+    of a whole square ``L + dL`` that ``_QZ.start`` hands to the worker or
+    the eigen check's head builds, which only that head reads."""
     built = []
 
-    def build(*args):
-        built.append(_ReadQZ(*args))
-        return built[-1]
+    class Built(_ReadQZ):
+        @classmethod
+        def of(cls, pencil):
+            built.append(super().of(pencil))
+            return built[-1]
 
-    monkeypatch.setattr(backward_error, "_QZ", build)
+    for module in (eigenstructure, backward_error):
+        monkeypatch.setattr(module, "_QZ", Built)
     return built
 
 
@@ -1198,7 +1197,8 @@ def test_singular_leading_coefficient_defers_to_the_staircase(monkeypatch,
 
 def test_singular_square_polynomial_runs_no_qz_first(monkeypatch):
     # P + dP of normal rank 2 < 3: the gate reads the normal rank the
-    # certificates share, and the staircase runs at once
+    # certificates share, and the staircase runs at once; below the
+    # worker's order no QZ of L + dL is even built
     built = _built_qz(monkeypatch)
     stairs = _recorded(monkeypatch, "staircase_eigenstructure")
     fallback = _recorded(monkeypatch, "staircase_eigenstructure",
@@ -1208,7 +1208,7 @@ def test_singular_square_polynomial_runs_no_qz_first(monkeypatch):
                         1, 1, "hook")
     report = run_pipeline(L, Pencil(np.zeros((2,) + L.shape)))
     assert _normal_rank(recover_polynomial(L) + report.dP) == 2
-    assert len(built) == 1 and built[0].read == []
+    assert built == []
     assert len(stairs) == len(fallback) == 1 and stairs[0].infinite
     assert report.eigen_consistent is True and report.shift_consistent is True
 
@@ -1369,10 +1369,27 @@ def _refused_runs():
                                   "infinite_bound"])
 def test_refused_runs_start_no_qz(monkeypatch, case):
     _qz_on_the_worker(monkeypatch)
-    monkeypatch.setattr(backward_error, "_QZ", _refuse("_QZ"))
+    built = _built_qz(monkeypatch)
     L, dL, force, message = _refused_runs()[case]
     with pytest.raises(PreconditionError, match=message):
         run_pipeline(L, dL, force=force)
+    assert built == []
+
+
+def test_a_non_finite_L_plus_dL_is_refused_before_its_qz(monkeypatch):
+    # the bound refuses every dL large enough to overflow L + dL, so L's
+    # assembly is made to read inf: run_pipeline refuses the sum where it
+    # forms it, before Step 1, and neither builds nor starts its QZ
+    _qz_on_the_worker(monkeypatch)
+    built = _built_qz(monkeypatch)
+    monkeypatch.setattr(backward_error, "solve_step1", _refuse("solve_step1"))
+    L, dL = _be_style_cases()[0]
+    stack = L.assemble().coeff_stack.copy()
+    stack[1, 0, 0] = np.inf
+    monkeypatch.setattr(L, "assemble", lambda: Pencil(stack))
+    with pytest.raises(ShapeError, match="non-finite"):
+        run_pipeline(L, dL)
+    assert built == []
 
 
 def test_no_qz_job_outlives_run_pipeline(monkeypatch):
@@ -1477,16 +1494,34 @@ def test_certified_structure_stands_on_a_certified_qz(monkeypatch):
     pencil, Q = _head_inputs(L, dL)
     monkeypatch.setattr(eigenstructure, "staircase_eigenstructure",
                         _refuse("staircase_eigenstructure"))
-    qz = _qz_of(pencil)
+    qz = _ReadQZ.of(pencil)
     structure, eta, distance = eigenstructure._certified_structure(
         pencil, Q, 1e-6, qz)
     assert len(qz.read) == 1 and structure is qz.read[0]
     assert 0.0 < eta <= 100 * EPS and 0.0 < distance <= 1e-6
 
 
+def test_certified_structure_builds_the_qz_no_one_started(monkeypatch):
+    # be_sylvester's 16 seed-3 pencils with dL = 0: the head called on L
+    # and P alone builds its own QZ, and gives the structure, eta and
+    # distance of the pipeline's call, whose QZ the worker ran
+    _qz_on_the_worker(monkeypatch)
+    built = _built_qz(monkeypatch)
+    heads = _recorded(monkeypatch, "_certified_structure", backward_error)
+    for L, _ in _be_style_cases(3, pool=16)[:16]:
+        report = run_pipeline(L, Pencil(np.zeros((2,) + L.shape)))
+        structure, eta, distance = eigenstructure._certified_structure(
+            L.assemble(), recover_polynomial(L), 1e-6)
+        assert [qz.done is not None for qz in built[-2:]] == [True, False]
+        assert structure.to_json() == heads[-1][0].to_json()
+        assert (eta, distance) == heads[-1][1:] == (
+            report.eigen_backward_error, report.eigen_max_distance)
+        assert 0.0 < distance <= 1e-6
+
+
 def test_certified_structure_certifies_the_staircase(monkeypatch):
     pencil, Q = _head_inputs(*_singular_leading_coefficient_case(0.0))
-    qz = _qz_of(pencil)
+    qz = _ReadQZ.of(pencil)
     stairs = _recorded(monkeypatch, "staircase_eigenstructure")
     structure, eta, distance = eigenstructure._certified_structure(
         pencil, Q, 1e-6, qz)

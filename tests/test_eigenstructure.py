@@ -469,22 +469,13 @@ def test_ilp64_zggev_overwrites_only_writeable_fortran_operands():
 def _worker_cases():
     rng = trial_rng(97, 5)
     square = Pencil(complex_gaussian((2, 6, 6), rng))
-    infinite = square.coeff_stack.copy()
-    infinite[1, 2, 3] = np.inf
     return {"square": square, "small": Pencil(square.coeff_stack[:, :5, :5]),
-            "non_finite": Pencil(infinite)}
-
-
-def _qz(pencil):
-    """The ``_QZ`` of a square pencil, as ``run_pipeline`` builds it."""
-    return bklab.eigenstructure._QZ(pencil.M0.conj().T, pencil.M1.conj().T)
+            "wide": Pencil(square.coeff_stack[:, :5, :])}
 
 
 def _started(pencil):
-    """``_qz(pencil)`` after its ``start()``."""
-    qz = _qz(pencil)
-    qz.start()
-    return qz
+    """What ``_QZ.start(pencil)`` returns."""
+    return bklab.eigenstructure._QZ.start(pencil)
 
 
 def _worker_from_order(monkeypatch, order, cpus=2):
@@ -513,6 +504,11 @@ def _no_qz(*args):
     raise AssertionError("a QZ was built")
 
 
+def _of(pencil):
+    """The ``_QZ`` of a whole square pencil, not started."""
+    return bklab.eigenstructure._QZ.of(pencil)
+
+
 def test_qz_goes_to_the_worker_only_when_it_pays(monkeypatch):
     import bklab.backward_error as backward_error
 
@@ -521,19 +517,20 @@ def test_qz_goes_to_the_worker_only_when_it_pays(monkeypatch):
     L = from_polynomial(random_polynomial(2, 3, 3, trial_rng(97, 6)), 1, 1,
                         "hook")
     with monkeypatch.context() as patch:
-        patch.setattr(backward_error, "_QZ", _no_qz)
+        patch.setattr(bklab.eigenstructure._QZ, "__init__", _no_qz)
         report = backward_error.run_pipeline(
             L, Pencil(np.zeros((2,) + L.shape)))
+        cases = _worker_cases()
+        # a pencil that is too small or not square is not even built
+        for name in ("small", "wide"):
+            assert _started(cases[name]) is None
     assert report.eigen_checked
-    cases = _worker_cases()
     threads = _zggev_threads(monkeypatch)
-    for name in ("small", "non_finite"):
-        assert _started(cases[name]).done is None
     _worker_from_order(monkeypatch, 6, cpus=1)
-    assert _started(cases["square"]).done is None
+    assert _started(cases["square"]) is None
     assert threads == []
     _worker_from_order(monkeypatch, 6)
-    on_worker, inline = _started(cases["square"]), _qz(cases["square"])
+    on_worker, inline = _started(cases["square"]), _of(cases["square"])
     assert on_worker.started.is_set() and inline.done is None
     on_worker, inline = on_worker.structure(), inline.structure()
     assert threads == ["bklab-qz", "MainThread"]
@@ -571,12 +568,12 @@ def test_worker_takes_one_job_at_a_time(monkeypatch):
     square = _worker_cases()["square"]
     first = _started(square)
     assert first.done is not None
-    # the first call is under way: a second caller keeps its QZ inline
-    assert _started(square).done is None
-    first.wait()
+    # the first call is under way: a second caller gets no QZ to read
+    assert _started(square) is None
+    first.done.wait()
     second = _started(square)
     assert second.done is not None
-    second.wait()
+    second.done.wait()
     assert threads == ["bklab-qz"] * 2
     workers = [t for t in threading.enumerate() if t.name == "bklab-qz"]
     assert len(workers) == 1 and workers[0].daemon

@@ -85,6 +85,15 @@ def _step3_with_a_large_dR_eps():
                           MatrixPolynomial(np.zeros((2, 4, 2)), grade=1))
 
 
+def _step3_with(side, dR):
+    # _hook()'s dR are 4 x 2 of grade 1 on both sides; dR on one, 0 on the
+    # other
+    L, zero = _hook(), MatrixPolynomial(np.zeros((2, 4, 2)), grade=1)
+    dRs = {"eps": zero, "eta": zero, side: MatrixPolynomial(dR)}
+    return assemble_step3(L, Pencil(np.zeros((2, 4, 4))), dRs["eps"],
+                          dRs["eta"])
+
+
 def _pipeline_of_a_zero_polynomial():
     L = from_polynomial(MatrixPolynomial(np.zeros((4, 2, 2)), grade=3), 1, 1,
                         "hook")
@@ -137,6 +146,18 @@ REFUSALS = {
     "step3_dR_eps": (PreconditionError,
                      "step 3 refused: ||dR_eps|| >= 1/sqrt(2)",
                      _step3_with_a_large_dR_eps),
+    # a dR of another size or of grade above its side's used to be padded
+    # into the sum, or to fail in it without a name
+    "step3_dR_eps_shape": (ShapeError, "dR_eps is (5, 2), not (4, 2)",
+                           lambda: _step3_with("eps", np.ones((2, 5, 2)))),
+    "step3_dR_eta_shape": (ShapeError, "dR_eta is (4, 3), not (4, 2)",
+                           lambda: _step3_with("eta", np.ones((2, 4, 3)))),
+    "step3_dR_eps_grade_2": (
+        GradeError, "dR_eps is of degree 2, above 1",
+        lambda: _step3_with("eps", 1e-3 * np.ones((3, 4, 2)))),
+    "step3_dR_eta_grade_2": (
+        GradeError, "dR_eta is of degree 2, above 1",
+        lambda: _step3_with("eta", 1e-3 * np.ones((3, 4, 2)))),
     "pipeline_zero_P": (
         PreconditionError,
         "pipeline refused: ||P|| is 0, so ||dP|| / ||P|| is undefined",
@@ -350,6 +371,17 @@ def _step3_reads_a_constant_dL11_as_its_pencil():
     return np.array_equal(results[0].coeff_stack, results[1].coeff_stack)
 
 
+def _step3_reads_a_dR_with_zeros_above_its_grade_as_its_own():
+    # P + dP keeps the grade d = 3 of P
+    dR = 1e-3 * np.ones((2, 4, 2))
+    padded = np.concatenate([dR, np.zeros((1, 4, 2))])
+    results = [_step3_with(side, stack) for side in ("eps", "eta")
+               for stack in (dR, padded)]
+    return (all(P.grade == 3 for P in results)
+            and np.array_equal(results[0].coeff_stack, results[1].coeff_stack)
+            and np.array_equal(results[2].coeff_stack, results[3].coeff_stack))
+
+
 EDGE_RETURNS = {
     "eigenvalues_of_an_empty_pencil": lambda: generalized_eigenvalues(
         Pencil(np.zeros((2, 0, 0)))) == ([], 0),
@@ -359,6 +391,8 @@ EDGE_RETURNS = {
     "step1_constant_dL": _step1_reads_a_constant_dL_as_its_pencil,
     "step2_constant_dLt21": _step2_reads_a_constant_dLt21_as_its_pencil,
     "step3_constant_dL11": _step3_reads_a_constant_dL11_as_its_pencil,
+    "step3_dR_zero_above_its_grade":
+        _step3_reads_a_dR_with_zeros_above_its_grade_as_its_own,
 }
 
 

@@ -1,12 +1,14 @@
+import re
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from bklab import (G_matrix, G_singular_values, M_matrix, M_singular_values,
-                   ShapeError, build_T, build_W, constants_sweep,
-                   sigma_max_W_closed, sigma_min_T_closed,
+from bklab import (G_matrix, G_singular_values, LayoutError, M_matrix,
+                   M_singular_values, ShapeError, build_T, build_W,
+                   constants_sweep, sigma_max_W_closed, sigma_min_T_closed,
                    sigma_min_T_lower_bound, sigma_min_convolution_L,
-                   sigma_min_from_W, verify_W_direct_sum)
+                   sigma_min_from_W, spectral_constants, verify_W_direct_sum)
 
 
 # ------------------------------------------------------------ closed forms
@@ -96,6 +98,14 @@ def test_direct_sum_sweep():
             assert verify_W_direct_sum(eps, eta)
 
 
+def test_direct_sum_fails_on_a_singular_value_count_mismatch(monkeypatch):
+    # an SVD that drops its smallest value: the multisets differ in size
+    svd = spectral_constants._svd
+    monkeypatch.setattr(spectral_constants, "_svd",
+                        lambda M, vectors=True: svd(M, vectors)[:-1])
+    assert verify_W_direct_sum(3, 2) is False
+
+
 def test_direct_sum_argument_order():
     with pytest.raises(ShapeError):
         verify_W_direct_sum(2, 3)
@@ -139,6 +149,26 @@ def test_convolution_constants_sweep(eps, n):
     assert abs(cc.lambda_c0 - 1.0) <= 1e-12
     assert abs(cc.lambda_c1 - 1.0) <= 1e-12
     assert cc.multiset_ok
+
+
+def test_convolution_constants_raise_on_a_moved_singular_value(monkeypatch):
+    # an SVD whose smallest value moves by 1e-9, ten times tol: the default
+    # check raises, and tol = inf only collects
+    svd = spectral_constants._svd
+
+    def moved(M, vectors=True):
+        s = svd(M, vectors).copy()
+        s[-1] += 1e-9
+        return s
+
+    monkeypatch.setattr(spectral_constants, "_svd", moved)
+    with pytest.raises(LayoutError, match=re.escape(
+            "convolution constants disagree at eps=2, n=1: gap 1.000e-09, "
+            "multiset_ok=False")):
+        sigma_min_convolution_L(2, 1)
+    cc = sigma_min_convolution_L(2, 1, tol=np.inf)
+    assert not cc.multiset_ok
+    assert cc.numeric_lower - cc.closed_form == pytest.approx(1e-9, rel=1e-3)
 
 
 # -------------------------------------------------------------- full sweep
