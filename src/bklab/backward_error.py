@@ -41,10 +41,10 @@ from .eigenstructure import (_QZ, _certified_structure, match_eigenvalues,
                              staircase_eigenstructure)
 from .errors import ConvergenceError, GradeError, PreconditionError, ShapeError
 from .matpoly import (CACHE_SIZE, MatrixPolynomial, Pencil, _frobenius,
-                      _stack_product, as_pencil, build_L, build_Lambda,
-                      convolution, pair_norm)
+                      _pad, _stack_product, as_pencil, build_L,
+                      build_Lambda, convolution, pair_norm)
 from .spectral_constants import build_T, sigma_min_T_closed
-from .tolerances import EPS, _finite_nonnegative, _require_finite, pseudoinverse
+from .tolerances import EPS, _finite_nonnegative, pseudoinverse
 
 SQRT2M1 = np.sqrt(2.0) - 1.0
 MAX_ITER = 200
@@ -218,10 +218,9 @@ def solve_step1(L: BlockKroneckerPencil, dL: Pencil,
     ``4 theta omega < delta^2``.  Raises :class:`ConvergenceError` when the
     iteration diverges or hits ``MAX_ITER``; ``force`` only lifts the
     solvability precondition.  ``dL`` is read as a pencil
-    (:func:`~bklab.matpoly.as_pencil`); a non-finite ``dL`` or one of
-    another shape raises :class:`ShapeError`.
+    (:func:`~bklab.matpoly.as_pencil`); one of another shape raises
+    :class:`ShapeError`.
     """
-    _require_finite(dL.coeff_stack)
     dL = as_pencil(dL)
     _require_pencil_shape(dL, L)
     eps, eta, m, n = L.eps, L.eta, L.m, L.n
@@ -324,10 +323,8 @@ def solve_step2(dLt21: Pencil, eps: int, n: int, force: bool = False):
     radius precondition.
 
     The eta side reuses this routine on the transposed (1,2) block.
-    ``dLt21`` is read as a pencil (:func:`~bklab.matpoly.as_pencil`); a
-    non-finite ``dLt21`` raises :class:`ShapeError`.
+    ``dLt21`` is read as a pencil (:func:`~bklab.matpoly.as_pencil`).
     """
-    _require_finite(dLt21.coeff_stack)
     dLt21 = as_pencil(dLt21)
     if dLt21.shape != (eps * n, (eps + 1) * n):
         raise ShapeError(
@@ -372,7 +369,8 @@ def assemble_step3(L: BlockKroneckerPencil, dL11: Pencil,
             raise GradeError(f"{name} is of degree {dR.degree()}, above {k}")
         if dR.frobenius_norm() >= 1.0 / np.sqrt(2.0) and not force:
             raise PreconditionError(f"step 3 refused: ||{name}|| >= 1/sqrt(2)")
-        stacks.append((build_Lambda(k, n) + dR).coeff_stack[:k + 1])
+        stacks.append(build_Lambda(k, n).coeff_stack
+                      + _pad(dR.coeff_stack[:k + 1], k))
     right, left = stacks
     return MatrixPolynomial(_stack_product(_stack_product(
         left.transpose(0, 2, 1), M.coeff_stack + dL11.coeff_stack), right))
@@ -570,22 +568,22 @@ def run_pipeline(L: BlockKroneckerPencil, dL: Pencil, force: bool = False,
                  eigen_tol: float = 1e-6) -> BackwardErrorReport:
     """Run Steps 1-3 and evaluate the applicable bound.
 
-    The pipeline refuses, in this order, a non-finite ``dL``, an
-    ``eigen_tol`` that is not finite and nonnegative (both
-    :class:`ShapeError`), a ``P`` of zero norm, perturbations outside the
-    guaranteed radius unless ``force`` is set, in which case the report is
-    marked as unguaranteed, a bound that is not finite, and a ``dL`` that
-    is not a pencil of ``L``'s shape: ``dL`` is read as a pencil
-    (:func:`~bklab.matpoly.as_pencil`), so a constant perturbation moves
-    ``M0`` only, one of degree above 1 raises :class:`GradeError` and one of
-    another shape :class:`ShapeError`; with ``check_eigen``, last, a
-    non-finite ``L + dL`` (:class:`ShapeError`).  Then the report's four
-    eigen fields come from :func:`_check_eigen`, which certifies one QZ of
-    ``L + dL`` when ``P + dP`` is square of full normal rank and runs the
-    staircase only when that does not certify; a disagreement is flagged
-    there rather than fatal, since the problem is ill-posed.
+    The pipeline refuses, in this order, an ``eigen_tol`` that is not
+    finite and nonnegative (:class:`ShapeError`), a ``P`` of zero norm,
+    perturbations outside the guaranteed radius unless ``force`` is set, in
+    which case the report is marked as unguaranteed, a bound that is not
+    finite, and a ``dL`` that is not a pencil of ``L``'s shape: ``dL`` is
+    read as a pencil (:func:`~bklab.matpoly.as_pencil`), so a constant
+    perturbation moves ``M0`` only, one of degree above 1 raises
+    :class:`GradeError` and one of another shape :class:`ShapeError`; with
+    ``check_eigen``, last, an ``L + dL`` that overflows (:class:`ShapeError`,
+    as does every polynomial formed with a non-finite coefficient).  Then
+    the report's four eigen fields come from :func:`_check_eigen`, which
+    certifies one QZ of ``L + dL`` when ``P + dP`` is square of full normal
+    rank and runs the staircase only when that does not certify; a
+    disagreement is flagged there rather than fatal, since the problem is
+    ill-posed.
     """
-    _require_finite(dL.coeff_stack)
     eigen_tol = _finite_nonnegative(eigen_tol, "eigen_tol")
     d = L.grade
     P = recover_polynomial(L)
@@ -616,7 +614,6 @@ def run_pipeline(L: BlockKroneckerPencil, dL: Pencil, force: bool = False,
     qz = None
     if check_eigen:
         L_plus_dL = Pencil(L.assemble().coeff_stack + dL.coeff_stack)
-        _require_finite(L_plus_dL.coeff_stack)
         qz = _QZ.start(L_plus_dL)
     try:
         step1 = solve_step1(L, dL, force=force)
@@ -627,14 +624,14 @@ def run_pipeline(L: BlockKroneckerPencil, dL: Pencil, force: bool = False,
         dP = P_plus_dP - P
         ratio = dP.frobenius_norm() / norm_P
         if not math.isfinite(ratio):
-            # a non-finite dP, or ||dP|| / ||P|| beyond the float range; with
-            # Step 1 bypassed (eps or eta 0) no iterate sees dL_11
-            raise ConvergenceError("step 3: non-finite dP or ||dP|| / ||P||")
+            # dP is finite, as every polynomial is: only the quotient can
+            # overflow, when ||P|| is tiny
+            raise ConvergenceError("step 3: ||dP|| / ||P|| overflows")
         backward, distance, consistent, shifts = (
             _check_eigen(L, L_plus_dL, P_plus_dP, eigen_tol, qz)
             if check_eigen else (None,) * 4)
     finally:
-        if qz is not None:
+        if qz is not None and qz.done is not None:  # handed over
             qz.done.wait()
 
     return BackwardErrorReport(

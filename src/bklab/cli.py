@@ -92,6 +92,10 @@ def cmd_eig(args) -> int:
                                         "placement": args.placement}
     else:
         raise ShapeError("input is neither a polynomial nor a pencil file")
+    flags = [f"--{k}" for k in ("epsilon", "eta") if getattr(args, k) is not None]
+    if flags and "linearization" not in payload:
+        raise ShapeError(f"{' and '.join(flags)} given for a {payload['kind']} "
+                         "file, which eig does not linearize")
     if bk is None:
         recovered = staircase_eigenstructure(as_pencil(poly), tol=args.tol)
     else:

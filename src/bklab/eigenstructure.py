@@ -16,8 +16,7 @@ than a single SVD (the cubic dimension factor was calibrated on the random
 singular-product population used by the tests).  Stage-local thresholds
 would misread that noise as structure.  Every decision is logged so
 borderline outcomes are diagnosable; the problem is intrinsically ill-posed
-and a tolerance-free answer does not exist.  Non-finite input raises
-:class:`ShapeError` before any LAPACK call.
+and a tolerance-free answer does not exist.
 
 Every QZ is one :class:`_QZ`, an eigenvalues-only ``zggev`` built and read
 on the caller's thread; :meth:`_QZ.start` may hand the call alone to the
@@ -40,8 +39,8 @@ from .errors import (ConvergenceError, EigenstructureShiftError,
                      InconclusiveError, ShapeError)
 from .matpoly import (CACHE_SIZE, _TINY, MatrixPolynomial, _divide,
                       as_pencil, convolution)
-from .tolerances import (EPS, RankDecision, _decide_rank, _require_finite,
-                         _svd, numerical_rank, svd_with_rank)
+from .tolerances import (EPS, RankDecision, _decide_rank, _svd,
+                         numerical_rank, svd_with_rank)
 
 
 @dataclass
@@ -246,14 +245,15 @@ class _QZ:
         thread, handed to ``bklab-qz`` once it is about to call (it then
         takes the GIL at once, not after ``sys.getswitchinterval()``);
         ``None`` for a pencil not square or below ``QZ_THREAD_MIN_ORDER``,
-        on one usable CPU, or with a call in flight."""
+        or on one usable CPU.  With a call in flight it is returned not
+        handed over, and :meth:`structure` makes it inline."""
         if (pencil.rows != pencil.cols or pencil.rows < QZ_THREAD_MIN_ORDER
                 or _usable_cpus() < 2):
             return None
         qz = cls.of(pencil)
         thread = _running_qz_thread()
         if not thread.idle.acquire(blocking=False):
-            return None
+            return qz
         qz.started, qz.done = threading.Event(), threading.Event()
         thread.job = qz
         thread.handed.release()
@@ -354,7 +354,6 @@ def generalized_eigenvalues(pencil):
     ``beta`` is negligible against ``(alpha, beta)``.
     """
     pencil = as_pencil(pencil)
-    _require_finite(pencil.coeff_stack)
     if pencil.rows != pencil.cols:
         raise ShapeError("generalized eigenvalues need a square pencil")
     if _normal_rank(pencil) < pencil.rows:
@@ -420,7 +419,6 @@ def staircase_eigenstructure(pencil, tol=None) -> Eigenstructure:
     """Complete eigenstructure of an arbitrary (possibly singular,
     rectangular) pencil ``M0 + lambda*M1`` by unitary staircase reduction."""
     pencil = as_pencil(pencil)
-    _require_finite(pencil.coeff_stack)
     A, B = pencil.M0, pencil.M1
     log: list[RankDecision] = []
     # a full-rank square B's vectors go unread; a wide or tall B's are read
@@ -624,7 +622,6 @@ def right_minimal_indices_by_convolution(Q: MatrixPolynomial, j_max=None,
     ``j``; the scan stops once the count reaches ``cols - rank`` and raises
     :class:`InconclusiveError` if ``j_max`` is hit first.
     """
-    _require_finite(Q.coeff_stack)
     total = Q.cols - _normal_rank(Q, tol)
     if total == 0:
         return []

@@ -25,7 +25,7 @@ class PreconditionError(BkLabError):
 
 class ConvergenceError(BkLabError):
     """A fixed-point iteration hit its cap or reached a non-finite iterate,
-    Step 3 assembled a non-finite ``dP``, or QZ (LAPACK ``zggev``) failed."""
+    ``||dP|| / ||P||`` overflowed, or QZ (LAPACK ``zggev``) failed."""
 
 
 class InconclusiveError(BkLabError):

@@ -21,7 +21,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import GradeError, ShapeError
-from .tolerances import _finite_nonnegative
+from .tolerances import _finite_nonnegative, _require_finite
 
 # index tuples whose structural constants (L_k (x) I_p, Lambda_k (x) I_p, the
 # scalar pseudoinverses of Steps 1 and 2, the QZ workspace of an order) stay
@@ -33,7 +33,12 @@ _TINY = np.finfo(float).tiny
 
 
 class MatrixPolynomial:
-    """``sum_k P_k lambda^k`` with dense complex ``m x n`` coefficients."""
+    """``sum_k P_k lambda^k`` with dense complex ``m x n`` coefficients.
+
+    Every coefficient is finite: an inf or NaN raises :class:`ShapeError`
+    where the polynomial is formed, here or in an operation such as
+    ``1e308 * P``, so no function that takes a polynomial checks it again.
+    """
 
     __slots__ = ("_c",)
 
@@ -57,6 +62,7 @@ class MatrixPolynomial:
                 stack = stack[:grade + 1]
             elif len(stack) < grade + 1:
                 stack = _pad(stack, grade)
+        _require_finite(stack)
         stack.setflags(write=False)
         self._c = stack
 

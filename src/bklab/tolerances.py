@@ -88,8 +88,7 @@ def _finite_nonnegative(value, name) -> float:
     return value
 
 
-def _require_finite(M) -> None:
-    M = np.asarray(M)
+def _require_finite(M: np.ndarray) -> None:
     # sum |m|^2 is finite only when every entry is; one BLAS dot costs a
     # quarter of an elementwise test, which runs only when the sum overflows
     if not math.isfinite(abs(np.vdot(M, M))) and not np.isfinite(M).all():

@@ -209,13 +209,13 @@ def _non_finite_inputs():
     full SVD does not return: a grade-3 polynomial, its block Kronecker
     pencil and a grade-1 polynomial."""
     P = random_polynomial(2, 2, 3, trial_rng(94, 0))
-    stack = P.coeff_stack.copy()
-    stack[-1, 0, 0] = np.inf
-    bk = from_polynomial(P, 1, 1, "hook").to_json()
-    bk["M1"][0][0] = [float("inf"), 0.0]
-    return {"polynomial": MatrixPolynomial(stack).to_json(),
-            "block_kronecker": bk,
-            "pencil": MatrixPolynomial(stack[2:]).to_json()}
+    blobs = {"polynomial": P.to_json(),
+             "block_kronecker": from_polynomial(P, 1, 1, "hook").to_json(),
+             "pencil": MatrixPolynomial(P.coeff_stack[2:]).to_json()}
+    for blob in blobs.values():
+        lead = blob["coeffs"][-1] if "coeffs" in blob else blob["M1"]
+        lead[0][0] = [float("inf"), 0.0]
+    return blobs
 
 
 @pytest.mark.parametrize("kind", ["polynomial", "block_kronecker", "pencil"])
@@ -237,6 +237,27 @@ def test_eig_on_a_constant_polynomial_refuses_the_split_with_exit_2(tmp_path, ca
     assert out.out == ""
     assert "eps" in out.err and "eta" in out.err
     assert "broadcast" not in out.err and "Traceback" not in out.err
+
+
+@pytest.mark.parametrize("kind, flags", [
+    ("block_kronecker", ["--epsilon", "2"]),
+    ("block_kronecker", ["--eta", "1"]),
+    ("pencil", ["--epsilon", "3", "--eta", "5"]),
+    ("pencil", ["--eta", "0"]),
+])
+def test_eig_refuses_a_split_for_a_file_it_does_not_linearize_with_exit_2(
+        tmp_path, capsys, kind, flags):
+    # a block Kronecker pencil has its own split, and a grade-1 polynomial
+    # is reduced as it is: a split given for either would go unread
+    P = random_polynomial(2, 2, 3, trial_rng(0, 0))
+    blob = (from_polynomial(P, 1, 1, "hook") if kind == "block_kronecker"
+            else MatrixPolynomial(P.coeff_stack[:2])).to_json()
+    path = tmp_path / "in.json"
+    write_json(path, blob)
+    assert main(["eig", str(path), *flags]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.startswith("error: ")
+    assert all(flag in out.err for flag in flags[::2])
 
 
 def test_eig_exits_3_on_a_structure_below_the_shift(tmp_path, capsys):

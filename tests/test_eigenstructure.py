@@ -565,16 +565,30 @@ def test_only_the_zggev_call_runs_on_the_worker(monkeypatch):
 def test_worker_takes_one_job_at_a_time(monkeypatch):
     _worker_from_order(monkeypatch, 6)
     threads = _zggev_threads(monkeypatch, before=lambda: time.sleep(0.2))
+    built = []
+    of = bklab.eigenstructure._QZ.of
+
+    def recorded_of(pencil):
+        built.append(of(pencil))
+        return built[-1]
+
+    monkeypatch.setattr(bklab.eigenstructure._QZ, "of", recorded_of)
     square = _worker_cases()["square"]
     first = _started(square)
     assert first.done is not None
-    # the first call is under way: a second caller gets no QZ to read
-    assert _started(square) is None
-    first.done.wait()
+    # the first call is under way: a second caller gets the QZ it built,
+    # not handed over, and makes it inline
     second = _started(square)
-    assert second.done is not None
-    second.done.wait()
-    assert threads == ["bklab-qz"] * 2
+    assert second.done is None
+    inline = second.structure()
+    first.done.wait()
+    assert first.structure().finite == inline.finite
+    third = _started(square)
+    assert third.done is not None
+    third.done.wait()
+    # one build per caller, each read by its own caller
+    assert built == [first, second, third]
+    assert sorted(threads) == ["MainThread", "bklab-qz", "bklab-qz"]
     workers = [t for t in threading.enumerate() if t.name == "bklab-qz"]
     assert len(workers) == 1 and workers[0].daemon
 

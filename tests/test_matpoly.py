@@ -66,12 +66,17 @@ def test_nonzero_truncated_coefficient_rejected():
     assert P.grade == 0
 
 
-def test_nan_in_a_dropped_coefficient_is_not_zero():
-    # a NaN coefficient is not zero, although its norm is not above 0
-    P = MatrixPolynomial([np.eye(2), np.full((2, 2), np.nan)])
-    with pytest.raises(GradeError):
-        P.with_grade(0)
-    assert P.with_grade(3).grade == 3
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.inf)])
+def test_a_non_finite_coefficient_is_refused_where_it_is_formed(bad):
+    # a polynomial is finite by construction, so with_grade never meets a
+    # NaN coefficient, which is not zero although its norm is not above 0
+    top = np.eye(2, dtype=complex)
+    top[1, 0] = bad
+    for grade in (None, 1, 3):
+        with pytest.raises(ShapeError, match="non-finite"):
+            MatrixPolynomial([np.eye(2), top], grade=grade)
+    with pytest.raises(ShapeError, match="non-finite"):
+        Pencil.from_parts(np.eye(2), top)
 
 
 # -------------------------------------------------- stack arithmetic, pinned

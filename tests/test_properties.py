@@ -11,9 +11,15 @@ or down to the last subnormals.  Every square QZ is handed to the
 ``bklab-qz`` thread, no RuntimeWarning escapes, and the thread is free again
 when the call returns.
 
-The staircase refuses a pencil with an ``inf`` or NaN entry with
-:class:`ShapeError`, and reads a pencil scaled to entries near 1e300 as it
-reads the unscaled one.  The draws cover 1..5 x 1..5 pencils whose ``B`` has
+Every way of making a polynomial gives one whose coefficients are all
+finite or raises :class:`ShapeError`: the constructor, ``Pencil``,
+``as_pencil``, the arithmetic, ``transpose``, ``reversal``,
+``from_polynomial``, ``assemble()`` and ``recover_polynomial``, on entries
+up to the float maximum, where sums, products and scalings overflow.
+
+A pencil with an ``inf`` or NaN entry is refused with :class:`ShapeError`
+before the staircase sees it, and the staircase reads a pencil scaled to
+entries near 1e300 as it reads the unscaled one.  The draws cover 1..5 x 1..5 pencils whose ``B`` has
 every rank, so square ``B`` of full and of deficient rank both occur.
 
 The searches are derandomized and bounded, so the tests are reproducible and
@@ -29,8 +35,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bklab import eigenstructure
-from bklab import (BkLabError, MatrixPolynomial, Pencil, ShapeError,
-                   from_polynomial, match_eigenvalues, pipeline_radius,
+from bklab import (BkLabError, BlockKroneckerPencil, MatrixPolynomial,
+                   Pencil, ShapeError, as_pencil, from_polynomial,
+                   match_eigenvalues, pipeline_radius, recover_polynomial,
                    run_pipeline, staircase_eigenstructure)
 from bklab.experiments import (complex_gaussian, random_pencil_perturbation,
                                random_polynomial, trial_rng)
@@ -139,3 +146,86 @@ def test_staircase_refuses_a_non_finite_entry(stack, scale, bad, data):
     stack[where] = bad
     with pytest.raises(ShapeError, match="non-finite"):
         staircase_eigenstructure(Pencil(stack))
+
+
+# entries of modulus up to 1, scaled by up to the float maximum, where a
+# sum, a product or a scaling overflows; the constructors also meet inf and
+# NaN themselves
+NON_FINITE = st.sampled_from([np.inf, -np.inf, np.nan, complex(0.0, np.inf),
+                              complex(np.nan, 1.0)])
+
+
+def _stack(data, count, rows, cols, spoiled=False):
+    """A drawn stack of finite entries; when ``spoiled``, one entry may be
+    NON_FINITE."""
+    size = count * rows * cols
+    unit = data.draw(st.lists(st.complex_numbers(max_magnitude=1.0),
+                              min_size=size, max_size=size))
+    scale = data.draw(st.sampled_from([1.0, 1e154, 1e300, 1.7e308]))
+    stack = scale * np.array(unit, dtype=complex)
+    if spoiled and data.draw(st.booleans()):
+        stack[data.draw(st.integers(0, size - 1))] = data.draw(NON_FINITE)
+    return stack.reshape(count, rows, cols)
+
+
+def _formed(how, data):
+    """The polynomials ``how`` forms from drawn stacks of ``m x n``
+    coefficients; the drawn operands of the operations are finite."""
+    m, n, k = (data.draw(st.integers(1, 3)) for _ in range(3))
+    if how == "constructor":
+        S = _stack(data, k, m, n, spoiled=True)
+        grade = data.draw(st.one_of(st.none(), st.integers(0, k + 1)))
+        if grade is not None:
+            S[grade + 1:] = 0.0  # a trim drops zeros only
+        return [MatrixPolynomial(S, grade)]
+    if how == "Pencil.from_parts":
+        return [Pencil.from_parts(*_stack(data, 2, m, n, spoiled=True))]
+    P = MatrixPolynomial(_stack(data, k, m, n))
+    if how == "as_pencil":
+        return [as_pencil(MatrixPolynomial(_stack(data, 2, m, n)))]
+    if how in ("+", "-"):
+        Q = MatrixPolynomial(_stack(data, data.draw(st.integers(1, 3)), m, n))
+        Q = data.draw(st.sampled_from([Q, P, -1.0 * P]))  # P + P can overflow
+        return [P + Q if how == "+" else P - Q]
+    if how == "scalar *":
+        scalar = data.draw(st.sampled_from([0.5, -2.0, 1e154j, 1e308, -1e300]))
+        return [scalar * P, P * scalar]
+    if how == "@":
+        Q = MatrixPolynomial(_stack(data, data.draw(st.integers(1, 3)), n,
+                                    data.draw(st.integers(1, 3))))
+        return [P @ Q]
+    if how == "transpose":
+        return [P.transpose(), Pencil(_stack(data, 2, m, n)).transpose()]
+    if how == "reversal":
+        return [P.reversal(P.grade + data.draw(st.integers(0, 2)))]
+    eps, eta = data.draw(st.integers(0, 2)), data.draw(st.integers(0, 2))
+    if how == "from_polynomial":
+        L = from_polynomial(
+            MatrixPolynomial(_stack(data, eps + eta + 2, m, n)), eps, eta)
+        return [L.one_one_block(), L.assemble(), recover_polynomial(L)]
+    # a pencil of entries up to the float maximum, whose antidiagonal sums
+    # can overflow
+    M0, M1 = _stack(data, 2, (eta + 1) * m, (eps + 1) * n)
+    L = BlockKroneckerPencil(M0, M1, eps, eta, m, n)
+    return [L.assemble(), recover_polynomial(L)]
+
+
+FORMS = ["constructor", "Pencil.from_parts", "as_pencil", "+", "-",
+         "scalar *", "@", "transpose", "reversal", "from_polynomial",
+         "recover_polynomial"]
+
+
+@settings(max_examples=400, derandomize=True, deadline=None, database=None)
+@given(st.sampled_from(FORMS), st.data())
+def test_every_polynomial_is_finite_or_refused_where_it_is_formed(how, data):
+    # numpy warns where a stack operation overflows, before the polynomial
+    # it was to form refuses the result; that ShapeError is the answer this
+    # test reads, and the warning is numpy's own note of the same overflow
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            formed = _formed(how, data)
+        except ShapeError as exc:
+            assert "non-finite" in str(exc)
+            return
+    for P in formed:
+        assert np.isfinite(P.coeff_stack).all()

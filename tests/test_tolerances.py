@@ -110,6 +110,22 @@ def test_svd_of_a_stack_refuses_a_non_finite_matrix():
             _svd(M, vectors=vectors)
 
 
+@pytest.mark.parametrize("call", [numerical_rank, svd_with_rank, pseudoinverse])
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_the_rank_calls_refuse_a_non_finite_matrix_before_lapack(monkeypatch,
+                                                                call, bad):
+    # they take arrays, which no polynomial constructor has checked: _svd's
+    # own check keeps LAPACK from a full SVD that may never return
+    def reached(*args, **kwargs):
+        raise AssertionError("LAPACK reached")
+
+    monkeypatch.setattr(np.linalg, "svd", reached)
+    M = np.eye(3, dtype=complex)
+    M[0, 0] = bad
+    with pytest.raises(ShapeError, match="non-finite"):
+        call(M)
+
+
 def test_pseudoinverse_is_moore_penrose_on_the_numerical_rank():
     M = _rank_three(2)
     X = pseudoinverse(M)
@@ -279,6 +295,48 @@ def test_one_whole_array_norm_helper():
         users |= {f"{path.stem}.{name}"
                   for name in _whole_array_norm_users(ast.parse(path.read_text()))}
     assert users == set()
+
+
+def _finiteness_checkers(tree, module):
+    """Qualified names of the scopes in ``tree`` that reach
+    ``_require_finite``, once per reference: a call, an attribute such as
+    ``tolerances._require_finite``, or the name passed on as a value."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, f"{scope}.{child.name}")
+                continue
+            if getattr(child, "id", getattr(child, "attr", "")) == "_require_finite":
+                found.append(scope)
+            visit(child, scope)
+
+    visit(tree, module)
+    return found
+
+
+def test_finiteness_checkers_sees_every_spelling():
+    tree = ast.parse(
+        "from .tolerances import _require_finite\n"
+        "def a(M): _require_finite(M)\n"
+        "def b(M): tolerances._require_finite(M)\n"
+        "def c(Ms): return list(map(_require_finite, Ms))\n"
+        "class D:\n"
+        "    def e(self, M):\n"
+        "        check = _require_finite\n"
+        "        check(M)\n"
+        "def f(M): return _svd(M)\n")
+    assert _finiteness_checkers(tree, "m") == ["m.a", "m.b", "m.c", "m.D.e"]
+
+
+def test_finiteness_is_checked_where_polynomials_and_svds_are_formed():
+    # a polynomial is finite by construction, and _svd guards LAPACK against
+    # the arrays it is given: a check anywhere else repeats one of the two
+    callers = []
+    for path in sorted((ROOT / "src" / "bklab").glob("*.py")):
+        callers += _finiteness_checkers(ast.parse(path.read_text()), path.stem)
+    assert callers == ["matpoly.MatrixPolynomial.__init__", "tolerances._svd"]
 
 
 @pytest.mark.parametrize("dtype", [float, complex])
